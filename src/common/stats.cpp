@@ -77,17 +77,23 @@ double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 double percentile(std::span<const double> xs, double pct) {
   BIS_CHECK(!xs.empty());
   BIS_CHECK(pct >= 0.0 && pct <= 100.0);
-  // Per-thread sort buffer: percentile/median sit on the detector's per-bin
-  // hot path, so repeated calls must not allocate once capacity is warm.
-  thread_local std::vector<double> sorted;
-  sorted.assign(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = pct / 100.0 * static_cast<double>(sorted.size() - 1);
+  // Per-thread selection buffer: percentile/median sit on the detector's
+  // per-bin hot path, so repeated calls must not allocate once capacity is
+  // warm.
+  thread_local std::vector<double> buf;
+  buf.assign(xs.begin(), xs.end());
+  if (buf.size() == 1) return buf.front();
+  const double pos = pct / 100.0 * static_cast<double>(buf.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // Selection, not a sort: nth_element puts the lo-th order statistic in
+  // place with every value after it no smaller, so the next order statistic
+  // is the minimum of that tail — the two values a sorted copy would index.
+  const auto nth = buf.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(buf.begin(), nth, buf.end());
+  const double hi =
+      nth + 1 == buf.end() ? *nth : *std::min_element(nth + 1, buf.end());
+  return *nth * (1.0 - frac) + hi * frac;
 }
 
 double rms(std::span<const double> xs) {

@@ -1,5 +1,6 @@
 #include "dsp/fft.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -112,6 +113,8 @@ CVec transform_uncached(std::span<const cdouble> x, bool inverse) {
   return out;
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Plan cache. Plans execute on split real/imag (SoA) arrays: the butterfly
 // inner loops become clean, independent, vectorizable double loops instead of
@@ -142,6 +145,16 @@ struct FftPlan {
   RVec kernel_re_fwd, kernel_im_fwd, kernel_re_inv, kernel_im_inv;
   std::shared_ptr<const FftPlan> conv_plan;
 };
+
+/// Untangle twiddles e^{-j2πk/n}, k ∈ [0, n/2], for the real-input (rfft)
+/// split of an even-length transform; the inverse path conjugates them.
+struct RfftPlan {
+  std::size_t n = 0;
+  std::size_t h = 0;  // n/2
+  RVec tw_re, tw_im;
+};
+
+namespace {
 
 /// Apply a power-of-two plan in place on split re/im arrays.
 void fft_pow2_with_plan(double* __restrict xr, double* __restrict xi,
@@ -316,14 +329,6 @@ FftScratchF32& scratch_f32() {
   thread_local FftScratchF32 s;
   return s;
 }
-
-/// Untangle twiddles e^{-j2πk/n}, k ∈ [0, n/2], for the real-input (rfft)
-/// split of an even-length transform; the inverse path conjugates them.
-struct RfftPlan {
-  std::size_t n = 0;
-  std::size_t h = 0;  // n/2
-  RVec tw_re, tw_im;
-};
 
 /// float32 untangle twiddles, cast once from the double RfftPlan.
 struct RfftPlanF32 {
@@ -502,22 +507,23 @@ PlanCache& plan_cache() {
   return cache;
 }
 
-void fft_bluestein_with_plan_into(std::span<const cdouble> x,
-                                  const FftPlan& plan, bool inverse,
-                                  CVec& out) {
+/// Unscaled transform of the plan.n points in split re/im arrays, in place.
+/// Bluestein sizes use the arrays up to plan.m as their convolution buffer,
+/// so both must hold max(plan.n, plan.m) values.
+void transform_split(double* __restrict ar, double* __restrict ai,
+                     const FftPlan& plan, bool inverse) {
+  if (is_power_of_two(plan.n)) {
+    fft_pow2_with_plan(ar, ai, plan, inverse);
+    return;
+  }
   const std::size_t n = plan.n;
   const std::size_t m = plan.m;
   const RVec& cr = inverse ? plan.chirp_re_inv : plan.chirp_re_fwd;
   const RVec& ci = inverse ? plan.chirp_im_inv : plan.chirp_im_fwd;
   const RVec& kr = inverse ? plan.kernel_re_inv : plan.kernel_re_fwd;
   const RVec& ki = inverse ? plan.kernel_im_inv : plan.kernel_im_fwd;
-
-  FftScratch& sc = scratch();
-  sc.ensure(m);
-  double* __restrict ar = sc.re.data();
-  double* __restrict ai = sc.im.data();
   for (std::size_t k = 0; k < n; ++k) {  // a[k] = x[k] · chirp[k]
-    const double xr = x[k].real(), xi = x[k].imag();
+    const double xr = ar[k], xi = ai[k];
     ar[k] = xr * cr[k] - xi * ci[k];
     ai[k] = xr * ci[k] + xi * cr[k];
   }
@@ -532,11 +538,10 @@ void fft_bluestein_with_plan_into(std::span<const cdouble> x,
   }
   fft_pow2_with_plan(ar, ai, *plan.conv_plan, /*inverse=*/true);
   const double inv_m = 1.0 / static_cast<double>(m);
-
-  out.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {  // out[k] = (a[k]·inv_m)·chirp[k]
+  for (std::size_t k = 0; k < n; ++k) {  // X[k] = (a[k]·inv_m)·chirp[k]
     const double sr = ar[k] * inv_m, si = ai[k] * inv_m;
-    out[k] = cdouble(sr * cr[k] - si * ci[k], sr * ci[k] + si * cr[k]);
+    ar[k] = sr * cr[k] - si * ci[k];
+    ai[k] = sr * ci[k] + si * cr[k];
   }
 }
 
@@ -549,24 +554,58 @@ void transform_into(std::span<const cdouble> x, bool inverse, CVec& out) {
     return;
   }
   const auto plan = plan_cache().get(n);
-  if (is_power_of_two(n)) {
-    out.resize(n);
-    FftScratch& sc = scratch();
-    sc.ensure(n);
-    double* __restrict xr = sc.re.data();
-    double* __restrict xi = sc.im.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      xr[i] = x[i].real();
-      xi[i] = x[i].imag();
-    }
-    fft_pow2_with_plan(xr, xi, *plan, inverse);
-    for (std::size_t i = 0; i < n; ++i) out[i] = cdouble(xr[i], xi[i]);
-  } else {
-    fft_bluestein_with_plan_into(x, *plan, inverse, out);
+  FftScratch& sc = scratch();
+  sc.ensure(std::max(n, plan->m));
+  double* __restrict xr = sc.re.data();
+  double* __restrict xi = sc.im.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    xr[i] = x[i].real();
+    xi[i] = x[i].imag();
   }
+  transform_split(xr, xi, *plan, inverse);
+  out.resize(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = cdouble(xr[i], xi[i]);
   if (inverse) {
     const double inv_n = 1.0 / static_cast<double>(n);
     for (auto& v : out) v *= inv_n;
+  }
+}
+
+// GCC's autovectorizer turns the interleaved complex untangle/re-tangle loops
+// below into shuffle-heavy SSE2 code that measures ~6x SLOWER than scalar on
+// the target hosts (verified with -fno-tree-vectorize on the bench harness).
+// The loops are short (h+1 iterations) and latency-bound; keep them scalar.
+#if defined(__GNUC__) && !defined(__clang__)
+#define BIS_SCALAR_LOOP __attribute__((optimize("no-tree-vectorize")))
+#else
+#define BIS_SCALAR_LOOP
+#endif
+
+// Untangle: E[k] = (Z[k] + conj(Z[h−k]))/2, O[k] = −j(Z[k] − conj(Z[h−k]))/2,
+// X[k] = E[k] + e^{−j2πk/n}·O[k] for k ∈ [0, h] (Z indices mod h). Only
+// k = 0 and k = h wrap, and both collapse to Z[0] with W^0 = 1, W^h = −1:
+// X[0] = Re Z[0] + Im Z[0], X[h] = Re Z[0] − Im Z[0], both purely real.
+// Handling them outside the loop keeps the hot path free of index modulos.
+BIS_SCALAR_LOOP void rfft_untangle(const double* __restrict zr,
+                                   const double* __restrict zi,
+                                   const RfftPlan& plan, CVec& out) {
+  const std::size_t h = plan.h;
+  out.resize(h + 1);
+  out[0] = cdouble(zr[0] + zi[0], 0.0);
+  out[h] = cdouble(zr[0] - zi[0], 0.0);
+  const double* __restrict twr = plan.tw_re.data();
+  const double* __restrict twi = plan.tw_im.data();
+  for (std::size_t k = 1; k < h; ++k) {
+    const double ar = zr[k], ai = zi[k];
+    const double br = zr[h - k], bi = -zi[h - k];  // b = conj(Z[h−k])
+    const double er = 0.5 * (ar + br);
+    const double ei = 0.5 * (ai + bi);
+    const double dr = ar - br;
+    const double di = ai - bi;
+    const double od = 0.5 * di;    // O = (di/2, −dr/2)
+    const double oi = -0.5 * dr;
+    out[k] = cdouble(er + twr[k] * od - twi[k] * oi,
+                     ei + twr[k] * oi + twi[k] * od);
   }
 }
 
@@ -631,68 +670,60 @@ CVec fft_real_padded(std::span<const double> x, std::size_t n_fft) {
   return fft(cx);
 }
 
-// GCC's autovectorizer turns the interleaved complex untangle/re-tangle loops
-// below into shuffle-heavy SSE2 code that measures ~6x SLOWER than scalar on
-// the target hosts (verified with -fno-tree-vectorize on the bench harness).
-// The loops are short (h+1 iterations) and latency-bound; keep them scalar.
-#if defined(__GNUC__) && !defined(__clang__)
-#define BIS_SCALAR_LOOP __attribute__((optimize("no-tree-vectorize")))
-#else
-#define BIS_SCALAR_LOOP
-#endif
 
-BIS_SCALAR_LOOP void rfft_into(std::span<const double> x, CVec& out) {
-  const std::size_t n = x.size();
-  if (n == 0) {
+RfftPlanHandle::RfftPlanHandle(std::size_t n_fft) : n_fft_(n_fft) {
+  BIS_CHECK(n_fft > 0);
+  if (n_fft == 1) return;
+  if (n_fft % 2 != 0) {
+    plan_ = plan_cache().get(n_fft);
+    return;
+  }
+  untangle_ = plan_cache().get_rfft(n_fft);
+  plan_ = plan_cache().get(n_fft / 2);
+}
+
+void RfftPlanHandle::operator()(std::span<const double> x, CVec& out) const {
+  BIS_CHECK(n_fft_ > 0);
+  const std::size_t n = std::min(x.size(), n_fft_);
+  if (n_fft_ == 1) {
+    out.assign(1, cdouble(n > 0 ? x[0] : 0.0, 0.0));
+    return;
+  }
+  FftScratch& sc = scratch();
+  sc.ensure(std::max(plan_->n, plan_->m));
+  double* __restrict re = sc.re.data();
+  double* __restrict im = sc.im.data();
+  if (n_fft_ % 2 != 0) {
+    // Odd length: no even/odd split — run the full complex transform and
+    // keep the one-sided bins (numerically identical to fft_real).
+    for (std::size_t i = 0; i < n_fft_; ++i) {
+      re[i] = i < n ? x[i] : 0.0;
+      im[i] = 0.0;
+    }
+    transform_split(re, im, *plan_, /*inverse=*/false);
+    out.resize(n_fft_ / 2 + 1);
+    for (std::size_t k = 0; k < out.size(); ++k) out[k] = cdouble(re[k], im[k]);
+    return;
+  }
+  // Pack even samples into re, odd into im (zeros past the input): one
+  // h-point complex FFT carries both half-length real transforms.
+  const std::size_t pairs = n / 2;
+  for (std::size_t k = 0; k < pairs; ++k) {
+    re[k] = x[2 * k];
+    im[k] = x[2 * k + 1];
+  }
+  for (std::size_t k = pairs; k < n_fft_ / 2; ++k) re[k] = im[k] = 0.0;
+  if (n % 2 != 0) re[pairs] = x[n - 1];  // A lone last even sample.
+  transform_split(re, im, *plan_, /*inverse=*/false);
+  rfft_untangle(re, im, *untangle_, out);
+}
+
+void rfft_into(std::span<const double> x, CVec& out) {
+  if (x.empty()) {
     out.clear();
     return;
   }
-  if (n == 1) {
-    out.assign(1, cdouble(x[0], 0.0));
-    return;
-  }
-  if (n % 2 != 0) {
-    // Odd length: no even/odd split — run the full complex transform and
-    // keep the one-sided bins (numerically identical to fft_real).
-    CVec full = fft_real(x);
-    full.resize(n / 2 + 1);
-    out = std::move(full);
-    return;
-  }
-  const std::size_t h = n / 2;
-  const auto plan = plan_cache().get_rfft(n);
-
-  // Pack even samples into re, odd into im: one h-point complex FFT carries
-  // both half-length real transforms.
-  thread_local CVec packed;
-  packed.resize(h);
-  for (std::size_t k = 0; k < h; ++k)
-    packed[k] = cdouble(x[2 * k], x[2 * k + 1]);
-  thread_local CVec z;
-  transform_into(packed, /*inverse=*/false, z);
-
-  // Untangle: E[k] = (Z[k] + conj(Z[h−k]))/2, O[k] = −j(Z[k] − conj(Z[h−k]))/2,
-  // X[k] = E[k] + e^{−j2πk/n}·O[k] for k ∈ [0, h] (Z indices mod h). Only
-  // k = 0 and k = h wrap, and both collapse to Z[0] with W^0 = 1, W^h = −1:
-  // X[0] = Re Z[0] + Im Z[0], X[h] = Re Z[0] − Im Z[0], both purely real.
-  // Handling them outside the loop keeps the hot path free of index modulos.
-  out.resize(h + 1);
-  out[0] = cdouble(z[0].real() + z[0].imag(), 0.0);
-  out[h] = cdouble(z[0].real() - z[0].imag(), 0.0);
-  const double* __restrict twr = plan->tw_re.data();
-  const double* __restrict twi = plan->tw_im.data();
-  for (std::size_t k = 1; k < h; ++k) {
-    const cdouble a = z[k];
-    const cdouble b = std::conj(z[h - k]);
-    const double er = 0.5 * (a.real() + b.real());
-    const double ei = 0.5 * (a.imag() + b.imag());
-    const double dr = a.real() - b.real();
-    const double di = a.imag() - b.imag();
-    const double od = 0.5 * di;    // O = (di/2, −dr/2)
-    const double oi = -0.5 * dr;
-    out[k] = cdouble(er + twr[k] * od - twi[k] * oi,
-                     ei + twr[k] * oi + twi[k] * od);
-  }
+  RfftPlanHandle{x.size()}(x, out);
 }
 
 CVec rfft(std::span<const double> x) {
@@ -702,16 +733,7 @@ CVec rfft(std::span<const double> x) {
 }
 
 void rfft_padded_into(std::span<const double> x, std::size_t n_fft, CVec& out) {
-  BIS_CHECK(n_fft > 0);
-  if (x.size() == n_fft) {
-    rfft_into(x, out);
-    return;
-  }
-  thread_local RVec padded;
-  padded.assign(n_fft, 0.0);
-  const std::size_t n = std::min(x.size(), n_fft);
-  for (std::size_t i = 0; i < n; ++i) padded[i] = x[i];
-  rfft_into(padded, out);
+  RfftPlanHandle{n_fft}(x, out);
 }
 
 CVec rfft_padded(std::span<const double> x, std::size_t n_fft) {

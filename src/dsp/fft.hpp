@@ -21,11 +21,15 @@
 /// the inverse applies the 1/N factor.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "dsp/types.hpp"
 
 namespace bis::dsp {
+
+struct FftPlan;   // Cached complex plan (fft.cpp).
+struct RfftPlan;  // Cached real-input untangle twiddles (fft.cpp).
 
 /// True when n is a power of two (n >= 1).
 bool is_power_of_two(std::size_t n);
@@ -65,11 +69,36 @@ CVec rfft(std::span<const double> x);
 CVec rfft_padded(std::span<const double> x, std::size_t n_fft);
 
 /// Allocation-free variants of rfft / rfft_padded: write the one-sided
-/// spectrum into @p out. Bit-identical to the allocating forms. (The odd-n
-/// fallback still allocates internally; the radar pipeline always transforms
-/// power-of-two n_fft, where the path is allocation-free in steady state.)
+/// spectrum into @p out. Bit-identical to the allocating forms. Both are
+/// thin wrappers over RfftPlanHandle.
 void rfft_into(std::span<const double> x, CVec& out);
 void rfft_padded_into(std::span<const double> x, std::size_t n_fft, CVec& out);
+
+/// The plans of one real-input transform size, fetched from the plan cache
+/// once: the untangle twiddles plus the half-size complex plan (even n_fft),
+/// or the full-size complex plan (odd n_fft). Calling the handle makes no
+/// cache lookup, so a caller running many equal-size transforms — the tag
+/// detector's per-range-bin slow-time spectra — resolves the plans once per
+/// window instead of once per transform. The handle shares ownership of its
+/// plans and stays valid after fft_plan_cache_clear(). It is immutable once
+/// built, so threads may call one handle concurrently (each transform uses
+/// its own thread's scratch).
+class RfftPlanHandle {
+ public:
+  RfftPlanHandle() = default;  ///< Empty; assign a built handle before use.
+  explicit RfftPlanHandle(std::size_t n_fft);
+
+  std::size_t size() const { return n_fft_; }
+
+  /// One-sided spectrum (size()/2+1 bins) of @p x zero-padded or truncated
+  /// to size(). rfft_padded_into(x, size(), out) is exactly this call.
+  void operator()(std::span<const double> x, CVec& out) const;
+
+ private:
+  std::size_t n_fft_ = 0;
+  std::shared_ptr<const RfftPlan> untangle_;  ///< Even n_fft only.
+  std::shared_ptr<const FftPlan> plan_;  ///< n_fft/2 (even) or n_fft (odd).
+};
 
 /// float32_fast tier transforms (non-normative; tolerance-validated, see
 /// dsp/precision.hpp and DESIGN.md §16). Float plans live in the same

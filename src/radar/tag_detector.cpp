@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <span>
 #include <tuple>
@@ -55,24 +56,22 @@ const dsp::RVec& cached_signature(double f, double duty, std::size_t count,
 }
 
 /// Entry-major sparse signature bank over the flattened (target, candidate)
-/// scoring rows of one slow-time block shape — the operand of
-/// kernels::ktagscore. Cached per thread and rebuilt only when the rows or
-/// the block shape change (a network re-scores the same bank every frame, so
-/// steady-state detection never rebuilds), keeping detect_many allocation-
-/// free once warm. Entries within a row are stored in ascending spectrum-bin
-/// order so the kernel's per-row accumulation reproduces signature_score's
-/// one-pass loop bit-for-bit; rows shorter than the widest row are padded
-/// with (idx 0, weight 0), which contributes exactly +0.0 (all operands of
-/// the sums are non-negative, so no −0.0 can arise and adding +0.0 preserves
-/// the bits).
+/// scoring rows of one slow-time window shape — the operand of
+/// kernels::ktagscore. Entries within a row are stored in ascending spectrum-
+/// bin order so the kernel's per-row accumulation reproduces
+/// signature_score's one-pass loop bit-for-bit; rows shorter than the widest
+/// row are padded with (idx 0, weight 0), which contributes exactly +0.0 (all
+/// operands of the sums are non-negative, so no −0.0 can arise and adding
+/// +0.0 preserves the bits).
 struct ScoreBank {
-  // Cache key: block shape + the per-row frequencies.
+  // Cache key: window shape + the per-row frequencies.
   std::size_t count = 0;
   std::size_t n_fft = 0;
   std::size_t harmonics = 0;
   double period = 0.0;
   double duty = 0.0;
   std::vector<double> freqs;
+  std::uint64_t epoch = 0;  ///< The last detect call that resolved it.
 
   std::size_t entries = 0;            ///< Padded entries per row.
   std::vector<std::uint32_t> idx;     ///< [k·rows + r]: spectrum bin.
@@ -83,16 +82,28 @@ struct ScoreBank {
   std::vector<std::size_t> mod_bin;   ///< Per row: fundamental's FFT bin.
 };
 
-ScoreBank& cached_bank(std::span<const double> freqs, double duty,
-                       std::size_t count, double period, std::size_t n_fft,
-                       std::size_t harmonics) {
-  thread_local ScoreBank bank;
-  if (bank.count == count && bank.n_fft == n_fft &&
-      bank.harmonics == harmonics && bank.period == period &&
-      bank.duty == duty && bank.freqs.size() == freqs.size() &&
-      std::equal(bank.freqs.begin(), bank.freqs.end(), freqs.begin()))
-    return bank;
-
+/// The signature bank of one window, from the calling thread's pool. A bank
+/// is rebuilt only when no pooled bank matches the rows and the window
+/// shape, so steady-state detection never rebuilds or allocates. Banks the
+/// current call (@p epoch) resolved are not recycled within it, so one
+/// detect_slots pass can hold distinct banks while equal windows share one.
+const ScoreBank& resolve_bank(std::uint64_t epoch,
+                              std::span<const double> freqs, double duty,
+                              std::size_t count, double period,
+                              std::size_t n_fft, std::size_t harmonics) {
+  thread_local std::deque<ScoreBank> pool;
+  ScoreBank* spare = nullptr;
+  for (ScoreBank& bank : pool) {
+    if (bank.count == count && bank.n_fft == n_fft &&
+        bank.harmonics == harmonics && bank.period == period &&
+        bank.duty == duty && std::ranges::equal(bank.freqs, freqs)) {
+      bank.epoch = epoch;
+      return bank;
+    }
+    if (spare == nullptr && bank.epoch != epoch) spare = &bank;
+  }
+  ScoreBank& bank = spare != nullptr ? *spare : pool.emplace_back();
+  bank.epoch = epoch;
   bank.count = count;
   bank.n_fft = n_fft;
   bank.harmonics = harmonics;
@@ -140,46 +151,63 @@ ScoreBank& cached_bank(std::span<const double> freqs, double duty,
   return bank;
 }
 
-/// Slow-time power spectrum of one grid bin over chirps [first, first+count),
-/// in per-thread scratch. The windowed column read touches only the block's
-/// own rows — in a batched multi-slot frame each slot pays for its window,
-/// not the whole concatenated column — and |·| is per-element, so the values
-/// (and everything downstream) are bit-identical to slicing a full-column
-/// read as the pre-window implementation did.
-std::span<const double> spectrum_window(const TagDetectorConfig& config,
-                                        const AlignedProfiles& profiles,
-                                        std::size_t bin, std::size_t first,
-                                        std::size_t count) {
-  const std::size_t n_chirps = profiles.n_chirps();
-  BIS_CHECK(first < n_chirps);
-  if (count == 0) count = n_chirps - first;
-  BIS_CHECK(first + count <= n_chirps);
+/// What a slow-time spectrum needs besides its column: the window length,
+/// the Hann window, and the rfft plans. Resolved once per window and shared
+/// read-only by every bin, so the per-bin loop makes no cache lookups (each
+/// lookup takes a process-wide mutex that concurrent detect calls contend
+/// on).
+struct SpectrumPlan {
+  std::size_t count = 0;
+  std::size_t n_fft = 0;
+  dsp::WindowPtr hann;          ///< double_strict tier.
+  dsp::RfftPlanHandle rfft;     ///< double_strict tier.
+  dsp::WindowPtrF32 hann_f32;   ///< float32_fast tier.
+};
+
+SpectrumPlan spectrum_plan(const TagDetectorConfig& config, std::size_t count) {
   BIS_CHECK(count >= 4);
-  // This runs once per range bin per block — the detector's hottest loop.
+  SpectrumPlan plan;
+  plan.count = count;
+  plan.n_fft = dsp::next_power_of_two(count) * config.slow_time_pad_factor;
+  if (config.precision == dsp::Precision::kFloat32Fast) {
+    plan.hann_f32 = dsp::cached_window_f32(dsp::WindowType::kHann, count);
+  } else {
+    plan.hann = dsp::cached_window(dsp::WindowType::kHann, count);
+    plan.rfft = dsp::RfftPlanHandle(plan.n_fft);
+  }
+  return plan;
+}
+
+/// Slow-time power spectrum of one grid bin over chirps [first,
+/// first+plan.count), in per-thread scratch. The windowed column read
+/// touches only the window's own rows — in a batched multi-slot frame each
+/// slot pays for its window, not the whole concatenated column — and |·| is
+/// per-element, so the values are bit-identical to slicing a full-column
+/// read.
+std::span<const double> spectrum_window(const TagDetectorConfig& config,
+                                        const SpectrumPlan& plan,
+                                        const AlignedProfiles& profiles,
+                                        std::size_t bin, std::size_t first) {
+  const std::size_t count = plan.count;
+  // This runs once per range bin per window — the detector's hottest loop.
   // thread_local scratch keeps each parallel_for lane allocation-free; every
   // call fully overwrites the buffers, so reuse never leaks state across bins.
-  const std::size_t n_fft =
-      dsp::next_power_of_two(count) * config.slow_time_pad_factor;
   thread_local dsp::RVec power;
   if (config.precision == dsp::Precision::kFloat32Fast) {
     // float32_fast tier: the whole per-bin chain (|·| column, mean removal,
     // Hann, rfft, |·|²) runs in float; the power spectrum converts to the
     // double scoring buffer once at the end.
-    thread_local dsp::FVec colf;
-    thread_local dsp::FVec xwf;
+    thread_local dsp::FVec colf, xwf, powerf;
+    thread_local dsp::CVecF specf;
     colf.resize(count);
     profiles.column_magnitude_f32(bin, first, count, colf);
-    const std::span<const float> series(colf.data(), count);
     float mean = 0.0f;
-    for (float x : series) mean += x;
-    mean /= static_cast<float>(series.size());
-    const auto wf = dsp::cached_window_f32(dsp::WindowType::kHann, count);
+    for (float x : colf) mean += x;
+    mean /= static_cast<float>(count);
+    const dsp::FVec& wf = *plan.hann_f32;
     xwf.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-      xwf[i] = (series[i] - mean) * (*wf)[i];
-    thread_local dsp::CVecF specf;
-    dsp::rfft_padded_into_f32(xwf, n_fft, specf);
-    thread_local dsp::FVec powerf;
+    for (std::size_t i = 0; i < count; ++i) xwf[i] = (colf[i] - mean) * wf[i];
+    dsp::rfft_padded_into_f32(xwf, plan.n_fft, specf);
     powerf.resize(specf.size());
     dsp::kernels::knorm(specf, powerf);
     power.resize(powerf.size());
@@ -187,59 +215,144 @@ std::span<const double> spectrum_window(const TagDetectorConfig& config,
       power[i] = static_cast<double>(powerf[i]);
     return power;
   }
-  thread_local dsp::RVec col;
-  thread_local dsp::RVec xw;
+  thread_local dsp::RVec col, xw;
+  thread_local dsp::CVec spec;
   col.resize(count);
   profiles.column_magnitude(bin, first, count, col);
-  const std::span<const double> series(col.data(), count);
   // Static clutter residue is DC in slow time; remove the mean before the
   // FFT so the modulation tone dominates. Fused mean-removal + Hann window
   // evaluates exactly what remove_dc + apply_window computed.
   double mean = 0.0;
-  for (double x : series) mean += x;
-  mean /= static_cast<double>(series.size());
-  const auto w = dsp::cached_window(dsp::WindowType::kHann, count);
+  for (double x : col) mean += x;
+  mean /= static_cast<double>(count);
+  const dsp::RVec& w = *plan.hann;
   xw.resize(count);
-  for (std::size_t i = 0; i < count; ++i) xw[i] = (series[i] - mean) * (*w)[i];
+  for (std::size_t i = 0; i < count; ++i) xw[i] = (col[i] - mean) * w[i];
   // Real-input fast path: the one-sided rfft is all this ever read from the
   // full complex transform.
-  thread_local dsp::CVec spec;
-  dsp::rfft_padded_into(xw, n_fft, spec);
+  plan.rfft(xw, spec);
   power.resize(spec.size());
   dsp::kernels::knorm(spec, power);
   return power;
 }
 
-/// Scores one range bin of one integration block against a signature bank —
-/// the shared inner body of detect_many and detect_slots. Row → tag mapping
-/// comes from @p tag_rows_p (n_tags+1 offsets, row indices relative to this
-/// block's rows); scores land in the tag-major [t·n_bins + b] blk matrices.
-/// Each call writes only bin @p b's slots, so concurrent calls on distinct
-/// bins never race.
-void score_block_bin(const TagDetectorConfig& config,
-                     const AlignedProfiles& profiles, std::size_t b,
-                     std::size_t first, std::size_t count,
-                     const ScoreBank& bank, std::size_t rows,
-                     const std::size_t* tag_rows_p, std::size_t n_bins,
-                     double* blk_metric_p, double* blk_tone_p,
-                     double* blk_score_p) {
+/// One slow-time integration window of the scoring core: chirps [first,
+/// first+spectrum.count) scored against the `rows` (target, candidate) rows
+/// of targets [target_first, target_first+n_targets). detect_many slides one
+/// window across its blocks, detect_slots adds one per MAC slot.
+struct Window {
+  std::size_t first = 0;
+  std::size_t target_first = 0;
+  std::size_t n_targets = 0;
+  std::size_t rows = 0;
+  std::size_t tag_rows_first = 0;  ///< Into Core::tag_rows.
+  std::size_t blk_first = 0;       ///< Into Core's blk matrices.
+  SpectrumPlan spectrum;
+  const ScoreBank* bank = nullptr;
+};
+
+/// The calling thread's scoring-core state for one detect call. Every call
+/// rebuilds all of it, so reuse never leaks state across calls, and the
+/// streaming engine's steady state allocates nothing.
+struct Core {
+  std::vector<Window> windows;
+  std::vector<double> row_freqs;  ///< Every window's rows, in order.
+  /// Per window: each target's first row plus the end, window-relative.
+  std::vector<std::size_t> tag_rows;
+  /// Per window: tag-major [t·n_bins + b] per-window scores.
+  dsp::RVec blk_metric, blk_tone, blk_score;
+  std::size_t blk_total = 0;
+  /// One window's fused per-tag rows (tag-major, window-relative tags).
+  dsp::RVec metric, tone, score;
+  std::uint64_t epoch = 0;  ///< Detect calls made on this thread.
+};
+
+Core& begin_core() {
+  thread_local Core core;
+  core.windows.clear();
+  core.row_freqs.clear();
+  core.tag_rows.clear();
+  core.blk_total = 0;
+  ++core.epoch;
+  return core;
+}
+
+/// Appends a window over chirps [first, first+count) for @p targets (the
+/// call's targets from @p target_first on) and resolves its spectrum plan
+/// and signature bank.
+void add_window(Core& core, const TagDetectorConfig& config,
+                const AlignedProfiles& profiles,
+                std::span<const TagTarget> targets, std::size_t target_first,
+                std::size_t first, std::size_t count) {
+  Window w;
+  w.first = first;
+  w.target_first = target_first;
+  w.n_targets = targets.size();
+  w.tag_rows_first = core.tag_rows.size();
+  w.blk_first = core.blk_total;
+  core.blk_total += w.n_targets * profiles.n_bins();
+  const std::size_t row_first = core.row_freqs.size();
+  for (const TagTarget& target : targets) {
+    core.tag_rows.push_back(core.row_freqs.size() - row_first);
+    std::span<const double> cands(target.candidate_mod_freqs_hz);
+    if (cands.empty())
+      cands = std::span<const double>(&target.expected_mod_freq_hz, 1);
+    for (double f : cands) {
+      BIS_CHECK(f > 0.0);
+      core.row_freqs.push_back(f);
+    }
+  }
+  core.tag_rows.push_back(core.row_freqs.size() - row_first);
+  w.rows = core.row_freqs.size() - row_first;
+  w.spectrum = spectrum_plan(config, count);
+  // The frame's slow-time cadence is the first chirp's duration + idle, and
+  // under CSSK the slope draw perturbs that sum's last ULP — a different
+  // double per frame for the same physical cadence, which would mint a new
+  // signature-cache key (and rebuild the score bank) every call. Quantize to
+  // 1 ps: a pure function of the value, so scoring stays bit-identical
+  // across threads and call orders, and each physical cadence maps to one
+  // cache key.
+  const double chirp_period =
+      std::round(profiles.chirp_period_s * 1e12) / 1e12;
+  w.bank = &resolve_bank(
+      core.epoch,
+      std::span<const double>(core.row_freqs.data() + row_first, w.rows),
+      config.duty_cycle, count, chirp_period, w.spectrum.n_fft,
+      config.n_harmonics);
+  core.windows.push_back(std::move(w));
+}
+
+/// Scores one range bin of one window: the slow-time tone power at each
+/// row's frequency, gated by the square-wave signature correlation and by
+/// tone *prominence* over the bin's own spectral floor (broadband clutter
+/// residue under CSSK slope variation is flat, a tag tone is not). The
+/// spectrum and its total non-DC power are shared by every row. Scores land
+/// in the window's tag-major [t·n_bins + b] blk matrices, and a call writes
+/// only bin @p b's slots.
+void score_bin(const TagDetectorConfig& config,
+               const AlignedProfiles& profiles, Core& core, const Window& w,
+               std::size_t b) {
   if (profiles.range_grid[b] < config.min_range_m) return;
-  const auto spectrum = spectrum_window(config, profiles, b, first, count);
-  const double floor = std::max(
-      bis::median(std::span<const double>(spectrum.data() + 1,
-                                          spectrum.size() - 1)),
-      1e-30);
+  const std::size_t* const tag_rows = core.tag_rows.data() + w.tag_rows_first;
+  const auto spectrum =
+      spectrum_window(config, w.spectrum, profiles, b, w.first);
   double total = 0.0;
   for (std::size_t i = 1; i < spectrum.size(); ++i) total += spectrum[i];
 
+  const ScoreBank& bank = *w.bank;
   thread_local dsp::RVec on, son;
-  on.resize(rows);
-  son.resize(rows);
-  dsp::kernels::ktagscore(spectrum, bank.idx, bank.w, bank.g, rows, on, son);
+  on.resize(w.rows);
+  son.resize(w.rows);
+  dsp::kernels::ktagscore(spectrum, bank.idx, bank.w, bank.g, w.rows, on,
+                          son);
 
+  // The median floor is read only by rows past the signature gate, and most
+  // bins have none, so it is computed on first use (0 = not yet computed; a
+  // computed floor is ≥ 1e-30, the same value wherever it is computed).
+  double floor = 0.0;
   std::size_t t = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    while (r >= tag_rows_p[t + 1]) ++t;
+  for (std::size_t r = 0; r < w.rows; ++r) {
+    while (r >= tag_rows[t + 1]) ++t;
     const std::size_t mod_bin = bank.mod_bin[r];
     double p = 0.0;
     for (long long k = static_cast<long long>(mod_bin) - 1;
@@ -249,12 +362,60 @@ void score_block_bin(const TagDetectorConfig& config,
     }
     const double s = dsp::signature_score_from(on[r], bank.on_w[r], son[r],
                                                total, bank.off_n[r]);
-    const std::size_t slot = t * n_bins + b;
-    blk_tone_p[slot] = std::max(blk_tone_p[slot], p);
-    blk_score_p[slot] = std::max(blk_score_p[slot], s);
+    const std::size_t slot = w.blk_first + t * profiles.n_bins() + b;
+    core.blk_tone[slot] = std::max(core.blk_tone[slot], p);
+    core.blk_score[slot] = std::max(core.blk_score[slot], s);
     if (s < config.min_signature_score) continue;
+    if (floor == 0.0)
+      floor = std::max(bis::median(std::span<const double>(
+                           spectrum.data() + 1, spectrum.size() - 1)),
+                       1e-30);
     if (p < config.min_tone_prominence * floor) continue;
-    blk_metric_p[slot] = std::max(blk_metric_p[slot], p * s);
+    core.blk_metric[slot] = std::max(core.blk_metric[slot], p * s);
+  }
+}
+
+/// Scores every (window, range bin) pair into the windows' blk matrices as
+/// one flat map across @p pool. Each item writes only its own bin's slots,
+/// so the result is bit-identical for any thread count.
+void score_windows(Core& core, const TagDetectorConfig& config,
+                   const AlignedProfiles& profiles, ThreadPool* pool) {
+  const std::size_t n_bins = profiles.n_bins();
+  core.blk_metric.assign(core.blk_total, 0.0);
+  core.blk_tone.assign(core.blk_total, 0.0);
+  core.blk_score.assign(core.blk_total, 0.0);
+  // Workers reach the *calling* thread's core through the captured
+  // reference (naming a thread_local inside the lambda would give a pool
+  // worker its own, empty, instance); windows, plans and banks are read-only.
+  bis::parallel_for(
+      pool, 0, core.windows.size() * n_bins, [&](std::size_t item) {
+        score_bin(config, profiles, core, core.windows[item / n_bins],
+                  item % n_bins);
+      });
+}
+
+/// Folds window @p w's scores into the fused per-tag rows, first zeroing
+/// them when @p fresh: each tag's metric row is normalized by its own peak
+/// and summed (a tag bin scores in every block, a clutter fluke rarely
+/// repeats), tone and score rows max-merge.
+void fuse_window(Core& core, const Window& w, std::size_t n_bins, bool fresh) {
+  if (fresh) {
+    core.metric.assign(w.n_targets * n_bins, 0.0);
+    core.tone.assign(w.n_targets * n_bins, 0.0);
+    core.score.assign(w.n_targets * n_bins, 0.0);
+  }
+  for (std::size_t t = 0; t < w.n_targets; ++t) {
+    const std::size_t blk = w.blk_first + t * n_bins, row = t * n_bins;
+    const std::span<const double> bm(core.blk_metric.data() + blk, n_bins);
+    const double peak = *std::max_element(bm.begin(), bm.end());
+    const double norm = peak > 0.0 ? 1.0 / peak : 0.0;
+    dsp::kernels::kaxpy(norm, bm,
+                        std::span<double>(core.metric.data() + row, n_bins));
+    for (std::size_t b = 0; b < n_bins; ++b) {
+      core.tone[row + b] = std::max(core.tone[row + b], core.blk_tone[blk + b]);
+      core.score[row + b] =
+          std::max(core.score[row + b], core.blk_score[blk + b]);
+    }
   }
 }
 
@@ -316,12 +477,31 @@ void finalize_tag(const TagDetectorConfig& config,
       (peak.refined_index - static_cast<double>(peak.index)) * grid_step;
 }
 
+/// Runs the per-tag epilogue on the fused rows of window @p w, in tag order
+/// (metrics are recorded in the order a sequential per-tag loop would).
+void finalize_window(const Core& core, const TagDetectorConfig& config,
+                     const AlignedProfiles& profiles, const Window& w,
+                     std::span<TagDetection> out) {
+  const std::size_t n_bins = profiles.n_bins();
+  for (std::size_t t = 0; t < w.n_targets; ++t) {
+    const std::size_t row = t * n_bins;
+    finalize_tag(config, profiles, {core.metric.data() + row, n_bins},
+                 {core.tone.data() + row, n_bins},
+                 {core.score.data() + row, n_bins}, out[w.target_first + t]);
+  }
+}
+
 }  // namespace
 
 std::span<const double> TagDetector::spectrum_into(
     const AlignedProfiles& profiles, std::size_t bin, std::size_t first,
     std::size_t count) const {
-  return spectrum_window(config_, profiles, bin, first, count);
+  const std::size_t n_chirps = profiles.n_chirps();
+  BIS_CHECK(first < n_chirps);
+  if (count == 0) count = n_chirps - first;
+  BIS_CHECK(first + count <= n_chirps);
+  return spectrum_window(config_, spectrum_plan(config_, count), profiles,
+                         bin, first);
 }
 
 dsp::RVec TagDetector::slow_time_spectrum(const AlignedProfiles& profiles,
@@ -356,114 +536,25 @@ void TagDetector::detect_many(const AlignedProfiles& profiles,
   for (auto& det : out) det = TagDetection{};
   if (targets.empty()) return;
   if (profiles.n_chirps() < 8 || profiles.n_bins() < 4) return;
-
-  const std::size_t n_tags = targets.size();
   const std::size_t n_bins = profiles.n_bins();
 
-  // Flatten every (target, candidate frequency) pair into one scoring row;
-  // tag_rows[t]..tag_rows[t+1] are target t's rows in candidate order.
-  thread_local std::vector<double> row_freqs;
-  thread_local std::vector<std::size_t> tag_rows;
-  row_freqs.clear();
-  tag_rows.clear();
-  for (const TagTarget& target : targets) {
-    tag_rows.push_back(row_freqs.size());
-    std::span<const double> cands(target.candidate_mod_freqs_hz);
-    if (cands.empty())
-      cands = std::span<const double>(&target.expected_mod_freq_hz, 1);
-    for (double f : cands) {
-      BIS_CHECK(f > 0.0);
-      row_freqs.push_back(f);
-    }
-  }
-  tag_rows.push_back(row_freqs.size());
-  const std::size_t rows = row_freqs.size();
-
   // Under FSK the tag hops tones per symbol block, so integrate per block
-  // and sum the (normalized) per-block metrics: the true tag bin scores in
-  // every block, a clutter-residue fluke rarely repeats.
+  // and fuse the (normalized) per-block metrics. Every block has the same
+  // length and rows, so one window is resolved and slid across the frame:
+  // each block is scored into the window's per-block matrices and folded
+  // before the next.
   std::size_t block = config_.block_chirps;
   if (block == 0 || block > profiles.n_chirps()) block = profiles.n_chirps();
   const std::size_t n_blocks = profiles.n_chirps() / block;
 
-  // The frame's slow-time cadence is the first chirp's duration + idle, and
-  // under CSSK the slope draw perturbs that sum's last ULP — a different
-  // double per frame for the same physical cadence, which would mint a new
-  // signature-cache key (and rebuild the score bank) every call. Quantize to
-  // 1 ps: a pure function of the value, so scoring stays bit-identical
-  // across threads and call orders, and each physical cadence maps to one
-  // cache key.
-  const double chirp_period =
-      std::round(profiles.chirp_period_s * 1e12) / 1e12;
-
-  // Tag-major [t·n_bins + b] accumulators and per-block scores, in
-  // per-thread scratch: the streaming engine detects thousands of frames per
-  // second and every call fully overwrites them.
-  thread_local dsp::RVec metric, tone_power, score;
-  thread_local dsp::RVec blk_metric, blk_tone, blk_score;
-  metric.assign(n_tags * n_bins, 0.0);
-  tone_power.assign(n_tags * n_bins, 0.0);
-  score.assign(n_tags * n_bins, 0.0);
-
+  Core& core = begin_core();
+  add_window(core, config_, profiles, targets, 0, 0, block);
   for (std::size_t blk = 0; blk < n_blocks; ++blk) {
-    const std::size_t first = blk * block;
-    const std::size_t count = block;
-    const std::size_t n_fft =
-        dsp::next_power_of_two(count) * config_.slow_time_pad_factor;
-    const ScoreBank& bank =
-        cached_bank(row_freqs, config_.duty_cycle, count, chirp_period,
-                    n_fft, config_.n_harmonics);
-    blk_metric.assign(n_tags * n_bins, 0.0);
-    blk_tone.assign(n_tags * n_bins, 0.0);
-    blk_score.assign(n_tags * n_bins, 0.0);
-
-    // Workers must write into the *calling* thread's scratch: thread_local
-    // variables are not captured by lambdas — inside a pool worker they'd
-    // name that worker's own (empty) instances. Raw pointers pin the shared
-    // buffers; each bin writes only its own slots, so there is no race.
-    const std::size_t* const tag_rows_p = tag_rows.data();
-    double* const blk_metric_p = blk_metric.data();
-    double* const blk_tone_p = blk_tone.data();
-    double* const blk_score_p = blk_score.data();
-
-    // Per-range-bin scores: the slow-time tone power at each candidate
-    // frequency, gated by the square-wave signature correlation and by tone
-    // *prominence* over the bin's own spectral floor (broadband clutter
-    // residue under CSSK slope variation is flat, a tag tone is not). The
-    // spectrum, its median floor, and its total non-DC power are computed
-    // once per bin and shared by every row. Each bin's FFT and scoring is
-    // independent and writes only its own slots — a pure map, bit-identical
-    // for any thread count.
-    bis::parallel_for(pool, 0, n_bins, [&](std::size_t b) {
-      score_block_bin(config_, profiles, b, first, count, bank, rows,
-                      tag_rows_p, n_bins, blk_metric_p, blk_tone_p,
-                      blk_score_p);
-    });
-
-    for (std::size_t t = 0; t < n_tags; ++t) {
-      const std::span<const double> bm(blk_metric.data() + t * n_bins, n_bins);
-      const double peak = *std::max_element(bm.begin(), bm.end());
-      const double norm = peak > 0.0 ? 1.0 / peak : 0.0;
-      dsp::kernels::kaxpy(norm, bm,
-                          std::span<double>(metric.data() + t * n_bins, n_bins));
-      for (std::size_t b = 0; b < n_bins; ++b) {
-        tone_power[t * n_bins + b] =
-            std::max(tone_power[t * n_bins + b], blk_tone[t * n_bins + b]);
-        score[t * n_bins + b] =
-            std::max(score[t * n_bins + b], blk_score[t * n_bins + b]);
-      }
-    }
+    core.windows[0].first = blk * block;
+    score_windows(core, config_, profiles, pool);
+    fuse_window(core, core.windows[0], n_bins, blk == 0);
   }
-
-  // Per-tag epilogue, sequential in tag order (metrics are recorded in the
-  // same order a sequential per-tag loop would record them).
-  for (std::size_t t = 0; t < n_tags; ++t) {
-    finalize_tag(config_, profiles,
-                 std::span<const double>(metric.data() + t * n_bins, n_bins),
-                 std::span<const double>(tone_power.data() + t * n_bins, n_bins),
-                 std::span<const double>(score.data() + t * n_bins, n_bins),
-                 out[t]);
-  }
+  finalize_window(core, config_, profiles, core.windows[0], out);
 }
 
 void TagDetector::detect_slots(const AlignedProfiles& profiles,
@@ -478,126 +569,31 @@ void TagDetector::detect_slots(const AlignedProfiles& profiles,
   const std::size_t n_bins = profiles.n_bins();
   if (n_bins < 4) return;
 
-  // Same 1 ps cadence quantization as detect_many — the signature-bank cache
-  // key must be a pure function of the physical cadence.
-  const double chirp_period =
-      std::round(profiles.chirp_period_s * 1e12) / 1e12;
-
-  // Flatten every slot's (target, candidate) pairs into one row table.
-  // Row/tag offsets are slot-relative so score_block_bin sees exactly the
-  // table detect_many would build for that slot's standalone frame. Slots
-  // shorter than 8 chirps (or with no targets) keep zeroed detections —
-  // mirroring detect_many's whole-frame guard.
-  struct SlotPlan {
-    std::size_t slot = 0;            ///< Index into slots.
-    std::size_t row_first = 0;       ///< Into row_freqs.
-    std::size_t rows = 0;
-    std::size_t tag_rows_first = 0;  ///< Into tag_rows.
-    std::size_t blk_first = 0;       ///< Into the blk score matrices.
-  };
-  thread_local std::vector<SlotPlan> plans;
-  thread_local std::vector<double> row_freqs;
-  thread_local std::vector<std::size_t> tag_rows;
-  plans.clear();
-  row_freqs.clear();
-  tag_rows.clear();
-  std::size_t blk_total = 0;
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    const SlotSpan& slot = slots[s];
+  // One window per slot, all scored in one flat pass. A slot's window holds
+  // exactly the rows detect_many would build for that slot's standalone
+  // frame. Slots shorter than 8 chirps (or with no targets) keep zeroed
+  // detections — mirroring detect_many's whole-frame guard.
+  Core& core = begin_core();
+  for (const SlotSpan& slot : slots) {
     BIS_CHECK(slot.first_chirp + slot.n_chirps <= profiles.n_chirps());
     BIS_CHECK(slot.first_target + slot.n_targets <= targets.size());
     // Each slot is one integration block: block_chirps must not split it.
     BIS_CHECK(config_.block_chirps == 0 ||
               config_.block_chirps >= slot.n_chirps);
     if (slot.n_chirps < 8 || slot.n_targets == 0) continue;
-    SlotPlan plan;
-    plan.slot = s;
-    plan.row_first = row_freqs.size();
-    plan.tag_rows_first = tag_rows.size();
-    for (std::size_t t = 0; t < slot.n_targets; ++t) {
-      const TagTarget& target = targets[slot.first_target + t];
-      tag_rows.push_back(row_freqs.size() - plan.row_first);
-      std::span<const double> cands(target.candidate_mod_freqs_hz);
-      if (cands.empty())
-        cands = std::span<const double>(&target.expected_mod_freq_hz, 1);
-      for (double f : cands) {
-        BIS_CHECK(f > 0.0);
-        row_freqs.push_back(f);
-      }
-    }
-    tag_rows.push_back(row_freqs.size() - plan.row_first);
-    plan.rows = row_freqs.size() - plan.row_first;
-    plan.blk_first = blk_total;
-    blk_total += slot.n_targets * n_bins;
-    plans.push_back(plan);
+    add_window(core, config_, profiles,
+               targets.subspan(slot.first_target, slot.n_targets),
+               slot.first_target, slot.first_chirp, slot.n_chirps);
   }
-  if (plans.empty()) return;
+  if (core.windows.empty()) return;
+  score_windows(core, config_, profiles, pool);
 
-  thread_local dsp::RVec blk_metric, blk_tone, blk_score;
-  blk_metric.assign(blk_total, 0.0);
-  blk_tone.assign(blk_total, 0.0);
-  blk_score.assign(blk_total, 0.0);
-
-  // Pin the calling thread's scratch for the workers (thread_local variables
-  // are not lambda-captured); each (slot, bin) item writes only its own
-  // slots of the blk matrices, so there is no race. The signature bank is a
-  // per-worker thread_local memo: an inventory round scores the same channel
-  // plan in every slot, so each lane builds it once and then hits. Bank
-  // contents are a pure function of the key, so which lane runs which slot
-  // cannot change any score.
-  const SlotPlan* const plans_p = plans.data();
-  const double* const row_freqs_p = row_freqs.data();
-  const std::size_t* const tag_rows_p = tag_rows.data();
-  double* const blk_metric_p = blk_metric.data();
-  double* const blk_tone_p = blk_tone.data();
-  double* const blk_score_p = blk_score.data();
-  const std::size_t n_plans = plans.size();
-
-  bis::parallel_for(pool, 0, n_plans * n_bins, [&](std::size_t item) {
-    const SlotPlan& plan = plans_p[item / n_bins];
-    const std::size_t b = item % n_bins;
-    const SlotSpan& slot = slots[plan.slot];
-    const std::size_t n_fft = dsp::next_power_of_two(slot.n_chirps) *
-                              config_.slow_time_pad_factor;
-    const ScoreBank& bank = cached_bank(
-        std::span<const double>(row_freqs_p + plan.row_first, plan.rows),
-        config_.duty_cycle, slot.n_chirps, chirp_period, n_fft,
-        config_.n_harmonics);
-    score_block_bin(config_, profiles, b, slot.first_chirp, slot.n_chirps,
-                    bank, plan.rows, tag_rows_p + plan.tag_rows_first, n_bins,
-                    blk_metric_p + plan.blk_first, blk_tone_p + plan.blk_first,
-                    blk_score_p + plan.blk_first);
-  });
-
-  // Per-slot fuse + epilogue, sequential in (slot, tag) order — the same
-  // single-block fusion ops detect_many runs (metric starts at zero and
-  // accumulates norm·blk via kaxpy; tone/score max-merge from zero), so the
-  // results are bit-identical to per-slot detect_many calls.
-  thread_local dsp::RVec metric_row, tone_row, score_row;
-  metric_row.resize(n_bins);
-  tone_row.resize(n_bins);
-  score_row.resize(n_bins);
-  for (const SlotPlan& plan : plans) {
-    const SlotSpan& slot = slots[plan.slot];
-    for (std::size_t t = 0; t < slot.n_targets; ++t) {
-      const std::span<const double> bm(
-          blk_metric.data() + plan.blk_first + t * n_bins, n_bins);
-      const std::span<const double> bt(
-          blk_tone.data() + plan.blk_first + t * n_bins, n_bins);
-      const std::span<const double> bs(
-          blk_score.data() + plan.blk_first + t * n_bins, n_bins);
-      const double peak = *std::max_element(bm.begin(), bm.end());
-      const double norm = peak > 0.0 ? 1.0 / peak : 0.0;
-      std::fill(metric_row.begin(), metric_row.end(), 0.0);
-      dsp::kernels::kaxpy(norm, bm,
-                          std::span<double>(metric_row.data(), n_bins));
-      for (std::size_t b = 0; b < n_bins; ++b) {
-        tone_row[b] = std::max(0.0, bt[b]);
-        score_row[b] = std::max(0.0, bs[b]);
-      }
-      finalize_tag(config_, profiles, metric_row, tone_row, score_row,
-                   out[slot.first_target + t]);
-    }
+  // Per-slot fuse + epilogue, sequential in (slot, tag) order: the
+  // single-block case of detect_many's fusion, so the results are
+  // bit-identical to per-slot detect_many calls.
+  for (const Window& w : core.windows) {
+    fuse_window(core, w, n_bins, /*fresh=*/true);
+    finalize_window(core, config_, profiles, w, out);
   }
 }
 

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
@@ -120,6 +124,38 @@ TEST(Stats, MedianAndPercentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
+
+  // percentile selects its order statistics instead of sorting; the result
+  // must be bit-identical to interpolating a fully sorted copy.
+  const auto sorted_reference = [](std::vector<double> v, double pct) {
+    std::sort(v.begin(), v.end());
+    if (v.size() == 1) return v.front();
+    const double pos = pct / 100.0 * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  Rng rng(117);
+  for (std::size_t n : {1u, 2u, 63u, 64u, 512u}) {
+    for (bool duplicates : {false, true}) {
+      std::vector<double> v(n);
+      // Duplicates: values drawn from a handful of levels, so equal keys
+      // straddle the selected ranks.
+      for (double& x : v)
+        x = duplicates ? static_cast<double>(rng.uniform_index(4)) * 0.25
+                       : rng.gaussian() * 3.0;
+      for (double pct : {0.0, 2.0, 10.0, 50.0, 90.0, 100.0}) {
+        const double got = percentile(v, pct);
+        const double want = sorted_reference(v, pct);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "n " << n << " duplicates " << duplicates << " pct " << pct;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(median(v)),
+                std::bit_cast<std::uint64_t>(sorted_reference(v, 50.0)));
+    }
+  }
 }
 
 TEST(Stats, Rms) {

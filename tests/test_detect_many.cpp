@@ -1,19 +1,27 @@
 // Batched multi-tag detection (TagDetector::detect_many): bitwise parity
 // with the normative per-tag detect() reference at every pool width, SIMD
-// target, and numeric tier, plus the modulation-frequency collision counter
-// used by BiScatterNetwork.
+// target, and numeric tier; bitwise agreement of detect_many/detect_slots
+// with an independent per-bin reference; and the modulation-frequency
+// collision counter used by BiScatterNetwork.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/random.hpp"
+#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "common/units.hpp"
 #include "core/network.hpp"
+#include "dsp/fft.hpp"
 #include "dsp/kernels/kernels.hpp"
+#include "dsp/matched_filter.hpp"
+#include "dsp/peak.hpp"
 #include "radar/if_synthesizer.hpp"
 #include "radar/range_align.hpp"
 #include "radar/range_processor.hpp"
@@ -209,6 +217,205 @@ TEST_F(DetectMany, FskCandidatesMatchSequentialReference) {
   const auto got = det.detect_many(aligned, targets);
   ASSERT_TRUE(ref[0].found);
   EXPECT_TRUE(det_bits_eq(got[0], ref[0]));
+}
+
+// ---------------------------------------------------------------------------
+// Independent per-bin reference. detect() and detect_many() run the same
+// windowed scoring core, so the parity tests above compare that core with
+// itself. This reference rebuilds detection from public pieces only — the
+// detector's slow_time_spectrum, bis::median, square_wave_signature scored
+// by signature_score, and find_peak — applying the documented gates and
+// block fusion one bin and one candidate frequency at a time, with the
+// noise floor computed eagerly for every bin.
+
+namespace {
+
+struct ReferenceDetections {
+  std::vector<TagDetection> dets;
+  std::size_t signature_passes = 0;  ///< (block, bin, row) past the gate.
+  std::size_t bins_below_min_range = 0;
+};
+
+ReferenceDetections reference_detect(const TagDetector& detector,
+                                     const AlignedProfiles& a,
+                                     std::span<const TagTarget> targets,
+                                     std::size_t first, std::size_t count) {
+  const TagDetectorConfig& cfg = detector.config();
+  const std::size_t n_bins = a.n_bins();
+  std::size_t block = cfg.block_chirps;
+  if (block == 0 || block > count) block = count;
+  const std::size_t n_fft =
+      dsp::next_power_of_two(block) * cfg.slow_time_pad_factor;
+  // The detector's documented 1 ps quantization of the chirp cadence.
+  const double period = std::round(a.chirp_period_s * 1e12) / 1e12;
+  const double bin_hz = (1.0 / period) / static_cast<double>(n_fft);
+
+  ReferenceDetections ref;
+  for (std::size_t b = 0; b < n_bins; ++b)
+    if (a.range_grid[b] < cfg.min_range_m) ++ref.bins_below_min_range;
+  for (const TagTarget& target : targets) {
+    std::vector<double> cands = target.candidate_mod_freqs_hz;
+    if (cands.empty()) cands = {target.expected_mod_freq_hz};
+    std::vector<double> metric(n_bins, 0.0), tone(n_bins, 0.0),
+        score(n_bins, 0.0);
+    for (std::size_t blk = 0; blk < count / block; ++blk) {
+      std::vector<double> bm(n_bins, 0.0), bt(n_bins, 0.0), bs(n_bins, 0.0);
+      for (std::size_t b = 0; b < n_bins; ++b) {
+        if (a.range_grid[b] < cfg.min_range_m) continue;
+        const dsp::RVec spec =
+            detector.slow_time_spectrum(a, b, first + blk * block, block);
+        const double floor = std::max(
+            median(std::span<const double>(spec).subspan(1)), 1e-30);
+        for (double f : cands) {
+          const double s = dsp::signature_score(
+              spec, dsp::square_wave_signature(f, cfg.duty_cycle, block,
+                                               period, n_fft,
+                                               cfg.n_harmonics));
+          const long long mod_bin = std::llround(f / bin_hz);
+          double p = 0.0;
+          for (long long k = mod_bin - 1; k <= mod_bin + 1; ++k)
+            if (k >= 0 && k < static_cast<long long>(spec.size()))
+              p = std::max(p, spec[static_cast<std::size_t>(k)]);
+          bt[b] = std::max(bt[b], p);
+          bs[b] = std::max(bs[b], s);
+          if (s < cfg.min_signature_score) continue;
+          ++ref.signature_passes;
+          if (p < cfg.min_tone_prominence * floor) continue;
+          bm[b] = std::max(bm[b], p * s);
+        }
+      }
+      // Block fusion: peak-normalized metric sum, max-merged tone and score.
+      const double peak = *std::max_element(bm.begin(), bm.end());
+      const double norm = peak > 0.0 ? 1.0 / peak : 0.0;
+      for (std::size_t b = 0; b < n_bins; ++b) {
+        metric[b] += norm * bm[b];
+        tone[b] = std::max(tone[b], bt[b]);
+        score[b] = std::max(score[b], bs[b]);
+      }
+    }
+
+    TagDetection det;
+    const dsp::Peak pk = dsp::find_peak(metric);
+    if (metric[pk.index] > 0.0) {
+      // SNR against the median tone power of the other in-range bins.
+      std::vector<double> noise;
+      for (std::size_t b = 0; b < n_bins; ++b) {
+        const std::size_t dist = b > pk.index ? b - pk.index : pk.index - b;
+        if (a.range_grid[b] >= cfg.min_range_m && dist > 4)
+          noise.push_back(tone[b]);
+      }
+      const double nf = noise.empty() ? 1e-30 : median(noise);
+      det.grid_bin = pk.index;
+      det.mod_power = tone[pk.index];
+      det.signature_score = score[pk.index];
+      det.snr_db = to_db(std::max(tone[pk.index], 1e-30) / std::max(nf, 1e-30));
+      det.found = det.snr_db >= cfg.detection_threshold_db;
+      const double step = a.range_grid[1] - a.range_grid[0];
+      det.range_m = a.range_grid[pk.index] +
+                    (pk.refined_index - static_cast<double>(pk.index)) * step;
+    }
+    ref.dets.push_back(det);
+  }
+  return ref;
+}
+
+/// detect_many over the whole frame, inline and on a pool, against the
+/// reference.
+void expect_matches_reference(const TagDetector& detector,
+                              const AlignedProfiles& a,
+                              const std::vector<TagTarget>& targets,
+                              const ReferenceDetections& ref) {
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto got = detector.detect_many(a, targets, p);
+    ASSERT_EQ(got.size(), ref.dets.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(det_bits_eq(got[i], ref.dets[i]))
+          << "tag " << i << (p ? " pooled" : " inline");
+  }
+}
+
+}  // namespace
+
+TEST_F(DetectMany, MatchesIndependentReferenceOokSingleBlock) {
+  const auto aligned = make_frame({{4.0, 900.0}, {2.6, 1500.0}}, 46);
+  const TagDetector det(config_for(900.0, dsp::Precision::kDoubleStrict));
+  const std::vector<TagTarget> targets = {{900.0, {}}, {1500.0, {}}};
+  const auto ref = reference_detect(det, aligned, targets, 0, 256);
+  ASSERT_TRUE(ref.dets[0].found && ref.dets[1].found);
+  EXPECT_NEAR(ref.dets[0].range_m, 4.0, 0.05);
+  expect_matches_reference(det, aligned, targets, ref);
+  EXPECT_TRUE(det_bits_eq(det.detect(aligned), ref.dets[0]));
+}
+
+TEST_F(DetectMany, MatchesIndependentReferenceFskFourBlocks) {
+  const auto aligned = make_frame({{3.5, 1600.0}}, 47);
+  TagDetectorConfig cfg = config_for(800.0, dsp::Precision::kDoubleStrict);
+  cfg.candidate_mod_freqs_hz = {800.0, 1200.0, 1600.0, 2000.0};
+  cfg.block_chirps = 64;  // 256 chirps → 4 fused blocks.
+  const TagDetector det(cfg);
+  const std::vector<TagTarget> targets = {{800.0, cfg.candidate_mod_freqs_hz},
+                                          {1200.0, {1200.0, 2000.0}}};
+  const auto ref = reference_detect(det, aligned, targets, 0, 256);
+  ASSERT_TRUE(ref.dets[0].found);
+  EXPECT_NEAR(ref.dets[0].range_m, 3.5, 0.05);
+  expect_matches_reference(det, aligned, targets, ref);
+}
+
+TEST_F(DetectMany, MatchesIndependentReferenceWhenNoBinPassesSignatureGate) {
+  // Nothing transmits 1900 Hz, and a gate this strict rejects every bin, so
+  // the noise floor is never read.
+  const auto aligned = make_frame({{3.5, 1100.0}, {5.0, 0.0}}, 48);
+  TagDetectorConfig cfg = config_for(1900.0, dsp::Precision::kDoubleStrict);
+  cfg.min_signature_score = 0.9;
+  const TagDetector det(cfg);
+  const std::vector<TagTarget> targets = {{1900.0, {}}, {2300.0, {}}};
+  const auto ref = reference_detect(det, aligned, targets, 0, 256);
+  ASSERT_EQ(ref.signature_passes, 0u);
+  EXPECT_FALSE(ref.dets[0].found || ref.dets[1].found);
+  expect_matches_reference(det, aligned, targets, ref);
+}
+
+TEST_F(DetectMany, MatchesIndependentReferenceWithBinsBelowMinRange) {
+  // The 2 m tag sits inside the ignored near region; the 4.5 m tag does not.
+  const auto aligned = make_frame({{2.0, 900.0}, {4.5, 1300.0}}, 49);
+  TagDetectorConfig cfg = config_for(900.0, dsp::Precision::kDoubleStrict);
+  cfg.min_range_m = 3.0;
+  const TagDetector det(cfg);
+  const std::vector<TagTarget> targets = {{900.0, {}}, {1300.0, {}}};
+  const auto ref = reference_detect(det, aligned, targets, 0, 256);
+  ASSERT_GT(ref.bins_below_min_range, 4u);
+  ASSERT_TRUE(ref.dets[1].found);
+  EXPECT_NEAR(ref.dets[1].range_m, 4.5, 0.05);
+  EXPECT_GT(std::abs(ref.dets[0].range_m - 2.0), 0.5);  // Never at 2 m.
+  expect_matches_reference(det, aligned, targets, ref);
+}
+
+TEST_F(DetectMany, DetectSlotsMatchesIndependentReference) {
+  // Two 128-chirp slot windows of one 256-chirp frame, each with its own
+  // targets; slot 1 listens on tones slot 0 does not.
+  const auto aligned = make_frame({{2.4, 900.0}, {4.2, 1500.0}}, 50);
+  const TagDetector det(config_for(900.0, dsp::Precision::kDoubleStrict));
+  const std::vector<TagTarget> targets = {
+      {900.0, {}}, {1500.0, {}}, {1500.0, {}}, {700.0, {900.0, 1300.0}}};
+  const std::vector<SlotSpan> spans = {{0, 128, 0, 2}, {128, 128, 2, 2}};
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<TagDetection> got(targets.size());
+    det.detect_slots(aligned, spans, targets, got, p);
+    for (const SlotSpan& span : spans) {
+      const auto ref = reference_detect(
+          det, aligned,
+          std::span<const TagTarget>(targets).subspan(span.first_target,
+                                                      span.n_targets),
+          span.first_chirp, span.n_chirps);
+      for (std::size_t t = 0; t < span.n_targets; ++t)
+        EXPECT_TRUE(det_bits_eq(got[span.first_target + t], ref.dets[t]))
+            << "slot at chirp " << span.first_chirp << " target " << t
+            << (p ? " pooled" : " inline");
+    }
+    EXPECT_TRUE(got[0].found && got[1].found && got[2].found && got[3].found);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
@@ -50,14 +53,38 @@ INSTANTIATE_TEST_SUITE_P(EvenOddBluestein, RfftSizes,
                                            6, 24, 120, 194, 240,  // even, odd half
                                            3, 5, 7, 97, 193));    // odd fallback
 
+/// The plan handle must reproduce rfft_padded_into bit for bit: same
+/// values, same IEEE operations, only the plan lookups hoisted.
+::testing::AssertionResult handle_matches_padded(std::span<const double> x,
+                                                 std::size_t n_fft) {
+  CVec want, got;
+  rfft_padded_into(x, n_fft, want);
+  const RfftPlanHandle handle(n_fft);
+  if (handle.size() != n_fft)
+    return ::testing::AssertionFailure() << "size " << handle.size();
+  handle(x, got);
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure() << "bins " << got.size();
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(got[k].real()) !=
+            std::bit_cast<std::uint64_t>(want[k].real()) ||
+        std::bit_cast<std::uint64_t>(got[k].imag()) !=
+            std::bit_cast<std::uint64_t>(want[k].imag()))
+      return ::testing::AssertionFailure() << "bin " << k << " n_fft " << n_fft;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(Rfft, PaddedMatchesFftRealPadded) {
   const auto x = random_real(100, 11);
-  for (std::size_t n_fft : {128u, 256u, 250u}) {
+  // Power-of-two half, Bluestein half (250 → 125), and the odd fallback.
+  for (std::size_t n_fft : {128u, 256u, 250u, 101u}) {
     const auto fast = rfft_padded(x, n_fft);
     const auto ref = fft_real_padded(x, n_fft);
     ASSERT_EQ(fast.size(), n_fft / 2 + 1);
     for (std::size_t k = 0; k < fast.size(); ++k)
       EXPECT_LT(std::abs(fast[k] - ref[k]), 1e-12) << "bin " << k << " n_fft " << n_fft;
+    EXPECT_TRUE(handle_matches_padded(x, n_fft));
   }
 }
 
@@ -68,6 +95,34 @@ TEST(Rfft, PaddedTruncates) {
   ASSERT_EQ(spec.size(), 9u);
   for (std::size_t k = 0; k < spec.size(); ++k)
     EXPECT_LT(std::abs(spec[k] - ref[k]), 1e-12);
+  // Truncation through every path, down to the one-point transform; an odd
+  // input length leaves a lone even sample in the last packed pair.
+  for (std::size_t n_fft : {16u, 39u, 12u, 2u, 1u}) {
+    EXPECT_TRUE(handle_matches_padded(x, n_fft));
+    EXPECT_TRUE(handle_matches_padded(std::span<const double>(x).first(7),
+                                      n_fft));
+  }
+}
+
+TEST(Rfft, PlanHandleOwnsItsPlans) {
+  // A handle keeps working after the cache drops its plans, with no lookups:
+  // it shares ownership of what it resolved at construction.
+  const auto x = random_real(32, 16);
+  for (std::size_t n_fft : {128u, 250u, 101u}) {
+    CVec want;
+    rfft_padded_into(x, n_fft, want);
+    const RfftPlanHandle handle(n_fft);
+    fft_plan_cache_clear();
+    CVec got;
+    handle(x, got);
+    const auto stats = fft_plan_cache_stats();
+    EXPECT_EQ(stats.hits + stats.misses, 0u) << "n_fft " << n_fft;
+    EXPECT_EQ(stats.plans, 0u) << "n_fft " << n_fft;
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k)
+      EXPECT_EQ(got[k], want[k]) << "bin " << k << " n_fft " << n_fft;
+  }
+  fft_plan_cache_clear();
 }
 
 TEST(Rfft, DcBinIsPlainSum) {
