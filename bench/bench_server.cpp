@@ -1,5 +1,5 @@
 /// Streaming link-server harness: measures multi-link throughput of the
-/// staged pipeline engine and verifies its two hard contracts, writing
+/// lane engine and verifies its two hard contracts, writing
 /// BENCH_server.json:
 ///   1. determinism — per-link decoded bits and report outcome counters
 ///      bit-identical to the sequential LinkSimulator at 1/2/4 workers;
@@ -7,7 +7,8 @@
 ///      frames execute without a single call to operator new (asserted via a
 ///      global allocation-counting hook in this TU);
 ///   3. throughput rows — frames/sec for 64/256/1024 links at several worker
-///      counts, with per-stage busy/queue-wait breakdowns. Rows that
+///      counts, plus a telemetry section with per-stage busy-time and
+///      per-frame service-time quantiles. Rows that
 ///      oversubscribe the host (workers > hardware threads) are flagged
 ///      "valid": false and excluded from the headline speedup, following the
 ///      BENCH_sweep.json convention.
@@ -78,13 +79,13 @@ using namespace bis;
 using Clock = std::chrono::steady_clock;
 
 /// Smoke mode streams live telemetry to these files (validated after the
-/// gates) — the acceptance check that export works under real pipeline load.
+/// gates) — the acceptance check that export works under real server load.
 constexpr const char* kSmokeJsonl = "bench_server_metrics.jsonl";
 constexpr const char* kSmokeProm = "bench_server_metrics.prom";
 bool g_smoke_export = false;
 
-/// Light OOK link: 2 bits/frame → 32 chirps/frame. Small enough to hold
-/// 2×1024 frames in flight, heavy enough that every stage does real DSP.
+/// Light OOK link: 2 bits/frame → 32 chirps/frame. Small enough to run 1024
+/// links per row, heavy enough that every stage does real DSP.
 core::LinkServerConfig server_config(std::size_t links, std::size_t workers) {
   core::LinkServerConfig cfg;
   cfg.base.seed = 20240808;
@@ -214,7 +215,6 @@ struct Row {
   double seconds = 0.0;
   double frames_per_s = 0.0;
   bool valid = true;
-  obs::StageQueueStats stages[obs::kServerStages];
 };
 
 Row measure_row(std::size_t links, std::size_t workers,
@@ -234,8 +234,6 @@ Row measure_row(std::size_t links, std::size_t workers,
   row.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   row.frames_per_s =
       static_cast<double>(links * frames_per_link) / row.seconds;
-  for (std::size_t s = 0; s < obs::kServerStages; ++s)
-    row.stages[s] = server.stats().snapshot(static_cast<obs::ServerStage>(s));
   std::printf("links %5zu  workers %zu: %8.0f frames/s  (%.3f s)%s\n", links,
               workers, row.frames_per_s, row.seconds,
               row.valid ? "" : "  [invalid: oversubscribed]");
@@ -243,9 +241,9 @@ Row measure_row(std::size_t links, std::size_t workers,
 }
 
 /// Telemetry cost + latency-quantile section: one fixed row measured with
-/// the obs switch off, then on. The on-run's per-stage busy/wait and
-/// end-to-end distributions go into the report; the off/on ratio documents
-/// that the one-relaxed-load-when-off contract holds at pipeline scale.
+/// the obs switch off, then on. The on-run's per-stage busy and per-frame
+/// service-time distributions go into the report; the off/on ratio documents
+/// that the one-relaxed-load-when-off contract holds at server scale.
 std::string measure_telemetry_section(const phy::SlopeAlphabet& alphabet) {
   constexpr std::size_t kLinks = 64, kWorkers = 1, kFrames = 4;
   const bool was_enabled = obs::enabled();
@@ -340,17 +338,8 @@ bool write_bench_json(const std::string& path) {
         << ", \"frames_per_link\": " << r.frames_per_link
         << ", \"seconds\": " << r.seconds
         << ", \"frames_per_s\": " << r.frames_per_s
-        << ", \"valid\": " << (r.valid ? "true" : "false") << ",\n";
-    out << "     \"stages\": {";
-    for (std::size_t s = 0; s < obs::kServerStages; ++s) {
-      const auto& st = r.stages[s];
-      out << (s == 0 ? "" : ", ") << "\""
-          << obs::server_stage_name(static_cast<obs::ServerStage>(s))
-          << "\": {\"frames\": " << st.frames
-          << ", \"max_depth\": " << st.max_depth
-          << ", \"backpressure\": " << st.backpressure << "}";
-    }
-    out << "}}" << (i + 1 < rows.size() ? "," : "") << "\n";
+        << ", \"valid\": " << (r.valid ? "true" : "false") << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"telemetry\": " << telemetry_section << ",\n";

@@ -1,12 +1,13 @@
 /// Streaming multi-link server engine.
 ///
-/// Advances several concurrent radar↔tag links through the staged frame
-/// pipeline (synthesize → range FFT → IF-correct → detect → decode) with a
-/// small worker crew pulling stage tokens from lock-free frame queues.
-/// Per-link reports stream out of on_link_done as each link finishes its
-/// round. The engine's determinism contract is checked at the end: decoded
-/// bits and outcome counters must be bit-identical to advancing the same
-/// links one frame at a time on a single thread.
+/// Advances several concurrent radar↔tag links on a small crew of lanes:
+/// each lane claims a whole link and runs its frames through every stage
+/// (synthesize → range FFT → IF-correct → detect → decode) before claiming
+/// the next. Per-link reports stream out of on_link_done as each link
+/// finishes its round, and the footer prints each stage's mean busy time.
+/// The engine's determinism contract is checked at the end: decoded bits
+/// and outcome counters must be bit-identical to advancing the same links
+/// one frame at a time on a single thread.
 
 #include <cstdio>
 
@@ -21,6 +22,7 @@ int main() {
   cfg.base.tag.node.uplink.scheme = phy::UplinkScheme::kOok;
   cfg.base.tag.node.uplink.mod_frequencies_hz = {2000.0};
   cfg.base.tag.node.uplink.chirps_per_symbol = 16;
+  cfg.base.telemetry = true;  // stamp stage busy times for the footer
   cfg.n_links = 8;
   cfg.workers = 2;  // the calling thread is one of the two lanes
   cfg.bits_per_frame = 2;
@@ -45,18 +47,17 @@ int main() {
               cfg.n_links, frames, cfg.workers);
   server.run(frames);
 
-  std::printf("\nper-stage pipeline stats:\n");
+  std::printf("\nper-stage stats:\n");
   for (std::size_t s = 0; s < obs::kServerStages; ++s) {
     const auto stage = static_cast<obs::ServerStage>(s);
-    const obs::StageQueueStats st = server.stats().snapshot(stage);
-    std::printf("  %-10s %4llu frames  max queue depth %llu\n",
+    const obs::StageStats st = server.stats().snapshot(stage);
+    std::printf("  %-10s %4llu frames  mean busy %8.1f us\n",
                 obs::server_stage_name(stage),
-                static_cast<unsigned long long>(st.frames),
-                static_cast<unsigned long long>(st.max_depth));
+                static_cast<unsigned long long>(st.frames), st.mean_busy_us());
   }
 
-  // Determinism contract: the pipelined engine reproduces the sequential
-  // reference bit-for-bit at any worker count.
+  // Determinism contract: the server reproduces the sequential reference
+  // bit-for-bit at any worker count.
   const auto reference = core::run_links_sequential(cfg, frames);
   bool identical = true;
   for (std::size_t i = 0; i < cfg.n_links; ++i) {
@@ -65,6 +66,6 @@ int main() {
                     reference[i].report.outcome_key() &&
                 server.decoded_bits(i) == reference[i].decoded_bits;
   }
-  std::printf("\npipelined == sequential: %s\n", identical ? "yes" : "NO");
+  std::printf("\nserver == sequential: %s\n", identical ? "yes" : "NO");
   return identical ? 0 : 1;
 }

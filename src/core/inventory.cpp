@@ -6,8 +6,6 @@
 
 #include "common/check.hpp"
 #include "common/units.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/window.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -113,6 +111,7 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
   report_.config = config_key(base) + "|inventory=" + std::to_string(n) +
                    "|q=" + std::to_string(inventory_.q_initial) +
                    "|session=" + std::to_string(inventory_.session);
+  cache_baseline_ = CacheBaseline::capture();
 }
 
 std::vector<std::uint8_t> InventoryEngine::inventoried_set() const {
@@ -133,13 +132,12 @@ void InventoryEngine::reset() {
   obs::RunReport fresh;
   fresh.config = report_.config;
   report_ = fresh;
+  cache_baseline_ = CacheBaseline::capture();
 }
 
 void InventoryEngine::resolve_batch(
-    std::span<const SlotJob> jobs, const radar::AlignedProfiles& aligned,
-    std::span<const radar::SlotSpan> spans,
+    std::span<const SlotJob> jobs, std::span<const radar::SlotSpan> spans,
     std::span<const radar::TagDetection> detections, InventoryRound& round) {
-  (void)aligned;
   // Read rule, per slot: a channel's responder is read iff the detector
   // found that channel in the slot's window AND the channel has exactly one
   // responder there. Two same-channel responders superpose (identity is
@@ -208,7 +206,7 @@ void InventoryEngine::simulate_slots(
                                          inventory_.n_channels),
           pool_);
     }
-    resolve_batch(jobs_, aligned, spans_, detections_, round);
+    resolve_batch(jobs_, spans_, detections_, round);
   }
 }
 
@@ -352,11 +350,7 @@ std::size_t InventoryEngine::run_until_drained() {
 
 obs::RunReport InventoryEngine::report() const {
   obs::RunReport out = report_;
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  out.fft_plan_hits = fft_stats.hits;
-  out.fft_plan_misses = fft_stats.misses;
-  out.fft_plans = fft_stats.plans;
-  out.window_cache_entries = dsp::window_cache_size();
+  cache_baseline_.fill(out);
   return out;
 }
 

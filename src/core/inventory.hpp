@@ -115,8 +115,8 @@ class InventoryEngine {
   const InventoryConfig& inventory_config() const { return inventory_; }
   double q_fp() const { return q_fp_; }
 
-  /// Reset every session flag, Q, and the round history (a fresh Query
-  /// session over the same population).
+  /// Reset every session flag, Q, the round history and the report (a fresh
+  /// Query session over the same population).
   void reset();
 
   // ---- Telemetry ----
@@ -136,7 +136,6 @@ class InventoryEngine {
                       std::span<const std::uint64_t> occupied_slot,
                       InventoryRound& round);
   void resolve_batch(std::span<const SlotJob> jobs,
-                     const radar::AlignedProfiles& aligned,
                      std::span<const radar::SlotSpan> spans,
                      std::span<const radar::TagDetection> detections,
                      InventoryRound& round);
@@ -149,6 +148,7 @@ class InventoryEngine {
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
   obs::RunReport report_;
+  CacheBaseline cache_baseline_;  ///< Taken at ctor / reset().
 
   std::vector<tag::Gen2TagState> states_;  ///< Gen2 MAC state per tag.
   std::vector<TagRecord> records_;         ///< Scene constants per tag.

@@ -1,7 +1,6 @@
 #include "core/link_server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -39,8 +38,8 @@ SystemConfig link_config(const LinkServerConfig& config, std::size_t link,
                          const phy::SlopeAlphabet& alphabet) {
   SystemConfig c = config.base;
   c.seed = link_seed(config, link);
-  // Inside the server, parallelism comes from the frame pipeline; nested
-  // per-stage pools would oversubscribe and change nothing numerically.
+  // Inside the server, parallelism comes from the lanes; nested per-stage
+  // pools would oversubscribe and change nothing numerically.
   c.dsp_threads = 1;
   // Pin the IF-correction grid to the whole alphabet (see the header doc):
   // max_range_m = min over slots of R_max is always covered by every chirp,
@@ -87,289 +86,170 @@ std::vector<SequentialLinkResult> run_links_sequential(
   return out;
 }
 
-// ---- EventCount ------------------------------------------------------------
-
-std::uint64_t LinkServer::EventCount::prepare() {
-  waiters_.fetch_add(1, std::memory_order_acq_rel);
-  return epoch_.load(std::memory_order_acquire);
-}
-
-void LinkServer::EventCount::cancel() {
-  waiters_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void LinkServer::EventCount::wait(std::uint64_t ticket) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (epoch_.load(std::memory_order_acquire) == ticket) {
-      // Timed wait: even a lost wakeup (notify between our epoch check and
-      // the wait) costs at most 1 ms, so the protocol needs no perfect
-      // wakeup accounting.
-      cv_.wait_for(lock, std::chrono::milliseconds(1));
-    }
-  }
-  waiters_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void LinkServer::EventCount::notify_all() {
-  if (waiters_.load(std::memory_order_acquire) == 0) return;  // nobody parked
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lock(mu_);
-  cv_.notify_all();
-}
-
-// ---- LinkServer ------------------------------------------------------------
-
 LinkServer::LinkServer(const LinkServerConfig& config)
     : LinkServer(config, config.base.make_alphabet()) {}
 
 LinkServer::LinkServer(const LinkServerConfig& config,
                        const phy::SlopeAlphabet& shared_alphabet)
-    : config_(config),
-      alphabet_(shared_alphabet),
-      q_synth_(2 * config.n_links) {
+    : config_(config), alphabet_(shared_alphabet), lanes_(config.workers) {
   BIS_CHECK(config_.n_links >= 1);
   BIS_CHECK(config_.workers >= 1);
   BIS_CHECK(config_.bits_per_frame >= 1);
-  // Per link at most two frames are in flight, so 2·n_links cells per ring
-  // guarantee try_push never meets a full queue.
-  for (auto& q : q_)
-    q = std::make_unique<MpmcFrameQueue<std::uint64_t>>(2 * config_.n_links);
-  links_.reserve(config_.n_links);
+  links_.resize(config_.n_links);
   for (std::size_t i = 0; i < config_.n_links; ++i) {
-    auto st = std::make_unique<LinkState>();
-    st->sim = std::make_unique<LinkSimulator>(link_config(config_, i, alphabet_),
-                                              alphabet_);
-    st->payload_rng = Rng(config_.payload_seed ^ link_seed(config_, i));
-    links_.push_back(std::move(st));
+    links_[i].sim = std::make_unique<LinkSimulator>(
+        link_config(config_, i, alphabet_), alphabet_);
+    links_[i].payload_rng = Rng(config_.payload_seed ^ link_seed(config_, i));
   }
   // Build every window/FFT/regrid plan the alphabet can demand before any
   // frame flows (the shared caches fill once; link 0's config stands in for
   // all links — only the seed differs), and warm this thread's DSP scratch:
-  // the caller is a pipeline lane in run(). Workers warm their own scratch
-  // on startup below.
-  links_.front()->sim->warm_caches();
+  // the caller is a lane in run(). Workers warm their own scratch on
+  // startup.
+  links_.front().sim->warm_caches();
   // The per-link LinkSimulator constructors above already started the global
   // TelemetrySink when base.telemetry_export asks for one; publish this
   // server's per-stage stats through it either way.
   if (auto* sink = obs::TelemetrySink::global()) {
     sink->attach_server_stats(&stats_);
   }
-  for (std::size_t w = 1; w < config_.workers; ++w)
-    threads_.emplace_back([this] { worker_main(); });
+  try {
+    for (std::size_t w = 1; w < config_.workers; ++w)
+      threads_.emplace_back([this, w] { worker_main(w); });
+  } catch (...) {
+    shutdown();  // join the workers already started
+    throw;
+  }
 }
 
-LinkServer::~LinkServer() {
+LinkServer::~LinkServer() { shutdown(); }
+
+void LinkServer::shutdown() {
   if (auto* sink = obs::TelemetrySink::global()) {
     sink->detach_server_stats(&stats_);
   }
-  stop_.store(true, std::memory_order_release);
-  // Parked workers use 1 ms timed waits, so even a lost notify here only
-  // delays the join by a millisecond.
-  ec_.notify_all();
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  wake_.notify_all();
   for (auto& t : threads_) t.join();
+  threads_.clear();
 }
 
-void LinkServer::make_payload(LinkState& st) {
-  st.frame_bits.clear();
-  for (std::size_t b = 0; b < config_.bits_per_frame; ++b)
-    st.frame_bits.push_back(st.payload_rng.coin() ? 1 : 0);
+void LinkServer::record_error(std::exception_ptr error) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (!error_) error_ = std::move(error);
 }
 
-void LinkServer::push_synth_token(std::size_t link) {
-  LinkState& st = *links_[link];
-  st.synth_enq_ns = obs::ServerStatsCollector::now_ns();
-  // Rings are sized so a push can't meet a full queue in steady state; if it
-  // ever does, count the backpressure and spin until a consumer drains.
-  while (!q_synth_.try_push(static_cast<std::uint32_t>(link))) {
-    stats_.add_backpressure(obs::ServerStage::kSynthesize);
-    std::this_thread::yield();
+void LinkServer::run_link(std::size_t link, Lane& lane,
+                          std::size_t frames_per_link) {
+  LinkState& st = links_[link];
+  UplinkFrameJob& job = lane.job;
+  for (std::size_t f = 0; f < frames_per_link; ++f) {
+    // Telemetry stamps (0 when off): each stage's busy time is the lap since
+    // the previous stamp; prepare counts toward synthesize.
+    const std::uint64_t start = obs::ServerStatsCollector::now_ns();
+    std::uint64_t t = start;
+    const auto lap = [&](obs::ServerStage stage) {
+      const std::uint64_t now = obs::ServerStatsCollector::now_ns();
+      stats_.record(stage, now - t);
+      t = now;
+    };
+    job.reset_result();
+    lane.payload.clear();
+    for (std::size_t b = 0; b < config_.bits_per_frame; ++b)
+      lane.payload.push_back(st.payload_rng.coin() ? 1 : 0);
+    st.sim->prepare_uplink_frame(lane.payload, config_.downlink_active, job);
+    st.sim->stage_synthesize(job);
+    lap(obs::ServerStage::kSynthesize);
+    st.sim->stage_range_fft(job, nullptr);
+    lap(obs::ServerStage::kRangeFft);
+    st.sim->stage_if_correct(job, nullptr);
+    lap(obs::ServerStage::kIfCorrect);
+    st.sim->stage_detect(job, nullptr);
+    lap(obs::ServerStage::kDetect);
+    st.sim->stage_decode(job);
+    lap(obs::ServerStage::kDecode);
+    st.sim->fold_uplink_frame(job);
+    if (config_.collect_bits)
+      st.decoded_bits.insert(st.decoded_bits.end(),
+                             job.result.decode.bits.begin(),
+                             job.result.decode.bits.end());
+    if (start != 0)
+      stats_.record_e2e(obs::ServerStatsCollector::now_ns() - start);
   }
-  stats_.observe_depth(obs::ServerStage::kSynthesize, q_synth_.approx_size());
-  ec_.notify_all();
+  if (on_link_done) on_link_done(link, *st.sim);
 }
 
-void LinkServer::push_stage(std::size_t stage, std::size_t link,
-                            std::size_t slot) {
-  LinkState& st = *links_[link];
-  st.enq_ns[slot] = obs::ServerStatsCollector::now_ns();
-  const auto token = static_cast<std::uint64_t>((link << 1) | slot);
-  while (!q_[stage - 1]->try_push(token)) {
-    stats_.add_backpressure(static_cast<obs::ServerStage>(stage));
-    std::this_thread::yield();
-  }
-  stats_.observe_depth(static_cast<obs::ServerStage>(stage),
-                       q_[stage - 1]->approx_size());
-  ec_.notify_all();
-}
-
-void LinkServer::fire_ready(LinkState& st, std::size_t link) {
-  // Join counter (see LinkState::ready): the second of {synth k done,
-  // fold k−1 done} observes old == 1, consumes the pair, and circulates the
-  // link's synth token for frame k+1. acq_rel RMWs on one atomic give the
-  // trigger thread visibility of st.prepared.
-  const int old = st.ready.fetch_add(1, std::memory_order_acq_rel);
-  if (old == 1) {
-    st.ready.fetch_sub(2, std::memory_order_acq_rel);
-    if (st.prepared < st.target) push_synth_token(link);
-  }
-}
-
-void LinkServer::run_synthesize(std::uint32_t link) {
-  LinkState& st = *links_[link];
-  const std::uint64_t t0 = obs::ServerStatsCollector::now_ns();
-  const std::size_t frame = st.prepared;
-  const std::size_t slot = frame & 1;
-  st.frame_start_ns[slot] = st.synth_enq_ns;
-  UplinkFrameJob& job = st.jobs[slot];
-  job.reset_result();
-  make_payload(st);
-  st.sim->prepare_uplink_frame(st.frame_bits, config_.downlink_active, job);
-  st.sim->stage_synthesize(job);
-  st.prepared = frame + 1;
-  const std::uint64_t t1 = obs::ServerStatsCollector::now_ns();
-  stats_.record(obs::ServerStage::kSynthesize,
-                t0 >= st.synth_enq_ns ? t0 - st.synth_enq_ns : 0, t1 - t0);
-  fire_ready(st, link);  // event: synth of this frame done
-  push_stage(1, link, slot);
-}
-
-void LinkServer::run_stage(std::size_t stage, std::uint64_t token) {
-  const auto link = static_cast<std::size_t>(token >> 1);
-  const auto slot = static_cast<std::size_t>(token & 1);
-  LinkState& st = *links_[link];
-  UplinkFrameJob& job = st.jobs[slot];
-  const std::uint64_t t0 = obs::ServerStatsCollector::now_ns();
-  const std::uint64_t wait =
-      t0 >= st.enq_ns[slot] ? t0 - st.enq_ns[slot] : 0;
-  switch (stage) {
-    case 1: st.sim->stage_range_fft(job, nullptr); break;
-    case 2: st.sim->stage_if_correct(job, nullptr); break;
-    case 3: st.sim->stage_detect(job, nullptr); break;
-    case 4: st.sim->stage_decode(job); break;
-    default: BIS_CHECK_MSG(false, "unknown pipeline stage");
-  }
-  const std::uint64_t t1 = obs::ServerStatsCollector::now_ns();
-  stats_.record(static_cast<obs::ServerStage>(stage), wait, t1 - t0);
-  if (stage < 4) {
-    push_stage(stage + 1, link, slot);
-  } else {
-    complete_decode(link, slot);
-  }
-}
-
-void LinkServer::complete_decode(std::size_t link, std::size_t slot) {
-  links_[link]->decode_done[slot].store(true, std::memory_order_release);
-  try_fold(link);
-}
-
-void LinkServer::try_fold(std::size_t link) {
-  LinkState& st = *links_[link];
+void LinkServer::run_lane(Lane& lane, std::size_t frames_per_link) {
   for (;;) {
-    if (st.folding.exchange(true, std::memory_order_acquire))
-      return;  // another worker is folding; its recheck loop covers us
-    while (st.folded < st.target) {
-      const std::size_t slot = st.folded & 1;
-      if (!st.decode_done[slot].load(std::memory_order_acquire)) break;
-      const UplinkFrameJob& job = st.jobs[slot];
-      st.sim->fold_uplink_frame(job);
-      const std::uint64_t start = st.frame_start_ns[slot];
-      if (start != 0) {
-        const std::uint64_t now = obs::ServerStatsCollector::now_ns();
-        if (now > start) stats_.record_e2e(now - start);
-      }
-      if (config_.collect_bits)
-        st.decoded_bits.insert(st.decoded_bits.end(),
-                               job.result.decode.bits.begin(),
-                               job.result.decode.bits.end());
-      st.decode_done[slot].store(false, std::memory_order_relaxed);
-      ++st.folded;
-      fire_ready(st, link);  // event: previous fold done (for the next frame)
-      if (st.folded == st.target) finish_link(link);
-    }
-    st.folding.store(false, std::memory_order_release);
-    // Recheck: a decode that completed between our scan and the release
-    // would find the flag held and leave — pick its frame up ourselves.
-    if (st.folded >= st.target ||
-        !st.decode_done[st.folded & 1].load(std::memory_order_acquire))
-      return;
-  }
-}
-
-void LinkServer::finish_link(std::size_t link) {
-  if (on_link_done) on_link_done(link, *links_[link]->sim);
-  const std::size_t done = links_done_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (done == links_.size()) {
-    round_done_.store(true, std::memory_order_release);
-    ec_.notify_all();
-  }
-}
-
-bool LinkServer::process_one() {
-  std::uint64_t token = 0;
-  // Drain downstream first so in-flight frames finish before new ones enter
-  // — keeps queue depths (and the working set) at their minimum.
-  for (std::size_t stage = 4; stage >= 1; --stage) {
-    if (q_[stage - 1]->try_pop(token)) {
-      run_stage(stage, token);
-      return true;
+    const std::size_t link = next_link_.fetch_add(1, std::memory_order_relaxed);
+    if (link >= links_.size()) return;
+    try {
+      run_link(link, lane, frames_per_link);
+    } catch (...) {
+      record_error(std::current_exception());
     }
   }
-  std::uint32_t link = 0;
-  if (q_synth_.try_pop(link)) {
-    run_synthesize(link);
-    return true;
-  }
-  return false;
 }
 
-void LinkServer::worker_main() {
+void LinkServer::worker_main(std::size_t lane) {
   BIS_TRACE_SPAN("core.link_server_worker");
   // Size this thread's thread_local DSP scratch to the worst-case chirp
   // before processing frames (the shared plan caches are already warm, so
-  // this is a handful of small dry FFTs).
-  links_.front()->sim->warm_caches();
+  // this is a handful of small dry FFTs). A failure surfaces from the next
+  // run().
+  try {
+    links_.front().sim->warm_caches();
+  } catch (...) {
+    record_error(std::current_exception());
+  }
+  std::uint64_t seen = 0;
   for (;;) {
-    if (stop_.load(std::memory_order_acquire)) return;
-    if (process_one()) continue;
-    const std::uint64_t ticket = ec_.prepare();
-    if (stop_.load(std::memory_order_acquire)) {
-      ec_.cancel();
-      return;
+    std::size_t frames_per_link = 0;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_.wait(lock, [&] { return stop_ || round_ != seen; });
+      if (stop_) return;
+      seen = round_;
+      frames_per_link = frames_per_link_;
     }
-    if (process_one()) {
-      ec_.cancel();
-      continue;
-    }
-    ec_.wait(ticket);
+    run_lane(lanes_[lane], frames_per_link);
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (--busy_workers_ == 0) done_.notify_one();
   }
 }
 
 void LinkServer::run(std::size_t frames_per_link) {
   BIS_TRACE_SPAN("core.link_server_run");
   BIS_CHECK(frames_per_link >= 1);
-  BIS_CHECK_MSG(round_done_.load(std::memory_order_acquire),
+  BIS_CHECK_MSG(!running_.exchange(true, std::memory_order_acquire),
                 "LinkServer::run is not reentrant");
-  links_done_.store(0, std::memory_order_relaxed);
-  for (auto& st : links_) {
-    st->prepared = 0;
-    st->folded = 0;
-    st->target = frames_per_link;
-    if (config_.collect_bits)
-      st->decoded_bits.reserve(st->decoded_bits.size() +
-                               frames_per_link * config_.bits_per_frame);
+  // Every worker checked out of the previous round before it returned, so
+  // nobody is claiming while the counter resets.
+  next_link_.store(0, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    frames_per_link_ = frames_per_link;
+    busy_workers_ = threads_.size();
+    ++round_;
   }
-  round_done_.store(false, std::memory_order_release);
-  for (std::size_t i = 0; i < links_.size(); ++i) push_synth_token(i);
-  // The caller is a pipeline lane for the whole round.
-  while (!round_done_.load(std::memory_order_acquire)) {
-    if (!process_one()) std::this_thread::yield();
+  wake_.notify_all();
+  run_lane(lanes_.front(), frames_per_link);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_.wait(lock, [this] { return busy_workers_ == 0; });
+    error = std::exchange(error_, nullptr);
   }
+  running_.store(false, std::memory_order_release);
+  if (error) std::rethrow_exception(error);
 }
 
 obs::RunReport LinkServer::merged_report() const {
   obs::RunReport merged;
-  for (const auto& st : links_) merged.merge(st->sim->report());
+  for (const auto& st : links_) merged.merge(st.sim->report());
   return merged;
 }
 

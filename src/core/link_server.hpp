@@ -2,53 +2,49 @@
 
 /// @file link_server.hpp
 /// Streaming multi-link server engine: N concurrent radar ⇄ tag links
-/// advanced by a staged pipeline over lock-free frame queues. Where
-/// LinkSimulator processes one frame of one link at a time, the LinkServer
-/// keeps every link's frames in flight simultaneously — the model of a radar
-/// basestation serving a deployment of IoT tags (paper §6 envisions many
-/// tags per radar) and the repo's throughput engine for large scenes.
+/// advanced by a crew of lanes. Where LinkSimulator processes one frame of
+/// one link at a time, the LinkServer keeps every lane busy with a whole
+/// link — the model of a radar basestation serving a deployment of IoT tags
+/// (paper §6 envisions many tags per radar) and the repo's throughput engine
+/// for large scenes.
 ///
-/// ## Pipeline
+/// ## Lanes
 ///
-/// Each uplink frame advances through the LinkSimulator stage API:
+/// Each run() round, the calling thread plus `workers − 1` long-lived
+/// threads claim link indices from one atomic counter. A lane runs the
+/// claimed link's frames in order, each through the LinkSimulator stage API
 ///
-///   synthesize → range_fft → if_correct → detect → decode → fold
+///   prepare → synthesize → range_fft → if_correct → detect → decode → fold
 ///
-/// Stage hand-offs go through bounded lock-free MPMC queues
-/// (common/frame_queue.hpp); a pool of workers (plus the caller's thread)
-/// pulls from the queues, preferring downstream stages so frames drain
-/// rather than pile up. Per link, two UplinkFrameJob buffers alternate
-/// (double buffering): frame k+1 synthesizes while frame k is still in the
-/// DSP stages, and every buffer is reused forever — the steady-state frame
-/// loop performs no heap allocation.
+/// in the lane's one UplinkFrameJob, then claims the next link. Every job is
+/// reused forever, and a round's hand-off is one mutex/condition-variable
+/// wake and check-in per worker — the steady-state frame loop performs no
+/// heap allocation. Callers always have at least as many links as lanes, so
+/// whole-link parallelism keeps every lane busy without overlapping one
+/// link's frames.
 ///
 /// ## Determinism contract
 ///
 /// Per-link outputs (decoded bits, RunReport outcome counters) are
 /// bit-identical to running the same links frame-by-frame on one thread,
-/// regardless of worker count:
-///   - prepare+synthesize run strictly frame-ordered per link (a single
-///     synth token per link circulates, so the per-link RNG and modulator
-///     consume in sequential order);
-///   - the middle stages are pure per-frame maps (thread-local scratch is
-///     fully overwritten per call);
-///   - folds apply in frame order under a per-link flag, and only ever
-///     touch that link's simulator.
+/// regardless of worker count: one lane owns a link for the whole round, so
+/// the link's RNG, modulator and report advance in sequential frame order,
+/// and the stages only touch the link's own simulator, the lane's job and
+/// fully overwritten thread-local scratch. The round hand-off orders one
+/// round's writes to a link before the next round's reads.
 /// run_links_sequential() is the reference implementation tests compare
 /// against (tests/test_link_server.cpp).
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/frame_queue.hpp"
 #include "core/link_simulator.hpp"
 #include "obs/server_stats.hpp"
 
@@ -59,7 +55,7 @@ struct LinkServerConfig {
                               ///< derived from base.seed and the link index.
   std::size_t n_links = 1;
   /// Worker lanes, including the calling thread: 1 = the caller does all the
-  /// work (no threads spawned), w > 1 spawns w−1 pipeline workers.
+  /// work (no threads spawned), w > 1 spawns w−1 lane threads.
   std::size_t workers = 1;
   std::size_t bits_per_frame = 8;   ///< Uplink payload bits per frame.
   std::uint64_t payload_seed = 0x5EEDull;  ///< Per-link payload streams.
@@ -73,8 +69,8 @@ struct LinkServerConfig {
 std::uint64_t link_seed(const LinkServerConfig& config, std::size_t link);
 
 /// Per-link SystemConfig: base with the derived seed, dsp_threads forced to
-/// 1 (inside the server, parallelism comes from the frame pipeline, not from
-/// nested per-stage pools), and the IF-correction grid pinned to the whole
+/// 1 (inside the server, parallelism comes from the lanes, not from nested
+/// per-stage pools), and the IF-correction grid pinned to the whole
 /// alphabet — grid_bins to the largest slot's FFT size and max_range_m to
 /// the smallest slot's unambiguous range (only where the base config leaves
 /// them at their derive-per-frame defaults). A pinned grid is identical for
@@ -113,15 +109,19 @@ class LinkServer {
   LinkServer& operator=(const LinkServer&) = delete;
 
   /// Advance every link by @p frames_per_link uplink frames. Blocks until
-  /// the round completes; the calling thread works as a pipeline lane.
-  /// Callable repeatedly — link state (RNG, modulator, report) carries over,
-  /// so two run(N) rounds equal one run(2N) equal 2N sequential frames.
+  /// the round completes; the calling thread works as a lane. Callable
+  /// repeatedly — link state (RNG, modulator, report) carries over, so two
+  /// run(N) rounds equal one run(2N) equal 2N sequential frames.
+  ///
+  /// A stage or on_link_done that throws fails only the link it was working
+  /// on: every other link still runs its frames, then run() rethrows the
+  /// first exception on the caller and the server stays usable.
   void run(std::size_t frames_per_link);
 
-  /// Streaming hook: invoked (from a worker thread) the moment a link's last
-  /// frame of the round folds, with that link's simulator quiescent. At most
-  /// one callback runs per link per round; distinct links may fire
-  /// concurrently. Set before run().
+  /// Streaming hook: invoked (from the lane that ran the link) right after a
+  /// link's last frame of the round folds, with that link's simulator
+  /// quiescent. At most one callback runs per link per round; distinct links
+  /// may fire concurrently. Set before run().
   std::function<void(std::size_t link, const LinkSimulator& sim)> on_link_done;
 
   std::size_t n_links() const { return links_.size(); }
@@ -130,88 +130,62 @@ class LinkServer {
 
   /// Link @p i's simulator (reports, configs). Only valid while no round is
   /// running.
-  const LinkSimulator& link(std::size_t i) const { return *links_[i]->sim; }
+  const LinkSimulator& link(std::size_t i) const { return *links_[i].sim; }
 
   /// Concatenated decoded uplink bits of link @p i across all rounds
   /// (empty when collect_bits is off).
   const phy::Bits& decoded_bits(std::size_t i) const {
-    return links_[i]->decoded_bits;
+    return links_[i].decoded_bits;
   }
 
   /// All links' reports merged (outcome counters add; see RunReport::merge).
   obs::RunReport merged_report() const;
 
-  /// Per-stage frame counts, busy/queue-wait times, and peak queue depths.
+  /// Per-stage frame counts, busy times and per-frame service latency.
   const obs::ServerStatsCollector& stats() const { return stats_; }
 
  private:
   struct LinkState {
     std::unique_ptr<LinkSimulator> sim;
-    std::array<UplinkFrameJob, 2> jobs;       ///< Double buffer, slot = frame&1.
-    std::array<std::atomic<bool>, 2> decode_done{};  ///< Slot decoded, awaiting
-                                                     ///< its in-order fold.
-    /// Join counter for the synth-token hand-off. Counts 1 + events fired
-    /// since the last token push; synth-done and previous-fold-done each add
-    /// one, and the event that observes the other already happened (old
-    /// value 1) subtracts both and pushes the next token. Starts at 1: the
-    /// "previous fold" of frame 0 is vacuously done.
-    std::atomic<int> ready{1};
-    std::atomic<bool> folding{false};  ///< At most one folder per link.
-    std::size_t prepared = 0;   ///< Frames prepared+synthesized this round
-                                ///< (owned by the synth-token holder).
-    std::size_t folded = 0;     ///< Frames folded this round (owned by the
-                                ///< folding-flag holder).
-    std::size_t target = 0;     ///< Frames to process this round.
     Rng payload_rng{0};
-    phy::Bits frame_bits;       ///< Payload scratch, reused per frame.
-    phy::Bits decoded_bits;     ///< Accumulated decoded bits (collect_bits).
-    std::uint64_t synth_enq_ns = 0;             ///< Telemetry stamps: queue
-    std::array<std::uint64_t, 2> enq_ns{};      ///< entry time per token/slot.
-    std::array<std::uint64_t, 2> frame_start_ns{};  ///< Synth-token enqueue
-                                ///< stamp per slot, kept until the fold so the
-                                ///< end-to-end frame latency can be recorded.
+    phy::Bits decoded_bits;  ///< Accumulated decoded bits (collect_bits).
   };
 
-  /// Futex-free parking lot for idle workers: prepare/wait with an epoch
-  /// ticket, timed 1 ms waits bound any lost wakeup.
-  class EventCount {
-   public:
-    std::uint64_t prepare();
-    void cancel();
-    void wait(std::uint64_t ticket);
-    void notify_all();
-
-   private:
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<int> waiters_{0};
-    std::mutex mu_;
-    std::condition_variable cv_;
+  /// Per-lane scratch, reused for every frame the lane runs.
+  struct Lane {
+    UplinkFrameJob job;
+    phy::Bits payload;
   };
 
-  void worker_main();
-  bool process_one();
-  void run_synthesize(std::uint32_t link);
-  void run_stage(std::size_t stage, std::uint64_t token);
-  void complete_decode(std::size_t link, std::size_t slot);
-  void try_fold(std::size_t link);
-  void fire_ready(LinkState& st, std::size_t link);
-  void push_synth_token(std::size_t link);
-  void push_stage(std::size_t stage, std::size_t link, std::size_t slot);
-  void finish_link(std::size_t link);
-  void make_payload(LinkState& st);
+  void worker_main(std::size_t lane);
+  /// Claim and run links until the round's counter is exhausted.
+  void run_lane(Lane& lane, std::size_t frames_per_link);
+  void run_link(std::size_t link, Lane& lane, std::size_t frames_per_link);
+  /// Keep @p error as the round's failure unless an earlier one is held.
+  void record_error(std::exception_ptr error);
+  /// Detach from the telemetry sink, stop and join every worker.
+  void shutdown();
 
   LinkServerConfig config_;
   phy::SlopeAlphabet alphabet_;
-  std::vector<std::unique_ptr<LinkState>> links_;
-  MpmcFrameQueue<std::uint32_t> q_synth_;  ///< Synth tokens: link ids.
-  /// Stage 1..4 input queues, tokens (link<<1)|slot. unique_ptr because the
-  /// rings are neither copyable nor movable (atomics pinned in place).
-  std::array<std::unique_ptr<MpmcFrameQueue<std::uint64_t>>, 4> q_;
+  std::vector<LinkState> links_;
+  std::vector<Lane> lanes_;  ///< lanes_[0] is the caller's.
   obs::ServerStatsCollector stats_;
-  EventCount ec_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> round_done_{true};
-  std::atomic<std::size_t> links_done_{0};
+  std::atomic<std::size_t> next_link_{0};  ///< The round's claim counter.
+  std::atomic<bool> running_{false};       ///< Reentrancy guard for run().
+
+  // Round hand-off. The caller publishes a round's frame count with the
+  // round number and waits until every worker has checked out, so no worker
+  // can still be claiming links when the next round's counter is reset.
+  std::mutex mu_;
+  std::condition_variable wake_;     ///< Workers: a new round or stop.
+  std::condition_variable done_;     ///< Caller: every worker checked out.
+  std::uint64_t round_ = 0;          ///< Guarded by mu_.
+  std::size_t frames_per_link_ = 0;  ///< Guarded by mu_.
+  std::size_t busy_workers_ = 0;     ///< Guarded by mu_.
+  bool stop_ = false;                ///< Guarded by mu_.
+  std::exception_ptr error_;         ///< First failure; guarded by mu_.
+
   std::vector<std::thread> threads_;
 };
 

@@ -7,7 +7,6 @@
 #include "common/constants.hpp"
 #include "common/units.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/kernels/kernels.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/window.hpp"
 #include "obs/sink.hpp"
@@ -103,25 +102,12 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
   // dsp/radar/tag code that has no SystemConfig), so an opted-in simulator
   // latches it on for everyone. The per-run report below stays per-instance.
   if (config_.telemetry) obs::set_enabled(true);
-  // Per-run trace path and live export latch the same way: process-wide,
-  // first export configuration wins.
-  if (!config_.trace_path.empty()) obs::set_trace_dump_path(config_.trace_path);
+  // Live export latches the same way: process-wide, first export
+  // configuration wins.
   if (config_.telemetry_export.any())
     obs::TelemetrySink::ensure_global(config_.telemetry_export);
-  // SIMD dispatch is likewise process-wide (the kernel table is a global);
-  // an explicit config override must take effect, so an unknown/unavailable
-  // name is a hard error rather than a silent fallback.
-  if (!config_.simd.empty())
-    BIS_CHECK_MSG(dsp::kernels::set_target(config_.simd),
-                  "SystemConfig::simd names an unknown or unavailable target");
   report_.config = config_key(config_);
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  fft_hits_baseline_ = fft_stats.hits;
-  fft_misses_baseline_ = fft_stats.misses;
-  const auto regrid_stats = dsp::regrid_plan_cache_stats();
-  regrid_hits_baseline_ = regrid_stats.hits;
-  regrid_misses_baseline_ = regrid_stats.misses;
-  awgn_samples_baseline_ = rf::awgn_samples_added();
+  cache_baseline_ = CacheBaseline::capture();
 
   // Scene: tag amplitude from the two-way retro link budget; clutter
   // objects at fixed positions with absolute (range-dependent) returns, so
@@ -275,13 +261,6 @@ void LinkSimulator::record_downlink(const DownlinkRunResult& result) {
   if (result.crc_ok) ++report_.crc_passes;
   report_.downlink_bits += result.bits_compared;
   report_.downlink_bit_errors += result.bit_errors;
-}
-
-std::vector<radar::IfReturn> LinkSimulator::chirp_returns(
-    double tag_amplitude_factor) const {
-  std::vector<radar::IfReturn> returns;
-  chirp_returns_into(tag_amplitude_factor, returns);
-  return returns;
 }
 
 void LinkSimulator::chirp_returns_into(double tag_amplitude_factor,
@@ -486,7 +465,6 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   // chirps repeat the previous slot as sensing filler the tag never sees.
   std::vector<rf::ChirpParams> chirps;
   std::vector<int> states;
-  std::size_t frame_start = 0;     // chirp index where the preamble begins
   std::size_t emitted_preamble = 0;
   std::size_t next_symbol = preamble;  // index into packet_slots
   std::size_t last_slot = alphabet_.header_slot();
@@ -502,7 +480,6 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
       // framing anchors on it).
       if (state == 0) {
         started = true;
-        frame_start = chirps.size();
         slot = packet_slots[emitted_preamble++];
       } else {
         slot = last_slot;  // pre-frame sensing chirp the tag won't see
@@ -518,7 +495,6 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
     chirps.push_back(alphabet_.chirp(slot));
     BIS_CHECK_MSG(chirps.size() < 100000, "integrated schedule failed to place payload");
   }
-  (void)frame_start;
 
   // --- Tag side: decode the downlink from the absorptive chirps. ---
   const auto paths = incident_paths(config_.tag_range_m);
@@ -568,22 +544,33 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   return result;
 }
 
+CacheBaseline CacheBaseline::capture() {
+  const auto fft_stats = dsp::fft_plan_cache_stats();
+  const auto regrid_stats = dsp::regrid_plan_cache_stats();
+  return {fft_stats.hits, fft_stats.misses, regrid_stats.hits,
+          regrid_stats.misses, rf::awgn_samples_added()};
+}
+
+void CacheBaseline::fill(obs::RunReport& report) const {
+  // The caches are process-wide; the delta since the owner's baseline
+  // attributes warm-up misses and steady-state hits to this run.
+  // (Concurrent engines fold each other's transforms into the delta —
+  // acceptable for a run report, exact for the common one-engine case.)
+  const auto fft_stats = dsp::fft_plan_cache_stats();
+  report.fft_plan_hits = fft_stats.hits - fft_hits;
+  report.fft_plan_misses = fft_stats.misses - fft_misses;
+  report.fft_plans = fft_stats.plans;
+  report.window_cache_entries = dsp::window_cache_size();
+  const auto regrid_stats = dsp::regrid_plan_cache_stats();
+  report.regrid_plan_hits = regrid_stats.hits - regrid_hits;
+  report.regrid_plan_misses = regrid_stats.misses - regrid_misses;
+  report.regrid_plans = regrid_stats.plans;
+  report.awgn_samples = rf::awgn_samples_added() - awgn_samples;
+}
+
 obs::RunReport LinkSimulator::report() const {
   obs::RunReport out = report_;
-  // The plan cache is process-wide; the delta since this simulator's
-  // baseline attributes warm-up misses and steady-state hits to this run.
-  // (Concurrent simulators fold each other's transforms into the delta —
-  // acceptable for a run report, exact for the common one-sim-per-run case.)
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  out.fft_plan_hits = fft_stats.hits - fft_hits_baseline_;
-  out.fft_plan_misses = fft_stats.misses - fft_misses_baseline_;
-  out.fft_plans = fft_stats.plans;
-  out.window_cache_entries = dsp::window_cache_size();
-  const auto regrid_stats = dsp::regrid_plan_cache_stats();
-  out.regrid_plan_hits = regrid_stats.hits - regrid_hits_baseline_;
-  out.regrid_plan_misses = regrid_stats.misses - regrid_misses_baseline_;
-  out.regrid_plans = regrid_stats.plans;
-  out.awgn_samples = rf::awgn_samples_added() - awgn_samples_baseline_;
+  cache_baseline_.fill(out);
   return out;
 }
 
@@ -592,13 +579,7 @@ std::string LinkSimulator::report_json() const { return report().to_json(); }
 void LinkSimulator::reset_report() {
   report_ = obs::RunReport{};
   report_.config = config_key(config_);
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  fft_hits_baseline_ = fft_stats.hits;
-  fft_misses_baseline_ = fft_stats.misses;
-  const auto regrid_stats = dsp::regrid_plan_cache_stats();
-  regrid_hits_baseline_ = regrid_stats.hits;
-  regrid_misses_baseline_ = regrid_stats.misses;
-  awgn_samples_baseline_ = rf::awgn_samples_added();
+  cache_baseline_ = CacheBaseline::capture();
 }
 
 }  // namespace bis::core

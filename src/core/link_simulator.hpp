@@ -57,10 +57,10 @@ struct IsacRunResult {
   UplinkRunResult uplink;
 };
 
-/// One uplink frame flowing through the staged pipeline. The job owns every
-/// buffer the stages touch (inputs, per-stage intermediates, result), so a
-/// frame processed with warm capacities allocates nothing — the streaming
-/// LinkServer double-buffers two jobs per link and recycles them forever.
+/// One uplink frame flowing through the stage API. The job owns every buffer
+/// the stages touch (inputs, per-stage intermediates, result), so a frame
+/// processed with warm capacities allocates nothing — a LinkServer lane
+/// reuses one job for every frame it runs.
 struct UplinkFrameJob {
   // Inputs, filled by prepare_uplink_frame.
   phy::Bits sent_bits;
@@ -84,6 +84,25 @@ struct UplinkFrameJob {
   /// (Assigning a fresh UplinkRunResult would drop the vector capacity and
   /// put an allocation back on the steady-state path.)
   void reset_result();
+};
+
+/// The process-wide DSP cache and noise counters at one instant. Every
+/// engine's report() states its cache activity as the delta since a baseline
+/// taken when the engine was built (or its report last reset), so one
+/// engine's report does not count the warm-up of the engines built before
+/// it.
+struct CacheBaseline {
+  std::uint64_t fft_hits = 0;
+  std::uint64_t fft_misses = 0;
+  std::uint64_t regrid_hits = 0;
+  std::uint64_t regrid_misses = 0;
+  std::uint64_t awgn_samples = 0;
+
+  static CacheBaseline capture();
+
+  /// Fill @p report's DSP-cache fields: hit/miss and noise-sample deltas
+  /// since this baseline, plus the caches' current sizes.
+  void fill(obs::RunReport& report) const;
 };
 
 class LinkSimulator {
@@ -120,8 +139,8 @@ class LinkSimulator {
   // → detect → decode → fold. prepare/synthesize/fold mutate per-link state
   // (tag modulator, RNG, report) and must run frame-ordered on one thread at
   // a time per link; the const stages are pure per-job maps, safe on any
-  // worker thread. Running the stages in order on one job reproduces
-  // run_uplink bit-for-bit.
+  // thread. Running the stages in order on one job reproduces run_uplink
+  // bit-for-bit.
 
   /// Queue @p bits on the tag, draw the frame's chirp schedule, and fill the
   /// job's inputs. Consumes per-link RNG exactly like run_uplink.
@@ -143,9 +162,9 @@ class LinkSimulator {
   /// SystemConfig::if_correction — regrid plans) for every chirp in the
   /// alphabet, and grow the calling thread's thread_local DSP scratch to the
   /// worst-case chirp size. One dry pure pass per alphabet slot; touches no
-  /// RNG or report state. The streaming engine calls this from each pipeline
-  /// lane so steady-state frames never miss a plan cache, which would
-  /// allocate. Safe to call concurrently.
+  /// RNG or report state. The streaming engine calls this from each lane so
+  /// steady-state frames never miss a plan cache, which would allocate. Safe
+  /// to call concurrently.
   void warm_caches() const;
 
   // ---- Analytic link quantities (benchmark axes) ----
@@ -183,7 +202,6 @@ class LinkSimulator {
 
  private:
   /// IF returns for one chirp given the tag's reflective amplitude factor.
-  std::vector<radar::IfReturn> chirp_returns(double tag_amplitude_factor) const;
   void chirp_returns_into(double tag_amplitude_factor,
                           std::vector<radar::IfReturn>& out) const;
 
@@ -221,15 +239,11 @@ class LinkSimulator {
                                        ///< regrow when CSSK draws a longer
                                        ///< chirp than a job slot has seen.
   obs::RunReport report_;                   ///< Accumulated run telemetry.
-  std::uint64_t fft_hits_baseline_ = 0;     ///< Plan-cache counts at ctor /
-  std::uint64_t fft_misses_baseline_ = 0;   ///< reset_report, for deltas.
-  std::uint64_t regrid_hits_baseline_ = 0;    ///< Regrid-plan cache deltas,
-  std::uint64_t regrid_misses_baseline_ = 0;  ///< same convention.
-  std::uint64_t awgn_samples_baseline_ = 0;   ///< rf::awgn_samples_added().
+  CacheBaseline cache_baseline_;            ///< Taken at ctor / reset_report.
 };
 
 /// Resolve a dsp_threads setting (see SystemConfig) to the pool the frame
-/// pipeline should use: nullptr for sequential, the shared hardware-sized
+/// stages should use: nullptr for sequential, the shared hardware-sized
 /// pool for 0, or a freshly owned pool for an explicit lane count.
 ThreadPool* resolve_dsp_pool(std::size_t dsp_threads,
                              std::unique_ptr<ThreadPool>& owned);

@@ -5,8 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/units.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/window.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "radar/if_synthesizer.hpp"
@@ -129,6 +127,7 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
   }
   reflect_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.insertion_loss_db);
   leak_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.isolation_db);
+  cache_baseline_ = CacheBaseline::capture();
 }
 
 void BiScatterNetwork::calibrate_all() {
@@ -285,11 +284,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
 
 obs::RunReport BiScatterNetwork::report() const {
   obs::RunReport out = report_;
-  const auto fft_stats = dsp::fft_plan_cache_stats();
-  out.fft_plan_hits = fft_stats.hits;
-  out.fft_plan_misses = fft_stats.misses;
-  out.fft_plans = fft_stats.plans;
-  out.window_cache_entries = dsp::window_cache_size();
+  cache_baseline_.fill(out);
   return out;
 }
 

@@ -119,6 +119,7 @@ class BiScatterNetwork {
   std::unique_ptr<ThreadPool> owned_pool_;  ///< When base.dsp_threads > 1.
   ThreadPool* pool_ = nullptr;              ///< Frame DSP pool (see SystemConfig).
   obs::RunReport report_;                   ///< Radar-side run telemetry.
+  CacheBaseline cache_baseline_;            ///< Taken at construction.
 
   // Shared radar-side pipeline stages, constructed once.
   radar::RangeProcessor processor_;

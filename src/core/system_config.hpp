@@ -101,23 +101,6 @@ struct SystemConfig {
                                      ///< snapshots at interval_ms cadence.
                                      ///< Implies telemetry. First configured
                                      ///< export wins (process-wide latch).
-  std::string trace_path;            ///< Chrome-trace output path for this
-                                     ///< run ("" = keep default bis_trace_
-                                     ///< <pid>.json). Latched process-wide
-                                     ///< alongside telemetry; the BIS_TRACE
-                                     ///< env var ("1" for default path, any
-                                     ///< other value = explicit path, "%p"
-                                     ///< expands to the pid) sets the same
-                                     ///< knob, so concurrent processes can
-                                     ///< write distinct trace files.
-  std::string simd;                  ///< SIMD kernel dispatch override:
-                                     ///< "scalar" (or "off"), "sse2", "avx2".
-                                     ///< Empty = keep the process-wide choice
-                                     ///< (CPU detection, or the BIS_SIMD env
-                                     ///< var). Applied process-wide when a
-                                     ///< LinkSimulator is built. All targets
-                                     ///< produce bit-identical frame output
-                                     ///< (see dsp/kernels/kernels.hpp).
 
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
                                      ///< Numeric tier for the per-frame inner

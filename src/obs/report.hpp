@@ -4,8 +4,8 @@
 /// Per-run structured telemetry: a `RunReport` accumulates link-level
 /// quantities (frames, chirps, sync/CRC/detection outcomes, bit errors,
 /// detector SNR) plus DSP-cache and per-stage-time observations, and dumps
-/// them as one JSON object keyed by the system configuration. LinkSimulator
-/// and BiScatterNetwork each own one and expose `report()` /
+/// them as one JSON object keyed by the system configuration. LinkSimulator,
+/// BiScatterNetwork and InventoryEngine each own one and expose `report()` /
 /// `report_json()`.
 ///
 /// The outcome counters are plain integers updated from the (sequential)

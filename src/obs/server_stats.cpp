@@ -21,43 +21,21 @@ const char* server_stage_name(ServerStage stage) {
   return "?";
 }
 
-double StageQueueStats::mean_busy_us() const {
+double StageStats::mean_busy_us() const {
   return frames == 0 ? 0.0
                      : static_cast<double>(busy_ns) / 1e3 /
                            static_cast<double>(frames);
 }
 
-double StageQueueStats::mean_queue_wait_us() const {
-  return frames == 0 ? 0.0
-                     : static_cast<double>(queue_wait_ns) / 1e3 /
-                           static_cast<double>(frames);
-}
-
-void ServerStatsCollector::record(ServerStage stage, std::uint64_t wait_ns,
-                                  std::uint64_t busy_ns) {
+void ServerStatsCollector::record(ServerStage stage, std::uint64_t busy_ns) {
   const auto s = static_cast<std::size_t>(stage);
   Cell& c = cells_[s];
   c.frames.fetch_add(1, std::memory_order_relaxed);
-  if (wait_ns != 0) c.queue_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-  if (busy_ns != 0) c.busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
-  // With telemetry off the stamps are zero and record() is a relaxed load +
-  // branch; recording the zeros would only pollute the distribution.
+  // With telemetry off the stamps are zero; recording the zeros would only
+  // pollute the distribution.
   if (busy_ns != 0) {
-    wait_ns_[s].record(wait_ns);
+    c.busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
     busy_ns_[s].record(busy_ns);
-  }
-}
-
-void ServerStatsCollector::add_backpressure(ServerStage stage) {
-  cells_[static_cast<std::size_t>(stage)].backpressure.fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-void ServerStatsCollector::observe_depth(ServerStage stage, std::uint64_t depth) {
-  auto& peak = cells_[static_cast<std::size_t>(stage)].max_depth;
-  std::uint64_t cur = peak.load(std::memory_order_relaxed);
-  while (depth > cur &&
-         !peak.compare_exchange_weak(cur, depth, std::memory_order_relaxed)) {
   }
 }
 
@@ -69,14 +47,11 @@ std::uint64_t ServerStatsCollector::now_ns() {
           .count());
 }
 
-StageQueueStats ServerStatsCollector::snapshot(ServerStage stage) const {
+StageStats ServerStatsCollector::snapshot(ServerStage stage) const {
   const Cell& c = cells_[static_cast<std::size_t>(stage)];
-  StageQueueStats out;
+  StageStats out;
   out.frames = c.frames.load(std::memory_order_relaxed);
   out.busy_ns = c.busy_ns.load(std::memory_order_relaxed);
-  out.queue_wait_ns = c.queue_wait_ns.load(std::memory_order_relaxed);
-  out.max_depth = c.max_depth.load(std::memory_order_relaxed);
-  out.backpressure = c.backpressure.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -84,11 +59,7 @@ void ServerStatsCollector::reset() {
   for (Cell& c : cells_) {
     c.frames.store(0, std::memory_order_relaxed);
     c.busy_ns.store(0, std::memory_order_relaxed);
-    c.queue_wait_ns.store(0, std::memory_order_relaxed);
-    c.max_depth.store(0, std::memory_order_relaxed);
-    c.backpressure.store(0, std::memory_order_relaxed);
   }
-  for (auto& h : wait_ns_) h.reset();
   for (auto& h : busy_ns_) h.reset();
   e2e_ns_.reset();
 }
@@ -110,16 +81,11 @@ void ServerStatsCollector::write_json(std::ostream& os) const {
   os << "{";
   for (std::size_t i = 0; i < kServerStages; ++i) {
     const auto stage = static_cast<ServerStage>(i);
-    const StageQueueStats s = snapshot(stage);
+    const StageStats s = snapshot(stage);
     if (i != 0) os << ", ";
     os << "\"" << server_stage_name(stage) << "\": {\"frames\": " << s.frames
-       << ", \"busy_ns\": " << s.busy_ns
-       << ", \"queue_wait_ns\": " << s.queue_wait_ns
-       << ", \"max_depth\": " << s.max_depth
-       << ", \"backpressure\": " << s.backpressure << ", \"busy_us\": ";
+       << ", \"busy_ns\": " << s.busy_ns << ", \"busy_us\": ";
     write_us_quantiles(os, busy_ns_[i]);
-    os << ", \"wait_us\": ";
-    write_us_quantiles(os, wait_ns_[i]);
     os << "}";
   }
   os << ", \"e2e_us\": ";
@@ -133,16 +99,6 @@ void ServerStatsCollector::write_prometheus(std::ostream& os) const {
     os << "bis_server_stage_frames{stage=\""
        << server_stage_name(static_cast<ServerStage>(i)) << "\"} "
        << snapshot(static_cast<ServerStage>(i)).frames << "\n";
-  os << "# TYPE bis_server_stage_max_depth gauge\n";
-  for (std::size_t i = 0; i < kServerStages; ++i)
-    os << "bis_server_stage_max_depth{stage=\""
-       << server_stage_name(static_cast<ServerStage>(i)) << "\"} "
-       << snapshot(static_cast<ServerStage>(i)).max_depth << "\n";
-  os << "# TYPE bis_server_stage_backpressure counter\n";
-  for (std::size_t i = 0; i < kServerStages; ++i)
-    os << "bis_server_stage_backpressure{stage=\""
-       << server_stage_name(static_cast<ServerStage>(i)) << "\"} "
-       << snapshot(static_cast<ServerStage>(i)).backpressure << "\n";
   const auto summary = [&os](const char* metric, const char* stage,
                              const LatencyHistogram& h) {
     static constexpr std::pair<const char*, double> kQ[] = {
@@ -162,10 +118,6 @@ void ServerStatsCollector::write_prometheus(std::ostream& os) const {
   for (std::size_t i = 0; i < kServerStages; ++i)
     summary("bis_server_stage_busy_us",
             server_stage_name(static_cast<ServerStage>(i)), busy_ns_[i]);
-  os << "# TYPE bis_server_stage_wait_us summary\n";
-  for (std::size_t i = 0; i < kServerStages; ++i)
-    summary("bis_server_stage_wait_us",
-            server_stage_name(static_cast<ServerStage>(i)), wait_ns_[i]);
   os << "# TYPE bis_server_e2e_us summary\n";
   summary("bis_server_e2e_us", nullptr, e2e_ns_);
 }

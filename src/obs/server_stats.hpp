@@ -2,14 +2,14 @@
 
 /// @file server_stats.hpp
 /// Per-stage telemetry for the streaming LinkServer (core/link_server.hpp).
-/// Workers from many threads stamp each frame's queue wait and stage busy
-/// time into relaxed atomics; the collector snapshots them into a plain
-/// struct for reports and BENCH_server.json.
+/// Lanes on many threads stamp each frame's stage busy times into relaxed
+/// atomics; the collector snapshots them into a plain struct for reports
+/// and BENCH_server.json.
 ///
-/// Cost model mirrors obs::StageTimer: frame counts and queue depths are
-/// always on (one relaxed RMW each); the nanosecond clock stamps only run
-/// while obs::enabled() — with telemetry off a stage record is two relaxed
-/// fetch_adds and no clock reads.
+/// Cost model mirrors obs::StageTimer: frame counts are always on (one
+/// relaxed RMW each); the nanosecond clock stamps only run while
+/// obs::enabled() — with telemetry off a stage record is one relaxed
+/// fetch_add and no clock reads.
 
 #include <array>
 #include <atomic>
@@ -21,7 +21,7 @@
 
 namespace bis::obs {
 
-/// The streaming pipeline's stages, in flow order. Kept in obs (not core) so
+/// The server's per-frame stages, in flow order. Kept in obs (not core) so
 /// report tooling needs no dependency on the engine.
 enum class ServerStage : std::size_t {
   kSynthesize = 0,
@@ -34,49 +34,35 @@ inline constexpr std::size_t kServerStages = 5;
 const char* server_stage_name(ServerStage stage);
 
 /// Snapshot of one stage's accumulated activity.
-struct StageQueueStats {
-  std::uint64_t frames = 0;         ///< Jobs this stage completed.
-  std::uint64_t busy_ns = 0;        ///< Total time spent executing the stage.
-  std::uint64_t queue_wait_ns = 0;  ///< Total time jobs sat queued before it.
-  std::uint64_t max_depth = 0;      ///< Peak observed queue depth.
-  std::uint64_t backpressure = 0;   ///< try_push calls that found the stage's
-                                    ///< input ring full.
+struct StageStats {
+  std::uint64_t frames = 0;   ///< Frames this stage completed.
+  std::uint64_t busy_ns = 0;  ///< Total time spent executing the stage.
 
   double mean_busy_us() const;
-  double mean_queue_wait_us() const;
 };
 
-/// Lock-free accumulator shared by every worker of one LinkServer run.
-/// Besides the always-on totals, every record feeds fixed-memory log-bucket
-/// latency histograms (queue-wait and service time per stage, plus
-/// end-to-end frame latency), so a live exporter can publish
-/// p50/p90/p99/p99.9 without sampling bias. Histogram recording shares the
-/// obs::enabled() gate — telemetry off keeps the two-fetch_add cost.
+/// Lock-free accumulator shared by every lane of one LinkServer. Besides the
+/// always-on totals, every record feeds fixed-memory log-bucket latency
+/// histograms (service time per stage, plus per-frame service time from
+/// prepare to fold), so a live exporter can publish p50/p90/p99/p99.9
+/// without sampling bias. Histogram recording shares the obs::enabled()
+/// gate — telemetry off keeps the one-fetch_add cost.
 class ServerStatsCollector {
  public:
-  /// Record one completed job: @p wait_ns queued + @p busy_ns executing.
-  /// Pass zeros when telemetry is disabled (the frame still counts).
-  void record(ServerStage stage, std::uint64_t wait_ns, std::uint64_t busy_ns);
+  /// Record one frame's pass through @p stage, @p busy_ns executing. Pass 0
+  /// when telemetry is disabled (the frame still counts).
+  void record(ServerStage stage, std::uint64_t busy_ns);
 
-  /// Record one frame's end-to-end latency: synth-token enqueue → fold done.
+  /// Record one frame's service time: prepare start → fold done.
   void record_e2e(std::uint64_t ns) { e2e_ns_.record(ns); }
-
-  /// Fold an observed depth of @p stage's input queue into the peak.
-  void observe_depth(ServerStage stage, std::uint64_t depth);
-
-  /// Count one failed push into @p stage's input ring (backpressure).
-  void add_backpressure(ServerStage stage);
 
   /// Monotonic nanosecond stamp, or 0 when telemetry is disabled — feed the
   /// difference of two stamps straight to record().
   static std::uint64_t now_ns();
 
-  StageQueueStats snapshot(ServerStage stage) const;
+  StageStats snapshot(ServerStage stage) const;
 
   /// Latency distributions (nanosecond samples; empty with telemetry off).
-  const LatencyHistogram& wait_latency(ServerStage stage) const {
-    return wait_ns_[static_cast<std::size_t>(stage)];
-  }
   const LatencyHistogram& busy_latency(ServerStage stage) const {
     return busy_ns_[static_cast<std::size_t>(stage)];
   }
@@ -84,7 +70,7 @@ class ServerStatsCollector {
 
   void reset();
 
-  /// One JSON object: {"synthesize": {…, "busy_us": {quantiles}, "wait_us":
+  /// One JSON object: {"synthesize": {"frames": …, "busy_ns": …, "busy_us":
   /// {quantiles}}, …, "e2e_us": {quantiles}}.
   void write_json(std::ostream& os) const;
   std::string to_json() const;
@@ -96,12 +82,8 @@ class ServerStatsCollector {
   struct Cell {
     std::atomic<std::uint64_t> frames{0};
     std::atomic<std::uint64_t> busy_ns{0};
-    std::atomic<std::uint64_t> queue_wait_ns{0};
-    std::atomic<std::uint64_t> max_depth{0};
-    std::atomic<std::uint64_t> backpressure{0};
   };
   std::array<Cell, kServerStages> cells_;
-  std::array<LatencyHistogram, kServerStages> wait_ns_;
   std::array<LatencyHistogram, kServerStages> busy_ns_;
   LatencyHistogram e2e_ns_;
 };

@@ -43,8 +43,7 @@ const std::string& trace_env_path();
 /// Configure (or override) the Chrome-trace dump path for this process and
 /// enable telemetry. `%p` in @p path expands to the pid, so concurrent
 /// processes sharing a command line write distinct files. The same expansion
-/// applies to a path given via BIS_TRACE. Called by LinkSimulator when
-/// `SystemConfig::trace_path` is set; an empty path is a no-op (it never
+/// applies to a path given via BIS_TRACE. An empty path is a no-op (it never
 /// clears an already-configured dump).
 void set_trace_dump_path(std::string_view path);
 

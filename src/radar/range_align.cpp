@@ -22,14 +22,6 @@ void AlignedProfiles::column_magnitude(std::size_t bin, std::span<double> out) c
   for (std::size_t m = 0; m < rows.size(); ++m) out[m] = std::abs(rows[m][bin]);
 }
 
-void AlignedProfiles::column_magnitude_f32(std::size_t bin,
-                                           std::span<float> out) const {
-  BIS_CHECK(bin < n_bins());
-  BIS_CHECK(out.size() == rows.size());
-  for (std::size_t m = 0; m < rows.size(); ++m)
-    out[m] = std::sqrt(static_cast<float>(std::norm(rows[m][bin])));
-}
-
 void AlignedProfiles::column_magnitude(std::size_t bin, std::size_t first,
                                        std::size_t count,
                                        std::span<double> out) const {

@@ -35,18 +35,16 @@ struct AlignedProfiles {
   /// the allocating form would churn in the hot path.
   void column_magnitude(std::size_t bin, std::span<double> out) const;
 
-  /// float32_fast tier variant: |·| via norm + float sqrt instead of the
-  /// overflow-safe double hypot — the detector's per-bin column walk is one
-  /// of its hottest loops and profile magnitudes are far from float range
-  /// limits. Tolerance-validated, never bit-compared.
-  void column_magnitude_f32(std::size_t bin, std::span<float> out) const;
-
   /// Windowed overloads: magnitudes of chirps [first, first+count) only
   /// (out.size() == count). |·| is per-element, so the values are identical
   /// to slicing the full-column read — but a batched multi-slot frame only
   /// pays for the slot's own window instead of the whole slow-time column.
   void column_magnitude(std::size_t bin, std::size_t first, std::size_t count,
                         std::span<double> out) const;
+  /// float32_fast tier variant: |·| via norm + float sqrt instead of the
+  /// overflow-safe double hypot — the detector's per-bin column walk is one
+  /// of its hottest loops and profile magnitudes are far from float range
+  /// limits. Tolerance-validated, never bit-compared.
   void column_magnitude_f32(std::size_t bin, std::size_t first,
                             std::size_t count, std::span<float> out) const;
 

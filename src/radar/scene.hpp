@@ -36,10 +36,6 @@ struct Scene {
     double phase_rad;
   };
   static const std::vector<ClutterSpec>& office_clutter_layout();
-
-  /// Legacy helper: clutter scaled relative to the tag return.
-  static Scene with_office_clutter(double tag_range_m, double tag_amplitude_v,
-                                   double clutter_to_tag_db = 10.0);
 };
 
 }  // namespace bis::radar

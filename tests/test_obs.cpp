@@ -1,8 +1,9 @@
 // The bis::obs observability subsystem: metric registry math, trace-span
 // nesting and Chrome-trace export, counter correctness under concurrent
-// parallel_for updates, and the LinkSimulator run report produced by one
-// telemetry-enabled integrated frame. Every test restores the process-wide
-// telemetry switch so the rest of the suite is unaffected.
+// parallel_for updates, the LinkSimulator run report produced by one
+// telemetry-enabled integrated frame, and the cache deltas every engine's
+// report counts from its own construction. Every test restores the
+// process-wide telemetry switch so the rest of the suite is unaffected.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
+#include "core/inventory.hpp"
 #include "core/link_simulator.hpp"
 #include "obs/obs.hpp"
 #include "phy/bits.hpp"
@@ -305,6 +307,42 @@ TEST_F(ObsTest, IntegratedFrameProducesTraceAndRunReport) {
   const RunReport cleared = sim.report();
   EXPECT_EQ(cleared.integrated_frames, 0u);
   EXPECT_EQ(cleared.fft_plan_hits, 0u);
+}
+
+TEST_F(ObsTest, EngineReportsCountCacheActivitySinceConstruction) {
+  // A simulator warms the process-wide caches first; engines built after it
+  // must report only their own activity, as LinkSimulator::report() does.
+  core::SystemConfig cfg;
+  cfg.seed = 5;
+  cfg.dsp_threads = 1;
+  core::LinkSimulator sim(cfg);
+  sim.run_uplink({1, 0, 1, 1}, /*downlink_active=*/true);
+  const RunReport warm = sim.report();
+  ASSERT_GT(warm.fft_plan_hits + warm.fft_plan_misses, 0u);
+  ASSERT_GT(warm.awgn_samples, 0u);
+
+  const auto expect_fresh = [](const RunReport& r, const char* engine) {
+    EXPECT_EQ(r.fft_plan_hits, 0u) << engine;
+    EXPECT_EQ(r.fft_plan_misses, 0u) << engine;
+    EXPECT_EQ(r.regrid_plan_hits, 0u) << engine;
+    EXPECT_EQ(r.regrid_plan_misses, 0u) << engine;
+    EXPECT_EQ(r.awgn_samples, 0u) << engine;
+  };
+  core::NetworkConfig net;
+  net.base = cfg;
+  const auto freqs = core::assign_mod_frequencies(2, cfg.radar.chirp_period_s);
+  net.tags = {{0x01, 1.8, freqs[0]}, {0x02, 3.6, freqs[1]}};
+  const core::BiScatterNetwork network(net);
+  expect_fresh(network.report(), "network");
+
+  core::InventoryConfig inv;
+  inv.q_initial = 3;
+  core::InventoryEngine inventory(core::make_inventory_population(4, cfg), inv);
+  expect_fresh(inventory.report(), "inventory");
+  inventory.run_round();
+  EXPECT_GT(inventory.report().fft_plan_hits, 0u);
+  inventory.reset();
+  expect_fresh(inventory.report(), "inventory after reset()");
 }
 
 TEST_F(ObsTest, JsonEscapeHandlesSpecials) {

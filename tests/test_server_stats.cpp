@@ -1,7 +1,7 @@
-// obs::ServerStatsCollector: per-stage accumulation, backpressure counting,
-// end-to-end latency histograms, snapshot/reset semantics, both export
-// formats, and lock-free recording from concurrent producer threads (this
-// suite is in the TSan matrix).
+// obs::ServerStatsCollector: per-stage accumulation, per-frame service-time
+// histograms, snapshot/reset semantics, both export formats, and lock-free
+// recording from concurrent producer threads (this suite is in the TSan
+// matrix).
 
 #include <gtest/gtest.h>
 
@@ -32,18 +32,16 @@ class ServerStatsTest : public ::testing::Test {
 
 TEST_F(ServerStatsTest, RecordAccumulatesPerStage) {
   ServerStatsCollector c;
-  c.record(ServerStage::kRangeFft, /*wait_ns=*/100, /*busy_ns=*/1000);
-  c.record(ServerStage::kRangeFft, /*wait_ns=*/300, /*busy_ns=*/3000);
-  c.record(ServerStage::kDecode, /*wait_ns=*/10, /*busy_ns=*/20);
+  c.record(ServerStage::kRangeFft, /*busy_ns=*/1000);
+  c.record(ServerStage::kRangeFft, /*busy_ns=*/3000);
+  c.record(ServerStage::kDecode, /*busy_ns=*/20);
 
-  const StageQueueStats fft = c.snapshot(ServerStage::kRangeFft);
+  const StageStats fft = c.snapshot(ServerStage::kRangeFft);
   EXPECT_EQ(fft.frames, 2u);
-  EXPECT_EQ(fft.queue_wait_ns, 400u);
   EXPECT_EQ(fft.busy_ns, 4000u);
   EXPECT_DOUBLE_EQ(fft.mean_busy_us(), 2.0);
-  EXPECT_DOUBLE_EQ(fft.mean_queue_wait_us(), 0.2);
 
-  const StageQueueStats decode = c.snapshot(ServerStage::kDecode);
+  const StageStats decode = c.snapshot(ServerStage::kDecode);
   EXPECT_EQ(decode.frames, 1u);
   EXPECT_EQ(c.snapshot(ServerStage::kSynthesize).frames, 0u);
 }
@@ -51,11 +49,9 @@ TEST_F(ServerStatsTest, RecordAccumulatesPerStage) {
 TEST_F(ServerStatsTest, RecordFeedsLatencyHistograms) {
   ServerStatsCollector c;
   for (int i = 0; i < 100; ++i)
-    c.record(ServerStage::kDetect, /*wait_ns=*/500, /*busy_ns=*/2000);
+    c.record(ServerStage::kDetect, /*busy_ns=*/2000);
   const LatencyHistogram& busy = c.busy_latency(ServerStage::kDetect);
-  const LatencyHistogram& wait = c.wait_latency(ServerStage::kDetect);
   EXPECT_EQ(busy.count(), 100u);
-  EXPECT_EQ(wait.count(), 100u);
   // The estimate interpolates inside the log bucket holding 2000 ns, so it
   // can sit up to one bucket width (<= 25%) on either side.
   EXPECT_GE(busy.p50(), 2000.0 / 1.25 - 1.0);
@@ -66,44 +62,27 @@ TEST_F(ServerStatsTest, TelemetryOffStampsDoNotPolluteHistograms) {
   ServerStatsCollector c;
   // The server passes zero stamps when telemetry is off; the frame still
   // counts, but zeros must not enter the latency distribution.
-  c.record(ServerStage::kDetect, 0, 0);
+  c.record(ServerStage::kDetect, 0);
   EXPECT_EQ(c.snapshot(ServerStage::kDetect).frames, 1u);
   EXPECT_EQ(c.busy_latency(ServerStage::kDetect).count(), 0u);
 }
 
-TEST_F(ServerStatsTest, BackpressureAndE2e) {
+TEST_F(ServerStatsTest, E2eRecordsFrameServiceTime) {
   ServerStatsCollector c;
-  c.add_backpressure(ServerStage::kSynthesize);
-  c.add_backpressure(ServerStage::kSynthesize);
-  EXPECT_EQ(c.snapshot(ServerStage::kSynthesize).backpressure, 2u);
-  EXPECT_EQ(c.snapshot(ServerStage::kDecode).backpressure, 0u);
-
   c.record_e2e(1'000'000);
   c.record_e2e(2'000'000);
   EXPECT_EQ(c.e2e_latency().count(), 2u);
   EXPECT_DOUBLE_EQ(c.e2e_latency().mean(), 1.5e6);
 }
 
-TEST_F(ServerStatsTest, ObserveDepthKeepsPeak) {
-  ServerStatsCollector c;
-  c.observe_depth(ServerStage::kIfCorrect, 3);
-  c.observe_depth(ServerStage::kIfCorrect, 7);
-  c.observe_depth(ServerStage::kIfCorrect, 5);
-  EXPECT_EQ(c.snapshot(ServerStage::kIfCorrect).max_depth, 7u);
-}
-
 TEST_F(ServerStatsTest, ResetClearsEverything) {
   ServerStatsCollector c;
-  c.record(ServerStage::kDecode, 10, 20);
-  c.add_backpressure(ServerStage::kDecode);
-  c.observe_depth(ServerStage::kDecode, 4);
+  c.record(ServerStage::kDecode, 20);
   c.record_e2e(99);
   c.reset();
-  const StageQueueStats s = c.snapshot(ServerStage::kDecode);
+  const StageStats s = c.snapshot(ServerStage::kDecode);
   EXPECT_EQ(s.frames, 0u);
   EXPECT_EQ(s.busy_ns, 0u);
-  EXPECT_EQ(s.backpressure, 0u);
-  EXPECT_EQ(s.max_depth, 0u);
   EXPECT_EQ(c.e2e_latency().count(), 0u);
   EXPECT_EQ(c.busy_latency(ServerStage::kDecode).count(), 0u);
 }
@@ -111,7 +90,7 @@ TEST_F(ServerStatsTest, ResetClearsEverything) {
 TEST_F(ServerStatsTest, WriteJsonParsesAndCarriesQuantiles) {
   ServerStatsCollector c;
   for (int i = 0; i < 10; ++i)
-    c.record(ServerStage::kSynthesize, 1000, 5000);
+    c.record(ServerStage::kSynthesize, 5000);
   c.record_e2e(123456);
   const auto doc = json_parse(c.to_json());
   ASSERT_TRUE(doc.ok()) << doc.error;
@@ -131,7 +110,7 @@ TEST_F(ServerStatsTest, WriteJsonParsesAndCarriesQuantiles) {
 
 TEST_F(ServerStatsTest, WritePrometheusHasStageAndQuantileLabels) {
   ServerStatsCollector c;
-  c.record(ServerStage::kDetect, 100, 900);
+  c.record(ServerStage::kDetect, 900);
   c.record_e2e(5000);
   std::ostringstream oss;
   c.write_prometheus(oss);
@@ -154,23 +133,17 @@ TEST_F(ServerStatsTest, ConcurrentProducersLoseNothing) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&c] {
       for (int i = 0; i < kPerThread; ++i) {
-        c.record(ServerStage::kRangeFft, 10, 100);
-        c.add_backpressure(ServerStage::kDecode);
+        c.record(ServerStage::kRangeFft, 100);
         c.record_e2e(1000);
-        c.observe_depth(ServerStage::kRangeFft,
-                        static_cast<std::uint64_t>(i % 16));
       }
     });
   }
   for (auto& th : threads) th.join();
-  const StageQueueStats fft = c.snapshot(ServerStage::kRangeFft);
+  const StageStats fft = c.snapshot(ServerStage::kRangeFft);
   EXPECT_EQ(fft.frames, static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(fft.busy_ns, static_cast<std::uint64_t>(kThreads) * kPerThread * 100);
-  EXPECT_EQ(c.snapshot(ServerStage::kDecode).backpressure,
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(c.e2e_latency().count(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(fft.max_depth, 15u);
 }
 
 }  // namespace

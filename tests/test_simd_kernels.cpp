@@ -496,14 +496,4 @@ TEST_F(SimdKernels, TagScoreBankFloatTierWithinToleranceOfFloatScalar) {
   }
 }
 
-TEST_F(SimdKernels, SystemConfigSimdFieldAppliesOverride) {
-  const SimdTarget saved = active_target();
-  core::SystemConfig cfg;
-  cfg.simd = "scalar";
-  cfg.dsp_threads = 1;
-  core::LinkSimulator sim(cfg);
-  EXPECT_EQ(active_target(), SimdTarget::kScalar);
-  set_target(saved);
-}
-
 }  // namespace bis::dsp::kernels

@@ -116,7 +116,7 @@ TEST_F(TelemetrySinkTest, AttachedCollectorAppearsInBothFormats) {
   ServerStatsCollector stats;
   sink.attach_server_stats(&stats);
   for (int i = 0; i < 5; ++i)
-    stats.record(ServerStage::kSynthesize, 2000, 8000);
+    stats.record(ServerStage::kSynthesize, 8000);
   stats.record_e2e(50000);
   sink.sample_now();
 
