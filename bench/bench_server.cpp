@@ -7,9 +7,9 @@
 ///      frames execute without a single call to operator new (asserted via a
 ///      global allocation-counting hook in this TU);
 ///   3. throughput rows — frames/sec for 64/256/1024 links at several worker
-///      counts, plus a telemetry section with per-stage busy-time and
-///      per-frame service-time quantiles. Rows that
-///      oversubscribe the host (workers > hardware threads) are flagged
+///      counts, plus a telemetry section with each stage's frame count and
+///      latency quantiles from the `bis.stage.<stage>_ns` histograms. Rows
+///      that oversubscribe the host (workers > hardware threads) are flagged
 ///      "valid": false and excluded from the headline speedup, following the
 ///      BENCH_sweep.json convention.
 /// Exits nonzero on any determinism or allocation failure so CI asserts
@@ -34,6 +34,8 @@
 #include "common/json.hpp"
 #include "core/link_server.hpp"
 #include "dsp/resample.hpp"
+#include "obs/latency_histogram.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -82,7 +84,6 @@ using Clock = std::chrono::steady_clock;
 /// gates) — the acceptance check that export works under real server load.
 constexpr const char* kSmokeJsonl = "bench_server_metrics.jsonl";
 constexpr const char* kSmokeProm = "bench_server_metrics.prom";
-bool g_smoke_export = false;
 
 /// Light OOK link: 2 bits/frame → 32 chirps/frame. Small enough to run 1024
 /// links per row, heavy enough that every stage does real DSP.
@@ -96,11 +97,6 @@ core::LinkServerConfig server_config(std::size_t links, std::size_t workers) {
   cfg.n_links = links;
   cfg.workers = workers;
   cfg.bits_per_frame = 2;
-  if (g_smoke_export) {
-    cfg.base.telemetry_export.jsonl_path = kSmokeJsonl;
-    cfg.base.telemetry_export.prom_path = kSmokeProm;
-    cfg.base.telemetry_export.interval_ms = 100;
-  }
   return cfg;
 }
 
@@ -240,10 +236,33 @@ Row measure_row(std::size_t links, std::size_t workers,
   return row;
 }
 
+/// {"<stage>": {"count": …, "p50_us": …, "p90_us": …, "p99_us": …,
+/// "p999_us": …}, …} for every stage with samples in its histogram.
+std::string stage_stats_json() {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  for (std::size_t i = 0; i < obs::kStageCount; ++i) {
+    const auto stage = static_cast<obs::Stage>(i);
+    const obs::LatencyHistogram& h = obs::stage_latency(stage);
+    if (h.count() == 0) continue;
+    w.key(obs::stage_name(stage)).begin_object();
+    w.key("count").value(h.count());
+    w.key("p50_us").value(h.p50() / 1e3);
+    w.key("p90_us").value(h.p90() / 1e3);
+    w.key("p99_us").value(h.p99() / 1e3);
+    w.key("p999_us").value(h.p999() / 1e3);
+    w.end_object();
+  }
+  w.end_object();
+  return out;
+}
+
 /// Telemetry cost + latency-quantile section: one fixed row measured with
-/// the obs switch off, then on. The on-run's per-stage busy and per-frame
-/// service-time distributions go into the report; the off/on ratio documents
-/// that the one-relaxed-load-when-off contract holds at server scale.
+/// the obs switch off, then on. The on-run's stage distributions (the
+/// registry is reset first, so they hold that run only) go into the report;
+/// the off/on ratio documents that the one-relaxed-load-when-off contract
+/// holds at server scale.
 std::string measure_telemetry_section(const phy::SlopeAlphabet& alphabet) {
   constexpr std::size_t kLinks = 64, kWorkers = 1, kFrames = 4;
   const bool was_enabled = obs::enabled();
@@ -263,13 +282,13 @@ std::string measure_telemetry_section(const phy::SlopeAlphabet& alphabet) {
     seconds_off = run_once(server);
   }
   obs::set_enabled(true);
+  obs::Registry::instance().reset();
   double seconds_on = 0.0;
-  std::string stats_json;
   {
     core::LinkServer server(cfg, alphabet);
     seconds_on = run_once(server);
-    stats_json = server.stats().to_json();
   }
+  const std::string stats_json = stage_stats_json();
   obs::set_enabled(was_enabled);
 
   const double overhead = seconds_on / seconds_off - 1.0;
@@ -352,8 +371,8 @@ bool write_bench_json(const std::string& path) {
 // Smoke-mode telemetry export validation.
 
 /// Every JSONL line must parse as one JSON object, and at least one must
-/// carry server-stage stats with non-empty latency distributions; the
-/// Prometheus snapshot must expose the per-stage quantile summaries.
+/// carry a non-empty stage latency histogram; the Prometheus snapshot must
+/// expose the per-stage quantile summaries.
 bool validate_telemetry_export() {
   std::ifstream in(kSmokeJsonl);
   if (!in) {
@@ -372,22 +391,16 @@ bool validate_telemetry_export() {
                    lines, doc.error.c_str());
       return false;
     }
-    if (doc.value.find("metrics") == nullptr) {
+    const JsonValue* metrics = doc.value.find("metrics");
+    if (metrics == nullptr) {
       std::fprintf(stderr, "telemetry export: line %zu lacks \"metrics\"\n",
                    lines);
       return false;
     }
-    const JsonValue* server = doc.value.find("server");
-    if (server != nullptr && server->is_array() && !server->as_array().empty()) {
-      const JsonValue& stats = server->as_array().front();
-      const JsonValue* synth = stats.find("synthesize");
-      if (synth != nullptr) {
-        const JsonValue* busy = synth->find("busy_us");
-        if (busy != nullptr && busy->number_or("count", 0.0) > 0.0 &&
-            busy->number_or("p50", -1.0) >= 0.0)
-          saw_stage_quantiles = true;
-      }
-    }
+    const JsonValue* synth = metrics->find("bis.stage.if_synthesis_ns");
+    if (synth != nullptr && synth->number_or("count", 0.0) > 0.0 &&
+        synth->number_or("p50", -1.0) >= 0.0)
+      saw_stage_quantiles = true;
   }
   if (lines == 0) {
     std::fprintf(stderr, "telemetry export: %s is empty\n", kSmokeJsonl);
@@ -405,10 +418,9 @@ bool validate_telemetry_export() {
   }
   std::string prom((std::istreambuf_iterator<char>(prom_in)),
                    std::istreambuf_iterator<char>());
-  for (const char* needle :
-       {"# TYPE bis_server_stage_busy_us summary",
-        "bis_server_stage_busy_us{stage=\"synthesize\",quantile=\"0.5\"}",
-        "bis_server_e2e_us_count"}) {
+  for (const char* needle : {"# TYPE bis_stage_if_synthesis_ns summary",
+                             "bis_stage_detect_ns{quantile=\"0.5\"}",
+                             "bis_stage_uplink_frame_ns_count"}) {
     if (prom.find(needle) == std::string::npos) {
       std::fprintf(stderr, "telemetry export: %s lacks '%s'\n", kSmokeProm,
                    needle);
@@ -445,16 +457,16 @@ int main(int argc, char** argv) {
     // determinism diff vs the sequential reference (streaming JSONL +
     // Prometheus snapshots the whole time), the steady-state allocation
     // assert with telemetry still enabled, then export validation.
-    g_smoke_export = true;
+    obs::TelemetrySinkOptions exporter;
+    exporter.jsonl_path = kSmokeJsonl;
+    exporter.prom_path = kSmokeProm;
+    exporter.interval_ms = 100;
+    obs::TelemetrySink* sink = obs::TelemetrySink::ensure_global(exporter);
     const bool deterministic = check_determinism(/*links=*/64, /*frames=*/2);
-    {
-      // Final sample must carry server stats: stop the sink while a server
-      // is still attached (the sink also must be quiescent before the
-      // zero-alloc gate — its sampler thread allocates by design).
-      core::LinkServer server(server_config(/*links=*/8, /*workers=*/2));
-      server.run(2);
-      if (auto* sink = obs::TelemetrySink::global()) sink->stop();
-    }
+    // The final sample carries the determinism runs' stage histograms; the
+    // sink must also be quiescent before the zero-alloc gate (its sampler
+    // thread allocates by design).
+    sink->stop();
     std::uint64_t steady_allocs = 0;
     const bool alloc_free = check_zero_alloc(steady_allocs);
     const bool export_ok = validate_telemetry_export();

@@ -4,7 +4,8 @@
 /// each lane claims a whole link and runs its frames through every stage
 /// (synthesize → range FFT → IF-correct → detect → decode) before claiming
 /// the next. Per-link reports stream out of on_link_done as each link
-/// finishes its round, and the footer prints each stage's mean busy time.
+/// finishes its round, and the footer prints each stage's frame count and
+/// mean time from the process-wide `bis.stage.<stage>_ns` histograms.
 /// The engine's determinism contract is checked at the end: decoded bits
 /// and outcome counters must be bit-identical to advancing the same links
 /// one frame at a time on a single thread.
@@ -12,9 +13,12 @@
 #include <cstdio>
 
 #include "core/link_server.hpp"
+#include "obs/latency_histogram.hpp"
+#include "obs/telemetry.hpp"
 
 int main() {
   using namespace bis;
+  obs::set_enabled(true);  // time the stages for the footer
 
   core::LinkServerConfig cfg;
   cfg.base.seed = 7;
@@ -22,7 +26,6 @@ int main() {
   cfg.base.tag.node.uplink.scheme = phy::UplinkScheme::kOok;
   cfg.base.tag.node.uplink.mod_frequencies_hz = {2000.0};
   cfg.base.tag.node.uplink.chirps_per_symbol = 16;
-  cfg.base.telemetry = true;  // stamp stage busy times for the footer
   cfg.n_links = 8;
   cfg.workers = 2;  // the calling thread is one of the two lanes
   cfg.bits_per_frame = 2;
@@ -48,12 +51,13 @@ int main() {
   server.run(frames);
 
   std::printf("\nper-stage stats:\n");
-  for (std::size_t s = 0; s < obs::kServerStages; ++s) {
-    const auto stage = static_cast<obs::ServerStage>(s);
-    const obs::StageStats st = server.stats().snapshot(stage);
-    std::printf("  %-10s %4llu frames  mean busy %8.1f us\n",
-                obs::server_stage_name(stage),
-                static_cast<unsigned long long>(st.frames), st.mean_busy_us());
+  for (const obs::Stage stage :
+       {obs::Stage::kIfSynthesis, obs::Stage::kRangeFft,
+        obs::Stage::kIfCorrection, obs::Stage::kDetect,
+        obs::Stage::kUplinkDecode, obs::Stage::kUplinkFrame}) {
+    const obs::LatencyHistogram& h = obs::stage_latency(stage);
+    std::printf("  %-13s %4llu frames  mean %8.1f us\n", obs::stage_name(stage),
+                static_cast<unsigned long long>(h.count()), h.mean() / 1e3);
   }
 
   // Determinism contract: the server reproduces the sequential reference

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <memory>
 
@@ -12,13 +11,6 @@
 
 namespace bis {
 namespace {
-
-std::uint64_t pool_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Set while a pool worker (or a caller draining a parallel_for) is inside
 /// user code, so nested parallel_for calls degrade to inline execution
@@ -120,7 +112,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // (enqueue → a worker starts draining). Latched once per parallel_for so
   // the disabled cost stays one relaxed load.
   const bool telemetry = obs::enabled();
-  const std::uint64_t enqueue_ns = telemetry ? pool_now_ns() : 0;
+  const std::uint64_t enqueue_ns = telemetry ? obs::now_ns() : 0;
 
   const std::size_t n_tasks = std::min(workers_.size(), n - 1);
   state->pending.store(n_tasks);
@@ -137,12 +129,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       for (std::size_t t = 0; t < n_tasks; ++t)
         tasks_.emplace_back([state, telemetry, enqueue_ns] {
           if (telemetry) {
-            static obs::Histogram& latency = obs::Registry::instance().histogram(
-                "bis.pool.task_latency_us",
-                obs::Histogram::exponential_bounds(1.0, 1e6, 25));
+            static obs::LatencyHistogram& latency =
+                obs::Registry::instance().latency("bis.pool.task_latency_ns");
             static obs::Counter& executed =
                 obs::Registry::instance().counter("bis.pool.tasks_executed");
-            latency.observe(static_cast<double>(pool_now_ns() - enqueue_ns) / 1e3);
+            latency.record(obs::now_ns() - enqueue_ns);
             executed.add();
           }
           state->drain();

@@ -1,7 +1,6 @@
 #include "core/inventory.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -13,14 +12,6 @@
 namespace bis::core {
 
 namespace {
-
-double now_s() {
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count()) /
-         1e9;
-}
 
 std::uint32_t clamp_q(double q_fp, std::uint32_t q_min, std::uint32_t q_max) {
   const long long q = std::llround(q_fp);
@@ -71,7 +62,6 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
   BIS_CHECK(inventory_.q_max <= 31);
   BIS_CHECK(inventory_.q_initial >= inventory_.q_min &&
             inventory_.q_initial <= inventory_.q_max);
-  if (network_.base.telemetry) obs::set_enabled(true);
   pool_ = resolve_dsp_pool(network_.base.dsp_threads, owned_pool_);
 
   const auto& base = network_.base;
@@ -151,15 +141,15 @@ void InventoryEngine::resolve_batch(
     channel_hits_.assign(inventory_.n_channels, 0);
     for (const SlotResponder& r : job.responders) ++channel_hits_[r.channel];
     for (const SlotResponder& r : job.responders) {
-      ++report_.detection_attempts;
       const radar::TagDetection& det = detections[span.first_target + r.channel];
+      ++report_.detection_attempts;
+      report_.detector_snr_sum_db += det.snr_db;
+      report_.last_detector_snr_db = det.snr_db;
       if (!det.found || channel_hits_[r.channel] != 1) continue;
       states_[r.tag].flip(inventory_.session);
       --pending_;
       ++round.reads;
       ++report_.detections;
-      report_.detector_snr_sum_db += det.snr_db;
-      report_.last_detector_snr_db = det.snr_db;
     }
   }
 }
@@ -212,7 +202,7 @@ void InventoryEngine::simulate_slots(
 
 InventoryRound InventoryEngine::run_round() {
   BIS_TRACE_SPAN("core.inventory_round");
-  const double t0 = now_s();
+  const std::uint64_t t0 = obs::now_ns();
   InventoryRound round;
   round.round = static_cast<std::uint32_t>(round_no_);
   round.q = clamp_q(q_fp_, inventory_.q_min, inventory_.q_max);
@@ -296,7 +286,7 @@ InventoryRound InventoryEngine::run_round() {
   }
   round.q_fp_after = q_fp_;
   round.pending_after = pending_;
-  round.seconds = now_s() - t0;
+  round.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
 
   ++report_.inventory_rounds;
   report_.inventory_slots += round.slots;

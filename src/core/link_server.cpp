@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "dsp/fft.hpp"
-#include "obs/sink.hpp"
 #include "obs/trace.hpp"
 #include "radar/range_processor.hpp"
 
@@ -107,12 +106,6 @@ LinkServer::LinkServer(const LinkServerConfig& config,
   // the caller is a lane in run(). Workers warm their own scratch on
   // startup.
   links_.front().sim->warm_caches();
-  // The per-link LinkSimulator constructors above already started the global
-  // TelemetrySink when base.telemetry_export asks for one; publish this
-  // server's per-stage stats through it either way.
-  if (auto* sink = obs::TelemetrySink::global()) {
-    sink->attach_server_stats(&stats_);
-  }
   try {
     for (std::size_t w = 1; w < config_.workers; ++w)
       threads_.emplace_back([this, w] { worker_main(w); });
@@ -125,9 +118,6 @@ LinkServer::LinkServer(const LinkServerConfig& config,
 LinkServer::~LinkServer() { shutdown(); }
 
 void LinkServer::shutdown() {
-  if (auto* sink = obs::TelemetrySink::global()) {
-    sink->detach_server_stats(&stats_);
-  }
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -145,39 +135,15 @@ void LinkServer::record_error(std::exception_ptr error) {
 void LinkServer::run_link(std::size_t link, Lane& lane,
                           std::size_t frames_per_link) {
   LinkState& st = links_[link];
-  UplinkFrameJob& job = lane.job;
   for (std::size_t f = 0; f < frames_per_link; ++f) {
-    // Telemetry stamps (0 when off): each stage's busy time is the lap since
-    // the previous stamp; prepare counts toward synthesize.
-    const std::uint64_t start = obs::ServerStatsCollector::now_ns();
-    std::uint64_t t = start;
-    const auto lap = [&](obs::ServerStage stage) {
-      const std::uint64_t now = obs::ServerStatsCollector::now_ns();
-      stats_.record(stage, now - t);
-      t = now;
-    };
-    job.reset_result();
     lane.payload.clear();
     for (std::size_t b = 0; b < config_.bits_per_frame; ++b)
       lane.payload.push_back(st.payload_rng.coin() ? 1 : 0);
-    st.sim->prepare_uplink_frame(lane.payload, config_.downlink_active, job);
-    st.sim->stage_synthesize(job);
-    lap(obs::ServerStage::kSynthesize);
-    st.sim->stage_range_fft(job, nullptr);
-    lap(obs::ServerStage::kRangeFft);
-    st.sim->stage_if_correct(job, nullptr);
-    lap(obs::ServerStage::kIfCorrect);
-    st.sim->stage_detect(job, nullptr);
-    lap(obs::ServerStage::kDetect);
-    st.sim->stage_decode(job);
-    lap(obs::ServerStage::kDecode);
-    st.sim->fold_uplink_frame(job);
+    const UplinkRunResult& r =
+        st.sim->run_uplink(lane.payload, config_.downlink_active, lane.job);
     if (config_.collect_bits)
-      st.decoded_bits.insert(st.decoded_bits.end(),
-                             job.result.decode.bits.begin(),
-                             job.result.decode.bits.end());
-    if (start != 0)
-      stats_.record_e2e(obs::ServerStatsCollector::now_ns() - start);
+      st.decoded_bits.insert(st.decoded_bits.end(), r.decode.bits.begin(),
+                             r.decode.bits.end());
   }
   if (on_link_done) on_link_done(link, *st.sim);
 }

@@ -12,11 +12,14 @@
 ///
 /// Each run() round, the calling thread plus `workers − 1` long-lived
 /// threads claim link indices from one atomic counter. A lane runs the
-/// claimed link's frames in order, each through the LinkSimulator stage API
+/// claimed link's frames in order, each through LinkSimulator::run_uplink
 ///
 ///   prepare → synthesize → range_fft → if_correct → detect → decode → fold
 ///
-/// in the lane's one UplinkFrameJob, then claims the next link. Every job is
+/// in the lane's one UplinkFrameJob, then claims the next link. run_uplink
+/// times every stage into the link's RunReport and the process-wide
+/// `bis.stage.<stage>_ns` histograms while telemetry is on, exactly as it
+/// does for a sequential run. Every job is
 /// reused forever, and a round's hand-off is one mutex/condition-variable
 /// wake and check-in per worker — the steady-state frame loop performs no
 /// heap allocation. Callers always have at least as many links as lanes, so
@@ -46,7 +49,6 @@
 #include <vector>
 
 #include "core/link_simulator.hpp"
-#include "obs/server_stats.hpp"
 
 namespace bis::core {
 
@@ -138,11 +140,9 @@ class LinkServer {
     return links_[i].decoded_bits;
   }
 
-  /// All links' reports merged (outcome counters add; see RunReport::merge).
+  /// All links' reports merged (outcome counters and stage times add; see
+  /// RunReport::merge).
   obs::RunReport merged_report() const;
-
-  /// Per-stage frame counts, busy times and per-frame service latency.
-  const obs::ServerStatsCollector& stats() const { return stats_; }
 
  private:
   struct LinkState {
@@ -163,14 +163,13 @@ class LinkServer {
   void run_link(std::size_t link, Lane& lane, std::size_t frames_per_link);
   /// Keep @p error as the round's failure unless an earlier one is held.
   void record_error(std::exception_ptr error);
-  /// Detach from the telemetry sink, stop and join every worker.
+  /// Stop and join every worker.
   void shutdown();
 
   LinkServerConfig config_;
   phy::SlopeAlphabet alphabet_;
   std::vector<LinkState> links_;
   std::vector<Lane> lanes_;  ///< lanes_[0] is the caller's.
-  obs::ServerStatsCollector stats_;
   std::atomic<std::size_t> next_link_{0};  ///< The round's claim counter.
   std::atomic<bool> running_{false};       ///< Reentrancy guard for run().
 

@@ -9,10 +9,8 @@
 #include "dsp/fft.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/window.hpp"
-#include "obs/sink.hpp"
-#include "obs/telemetry.hpp"
-#include "rf/noise.hpp"
 #include "obs/trace.hpp"
+#include "rf/noise.hpp"
 
 namespace bis::core {
 
@@ -98,14 +96,6 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
       uplink_detector_(make_uplink_detector_config(tag_.modulator().config(), config.precision)),
       uplink_decoder_(tag_.modulator().config()),
       pool_(resolve_dsp_pool(config.dsp_threads, owned_pool_)) {
-  // Telemetry: the toggle is process-wide (it gates spans/metrics inside
-  // dsp/radar/tag code that has no SystemConfig), so an opted-in simulator
-  // latches it on for everyone. The per-run report below stays per-instance.
-  if (config_.telemetry) obs::set_enabled(true);
-  // Live export latches the same way: process-wide, first export
-  // configuration wins.
-  if (config_.telemetry_export.any())
-    obs::TelemetrySink::ensure_global(config_.telemetry_export);
   report_.config = config_key(config_);
   cache_baseline_ = CacheBaseline::capture();
 
@@ -221,14 +211,14 @@ DownlinkRunResult LinkSimulator::run_downlink(const phy::Bits& payload) {
   std::fill_n(flags.get(), frame.size(), true);
   dsp::RVec stream;
   {
-    obs::StageTimer timer(report_.stage.tag_frontend_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kTagFrontend);
     stream = tag_.frontend().receive_frame(
         chirps, paths, std::span<const bool>(flags.get(), frame.size()));
   }
 
   tag::TagNode::DownlinkReception reception;
   {
-    obs::StageTimer timer(report_.stage.tag_decode_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kTagDecode);
     reception = tag_.receive_downlink(stream, config_.packet);
   }
 
@@ -404,31 +394,30 @@ void LinkSimulator::fold_uplink_frame(const UplinkFrameJob& job) {
   report_.uplink_bit_errors += job.result.bit_errors;
 }
 
-UplinkRunResult LinkSimulator::run_prepared_frame(UplinkFrameJob& job) {
+void LinkSimulator::run_prepared_frame(UplinkFrameJob& job) {
   BIS_TRACE_SPAN("core.uplink_frame");
   job.reset_result();
   {
-    obs::StageTimer timer(report_.stage.if_synthesis_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kIfSynthesis);
     stage_synthesize(job);
   }
   {
-    obs::StageTimer timer(report_.stage.range_fft_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kRangeFft);
     stage_range_fft(job, pool_);
   }
   {
-    obs::StageTimer timer(report_.stage.if_correction_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kIfCorrection);
     stage_if_correct(job, pool_);
   }
   {
-    obs::StageTimer timer(report_.stage.detect_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kDetect);
     stage_detect(job, pool_);
   }
   {
-    obs::StageTimer timer(report_.stage.uplink_decode_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kUplinkDecode);
     stage_decode(job);
   }
   fold_uplink_frame(job);
-  return job.result;
 }
 
 UplinkRunResult LinkSimulator::process_uplink_frame(
@@ -439,12 +428,21 @@ UplinkRunResult LinkSimulator::process_uplink_frame(
   seq_job_.downlink_active = downlink_active;
   seq_job_.chirps.assign(chirps.begin(), chirps.end());
   seq_job_.tag_states.assign(tag_states.begin(), tag_states.end());
-  return run_prepared_frame(seq_job_);
+  run_prepared_frame(seq_job_);
+  return seq_job_.result;
 }
 
 UplinkRunResult LinkSimulator::run_uplink(const phy::Bits& bits, bool downlink_active) {
-  prepare_uplink_frame(bits, downlink_active, seq_job_);
-  return run_prepared_frame(seq_job_);
+  return run_uplink(bits, downlink_active, seq_job_);
+}
+
+const UplinkRunResult& LinkSimulator::run_uplink(const phy::Bits& bits,
+                                                 bool downlink_active,
+                                                 UplinkFrameJob& job) {
+  obs::StageTimer timer(report_.stage, obs::Stage::kUplinkFrame);
+  prepare_uplink_frame(bits, downlink_active, job);
+  run_prepared_frame(job);
+  return job.result;
 }
 
 IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
@@ -503,14 +501,14 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   for (std::size_t i = 0; i < chirps.size(); ++i) flags[i] = states[i] == 0;
   dsp::RVec stream;
   {
-    obs::StageTimer timer(report_.stage.tag_frontend_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kTagFrontend);
     stream = tag_.frontend().receive_frame(
         chirps, paths, std::span<const bool>(flags.get(), chirps.size()));
   }
   const std::vector<bool> mask(flags.get(), flags.get() + chirps.size());
   tag::TagNode::DownlinkReception reception;
   {
-    obs::StageTimer timer(report_.stage.tag_decode_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kTagDecode);
     reception = tag_.receive_downlink(stream, config_.packet, mask);
   }
 

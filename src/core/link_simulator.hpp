@@ -129,18 +129,26 @@ class LinkSimulator {
   /// "during communication" condition).
   UplinkRunResult run_uplink(const phy::Bits& bits, bool downlink_active);
 
+  /// The same frame run in the caller's @p job, whose warm buffers it reuses
+  /// (a LinkServer lane keeps one job for every frame it runs, so its frames
+  /// allocate nothing). Every stage is timed, and the whole frame — prepare
+  /// through fold — as obs::Stage::kUplinkFrame. The result lives in
+  /// job.result until the job's next frame.
+  const UplinkRunResult& run_uplink(const phy::Bits& bits, bool downlink_active,
+                                    UplinkFrameJob& job);
+
   /// Fully integrated frame: downlink packet + uplink bits + localization.
   IsacRunResult run_integrated(const phy::Bits& downlink_payload,
                                const phy::Bits& uplink_bits);
 
-  // ---- Streaming-engine stage API (used by core::LinkServer) ----
+  // ---- Uplink stage API ----
   //
   // An uplink frame advances prepare → synthesize → range_fft → if_correct
-  // → detect → decode → fold. prepare/synthesize/fold mutate per-link state
-  // (tag modulator, RNG, report) and must run frame-ordered on one thread at
-  // a time per link; the const stages are pure per-job maps, safe on any
-  // thread. Running the stages in order on one job reproduces run_uplink
-  // bit-for-bit.
+  // → detect → decode → fold; run_uplink drives exactly this sequence.
+  // prepare/synthesize/fold mutate per-link state (tag modulator, RNG,
+  // report) and must run frame-ordered on one thread at a time per link; the
+  // const stages are pure per-job maps, safe on any thread. Running the
+  // stages in order on one job reproduces run_uplink bit-for-bit.
 
   /// Queue @p bits on the tag, draw the frame's chirp schedule, and fill the
   /// job's inputs. Consumes per-link RNG exactly like run_uplink.
@@ -193,7 +201,7 @@ class LinkSimulator {
   /// simulator, with DSP-cache deltas captured at call time and the report
   /// keyed by config_key(config()). Outcome counters are always maintained;
   /// the per-stage timers fill only while telemetry is enabled
-  /// (SystemConfig::telemetry or BIS_TRACE).
+  /// (obs::set_enabled or BIS_TRACE).
   obs::RunReport report() const;
   std::string report_json() const;
 
@@ -210,10 +218,10 @@ class LinkSimulator {
                                        const phy::Bits& sent_bits,
                                        bool downlink_active);
 
-  /// Drive a job whose inputs are filled through all stages (with the
-  /// sequential-path stage timers) and fold it. Backs run_uplink and
+  /// Drive a job whose inputs are filled through every timed stage and fold
+  /// it into job.result and the report. Backs run_uplink and
   /// process_uplink_frame.
-  UplinkRunResult run_prepared_frame(UplinkFrameJob& job);
+  void run_prepared_frame(UplinkFrameJob& job);
 
   /// Fold a finished downlink decode into report_ (shared by run_downlink
   /// and run_integrated).

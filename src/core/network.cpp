@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/units.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "radar/if_synthesizer.hpp"
 #include "radar/range_align.hpp"
@@ -87,7 +86,6 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
       aligner_(config.base.if_correction),
       detector_(network_detector_config(config)) {
   BIS_CHECK(!config_.tags.empty());
-  if (config_.base.telemetry) obs::set_enabled(true);
   report_.config =
       config_key(config_.base) + "|tags=" + std::to_string(config_.tags.size());
   pool_ = resolve_dsp_pool(config_.base.dsp_threads, owned_pool_);
@@ -166,12 +164,12 @@ std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
     tag.node.frontend().auto_gain(paths);
     dsp::RVec stream;
     {
-      obs::StageTimer timer(report_.stage.tag_frontend_s);
+      obs::StageTimer timer(report_.stage, obs::Stage::kTagFrontend);
       stream = tag.node.frontend().receive_frame(chirps, paths, flags);
     }
     tag::TagNode::DownlinkReception rx;
     {
-      obs::StageTimer timer(report_.stage.tag_decode_s);
+      obs::StageTimer timer(report_.stage, obs::Stage::kTagDecode);
       rx = tag.node.receive_downlink(stream, pkt);
     }
 
@@ -224,7 +222,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   report_.mod_freq_collisions += collisions_;
   if_samples_.resize(n_chirps);
   {
-    obs::StageTimer timer(report_.stage.if_synthesis_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kIfSynthesis);
     for (std::size_t c = 0; c < n_chirps; ++c) {
       const double t = static_cast<double>(c) * base.radar.chirp_period_s;
       for (std::size_t i = 0; i < tags_.size(); ++i) {
@@ -238,13 +236,13 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
     }
   }
   {
-    obs::StageTimer timer(report_.stage.range_fft_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kRangeFft);
     processor_.process_frame_into(if_samples_, chirps_,
                                   base.radar.if_synth.sample_rate_hz, pool_,
                                   profiles_);
   }
   {
-    obs::StageTimer timer(report_.stage.if_correction_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kIfCorrection);
     aligner_.align_into(profiles_, pool_, aligned_);
     if (base.use_background_subtraction) radar::subtract_background(aligned_, 0);
   }
@@ -253,7 +251,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   // decision- and score-identical to a per-tag sequential detect loop.
   detections_.resize(targets_.size());
   {
-    obs::StageTimer timer(report_.stage.detect_s);
+    obs::StageTimer timer(report_.stage, obs::Stage::kDetect);
     detector_.detect_many(aligned_, targets_, detections_, pool_);
   }
 
@@ -267,15 +265,11 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
     obs.range_m = det.range_m;
     obs.range_error_m = std::abs(det.range_m - config_.tags[i].range_m);
     obs.snr_db = det.snr_db;
-    ++report_.detection_attempts;
-    ++tags_[i]->report.detection_attempts;
-    if (det.found) {
-      ++report_.detections;
-      report_.detector_snr_sum_db += det.snr_db;
-      report_.last_detector_snr_db = det.snr_db;
-      ++tags_[i]->report.detections;
-      tags_[i]->report.detector_snr_sum_db += det.snr_db;
-      tags_[i]->report.last_detector_snr_db = det.snr_db;
+    for (obs::RunReport* r : {&report_, &tags_[i]->report}) {
+      ++r->detection_attempts;
+      r->detector_snr_sum_db += det.snr_db;
+      r->last_detector_snr_db = det.snr_db;
+      if (det.found) ++r->detections;
     }
     out.push_back(obs);
   }

@@ -10,8 +10,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/resample.hpp"
 #include "obs/metrics.hpp"
-#include "obs/server_stats.hpp"
-#include "obs/sink.hpp"
 #include "obs/telemetry.hpp"
 #include "rf/noise.hpp"
 
@@ -140,12 +138,9 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
   const auto regrid0 = dsp::regrid_plan_cache_stats();
   const std::uint64_t awgn0 = rf::awgn_samples_added();
 
-  // Live-progress metrics so a TelemetrySink (grid.front() may configure one
-  // via telemetry_export) can watch the sweep: total/done point counts plus a
-  // per-point latency distribution. Cost with telemetry off: one relaxed
-  // load + branch per point.
-  if (grid.front().config.telemetry_export.any())
-    obs::TelemetrySink::ensure_global(grid.front().config.telemetry_export);
+  // Live-progress metrics so a TelemetrySink can watch the sweep: total/done
+  // point counts plus a per-point latency distribution. Cost with telemetry
+  // off: one relaxed load + branch per point.
   obs::Registry::instance()
       .gauge("bis.sweep.points_total")
       .set(static_cast<double>(grid.size()));
@@ -164,7 +159,8 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
   std::vector<obs::RunReport> partials(grid.size());
   const SweepWorkload& w = options_.workload;
   bis::parallel_for(pool, 0, grid.size(), [&](std::size_t i) {
-    const std::uint64_t t0 = obs::ServerStatsCollector::now_ns();
+    const bool timed = obs::enabled();
+    const std::uint64_t t0 = timed ? obs::now_ns() : 0;
     SystemConfig cfg = grid[i].config;
     Rng rng = streams[i];
     cfg.seed = rng.next_u64();  // sim-internal streams derive from this
@@ -196,10 +192,7 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
       }
     }
     partials[i] = point_report(options_.mode, w, m);
-    if (t0 != 0) {
-      const std::uint64_t t1 = obs::ServerStatsCollector::now_ns();
-      if (t1 > t0) point_us.record((t1 - t0) / 1000);
-    }
+    if (timed) point_us.record((obs::now_ns() - t0) / 1000);
     points_done.add(1);
   });
 

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "dsp/precision.hpp"
-#include "obs/sink.hpp"
 #include "phy/packet.hpp"
 #include "phy/slope_alphabet.hpp"
 #include "phy/uplink.hpp"
@@ -84,23 +83,6 @@ struct SystemConfig {
                                      ///< strictly sequential, k = private
                                      ///< k-lane pool. Results are
                                      ///< bit-identical for every setting.
-  bool telemetry = false;            ///< Turn on the bis::obs subsystem
-                                     ///< (trace spans, metrics, stage
-                                     ///< timers). Latched process-wide when
-                                     ///< a LinkSimulator/BiScatterNetwork is
-                                     ///< built with it; the BIS_TRACE env
-                                     ///< var enables it too. Off: the only
-                                     ///< cost on the hot path is a relaxed
-                                     ///< atomic load + branch per site.
-  obs::TelemetrySinkOptions telemetry_export;  ///< Live metric export: when
-                                     ///< any path/port is set, building a
-                                     ///< LinkServer (or SweepRunner run)
-                                     ///< starts the process-wide
-                                     ///< obs::TelemetrySink streaming JSONL
-                                     ///< time-series and/or Prometheus text
-                                     ///< snapshots at interval_ms cadence.
-                                     ///< Implies telemetry. First configured
-                                     ///< export wins (process-wide latch).
 
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
                                      ///< Numeric tier for the per-frame inner

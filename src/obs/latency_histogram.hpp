@@ -1,24 +1,23 @@
 #pragma once
 
 /// @file latency_histogram.hpp
-/// Fixed-memory, mergeable, log-bucketed latency histogram for the live
-/// telemetry pipeline. Where obs::Histogram carries caller-chosen bucket
-/// bounds behind a heap vector, LatencyHistogram trades configurability for
-/// a hot path fit for per-frame recording inside the streaming engine:
+/// Fixed-memory, mergeable, log-bucketed histogram — the telemetry
+/// pipeline's only distribution type, with a hot path fit for per-frame
+/// recording inside the streaming engine:
 ///   - fixed memory: a flat array of 256 cache-resident atomics covering the
 ///     full uint64 range on a log2 grid with 4 sub-buckets per octave
 ///     (bucket width <= 25% of the value — tight enough that interpolated
 ///     p50/p90/p99/p99.9 land within a quarter-octave of the truth);
 ///   - lock-free record path: one relaxed load (`obs::enabled()`), a branch,
 ///     a bit-scan, and two relaxed fetch_adds — no allocation, no CAS loop
-///     (the sum is an integer, unlike Histogram's double);
-///   - mergeable: merge() adds bucket arrays, so per-server or per-thread
-///     instances fold into one distribution without losing quantile fidelity
-///     (log buckets merge exactly; sampled quantiles would not).
+///     (the sum is an integer);
+///   - mergeable: merge() adds bucket arrays, so per-thread instances fold
+///     into one distribution without losing quantile fidelity (log buckets
+///     merge exactly; sampled quantiles would not).
 ///
 /// Values are unit-agnostic unsigned integers; callers pick the unit and
-/// spell it in the metric name (`..._ns`, `..._us`). The streaming server
-/// records nanoseconds and reports microsecond quantiles.
+/// spell it in the metric name (`..._ns`, `..._us`, `..._cdb`). The stage
+/// timers record nanoseconds (obs::stage_latency).
 
 #include <array>
 #include <atomic>

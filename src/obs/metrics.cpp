@@ -1,13 +1,10 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <ostream>
 #include <sstream>
 #include <utility>
-
-#include "common/check.hpp"
 
 namespace bis::obs {
 
@@ -33,85 +30,6 @@ void Counter::reset() {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), buckets_(bounds_.size() + 1) {
-  BIS_CHECK(!bounds_.empty());
-  for (std::size_t i = 1; i < bounds_.size(); ++i)
-    BIS_CHECK_MSG(bounds_[i] > bounds_[i - 1],
-                  "histogram bounds must be strictly increasing");
-}
-
-std::vector<double> Histogram::exponential_bounds(double lo, double hi,
-                                                  std::size_t n) {
-  BIS_CHECK(lo > 0.0 && hi > lo && n >= 2);
-  std::vector<double> bounds(n);
-  const double ratio = std::pow(hi / lo, 1.0 / static_cast<double>(n - 1));
-  double b = lo;
-  for (std::size_t i = 0; i < n; ++i, b *= ratio) bounds[i] = b;
-  bounds.back() = hi;  // kill accumulated rounding on the top edge
-  return bounds;
-}
-
-void Histogram::observe(double v) {
-  if (!enabled()) return;
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // CAS loop instead of atomic<double>::fetch_add for pre-C++20-library
-  // toolchains; contention is bounded by the sampling rate, not lane count.
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i)
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  return out;
-}
-
-double Histogram::quantile(double q) const {
-  BIS_CHECK(q >= 0.0 && q <= 1.0);
-  const auto counts = bucket_counts();
-  std::uint64_t total = 0;
-  for (auto c : counts) total += c;
-  if (total == 0) return 0.0;
-
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    const std::uint64_t next = cum + counts[i];
-    if (static_cast<double>(next) >= target) {
-      if (i >= bounds_.size()) return bounds_.back();  // overflow bucket
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      const double upper = bounds_[i];
-      const double frac =
-          (target - static_cast<double>(cum)) / static_cast<double>(counts[i]);
-      return lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
-    }
-    cum = next;
-  }
-  return bounds_.back();
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -133,21 +51,6 @@ Gauge& Registry::gauge(std::string_view name) {
   auto it = gauges_.find(name);
   if (it == gauges_.end())
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  return *it->second;
-}
-
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> upper_bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    if (upper_bounds.empty())
-      upper_bounds = Histogram::exponential_bounds(1.0, 1e6, 25);
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(upper_bounds)))
-             .first;
-  }
   return *it->second;
 }
 
@@ -177,15 +80,6 @@ void Registry::write_json(std::ostream& os, bool pretty) const {
   for (const auto& [name, g] : gauges_) {
     sep();
     os << '"' << json_escape(name) << "\": " << json_number(g->value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    sep();
-    os << '"' << json_escape(name) << "\": {\"count\": " << h->count()
-       << ", \"sum\": " << json_number(h->sum())
-       << ", \"mean\": " << json_number(h->mean())
-       << ", \"p50\": " << json_number(h->quantile(0.5))
-       << ", \"p95\": " << json_number(h->quantile(0.95))
-       << ", \"p99\": " << json_number(h->quantile(0.99)) << "}";
   }
   for (const auto& [name, l] : latencies_) {
     sep();
@@ -230,29 +124,17 @@ void Registry::write_prometheus(std::ostream& os) const {
     os << "# TYPE " << n << " gauge\n"
        << n << " " << prometheus_number(g->value()) << "\n";
   }
-  const auto summary = [&os](const std::string& n,
-                             std::initializer_list<std::pair<const char*, double>>
-                                 quantiles,
-                             double sum, std::uint64_t count) {
+  for (const auto& [name, l] : latencies_) {
+    const std::string n = prometheus_name(name);
     os << "# TYPE " << n << " summary\n";
-    for (const auto& [q, v] : quantiles)
+    for (const auto& [q, v] :
+         {std::pair{"0.5", l->p50()}, std::pair{"0.9", l->p90()},
+          std::pair{"0.99", l->p99()}, std::pair{"0.999", l->p999()}})
       os << n << "{quantile=\"" << q << "\"} " << prometheus_number(v) << "\n";
-    os << n << "_sum " << prometheus_number(sum) << "\n";
-    os << n << "_count " << count << "\n";
-  };
-  for (const auto& [name, h] : histograms_)
-    summary(prometheus_name(name),
-            {{"0.5", h->quantile(0.5)},
-             {"0.95", h->quantile(0.95)},
-             {"0.99", h->quantile(0.99)}},
-            h->sum(), h->count());
-  for (const auto& [name, l] : latencies_)
-    summary(prometheus_name(name),
-            {{"0.5", l->p50()},
-             {"0.9", l->p90()},
-             {"0.99", l->p99()},
-             {"0.999", l->p999()}},
-            static_cast<double>(l->sum()), l->count());
+    os << n << "_sum " << prometheus_number(static_cast<double>(l->sum()))
+       << "\n";
+    os << n << "_count " << l->count() << "\n";
+  }
 }
 
 std::string Registry::to_json() const {
@@ -265,7 +147,6 @@ void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, l] : latencies_) l->reset();
 }
 

@@ -2,21 +2,20 @@
 
 /// @file metrics.hpp
 /// Thread-safe metrics for the BiScatter pipeline: monotonic counters,
-/// gauges, and fixed-bucket histograms with quantile readout, held in a
-/// process-wide named registry.
+/// gauges, and log-bucketed latency histograms with quantile readout, held
+/// in a process-wide named registry.
 ///
 /// Naming scheme: `bis.<subsystem>.<metric>[_<unit>]`, e.g.
-/// `bis.radar.chirps_processed`, `bis.pool.task_latency_us`,
-/// `bis.radar.detector_snr_db`. Units are spelled in the suffix so a reader
-/// of the JSON dump never has to guess.
+/// `bis.radar.chirps_processed`, `bis.pool.task_latency_ns`,
+/// `bis.stage.detect_ns`. Units are spelled in the suffix so a reader of the
+/// JSON dump never has to guess.
 ///
 /// Hot-path cost: every update starts with the `obs::enabled()` relaxed
 /// load; when telemetry is on, a counter add is one relaxed `fetch_add` on a
 /// cache-line-padded shard indexed by thread, a gauge set is one relaxed
-/// store, and a histogram observe is a branchless bucket search plus two
-/// relaxed atomic updates. Metric objects returned by the registry live for
-/// the process lifetime, so the idiomatic pattern is a function-local
-/// static:
+/// store, and a latency record is a bit-scan plus two relaxed fetch_adds.
+/// Metric objects returned by the registry live for the process lifetime,
+/// so the idiomatic pattern is a function-local static:
 ///
 ///   static obs::Counter& chirps =
 ///       obs::Registry::instance().counter("bis.radar.chirps_processed");
@@ -31,7 +30,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/latency_histogram.hpp"
 #include "obs/telemetry.hpp"
@@ -75,42 +73,6 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket histogram over non-negative samples. Bucket i counts samples
-/// with value <= upper_bounds[i] (the last bucket is the +inf overflow).
-/// Quantiles are read out by linear interpolation inside the containing
-/// bucket — the standard Prometheus-style estimate.
-class Histogram {
- public:
-  /// @p upper_bounds must be strictly increasing and non-empty.
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  /// n log-spaced bucket bounds covering [lo, hi] (lo > 0, n >= 2).
-  static std::vector<double> exponential_bounds(double lo, double hi,
-                                                std::size_t n);
-
-  void observe(double v);
-
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double mean() const;
-
-  /// Estimated q-quantile (q in [0, 1]); 0 when the histogram is empty.
-  /// Samples beyond the last bound report the last finite bound.
-  double quantile(double q) const;
-
-  const std::vector<double>& upper_bounds() const { return bounds_; }
-  std::vector<std::uint64_t> bucket_counts() const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  ///< bounds + overflow.
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// Process-wide metric registry. Lookup is mutex-guarded (cold path, once
 /// per call site thanks to the function-local-static idiom); the returned
 /// references stay valid for the process lifetime.
@@ -121,20 +83,13 @@ class Registry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
 
-  /// First call for a name fixes the bucket layout; later calls return the
-  /// existing histogram regardless of @p upper_bounds. Empty bounds select
-  /// the default log-spaced layout (1 … 1e6, 25 buckets) suited to
-  /// microsecond latencies.
-  Histogram& histogram(std::string_view name,
-                       std::vector<double> upper_bounds = {});
-
-  /// Fixed-memory log-bucketed latency histogram (latency_histogram.hpp) —
-  /// the hot-path choice for per-frame timings. Spell the unit in the name
-  /// (`bis.sweep.point_us`).
+  /// Fixed-memory log-bucketed histogram (latency_histogram.hpp) over
+  /// unsigned integer samples. Spell the unit in the name
+  /// (`bis.sweep.point_us`, `bis.radar.detector_snr_cdb`).
   LatencyHistogram& latency(std::string_view name);
 
   /// Dump every metric as one JSON object: counters/gauges as values,
-  /// histograms as {count, sum, p50, p95, p99, buckets}. @p pretty selects
+  /// histograms as {count, sum, mean, p50, p90, p99, p999}. @p pretty selects
   /// multi-line output; pass false for a single-line object suitable for a
   /// JSONL time-series (obs::TelemetrySink).
   void write_json(std::ostream& os, bool pretty) const;
@@ -142,8 +97,8 @@ class Registry {
   std::string to_json() const;
 
   /// Prometheus text exposition (format 0.0.4): counters/gauges as single
-  /// samples, histograms and latency histograms as summaries with
-  /// {quantile="…"} labels. Metric names are sanitized ('.' → '_').
+  /// samples, histograms as summaries with {quantile="…"} labels. Metric
+  /// names are sanitized ('.' → '_').
   void write_prometheus(std::ostream& os) const;
 
   /// Zero every metric, keeping registrations (tests/benchmarks).
@@ -156,14 +111,13 @@ class Registry {
   // std::map keeps the JSON dump deterministically sorted by name.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       latencies_;
 };
 
 /// Sanitize a metric name for Prometheus exposition: every character outside
-/// [a-zA-Z0-9_:] becomes '_' (`bis.pool.task_latency_us` →
-/// `bis_pool_task_latency_us`).
+/// [a-zA-Z0-9_:] becomes '_' (`bis.pool.task_latency_ns` →
+/// `bis_pool_task_latency_ns`).
 std::string prometheus_name(std::string_view name);
 
 /// Format a double for Prometheus exposition ("NaN", "+Inf", "-Inf" are

@@ -1,12 +1,13 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "common/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
 namespace bis::obs {
@@ -16,14 +17,40 @@ double rate(std::uint64_t num, std::uint64_t den) {
   return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
 }
 
-std::uint64_t mono_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+/// One row per Stage, in enum order (also the stage_seconds JSON order).
+struct StageInfo {
+  const char* name;
+  double StageTimes::*seconds;  ///< nullptr: no StageTimes field.
+};
+constexpr std::array<StageInfo, kStageCount> kStageInfo = {{
+    {"if_synthesis", &StageTimes::if_synthesis_s},
+    {"range_fft", &StageTimes::range_fft_s},
+    {"if_correction", &StageTimes::if_correction_s},
+    {"detect", &StageTimes::detect_s},
+    {"uplink_decode", &StageTimes::uplink_decode_s},
+    {"tag_frontend", &StageTimes::tag_frontend_s},
+    {"tag_decode", &StageTimes::tag_decode_s},
+    {"uplink_frame", nullptr},
+}};
+
+const StageInfo& info(Stage stage) {
+  return kStageInfo[static_cast<std::size_t>(stage)];
 }
 
 }  // namespace
+
+const char* stage_name(Stage stage) { return info(stage).name; }
+
+LatencyHistogram& stage_latency(Stage stage) {
+  static const std::array<LatencyHistogram*, kStageCount> histograms = [] {
+    std::array<LatencyHistogram*, kStageCount> out{};
+    for (std::size_t i = 0; i < kStageCount; ++i)
+      out[i] = &Registry::instance().latency(
+          std::string("bis.stage.") + kStageInfo[i].name + "_ns");
+    return out;
+  }();
+  return *histograms[static_cast<std::size_t>(stage)];
+}
 
 double RunReport::sync_lock_rate() const { return rate(sync_locks, sync_attempts); }
 double RunReport::crc_pass_rate() const { return rate(crc_passes, crc_attempts); }
@@ -70,13 +97,8 @@ void RunReport::merge(const RunReport& other) {
   regrid_plan_misses += other.regrid_plan_misses;
   regrid_plans = std::max(regrid_plans, other.regrid_plans);
   awgn_samples += other.awgn_samples;
-  stage.if_synthesis_s += other.stage.if_synthesis_s;
-  stage.range_fft_s += other.stage.range_fft_s;
-  stage.if_correction_s += other.stage.if_correction_s;
-  stage.detect_s += other.stage.detect_s;
-  stage.uplink_decode_s += other.stage.uplink_decode_s;
-  stage.tag_frontend_s += other.stage.tag_frontend_s;
-  stage.tag_decode_s += other.stage.tag_decode_s;
+  for (const StageInfo& s : kStageInfo)
+    if (s.seconds != nullptr) stage.*s.seconds += other.stage.*s.seconds;
 }
 
 void RunReport::append_json(std::string& out) const {
@@ -135,13 +157,8 @@ void RunReport::append_json(std::string& out) const {
   w.end_object();
   w.key("awgn_samples").value(awgn_samples);
   w.key("stage_seconds").begin_object();
-  w.key("if_synthesis").value(stage.if_synthesis_s);
-  w.key("range_fft").value(stage.range_fft_s);
-  w.key("if_correction").value(stage.if_correction_s);
-  w.key("detect").value(stage.detect_s);
-  w.key("uplink_decode").value(stage.uplink_decode_s);
-  w.key("tag_frontend").value(stage.tag_frontend_s);
-  w.key("tag_decode").value(stage.tag_decode_s);
+  for (const StageInfo& s : kStageInfo)
+    if (s.seconds != nullptr) w.key(s.name).value(stage.*s.seconds);
   w.end_object();
   w.end_object();
 }
@@ -169,14 +186,19 @@ std::string RunReport::outcome_key() const {
   return oss.str();
 }
 
-StageTimer::StageTimer(double& accum_s)
-    : accum_s_(enabled() ? &accum_s : nullptr) {
-  if (accum_s_ != nullptr) start_ns_ = mono_ns();
+StageTimer::StageTimer(StageTimes& times, Stage stage) {
+  if (!enabled()) return;
+  const StageInfo& s = info(stage);
+  if (s.seconds != nullptr) accum_s_ = &(times.*s.seconds);
+  latency_ = &stage_latency(stage);
+  start_ns_ = now_ns();
 }
 
 StageTimer::~StageTimer() {
-  if (accum_s_ != nullptr)
-    *accum_s_ += static_cast<double>(mono_ns() - start_ns_) / 1e9;
+  if (latency_ == nullptr) return;
+  const std::uint64_t ns = now_ns() - start_ns_;
+  if (accum_s_ != nullptr) *accum_s_ += static_cast<double>(ns) / 1e9;
+  latency_->record(ns);
 }
 
 }  // namespace bis::obs

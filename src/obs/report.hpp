@@ -9,15 +9,44 @@
 /// `report_json()`.
 ///
 /// The outcome counters are plain integers updated from the (sequential)
-/// run_* methods — always on, effectively free. The stage timers are gated
-/// by `obs::enabled()` via `StageTimer`, so the disabled cost is one relaxed
-/// load per stage per frame.
+/// run_* methods — always on, effectively free. `StageTimer` is the one way
+/// a stage is timed: gated by `obs::enabled()`, it adds to the report's
+/// StageTimes and to the stage's process-wide `bis.stage.<name>_ns` latency
+/// histogram, so the disabled cost is one relaxed load per stage per frame.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
 namespace bis::obs {
+
+class LatencyHistogram;
+
+/// The timed stages. Each but kUplinkFrame accumulates into the StageTimes
+/// field of the same name; kUplinkFrame (one whole
+/// LinkSimulator::run_uplink frame, prepare through fold) has only its
+/// histogram.
+enum class Stage : std::uint8_t {
+  kIfSynthesis,
+  kRangeFft,
+  kIfCorrection,
+  kDetect,
+  kUplinkDecode,
+  kTagFrontend,
+  kTagDecode,
+  kUplinkFrame,
+};
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(Stage::kUplinkFrame) + 1;
+
+/// "if_synthesis", "range_fft", …, "uplink_frame".
+const char* stage_name(Stage stage);
+
+/// The process-wide `bis.stage.<name>_ns` histogram of @p stage. All of
+/// them are resolved from the Registry on the first call, so later calls
+/// never take the Registry mutex.
+LatencyHistogram& stage_latency(Stage stage);
 
 /// Accumulated wall time per pipeline stage, seconds.
 struct StageTimes {
@@ -117,18 +146,22 @@ struct RunReport {
   std::string outcome_key() const;
 };
 
-/// RAII stopwatch adding its scope's wall time to a StageTimes field when
-/// telemetry is enabled (latched at construction); a no-op branch otherwise.
+/// RAII stopwatch for one stage. When telemetry is enabled (latched at
+/// construction) it adds its scope's wall time to @p times' field for
+/// @p stage and records it in stage_latency(@p stage); otherwise it is a
+/// no-op branch.
 class StageTimer {
  public:
-  explicit StageTimer(double& accum_s);
+  StageTimer(StageTimes& times, Stage stage);
   ~StageTimer();
 
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
 
  private:
-  double* accum_s_;  ///< nullptr when telemetry was off at entry.
+  double* accum_s_ = nullptr;  ///< nullptr when off or for kUplinkFrame.
+  LatencyHistogram* latency_ = nullptr;  ///< nullptr when telemetry was off
+                                         ///< at entry.
   std::uint64_t start_ns_ = 0;
 };
 

@@ -31,7 +31,7 @@ std::mutex& global_mu() {
 }  // namespace
 
 TelemetrySink::TelemetrySink(TelemetrySinkOptions options)
-    : options_(std::move(options)), start_(std::chrono::steady_clock::now()) {
+    : options_(std::move(options)), start_ns_(now_ns()) {
   set_enabled(true);
   if (!options_.jsonl_path.empty()) {
     jsonl_.open(options_.jsonl_path, std::ios::out | std::ios::trunc);
@@ -69,55 +69,19 @@ TelemetrySink::TelemetrySink(TelemetrySinkOptions options)
 
 TelemetrySink::~TelemetrySink() { stop(); }
 
-void TelemetrySink::attach_server_stats(const ServerStatsCollector* stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (std::find(collectors_.begin(), collectors_.end(), stats) ==
-      collectors_.end()) {
-    collectors_.push_back(stats);
-  }
-}
-
-void TelemetrySink::detach_server_stats(const ServerStatsCollector* stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  collectors_.erase(
-      std::remove(collectors_.begin(), collectors_.end(), stats),
-      collectors_.end());
-}
-
 std::string TelemetrySink::build_jsonl_line() const {
   std::ostringstream oss;
-  const auto t_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-  oss << "{\"t_ms\": " << t_ms << ", \"metrics\": ";
+  oss << "{\"t_ms\": " << uptime_ms() << ", \"metrics\": ";
   Registry::instance().write_json(oss, /*pretty=*/false);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!collectors_.empty()) {
-      oss << ", \"server\": [";
-      for (std::size_t i = 0; i < collectors_.size(); ++i) {
-        if (i != 0) oss << ", ";
-        collectors_[i]->write_json(oss);
-      }
-      oss << "]";
-    }
-  }
   oss << "}";
   return oss.str();
 }
 
 std::string TelemetrySink::build_prometheus() const {
   std::ostringstream oss;
-  const auto t_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
   oss << "# TYPE bis_telemetry_uptime_ms gauge\n"
-      << "bis_telemetry_uptime_ms " << t_ms << "\n";
+      << "bis_telemetry_uptime_ms " << uptime_ms() << "\n";
   Registry::instance().write_prometheus(oss);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const ServerStatsCollector* c : collectors_) c->write_prometheus(oss);
-  }
   return oss.str();
 }
 
@@ -216,11 +180,6 @@ TelemetrySink* TelemetrySink::ensure_global(
     if (global_slot() != nullptr) global_slot()->stop();
   });
   return slot;
-}
-
-TelemetrySink* TelemetrySink::global() {
-  std::lock_guard<std::mutex> lock(global_mu());
-  return global_slot();
 }
 
 }  // namespace bis::obs

@@ -2,8 +2,10 @@
 
 /// @file sink.hpp
 /// Live telemetry exporter: a background sampler thread that snapshots the
-/// process-wide metric Registry (plus any attached ServerStatsCollector) at
-/// a configurable cadence and streams the snapshots out in two formats:
+/// process-wide metric Registry — counters, gauges and every latency
+/// histogram, including the `bis.stage.<stage>_ns` stage timings that
+/// obs::StageTimer records — at a configurable cadence and streams the
+/// snapshots out in two formats:
 ///   - JSONL time-series — one single-line JSON object per sample appended
 ///     to a file, for offline plotting of a run's trajectory;
 ///   - Prometheus text exposition (format 0.0.4) — rewritten to a file
@@ -13,20 +15,18 @@
 ///
 /// The sink only *reads* metrics (relaxed atomic loads); the hot paths it
 /// observes never block on it. Lifecycle: construct → samples flow → stop()
-/// (or destruction) takes one final sample and joins the threads. The
-/// process-wide instance configured through `SystemConfig::telemetry_export`
-/// is created once via ensure_global() and flushed at exit.
+/// (or destruction) takes one final sample and joins the threads. A process
+/// that wants export for its whole lifetime starts the process-wide
+/// instance once with ensure_global(); it is flushed at exit.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "obs/server_stats.hpp"
+#include "obs/telemetry.hpp"
 
 namespace bis::obs {
 
@@ -37,7 +37,7 @@ struct TelemetrySinkOptions {
   int tcp_port = -1;             ///< Embedded HTTP endpoint: -1 = off,
                                  ///< 0 = ephemeral port (see port()).
 
-  /// True when any export is configured — the latch LinkServer checks.
+  /// True when any export is configured.
   bool any() const {
     return !jsonl_path.empty() || !prom_path.empty() || tcp_port >= 0;
   }
@@ -53,13 +53,6 @@ class TelemetrySink {
 
   TelemetrySink(const TelemetrySink&) = delete;
   TelemetrySink& operator=(const TelemetrySink&) = delete;
-
-  /// Include @p stats in every subsequent snapshot (per-stage frame counts
-  /// and latency quantiles). The pointer must stay valid
-  /// until detach_server_stats(). Attaching more than one collector is
-  /// allowed; snapshots list them in attach order.
-  void attach_server_stats(const ServerStatsCollector* stats);
-  void detach_server_stats(const ServerStatsCollector* stats);
 
   /// Take one snapshot synchronously (also what the sampler thread calls).
   void sample_now();
@@ -77,31 +70,29 @@ class TelemetrySink {
 
   const TelemetrySinkOptions& options() const { return options_; }
 
-  /// Current Prometheus exposition text (registry + attached collectors) —
-  /// what the TCP endpoint serves and prom_path receives.
+  /// Current Prometheus exposition text of the registry — what the TCP
+  /// endpoint serves and prom_path receives.
   std::string build_prometheus() const;
 
   /// One single-line JSON snapshot — what jsonl_path receives per sample.
   std::string build_jsonl_line() const;
 
   /// Process-wide sink: the first call creates it (registering an atexit
-  /// stop), later calls return the existing instance unchanged — so the
-  /// first component to configure export wins, matching the latching
-  /// behavior of SystemConfig::telemetry. Returns nullptr only if @p options
-  /// has no export configured and no sink exists yet.
+  /// stop), later calls return the existing instance unchanged. Returns
+  /// nullptr only if @p options has no export configured and no sink exists
+  /// yet.
   static TelemetrySink* ensure_global(const TelemetrySinkOptions& options);
-  static TelemetrySink* global();
 
  private:
   void sampler_main();
   void listener_main();
   void write_prom_snapshot();
+  std::uint64_t uptime_ms() const { return (now_ns() - start_ns_) / 1000000; }
 
   TelemetrySinkOptions options_;
-  mutable std::mutex mu_;  ///< Guards collectors_ and jsonl_ writes.
-  std::vector<const ServerStatsCollector*> collectors_;
+  std::mutex mu_;  ///< Guards jsonl_ writes.
   std::ofstream jsonl_;
-  std::chrono::steady_clock::time_point start_;
+  std::uint64_t start_ns_;  ///< obs::now_ns() at construction.
   std::atomic<std::uint64_t> samples_{0};
   std::atomic<bool> stop_{false};
   bool stopped_ = false;  ///< stop() ran to completion (guarded by mu_).

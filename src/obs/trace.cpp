@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -12,18 +11,10 @@
 namespace bis::obs {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-Clock::time_point trace_epoch() {
-  static const Clock::time_point epoch = Clock::now();
-  return epoch;
-}
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           trace_epoch())
-          .count());
+/// obs::now_ns() relative to the trace epoch (the first call).
+std::uint64_t trace_ns() {
+  static const std::uint64_t epoch = now_ns();
+  return now_ns() - epoch;
 }
 
 /// Events are appended by exactly one thread (the owner) under the buffer's
@@ -67,11 +58,11 @@ namespace detail {
 
 std::uint64_t span_begin() {
   ++t_depth;
-  return now_ns();
+  return trace_ns();
 }
 
 void span_end(const char* name, std::uint64_t start_ns) {
-  const std::uint64_t end_ns = now_ns();
+  const std::uint64_t end_ns = trace_ns();
   --t_depth;
   ThreadBuffer& buf = thread_buffer();
   std::lock_guard<std::mutex> lock(buf.mu);

@@ -433,9 +433,8 @@ void finalize_tag(const TagDetectorConfig& config,
 
   static obs::Gauge& snr_gauge =
       obs::Registry::instance().gauge("bis.radar.detector_snr_db");
-  static obs::Histogram& snr_hist = obs::Registry::instance().histogram(
-      "bis.radar.detector_snr_hist_db",
-      {0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 60.0});
+  static obs::LatencyHistogram& snr_cdb =
+      obs::Registry::instance().latency("bis.radar.detector_snr_cdb");
   static obs::Counter& detections =
       obs::Registry::instance().counter("bis.radar.detections");
 
@@ -464,7 +463,10 @@ void finalize_tag(const TagDetectorConfig& config,
   det.found = snr_db >= config.detection_threshold_db;
 
   snr_gauge.set(snr_db);
-  snr_hist.observe(std::max(snr_db, 0.0));
+  // Centi-dB, clamped at 0; llround of a non-finite value is undefined.
+  if (std::isfinite(snr_db))
+    snr_cdb.record(static_cast<std::uint64_t>(
+        std::llround(std::max(snr_db, 0.0) * 100.0)));
   if (det.found) detections.add();
 
   // Sub-bin range refinement on the detection metric.

@@ -248,6 +248,12 @@ TEST(Inventory, SameChannelSlotCollisionIsNotRead) {
   EXPECT_EQ(round.collision_slots, 1u);
   EXPECT_EQ(round.reads, 0u);
   EXPECT_EQ(engine.pending(), 2u);
+  // Both responders were detection attempts: their SNR counts toward the
+  // report's sum although neither was read.
+  const obs::RunReport report = engine.report();
+  EXPECT_EQ(report.detection_attempts, 2u);
+  EXPECT_EQ(report.detections, 0u);
+  EXPECT_GT(report.detector_snr_sum_db, 0.0);
 }
 
 TEST(Inventory, AdaptiveQMovesTowardPopulation) {

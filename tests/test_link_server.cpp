@@ -1,7 +1,7 @@
 // Streaming multi-link server engine: the determinism contract (per-link
 // outputs bit-identical to the sequential LinkSimulator at any worker
 // count), multi-round continuation, the round hand-off between lanes, the
-// on_link_done streaming hook, and failure containment.
+// on_link_done streaming hook, stage timing, and failure containment.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "core/link_server.hpp"
+#include "obs/latency_histogram.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 
 namespace bis::core {
 namespace {
@@ -140,11 +143,33 @@ TEST(LinkServer, MergedReportAggregatesEveryLink) {
   EXPECT_EQ(merged.detection_attempts, kLinks * kFrames);
   EXPECT_EQ(merged.uplink_bits,
             kLinks * kFrames * server.config().bits_per_frame);
-  // Every stage saw every frame exactly once.
-  for (std::size_t s = 0; s < obs::kServerStages; ++s) {
-    EXPECT_EQ(server.stats().snapshot(static_cast<obs::ServerStage>(s)).frames,
-              kLinks * kFrames)
-        << obs::server_stage_name(static_cast<obs::ServerStage>(s));
+}
+
+TEST(LinkServer, LinkReportsCarryStageTimes) {
+  // The lanes time their frames through the same run_uplink as a
+  // sequential run: with telemetry on, the links' reports carry stage
+  // seconds, and every uplink stage histogram counts each frame once.
+  const std::size_t kLinks = 3;
+  const std::size_t kFrames = 2;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Registry::instance().reset();
+  LinkServer server(light_config(kLinks, 2));
+  server.run(kFrames);
+  obs::set_enabled(was_enabled);
+
+  const obs::RunReport merged = server.merged_report();
+  EXPECT_GT(merged.stage.if_synthesis_s, 0.0);
+  EXPECT_GT(merged.stage.range_fft_s, 0.0);
+  EXPECT_GT(merged.stage.if_correction_s, 0.0);
+  EXPECT_GT(merged.stage.detect_s, 0.0);
+  EXPECT_GT(merged.stage.uplink_decode_s, 0.0);
+  for (const obs::Stage stage :
+       {obs::Stage::kIfSynthesis, obs::Stage::kRangeFft,
+        obs::Stage::kIfCorrection, obs::Stage::kDetect,
+        obs::Stage::kUplinkDecode, obs::Stage::kUplinkFrame}) {
+    EXPECT_EQ(obs::stage_latency(stage).count(), kLinks * kFrames)
+        << obs::stage_name(stage);
   }
 }
 

@@ -90,72 +90,19 @@ TEST_F(ObsTest, RegistryReturnsStableReferences) {
 }
 
 // ---------------------------------------------------------------------------
-// Histograms
+// Registry export
 // ---------------------------------------------------------------------------
-
-TEST_F(ObsTest, HistogramBucketsMatchReferenceCounting) {
-  Histogram h({1.0, 2.0, 4.0, 8.0});
-  const std::vector<double> samples = {0.5, 1.0, 1.5, 3.0, 3.9,
-                                       7.0, 8.0, 9.0, 100.0};
-  for (double s : samples) h.observe(s);
-
-  // Reference: bucket i counts samples <= bounds[i] (and above the previous
-  // bound); the final bucket is the +inf overflow.
-  const auto counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 5u);
-  EXPECT_EQ(counts[0], 2u);  // 0.5, 1.0
-  EXPECT_EQ(counts[1], 1u);  // 1.5
-  EXPECT_EQ(counts[2], 2u);  // 3.0, 3.9
-  EXPECT_EQ(counts[3], 2u);  // 7.0, 8.0
-  EXPECT_EQ(counts[4], 2u);  // 9.0, 100.0 overflow
-  EXPECT_EQ(h.count(), samples.size());
-
-  double sum = 0.0;
-  for (double s : samples) sum += s;
-  EXPECT_DOUBLE_EQ(h.sum(), sum);
-  EXPECT_DOUBLE_EQ(h.mean(), sum / static_cast<double>(samples.size()));
-}
-
-TEST_F(ObsTest, HistogramQuantileInterpolatesWithinBucket) {
-  // 100 samples uniformly covering (0, 10]: the Prometheus-style linear
-  // interpolation should land within one bucket width of the exact value.
-  Histogram h({2.0, 4.0, 6.0, 8.0, 10.0});
-  for (int i = 1; i <= 100; ++i) h.observe(0.1 * i);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.95), 9.5, 2.0);
-  // Monotone in q.
-  EXPECT_LE(h.quantile(0.25), h.quantile(0.5));
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.9));
-  // Empty histogram reports 0; all-overflow reports the last finite bound.
-  Histogram empty({1.0});
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
-  Histogram over({1.0, 2.0});
-  over.observe(50.0);
-  EXPECT_DOUBLE_EQ(over.quantile(0.99), 2.0);
-}
-
-TEST_F(ObsTest, ExponentialBoundsAreLogSpaced) {
-  const auto b = Histogram::exponential_bounds(1.0, 1e6, 25);
-  ASSERT_EQ(b.size(), 25u);
-  EXPECT_DOUBLE_EQ(b.front(), 1.0);
-  EXPECT_NEAR(b.back(), 1e6, 1.0);
-  for (std::size_t i = 1; i < b.size(); ++i) EXPECT_GT(b[i], b[i - 1]);
-  // Constant ratio between consecutive bounds.
-  const double r0 = b[1] / b[0];
-  for (std::size_t i = 2; i < b.size(); ++i)
-    EXPECT_NEAR(b[i] / b[i - 1], r0, 1e-9);
-}
 
 TEST_F(ObsTest, RegistryJsonContainsEveryMetric) {
   auto& reg = Registry::instance();
   reg.counter("bis.test.count").add(3);
   reg.gauge("bis.test.gauge").set(2.5);
-  reg.histogram("bis.test.hist", {1.0, 10.0}).observe(0.5);
+  reg.latency("bis.test.latency_ns").record(1500);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"bis.test.count\": 3"), std::string::npos);
   EXPECT_NE(json.find("bis.test.gauge"), std::string::npos);
-  EXPECT_NE(json.find("bis.test.hist"), std::string::npos);
-  EXPECT_NE(json.find("\"p95\""), std::string::npos);
+  EXPECT_NE(json.find("bis.test.latency_ns"), std::string::npos);
+  EXPECT_NE(json.find("\"p999\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +207,6 @@ TEST_F(ObsTest, IntegratedFrameProducesTraceAndRunReport) {
   core::SystemConfig cfg;
   cfg.tag_range_m = 2.0;
   cfg.seed = 42;
-  cfg.telemetry = true;
   // Short uplink symbols so the downlink-sized frame still carries at least
   // one decodable uplink symbol (same sizing as the LinkSimulator suite).
   cfg.tag.node.uplink.chirps_per_symbol = 32;

@@ -1,7 +1,7 @@
 // obs::TelemetrySink: JSONL time-series and Prometheus snapshot export,
-// collector attach/detach, the embedded TCP /metrics endpoint, and stop()
-// idempotence. Sinks are constructed locally with files in the gtest temp
-// dir; the fixture restores the process-wide telemetry switch.
+// stage timings in both formats, the embedded TCP /metrics endpoint, and
+// stop() idempotence. Sinks are constructed locally with files in the gtest
+// temp dir; the fixture restores the process-wide telemetry switch.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/server_stats.hpp"
+#include "obs/report.hpp"
 #include "obs/sink.hpp"
 #include "obs/telemetry.hpp"
 
@@ -106,43 +106,30 @@ TEST_F(TelemetrySinkTest, JsonlLinesParseAndCarryMetrics) {
   }
 }
 
-TEST_F(TelemetrySinkTest, AttachedCollectorAppearsInBothFormats) {
+TEST_F(TelemetrySinkTest, StageLatenciesAppearInBothFormats) {
   TelemetrySinkOptions opts;
-  opts.jsonl_path = temp_path("collector.jsonl");
-  opts.prom_path = temp_path("collector.prom");
+  opts.jsonl_path = temp_path("stages.jsonl");
+  opts.prom_path = temp_path("stages.prom");
   opts.interval_ms = 10000;
   TelemetrySink sink(opts);
 
-  ServerStatsCollector stats;
-  sink.attach_server_stats(&stats);
-  for (int i = 0; i < 5; ++i)
-    stats.record(ServerStage::kSynthesize, 8000);
-  stats.record_e2e(50000);
+  StageTimes times;
+  for (int i = 0; i < 5; ++i) StageTimer timer(times, Stage::kIfSynthesis);
   sink.sample_now();
 
   const auto lines = read_lines(opts.jsonl_path);
   ASSERT_FALSE(lines.empty());
   const auto doc = json_parse(lines.back());
   ASSERT_TRUE(doc.ok()) << doc.error;
-  const JsonValue* server = doc.value.find("server");
-  ASSERT_NE(server, nullptr);
-  ASSERT_TRUE(server->is_array());
-  ASSERT_EQ(server->as_array().size(), 1u);
-  const JsonValue& s = server->as_array().front();
-  EXPECT_EQ(s.find("synthesize")->number_or("frames", -1.0), 5.0);
-  EXPECT_GT(
-      s.find("synthesize")->find("busy_us")->number_or("p50", -1.0), 0.0);
+  const JsonValue* metrics = doc.value.find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const JsonValue* synth = metrics->find("bis.stage.if_synthesis_ns");
+  ASSERT_NE(synth, nullptr);
+  EXPECT_EQ(synth->number_or("count", -1.0), 5.0);
 
   const std::string prom = read_file(opts.prom_path);
-  EXPECT_NE(prom.find("bis_server_stage_busy_us{stage=\"synthesize\","
-                      "quantile=\"0.5\"}"),
+  EXPECT_NE(prom.find("bis_stage_if_synthesis_ns{quantile=\"0.5\"}"),
             std::string::npos);
-
-  sink.detach_server_stats(&stats);
-  sink.sample_now();
-  const auto after = json_parse(read_lines(opts.jsonl_path).back());
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value.find("server"), nullptr);
   sink.stop();
 }
 
