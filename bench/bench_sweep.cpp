@@ -11,8 +11,9 @@
 /// rows are flagged invalid when the host has fewer cores than the row.
 ///
 /// CI determinism mode: `bench_sweep --sweep-json PATH [--sweep-threads N]`
-/// runs only the reference sweep and writes its deterministic JSON to PATH;
-/// the workflow runs it twice with different thread counts and diffs.
+/// runs only the reference uplink sweep and a small downlink BER sweep (tag
+/// calibration and decode) and writes their deterministic JSON to PATH; the
+/// workflow runs it twice with different thread counts and diffs.
 
 #include <chrono>
 #include <cmath>
@@ -222,6 +223,23 @@ std::vector<core::SweepPoint> sweep_grid() {
   return core::range_sweep_grid(base, ranges, /*repeats=*/2);
 }
 
+/// Small fig13 downlink grid (BER vs distance): tag calibration plus the
+/// tag's downlink decode at every point.
+core::SweepOptions downlink_options(std::size_t threads) {
+  core::SweepOptions opts;
+  opts.mode = core::SweepMode::kDownlinkBer;
+  opts.master_seed = 1234;
+  opts.threads = threads;
+  opts.workload.min_bits = 400;
+  opts.workload.payload_bits = 80;
+  return opts;
+}
+
+std::vector<core::SweepPoint> downlink_grid() {
+  const std::vector<double> ranges = {3.0, 5.0, 7.0};
+  return core::range_sweep_grid(core::SystemConfig{}, ranges);
+}
+
 bool write_bench_json(const std::string& path) {
   std::printf("--- sweep engine harness (writing %s) ---\n", path.c_str());
 
@@ -258,16 +276,8 @@ bool write_bench_json(const std::string& path) {
               parity_ok ? "yes" : "NO");
 
   // Precision tiers end-to-end. fig13 grid: downlink BER vs distance.
-  core::SweepOptions dl_opts;
-  dl_opts.mode = core::SweepMode::kDownlinkBer;
-  dl_opts.master_seed = 1234;
-  dl_opts.threads = 1;
-  dl_opts.workload.min_bits = 400;
-  dl_opts.workload.payload_bits = 80;
-  core::SystemConfig dl_base;
-  const std::vector<double> fig13_ranges = {3.0, 5.0, 7.0};
-  const auto fig13_grid = core::range_sweep_grid(dl_base, fig13_ranges);
-  const auto prec_dl = compare_precision("fig13_downlink", dl_opts, fig13_grid, 2);
+  const auto prec_dl =
+      compare_precision("fig13_downlink", downlink_options(1), downlink_grid(), 2);
   const auto prec_ul = compare_precision("uplink", sweep_options(1), grid, 2);
   bool precision_ok = true;
   for (const auto& p : {prec_dl, prec_ul}) {
@@ -347,7 +357,8 @@ bool write_bench_json(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // CI determinism mode: write only the (deterministic) sweep JSON.
+  // CI determinism mode: write only the (deterministic) sweep JSON of both
+  // grids.
   std::string sweep_json_path;
   std::size_t sweep_threads = 1;
   bool force = false;
@@ -364,10 +375,13 @@ int main(int argc, char** argv) {
     }
   }
   if (!sweep_json_path.empty()) {
-    const auto result =
+    const auto uplink =
         core::SweepRunner(sweep_options(sweep_threads)).run(sweep_grid());
+    const auto downlink =
+        core::SweepRunner(downlink_options(sweep_threads)).run(downlink_grid());
     std::ofstream out(sweep_json_path);
-    out << core::sweep_to_json(result) << "\n";
+    out << "{\"uplink\": " << core::sweep_to_json(uplink)
+        << ",\n\"downlink_ber\": " << core::sweep_to_json(downlink) << "}\n";
     std::printf("sweep (%zu thread(s)) written to %s\n", sweep_threads,
                 sweep_json_path.c_str());
     return 0;

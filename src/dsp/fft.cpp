@@ -340,104 +340,68 @@ struct RfftPlanF32 {
 class PlanCache {
  public:
   std::shared_ptr<const FftPlan> get(std::size_t n) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = plans_.find(n);
-      if (it != plans_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    auto plan = build(n);
-    std::lock_guard<std::mutex> lock(mu_);
-    // A concurrent builder may have raced us; keep the first one inserted so
-    // every caller shares one table set.
-    return plans_.emplace(n, std::move(plan)).first->second;
+    return get_or_build(plans_, n, [&] { return build(n); });
   }
 
   /// Untangle plan for an even-length real-input transform. Shares the
   /// hit/miss counters with the complex plans: an rfft is one rplan lookup
   /// plus one half-size complex plan lookup.
   std::shared_ptr<const RfftPlan> get_rfft(std::size_t n) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = rplans_.find(n);
-      if (it != rplans_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
+    return get_or_build(rplans_, n, [&] {
+      auto plan = std::make_shared<RfftPlan>();
+      plan->n = n;
+      plan->h = n / 2;
+      plan->tw_re.resize(plan->h + 1);
+      plan->tw_im.resize(plan->h + 1);
+      for (std::size_t k = 0; k <= plan->h; ++k) {
+        const double angle =
+            -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
+        plan->tw_re[k] = std::cos(angle);
+        plan->tw_im[k] = std::sin(angle);
       }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    auto plan = std::make_shared<RfftPlan>();
-    plan->n = n;
-    plan->h = n / 2;
-    plan->tw_re.resize(plan->h + 1);
-    plan->tw_im.resize(plan->h + 1);
-    for (std::size_t k = 0; k <= plan->h; ++k) {
-      const double angle = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-      plan->tw_re[k] = std::cos(angle);
-      plan->tw_im[k] = std::sin(angle);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    return rplans_.emplace(n, std::move(plan)).first->second;
+      return plan;
+    });
   }
 
   /// float32 plan for a power-of-two size (float32_fast tier). Derived from
   /// the double plan of the same size; shares the hit/miss counters.
   std::shared_ptr<const FftPlanF32> get_f32(std::size_t n) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = fplans_.find(n);
-      if (it != fplans_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    auto base = get(n);  // builds / fetches the double plan
-    auto plan = std::make_shared<FftPlanF32>();
-    plan->n = n;
-    plan->base = base;
-    const auto cast_stages = [](const std::vector<RVec>& src,
-                                std::vector<FVec>& dst) {
-      dst.resize(src.size());
-      for (std::size_t s = 0; s < src.size(); ++s) {
-        dst[s].resize(src[s].size());
-        for (std::size_t k = 0; k < src[s].size(); ++k)
-          dst[s][k] = static_cast<float>(src[s][k]);
-      }
-    };
-    cast_stages(base->tw_re_fwd, plan->tw_re_fwd);
-    cast_stages(base->tw_im_fwd, plan->tw_im_fwd);
-    cast_stages(base->tw_re_inv, plan->tw_re_inv);
-    cast_stages(base->tw_im_inv, plan->tw_im_inv);
-    std::lock_guard<std::mutex> lock(mu_);
-    return fplans_.emplace(n, std::move(plan)).first->second;
+    return get_or_build(fplans_, n, [&] {
+      auto base = get(n);  // builds / fetches the double plan
+      auto plan = std::make_shared<FftPlanF32>();
+      plan->n = n;
+      plan->base = base;
+      const auto cast_stages = [](const std::vector<RVec>& src,
+                                  std::vector<FVec>& dst) {
+        dst.resize(src.size());
+        for (std::size_t s = 0; s < src.size(); ++s) {
+          dst[s].resize(src[s].size());
+          for (std::size_t k = 0; k < src[s].size(); ++k)
+            dst[s][k] = static_cast<float>(src[s][k]);
+        }
+      };
+      cast_stages(base->tw_re_fwd, plan->tw_re_fwd);
+      cast_stages(base->tw_im_fwd, plan->tw_im_fwd);
+      cast_stages(base->tw_re_inv, plan->tw_re_inv);
+      cast_stages(base->tw_im_inv, plan->tw_im_inv);
+      return plan;
+    });
   }
 
   std::shared_ptr<const RfftPlanF32> get_rfft_f32(std::size_t n) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = rfplans_.find(n);
-      if (it != rfplans_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
+    return get_or_build(rfplans_, n, [&] {
+      auto base = get_rfft(n);
+      auto plan = std::make_shared<RfftPlanF32>();
+      plan->n = base->n;
+      plan->h = base->h;
+      plan->tw_re.resize(base->tw_re.size());
+      plan->tw_im.resize(base->tw_im.size());
+      for (std::size_t k = 0; k < base->tw_re.size(); ++k) {
+        plan->tw_re[k] = static_cast<float>(base->tw_re[k]);
+        plan->tw_im[k] = static_cast<float>(base->tw_im[k]);
       }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    auto base = get_rfft(n);
-    auto plan = std::make_shared<RfftPlanF32>();
-    plan->n = base->n;
-    plan->h = base->h;
-    plan->tw_re.resize(base->tw_re.size());
-    plan->tw_im.resize(base->tw_im.size());
-    for (std::size_t k = 0; k < base->tw_re.size(); ++k) {
-      plan->tw_re[k] = static_cast<float>(base->tw_re[k]);
-      plan->tw_im[k] = static_cast<float>(base->tw_im[k]);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    return rfplans_.emplace(n, std::move(plan)).first->second;
+      return plan;
+    });
   }
 
   FftPlanCacheStats stats() {
@@ -460,6 +424,28 @@ class PlanCache {
   }
 
  private:
+  /// The cached plan of size @p n in @p map, built by @p make outside the
+  /// lock on a miss (a build may itself fetch other plans). Counts at the
+  /// insert, not at the first lookup: of several lanes that missed the same
+  /// size, the one whose plan is stored counts the miss and the rest count
+  /// a hit and share that plan, so the counts do not depend on thread
+  /// timing.
+  template <typename Map, typename Make>
+  typename Map::mapped_type get_or_build(Map& map, std::size_t n, Make&& make) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (const auto it = map.find(n); it != map.end()) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return it->second;
+      }
+    }
+    typename Map::mapped_type plan = make();
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto [it, inserted] = map.emplace(n, std::move(plan));
+    (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
+    return it->second;
+  }
+
   std::shared_ptr<const FftPlan> build(std::size_t n) {
     if (is_power_of_two(n)) return make_pow2_plan(n);
 

@@ -191,16 +191,23 @@ class RegridPlanCache {
         return it->second;
       }
     }
+    auto plan = std::make_shared<const RegridPlan>(x, xq);
+    std::lock_guard<std::mutex> lock(mu_);
+    // Count at the insert, not at the first lookup: of several lanes that
+    // missed the same key, the one whose plan is stored counts the miss and
+    // the rest count a hit and share that plan, so the counts do not
+    // depend on thread timing.
+    if (const auto it = plans_.find(view); it != plans_.end()) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      record(true);
+      return it->second;
+    }
     misses_.fetch_add(1, std::memory_order_relaxed);
     record(false);
-    auto plan = std::make_shared<const RegridPlan>(x, xq);
-    RegridKey key;
-    key.x.assign(x.begin(), x.end());
-    key.xq.assign(xq.begin(), xq.end());
-    std::lock_guard<std::mutex> lock(mu_);
     if (plans_.size() < kMaxPlans) {
-      // A racing lane may have inserted the same key meanwhile; emplace
-      // keeps the first plan so every caller shares one stencil.
+      RegridKey key;
+      key.x.assign(x.begin(), x.end());
+      key.xq.assign(xq.begin(), xq.end());
       plans_.emplace(std::move(key), plan);
     }
     return plan;

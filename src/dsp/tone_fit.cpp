@@ -1,5 +1,6 @@
 #include "dsp/tone_fit.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -7,6 +8,13 @@
 
 namespace bis::dsp {
 namespace {
+
+/// Gram sums a Window stores per frequency (Σcc, Σcs, Σcw, Σss, Σsw).
+constexpr std::size_t kGramSums = 5;
+/// Frequencies scored side by side: the bank pads its frequency count to a
+/// multiple of this, so every block has a fixed trip count the compiler
+/// maps onto vector lanes. Each lane still sums its samples i = 0…n−1.
+constexpr std::size_t kLanes = 8;
 
 /// Solve the symmetric 3×3 system G·θ = b by Cramer's rule and return the
 /// explained energy bᵀθ. Returns 0 for a singular system.
@@ -32,146 +40,120 @@ double explained_energy(const double g[3][3], const double b[3]) {
 
 }  // namespace
 
+ToneGlrtBank::ToneGlrtBank(std::span<const double> freqs, double fs,
+                           std::size_t max_length)
+    : n_freqs_(freqs.size()),
+      stride_((freqs.size() + kLanes - 1) / kLanes * kLanes),
+      max_length_(max_length),
+      cos_(max_length * stride_, 0.0),
+      sin_(max_length * stride_, 0.0) {
+  BIS_CHECK(fs > 0.0);
+  for (std::size_t f = 0; f < n_freqs_; ++f) {
+    const double freq = freqs[f];
+    BIS_CHECK(freq > 0.0 && freq < fs / 2.0);
+    const double omega = kTwoPi * freq / fs;
+    for (std::size_t i = 0; i < max_length_; ++i) {
+      cos_[i * stride_ + f] = std::cos(omega * static_cast<double>(i));
+      sin_[i * stride_ + f] = std::sin(omega * static_cast<double>(i));
+    }
+  }
+}
+
+ToneGlrtBank::Window ToneGlrtBank::window(std::span<const double> weights) const {
+  BIS_CHECK(weights.size() <= max_length_);
+  Window win;
+  win.weights_.assign(weights.begin(), weights.end());
+  win.gram_.resize(kGramSums * stride_);
+  for (const double w : weights) win.uu_ += w * w;
+  for (std::size_t f0 = 0; f0 < stride_; f0 += kLanes) {
+    double g[kGramSums][kLanes] = {};
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      const double w = weights[i];
+      const double* cos_i = cos_.data() + i * stride_ + f0;
+      const double* sin_i = sin_.data() + i * stride_ + f0;
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        const double c = w * cos_i[k];
+        const double s = w * sin_i[k];
+        g[0][k] += c * c;
+        g[1][k] += c * s;
+        g[2][k] += c * w;
+        g[3][k] += s * s;
+        g[4][k] += s * w;
+      }
+    }
+    for (std::size_t j = 0; j < kGramSums; ++j)
+      std::copy_n(g[j], kLanes, win.gram_.data() + j * stride_ + f0);
+  }
+  return win;
+}
+
+void ToneGlrtBank::scores(std::span<const double> x, const Window& window,
+                          std::span<double> out) const {
+  BIS_CHECK(x.size() == window.size());
+  BIS_CHECK(window.gram_.size() == kGramSums * stride_);
+  BIS_CHECK(out.size() == n_freqs_);
+  const std::size_t n = x.size();
+  if (n < 4) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  const double* w = window.weights_.data();
+  // The DC column's projection w·(w·x) is the same for every frequency.
+  double ux = 0.0;
+  for (std::size_t i = 0; i < n; ++i) ux += w[i] * (w[i] * x[i]);
+  const double uu = window.uu_;
+  const double dc_only = uu > 0.0 ? ux * ux / uu : 0.0;
+  const double* g = window.gram_.data();
+
+  for (std::size_t f0 = 0; f0 < stride_; f0 += kLanes) {
+    double bc[kLanes] = {};
+    double bs[kLanes] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      const double xv = w[i] * x[i];
+      const double* cos_i = cos_.data() + i * stride_ + f0;
+      const double* sin_i = sin_.data() + i * stride_ + f0;
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        bc[k] += (w[i] * cos_i[k]) * xv;
+        bs[k] += (w[i] * sin_i[k]) * xv;
+      }
+    }
+    for (std::size_t f = f0; f < std::min(f0 + kLanes, n_freqs_); ++f) {
+      const double cc = g[f], cs = g[stride_ + f], cu = g[2 * stride_ + f];
+      const double ss = g[3 * stride_ + f], su = g[4 * stride_ + f];
+      const double gm[3][3] = {{cc, cs, cu}, {cs, ss, su}, {cu, su, uu}};
+      const double b[3] = {bc[f - f0], bs[f - f0], ux};
+      out[f] = std::max(0.0, explained_energy(gm, b) - dc_only);
+    }
+  }
+}
+
+namespace {
+
+void scores_once(std::span<const double> x, std::span<const double> freqs,
+                 double fs, std::span<const double> weights,
+                 std::span<double> out) {
+  BIS_CHECK(weights.empty() || weights.size() == x.size());
+  const ToneGlrtBank bank(freqs, fs, x.size());
+  const std::vector<double> ones(weights.empty() ? x.size() : 0, 1.0);
+  bank.scores(x, bank.window(weights.empty() ? ones : weights), out);
+}
+
+}  // namespace
+
 double tone_glrt_score(std::span<const double> x, double freq, double fs,
                        std::span<const double> weights) {
-  BIS_CHECK(fs > 0.0);
-  BIS_CHECK(freq > 0.0 && freq < fs / 2.0);
-  BIS_CHECK(weights.empty() || weights.size() == x.size());
-  const std::size_t n = x.size();
-  if (n < 4) return 0.0;
-
-  // Weighted design matrix columns: c = w·cos, s = w·sin, u = w·1; the
-  // observation is w·x. Gram matrix and right-hand side accumulate in one
-  // pass.
-  const double omega = kTwoPi * freq / fs;
-  double g[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
-  double b[3] = {0, 0, 0};
-  double uu = 0.0;
-  double ux = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = weights.empty() ? 1.0 : weights[i];
-    const double c = w * std::cos(omega * static_cast<double>(i));
-    const double s = w * std::sin(omega * static_cast<double>(i));
-    const double u = w;
-    const double xv = w * x[i];
-    g[0][0] += c * c;
-    g[0][1] += c * s;
-    g[0][2] += c * u;
-    g[1][1] += s * s;
-    g[1][2] += s * u;
-    g[2][2] += u * u;
-    b[0] += c * xv;
-    b[1] += s * xv;
-    b[2] += u * xv;
-    uu += u * u;
-    ux += u * xv;
-  }
-  g[1][0] = g[0][1];
-  g[2][0] = g[0][2];
-  g[2][1] = g[1][2];
-
-  const double full = explained_energy(g, b);
-  const double dc_only = uu > 0.0 ? ux * ux / uu : 0.0;
-  return std::max(0.0, full - dc_only);
+  double score = 0.0;
+  scores_once(x, std::span<const double>(&freq, 1), fs, weights,
+              std::span<double>(&score, 1));
+  return score;
 }
 
 std::vector<double> tone_glrt_scores(std::span<const double> x,
                                      std::span<const double> freqs, double fs,
                                      std::span<const double> weights) {
   std::vector<double> out(freqs.size());
-  for (std::size_t i = 0; i < freqs.size(); ++i)
-    out[i] = tone_glrt_score(x, freqs[i], fs, weights);
+  scores_once(x, freqs, fs, weights, out);
   return out;
-}
-
-void tone_glrt_scores_f32(std::span<const float> x, std::span<const double> freqs,
-                          double fs, std::span<const float> weights,
-                          std::span<double> out) {
-  BIS_CHECK(fs > 0.0);
-  BIS_CHECK(weights.empty() || weights.size() == x.size());
-  BIS_CHECK(out.size() == freqs.size());
-  const std::size_t n = x.size();
-  for (std::size_t j = 0; j < freqs.size(); ++j) {
-    const double freq = freqs[j];
-    BIS_CHECK(freq > 0.0 && freq < fs / 2.0);
-    if (n < 4) {
-      out[j] = 0.0;
-      continue;
-    }
-    const double omega = kTwoPi * freq / fs;
-    // Phasor recurrence: (c, s) = (cos(ωi), sin(ωi)) rotated by e^{jω} each
-    // sample. Drift over a demod window (≲ a few hundred samples) is
-    // ~n·eps, orders of magnitude below the float input rounding.
-    const double cw = std::cos(omega), sw = std::sin(omega);
-    double c = 1.0, s = 0.0;
-    double g[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
-    double b[3] = {0, 0, 0};
-    double uu = 0.0, ux = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double w =
-          weights.empty() ? 1.0 : static_cast<double>(weights[i]);
-      const double wc = w * c;
-      const double ws = w * s;
-      const double xv = w * static_cast<double>(x[i]);
-      g[0][0] += wc * wc;
-      g[0][1] += wc * ws;
-      g[0][2] += wc * w;
-      g[1][1] += ws * ws;
-      g[1][2] += ws * w;
-      g[2][2] += w * w;
-      b[0] += wc * xv;
-      b[1] += ws * xv;
-      b[2] += w * xv;
-      uu += w * w;
-      ux += w * xv;
-      const double c_next = c * cw - s * sw;
-      s = s * cw + c * sw;
-      c = c_next;
-    }
-    g[1][0] = g[0][1];
-    g[2][0] = g[0][2];
-    g[2][1] = g[1][2];
-    const double full = explained_energy(g, b);
-    const double dc_only = uu > 0.0 ? ux * ux / uu : 0.0;
-    out[j] = std::max(0.0, full - dc_only);
-  }
-}
-
-double tone_known_phase_score_f32(std::span<const float> x, double freq,
-                                  double phase_rad, double fs,
-                                  std::span<const float> weights) {
-  BIS_CHECK(fs > 0.0);
-  BIS_CHECK(freq > 0.0 && freq < fs / 2.0);
-  BIS_CHECK(weights.empty() || weights.size() == x.size());
-  const std::size_t n = x.size();
-  if (n < 4) return 0.0;
-
-  // Basis t[i] = w·cos(ωi + φ) via phasor recurrence seeded at phase φ;
-  // 2×2 LS against the DC column, all accumulation in double.
-  const double omega = kTwoPi * freq / fs;
-  const double cw = std::cos(omega), sw = std::sin(omega);
-  double c = std::cos(phase_rad), s = std::sin(phase_rad);
-  double tt = 0.0, tu = 0.0, uu = 0.0, tx = 0.0, ux = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = weights.empty() ? 1.0 : static_cast<double>(weights[i]);
-    const double t = w * c;
-    const double xv = w * static_cast<double>(x[i]);
-    tt += t * t;
-    tu += t * w;
-    uu += w * w;
-    tx += t * xv;
-    ux += w * xv;
-    const double c_next = c * cw - s * sw;
-    s = s * cw + c * sw;
-    c = c_next;
-  }
-  const double det = tt * uu - tu * tu;
-  if (std::abs(det) < 1e-30 || uu <= 0.0) return 0.0;
-  const double a = (tx * uu - ux * tu) / det;
-  const double d = (ux * tt - tx * tu) / det;
-  const double full = a * tx + d * ux;
-  const double dc_only = ux * ux / uu;
-  return std::max(0.0, full - dc_only);
 }
 
 ToneFit tone_fit(std::span<const double> x, double freq, double fs,

@@ -17,35 +17,66 @@
 
 namespace bis::dsp {
 
+/// Planned GLRT scorer for a fixed set of frequencies. The tag's reference
+/// is fixed once calibration is done (paper §3.2.2, §4.1), so everything
+/// the tone_glrt_score model needs that does not depend on the data is
+/// computed once: the bank holds each frequency's cos(ωi)/sin(ωi) table up
+/// to max_length() samples, and a Window holds one weighting's weights plus
+/// each frequency's Gram sums of the weighted [cos, sin, 1] design columns.
+/// Scoring a window then takes the two data dot products per frequency and
+/// the 3×3 solve, with no libm call. Every sum adds the same rounded
+/// operands in the same sample order as the per-sample reference loop, so
+/// the scores are bit-identical to it (the TU builds without FMA).
+class ToneGlrtBank {
+ public:
+  /// One weighting planned against a bank (see ToneGlrtBank::window).
+  class Window {
+   public:
+    std::size_t size() const { return weights_.size(); }
+
+   private:
+    friend class ToneGlrtBank;
+    std::vector<double> weights_;
+    std::vector<double> gram_;  ///< Σcc, Σcs, Σcw, Σss, Σsw, each a run
+                                ///< of one entry per padded frequency.
+    double uu_ = 0.0;           ///< Σw², shared by every frequency.
+  };
+
+  /// Every frequency must lie in (0, fs/2).
+  ToneGlrtBank(std::span<const double> freqs, double fs, std::size_t max_length);
+
+  /// Plan the weighting @p weights (one weight per sample, at most
+  /// max_length() of them). Unit weights give the unweighted score.
+  Window window(std::span<const double> weights) const;
+
+  /// Score @p x at every frequency into @p out. @p x must have the
+  /// window's length and @p out one entry per frequency; windows shorter
+  /// than 4 samples score 0.
+  void scores(std::span<const double> x, const Window& window,
+              std::span<double> out) const;
+
+  std::size_t size() const { return n_freqs_; }
+  std::size_t max_length() const { return max_length_; }
+
+ private:
+  std::size_t n_freqs_;
+  std::size_t stride_;  ///< n_freqs_ padded to the scoring block width.
+  std::size_t max_length_;
+  std::vector<double> cos_;  ///< cos(ω_f·i) at [i·stride_ + f]; 0 in padding.
+  std::vector<double> sin_;  ///< sin(ω_f·i) at [i·stride_ + f]; 0 in padding.
+};
+
 /// Tone-explained energy at frequency @p freq (Hz) for sample rate @p fs,
 /// with DC treated as a nuisance parameter. @p weights must be empty (no
-/// weighting) or the same length as @p x.
+/// weighting) or the same length as @p x. A one-off ToneGlrtBank.
 double tone_glrt_score(std::span<const double> x, double freq, double fs,
                        std::span<const double> weights = {});
 
-/// Evaluate the GLRT score for several frequencies over one window.
+/// Evaluate the GLRT score for several frequencies over one window (a
+/// one-off ToneGlrtBank).
 std::vector<double> tone_glrt_scores(std::span<const double> x,
                                      std::span<const double> freqs, double fs,
                                      std::span<const double> weights = {});
-
-/// float32_fast tier bank scorer (non-normative; tolerance-validated). Same
-/// model as tone_glrt_scores, but the cos/sin basis comes from a phasor
-/// recurrence instead of two libm calls per sample per frequency — the
-/// double path's dominant cost. Inputs are the tier's float frame data;
-/// Gram/RHS accumulation stays in double, so the scores differ from the
-/// normative path only by the float input rounding and the recurrence
-/// basis. @p out.size() must equal @p freqs.size().
-void tone_glrt_scores_f32(std::span<const float> x, std::span<const double> freqs,
-                          double fs, std::span<const float> weights,
-                          std::span<double> out);
-
-/// float32_fast tier known-phase scorer (non-normative). Same 2×2 LS model
-/// as tone_known_phase_score; the basis column w·cos(ωi + φ) comes from a
-/// phasor recurrence seeded at (cos φ, sin φ). Accumulation stays in
-/// double.
-double tone_known_phase_score_f32(std::span<const float> x, double freq,
-                                  double phase_rad, double fs,
-                                  std::span<const float> weights);
 
 /// Full fit result: x[n] ≈ a·cos(ωn) + b·sin(ωn) + dc.
 struct ToneFit {

@@ -6,10 +6,8 @@
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
-#include "dsp/goertzel.hpp"
 #include "dsp/tone_fit.hpp"
 #include "dsp/peak.hpp"
-#include "dsp/window.hpp"
 #include "tag/symbol_demod.hpp"
 
 namespace bis::tag {
@@ -70,39 +68,20 @@ CalibrationTable run_calibration(TagFrontend& frontend,
     // Duration-matched analysis window, same as the decoder's final pass.
     const std::size_t len = SymbolDemod::analysis_length(chirp.duration_s, fs);
 
+    // Same √Hann-weighted DC-nuisance GLRT scorer as the live demodulator,
+    // planned once for this slot's grid and window length.
+    const dsp::ToneGlrtBank bank(grid, fs, len);
+    const auto weights = SymbolDemod::analysis_weights(len);
+    const auto plan = bank.window(weights);
     dsp::RVec acc(grid.size(), 0.0);
+    dsp::RVec scores(grid.size());
     std::size_t used = 0;
-    auto weights = dsp::make_window(dsp::WindowType::kHann, len);
-    for (double& v : weights) v = std::sqrt(v);
-    // The grid search is the calibration hot loop (|grid| GLRT fits per
-    // gated window). Under the float32_fast tier, score the whole grid with
-    // the phasor-recurrence bank — the tier's frequencies/phases shift only
-    // within float rounding, which the end-to-end tolerance gate covers.
-    const bool fast_tier =
-        frontend.config().precision == dsp::Precision::kFloat32Fast;
-    dsp::FVec window_f, weights_f;
-    dsp::RVec scores;
-    if (fast_tier) {
-      weights_f.resize(len);
-      for (std::size_t i = 0; i < len; ++i)
-        weights_f[i] = static_cast<float>(weights[i]);
-      window_f.resize(len);
-      scores.resize(grid.size());
-    }
     for (const auto& w : *windows) {
       if (!w.burst_present) continue;
       if (w.start + len > stream.size()) continue;
-      const std::span<const double> window(stream.data() + w.start, len);
-      // Same √Hann-weighted DC-nuisance GLRT scorer as the live demodulator.
-      if (fast_tier) {
-        for (std::size_t i = 0; i < len; ++i)
-          window_f[i] = static_cast<float>(window[i]);
-        dsp::tone_glrt_scores_f32(window_f, grid, fs, weights_f, scores);
-        for (std::size_t g = 0; g < grid.size(); ++g) acc[g] += scores[g];
-      } else {
-        for (std::size_t g = 0; g < grid.size(); ++g)
-          acc[g] += dsp::tone_glrt_score(window, grid[g], fs, weights);
-      }
+      bank.scores(std::span<const double>(stream.data() + w.start, len), plan,
+                  scores);
+      for (std::size_t g = 0; g < grid.size(); ++g) acc[g] += scores[g];
       ++used;
     }
     if (used == 0) continue;

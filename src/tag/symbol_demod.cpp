@@ -4,85 +4,18 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "dsp/tone_fit.hpp"
 #include "dsp/window.hpp"
 
-#include <map>
-
 namespace bis::tag {
-
-SymbolDemod::SymbolDemod(const SymbolDemodConfig& config)
-    : config_(config), bank_(config.slot_beat_freqs_hz, config.sample_rate_hz) {
-  BIS_CHECK(config_.guard_fraction >= 0.0 && config_.guard_fraction < 0.4);
-  BIS_CHECK_MSG(config_.slot_beat_freqs_hz.size() >= 2,
-                "alphabet needs at least two slots");
-  BIS_CHECK(config_.slot_durations_s.empty() ||
-            config_.slot_durations_s.size() == config_.slot_beat_freqs_hz.size());
-}
-
-std::size_t SymbolDemod::analysis_length(double duration_s, double sample_rate_hz) {
-  const auto n = static_cast<long long>(std::llround(duration_s * sample_rate_hz));
-  return static_cast<std::size_t>(std::max<long long>(4, n - 2));
-}
-
 namespace {
 
-/// Shared scorer: Hann-tapered GLRT with DC nuisance (see dsp/tone_fit.hpp).
-/// The DC-nuisance least-squares fit stays well-behaved even when the
-/// window holds only ~1 beat cycle (small-bandwidth / short-delay-line
-/// configurations), where mean-removal + DFT-bin methods collapse.
-std::vector<double> score_bank(std::span<const double> window,
-                               const std::vector<double>& freqs,
-                               const std::vector<double>& phases, double fs) {
-  // √Hann weights: the GLRT minimizes Σw²(x−model)², so the effective
-  // taper is w² = Hann.
-  auto w = bis::dsp::make_window(bis::dsp::WindowType::kHann, window.size());
-  for (double& v : w) v = std::sqrt(v);
-  if (phases.empty()) return bis::dsp::tone_glrt_scores(window, freqs, fs, w);
-  std::vector<double> out(freqs.size());
-  for (std::size_t i = 0; i < freqs.size(); ++i)
-    out[i] = bis::dsp::tone_known_phase_score(window, freqs[i], phases[i], fs, w);
-  return out;
-}
-
-/// √Hann float weights per window length. The decoder re-uses a handful of
-/// lengths (one per slot duration) across every symbol of every frame, so
-/// after warmup this is a map hit — the float tier's per-symbol loop stays
-/// allocation-free where the double path rebuilds its weights per call.
-const bis::dsp::FVec& cached_sqrt_hann_f32(std::size_t n) {
-  thread_local std::map<std::size_t, bis::dsp::FVec> cache;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    const auto w = bis::dsp::make_window(bis::dsp::WindowType::kHann, n);
-    bis::dsp::FVec wf(n);
-    for (std::size_t i = 0; i < n; ++i)
-      wf[i] = static_cast<float>(std::sqrt(w[i]));
-    it = cache.emplace(n, std::move(wf)).first;
-  }
-  return it->second;
-}
-
-/// float32_fast tier bank scorer: one cast of the window to float, then the
-/// phasor-recurrence scorers (no per-sample libm) — the phase-free GLRT
-/// bank or, when calibration provided slot phases, the known-phase 2×2 LS.
-std::vector<double> score_bank_f32(std::span<const double> window,
-                                   const std::vector<double>& freqs,
-                                   const std::vector<double>& phases,
-                                   double fs) {
-  thread_local bis::dsp::FVec xf;
-  xf.resize(window.size());
-  for (std::size_t i = 0; i < window.size(); ++i)
-    xf[i] = static_cast<float>(window[i]);
-  const auto& wf = cached_sqrt_hann_f32(window.size());
-  std::vector<double> out(freqs.size());
-  if (phases.empty()) {
-    bis::dsp::tone_glrt_scores_f32(xf, freqs, fs, wf, out);
-  } else {
-    for (std::size_t i = 0; i < freqs.size(); ++i)
-      out[i] = bis::dsp::tone_known_phase_score_f32(xf, freqs[i], phases[i],
-                                                    fs, wf);
-  }
-  return out;
+/// Longest analysis length among the slot durations (0 without durations):
+/// the bank's table length.
+std::size_t max_analysis_length(const SymbolDemodConfig& config) {
+  std::size_t n = 0;
+  for (double d : config.slot_durations_s)
+    n = std::max(n, SymbolDemod::analysis_length(d, config.sample_rate_hz));
+  return n;
 }
 
 SymbolDemod::Result pick(std::vector<double> powers) {
@@ -101,17 +34,61 @@ SymbolDemod::Result pick(std::vector<double> powers) {
 
 }  // namespace
 
+SymbolDemod::SymbolDemod(const SymbolDemodConfig& config)
+    : config_(config),
+      bank_(config.slot_beat_freqs_hz, config.sample_rate_hz,
+            max_analysis_length(config)) {
+  BIS_CHECK(config_.guard_fraction >= 0.0 && config_.guard_fraction < 0.4);
+  BIS_CHECK_MSG(config_.slot_beat_freqs_hz.size() >= 2,
+                "alphabet needs at least two slots");
+  BIS_CHECK(config_.slot_durations_s.empty() ||
+            config_.slot_durations_s.size() == config_.slot_beat_freqs_hz.size());
+  if (config_.slot_durations_s.empty()) return;
+  min_planned_length_ = bank_.max_length();
+  for (double d : config_.slot_durations_s)
+    min_planned_length_ = std::min(
+        min_planned_length_, analysis_length(d, config_.sample_rate_hz));
+  for (std::size_t n = min_planned_length_; n <= bank_.max_length(); ++n)
+    windows_.push_back(bank_.window(analysis_weights(n)));
+}
+
+std::size_t SymbolDemod::analysis_length(double duration_s, double sample_rate_hz) {
+  const auto n = static_cast<long long>(std::llround(duration_s * sample_rate_hz));
+  return static_cast<std::size_t>(std::max<long long>(4, n - 2));
+}
+
+dsp::RVec SymbolDemod::analysis_weights(std::size_t n) {
+  auto w = dsp::make_window(dsp::WindowType::kHann, n);
+  for (double& v : w) v = std::sqrt(v);
+  return w;
+}
+
+/// Hann-tapered GLRT with DC nuisance (see dsp/tone_fit.hpp): the
+/// least-squares fit stays well-behaved even when the window holds only ~1
+/// beat cycle (small-bandwidth / short-delay-line configurations), where
+/// mean-removal + DFT-bin methods collapse.
 SymbolDemod::Result SymbolDemod::classify(std::span<const double> window) const {
   BIS_CHECK(window.size() >= 4);
   const auto guard = static_cast<std::size_t>(
       config_.guard_fraction * static_cast<double>(window.size()));
   const auto core = window.subspan(guard, window.size() - 2 * guard);
-  if (config_.precision == dsp::Precision::kFloat32Fast)
-    return pick(score_bank_f32(core, config_.slot_beat_freqs_hz,
-                               config_.slot_phases_rad,
-                               config_.sample_rate_hz));
-  return pick(score_bank(core, config_.slot_beat_freqs_hz,
-                         config_.slot_phases_rad, config_.sample_rate_hz));
+  const auto& freqs = config_.slot_beat_freqs_hz;
+  const double fs = config_.sample_rate_hz;
+  const auto& phases = config_.slot_phases_rad;
+  const std::size_t n = core.size();
+
+  if (phases.empty() && n >= min_planned_length_ &&
+      n - min_planned_length_ < windows_.size()) {
+    std::vector<double> powers(freqs.size());
+    bank_.scores(core, windows_[n - min_planned_length_], powers);
+    return pick(std::move(powers));
+  }
+  const auto w = analysis_weights(n);
+  if (phases.empty()) return pick(dsp::tone_glrt_scores(core, freqs, fs, w));
+  std::vector<double> powers(freqs.size());
+  for (std::size_t i = 0; i < freqs.size(); ++i)
+    powers[i] = dsp::tone_known_phase_score(core, freqs[i], phases[i], fs, w);
+  return pick(std::move(powers));
 }
 
 SymbolDemod::Result SymbolDemod::classify_matched(
@@ -127,8 +104,7 @@ SymbolDemod::Result SymbolDemod::classify_matched(
         analysis_length(config_.slot_durations_s[i], fs), period_samples.size());
     if (len < 4) continue;
     const auto core = period_samples.first(len);
-    auto w = dsp::make_window(dsp::WindowType::kHann, len);
-    for (double& v : w) v = std::sqrt(v);
+    const auto w = analysis_weights(len);
     // GLRT normalization per window length so longer fully-filled windows
     // win on signal, not size.
     double w_energy = 0.0;

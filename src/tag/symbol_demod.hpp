@@ -16,8 +16,7 @@
 #include <span>
 #include <vector>
 
-#include "dsp/goertzel.hpp"
-#include "dsp/precision.hpp"
+#include "dsp/tone_fit.hpp"
 #include "dsp/types.hpp"
 
 namespace bis::tag {
@@ -34,12 +33,14 @@ struct SymbolDemodConfig {
                                            ///< matching (decisive at ~1 beat
                                            ///< cycle per window).
   double guard_fraction = 0.0;  ///< Optional trim from both window ends.
-  /// Numeric tier for the bank scorer. kFloat32Fast swaps the per-sample
-  /// libm cos/sin GLRT basis for the float-input phasor-recurrence scorer
-  /// (dsp::tone_glrt_scores_f32); tolerance-validated, never bit-compared.
-  dsp::Precision precision = dsp::Precision::kDoubleStrict;
 };
 
+/// Immutable once built. The constructor plans the GLRT bank
+/// (dsp::ToneGlrtBank) over the slot frequencies, sized to the longest
+/// analysis length among slot_durations_s, and one √Hann window per
+/// analysis length from the shortest slot's to the longest's; classify()
+/// scores windows of a planned length without any libm call and others
+/// through the one-off dsp::tone_glrt_scores.
 class SymbolDemod {
  public:
   explicit SymbolDemod(const SymbolDemodConfig& config);
@@ -62,7 +63,6 @@ class SymbolDemod {
   /// the end of the chirp period (or stream). Requires slot_durations_s.
   Result classify_matched(std::span<const double> period_samples) const;
 
-  std::size_t slot_count() const { return bank_.frequencies().size(); }
   const SymbolDemodConfig& config() const { return config_; }
 
   /// Analysis window length (samples) for a chirp of the given duration:
@@ -70,9 +70,17 @@ class SymbolDemod {
   /// the calibration procedure so their estimators match exactly.
   static std::size_t analysis_length(double duration_s, double sample_rate_hz);
 
+  /// √Hann analysis weights of length @p n: the GLRT minimizes
+  /// Σw²(x−model)², so the effective taper is w² = Hann. Shared with the
+  /// calibration procedure for the same reason as analysis_length.
+  static dsp::RVec analysis_weights(std::size_t n);
+
  private:
   SymbolDemodConfig config_;
-  dsp::GoertzelBank bank_;
+  dsp::ToneGlrtBank bank_;
+  std::size_t min_planned_length_ = 0;
+  std::vector<dsp::ToneGlrtBank::Window> windows_;  ///< By length, from
+                                                    ///< min_planned_length_.
 };
 
 }  // namespace bis::tag

@@ -17,7 +17,6 @@ SymbolDemodConfig make_demod_config(const TagDecoderConfig& cfg) {
   d.slot_durations_s = cfg.slot_durations_s;
   d.slot_phases_rad = cfg.slot_phases_rad;
   d.guard_fraction = cfg.demod_guard_fraction;
-  d.precision = cfg.precision;
   return d;
 }
 
@@ -36,6 +35,9 @@ TagDecoder::TagDecoder(const TagDecoderConfig& config)
   BIS_CHECK(config_.header_slot != config_.sync_slot);
   BIS_CHECK(config_.min_header_run >= 1);
   BIS_CHECK(config_.bits_per_symbol >= 1);
+  static obs::Counter& builds =
+      obs::Registry::instance().counter("bis.tag.decoder_builds");
+  builds.add();
 }
 
 DownlinkDecodeResult TagDecoder::decode_stream(

@@ -50,10 +50,6 @@ struct TagDecoderConfig {
   PeriodicGateConfig periodic_gate;  ///< Primary, period-folded windowing.
   BurstGateConfig gate;              ///< Fallback when period lock fails.
   double demod_guard_fraction = 0.0;
-  /// Numeric tier forwarded to the symbol demodulator (see
-  /// SymbolDemodConfig::precision). Set from the frontend's tier by
-  /// TagNode::make_decoder_config so one knob governs the whole tag.
-  dsp::Precision precision = dsp::Precision::kDoubleStrict;
 };
 
 struct DownlinkDecodeResult {

@@ -25,11 +25,7 @@ TagNode::TagNode(const TagNodeConfig& config, const phy::SlopeAlphabet& alphabet
       frontend_(config.frontend, rng),
       modulator_(config.uplink),
       power_(config.power),
-      calibration_(CalibrationTable::nominal(alphabet)) {
-  rebuild_decoder();
-}
-
-void TagNode::rebuild_decoder() { decoder_.emplace(make_decoder_config()); }
+      calibration_(CalibrationTable::nominal(alphabet)) {}
 
 TagDecoderConfig TagNode::make_decoder_config() const {
   TagDecoderConfig d;
@@ -48,9 +44,6 @@ TagDecoderConfig TagNode::make_decoder_config() const {
   d.min_header_run = config_.min_header_run;
   d.expected_header_chirps = config_.expected_header_chirps;
   d.expected_sync_chirps = config_.expected_sync_chirps;
-  // The decoder runs the same numeric tier as the frontend that produced
-  // its stream — one knob per tag.
-  d.precision = config_.frontend.precision;
 
   d.period.sample_rate_hz = frontend_.sample_rate();
   d.period.min_period_s = alphabet_config_.chirp_period_s * 0.4;
@@ -86,12 +79,13 @@ void TagNode::calibrate(double incident_amplitude_v,
   const auto alphabet = phy::SlopeAlphabet::design(alphabet_config_);
   calibration_ = run_calibration(frontend_, alphabet, incident_amplitude_v,
                                  cal_config, make_decoder_config().periodic_gate);
-  rebuild_decoder();
+  decoder_.reset();
 }
 
 TagNode::DownlinkReception TagNode::receive_downlink(
     const dsp::RVec& stream, const phy::PacketConfig& packet_config,
     const std::vector<bool>& absorptive_mask) {
+  if (!decoder_) decoder_.emplace(make_decoder_config());
   DownlinkReception r;
   r.decode = decoder_->decode_stream(stream, absorptive_mask);
   if (r.decode.locked) {

@@ -43,7 +43,10 @@ class TagNode {
   bool calibrated() const { return calibration_.calibrated; }
   const CalibrationTable& calibration() const { return calibration_; }
 
-  /// Capture + decode a downlink stream (frame of envelope samples).
+  /// Capture + decode a downlink stream (frame of envelope samples). The
+  /// first call after construction or calibrate() builds the decoder from
+  /// the current calibration table; a tag that never receives a downlink
+  /// never plans one.
   struct DownlinkReception {
     DownlinkDecodeResult decode;
     phy::ParsedPacket packet;
@@ -58,13 +61,8 @@ class TagNode {
   TagOperatingMode mode() const { return config_.mode; }
   std::optional<std::uint8_t> address() const { return config_.address; }
 
-  /// Rebuild the decoder from the current calibration table.
-  void rebuild_decoder();
-
   /// Decoder configuration derived from the alphabet + calibration state.
   TagDecoderConfig make_decoder_config() const;
-
-  const TagDecoder& decoder() const { return *decoder_; }
 
  private:
   TagNodeConfig config_;
@@ -82,7 +80,7 @@ class TagNode {
   TagModulator modulator_;
   PowerModel power_;
   CalibrationTable calibration_;
-  std::optional<TagDecoder> decoder_;
+  std::optional<TagDecoder> decoder_;  ///< Built on first receive_downlink.
 };
 
 }  // namespace bis::tag

@@ -6,7 +6,10 @@
 #include <cmath>
 
 #include "core/experiments.hpp"
+#include "core/link_server.hpp"
 #include "core/link_simulator.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 
 namespace bis::core {
 namespace {
@@ -28,6 +31,37 @@ TEST(LinkSimulator, DownlinkCleanAtShortRange) {
   EXPECT_TRUE(r.crc_ok);
   EXPECT_EQ(r.bit_errors, 0u);
   EXPECT_EQ(r.parsed.payload, payload);
+}
+
+TEST(LinkSimulator, TagDecoderBuiltOnFirstDownlink) {
+  // A tag plans its decoder only when a downlink arrives: constructing and
+  // calibrating a link builds none, nor do uplink-only LinkServer links;
+  // the first downlink builds one and the second reuses it.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& builds =
+      obs::Registry::instance().counter("bis.tag.decoder_builds");
+  const std::uint64_t before = builds.value();
+
+  LinkSimulator sim(base_config(2.0));
+  sim.calibrate_tag();
+  LinkServerConfig server_cfg;
+  server_cfg.base = base_config(2.0);
+  server_cfg.base.tag.node.uplink.scheme = phy::UplinkScheme::kOok;
+  server_cfg.base.tag.node.uplink.mod_frequencies_hz = {2000.0};
+  server_cfg.base.tag.node.uplink.chirps_per_symbol = 16;
+  server_cfg.n_links = 2;
+  server_cfg.workers = 2;
+  server_cfg.bits_per_frame = 2;
+  LinkServer server(server_cfg);
+  server.run(1);
+  EXPECT_EQ(builds.value(), before);
+
+  Rng rng(1);
+  EXPECT_TRUE(sim.run_downlink(rng.bits(80)).locked);
+  EXPECT_TRUE(sim.run_downlink(rng.bits(80)).locked);
+  EXPECT_EQ(builds.value(), before + 1);
+  obs::set_enabled(was_enabled);
 }
 
 TEST(LinkSimulator, DownlinkSnrFallsWithRange) {

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <thread>
+#include <vector>
 
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
@@ -160,6 +163,41 @@ TEST(Rfft, PlansLandInTheSharedCache) {
   EXPECT_EQ(warm.misses, cold.misses);  // no rebuilds once warm
   EXPECT_GE(warm.hits, 8u);             // rplan + half-size plan per call
   EXPECT_EQ(warm.plans, cold.plans);
+  fft_plan_cache_clear();
+}
+
+TEST(Rfft, ConcurrentMissesCountOnce) {
+  // Four lanes build the handle of each fresh even size at the same moment.
+  // The half-size complex plans are cached first, so each handle makes one
+  // lookup of a fresh untangle plan and one hit; whichever lane stores the
+  // untangle plan counts the one miss, so the counts do not depend on
+  // thread timing.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kKeys = 200;
+  constexpr std::size_t kFirstHalf = 300;
+  fft_plan_cache_clear();
+  for (std::size_t k = 0; k < kKeys; ++k)
+    (void)fft(CVec(kFirstHalf + k, cdouble(1.0, 0.0)));
+  const auto before = fft_plan_cache_stats();
+
+  std::barrier sync(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> lanes;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    lanes.emplace_back([&] {
+      for (std::size_t k = 0; k < kKeys; ++k) {
+        sync.arrive_and_wait();
+        const RfftPlanHandle handle(2 * (kFirstHalf + k));
+        EXPECT_EQ(handle.size(), 2 * (kFirstHalf + k));
+      }
+    });
+  }
+  for (auto& lane : lanes) lane.join();
+
+  const auto after = fft_plan_cache_stats();
+  EXPECT_EQ(after.plans - before.plans, kKeys);
+  EXPECT_EQ(after.misses - before.misses, kKeys);
+  EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+            2 * kThreads * kKeys);
   fft_plan_cache_clear();
 }
 

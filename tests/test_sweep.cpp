@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cmath>
 #include <complex>
+#include <thread>
 #include <vector>
 
 #include "common/random.hpp"
@@ -219,6 +221,42 @@ TEST(RegridPlanTest, CacheHitsAndClear) {
   stats = dsp::regrid_plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.plans, 0u);
+}
+
+TEST(RegridPlanTest, ConcurrentMissesCountOnce) {
+  // Four lanes request each fresh key at the same moment. Whichever lane
+  // stores its plan counts the one miss; the others count hits and get the
+  // stored plan, so the counts are the same for any thread timing.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kKeys = 200;
+  dsp::regrid_plan_cache_clear();
+  const auto x = dsp::linspace(0.0, 1.0, 1024);
+  std::vector<std::vector<double>> queries;
+  for (std::size_t k = 0; k < kKeys; ++k)
+    queries.push_back(dsp::linspace(0.0, 1.0 - 1e-3 * static_cast<double>(k), 1024));
+
+  std::vector<std::vector<const dsp::RegridPlan*>> got(
+      kThreads, std::vector<const dsp::RegridPlan*>(kKeys));
+  std::barrier sync(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> lanes;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    lanes.emplace_back([&, t] {
+      for (std::size_t k = 0; k < kKeys; ++k) {
+        sync.arrive_and_wait();
+        got[t][k] = dsp::cached_regrid_plan(x, queries[k]).get();
+      }
+    });
+  }
+  for (auto& lane : lanes) lane.join();
+
+  const auto stats = dsp::regrid_plan_cache_stats();
+  EXPECT_EQ(stats.plans, kKeys);
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kKeys);
+  for (std::size_t t = 1; t < kThreads; ++t)
+    for (std::size_t k = 0; k < kKeys; ++k)
+      EXPECT_EQ(got[t][k], got[0][k]) << "lane " << t << " key " << k;
+  dsp::regrid_plan_cache_clear();
 }
 
 // ---------------------------------------------------------------------------
