@@ -26,10 +26,14 @@ BerMeasurement measure_downlink_ber(const SystemConfig& config, std::size_t min_
                                     std::size_t payload_bits,
                                     const phy::SlopeAlphabet* shared_alphabet,
                                     Rng& data_rng) {
-  BIS_CHECK(min_bits >= payload_bits);
   LinkSimulator sim = make_simulator(config, shared_alphabet);
   sim.calibrate_tag();
+  return measure_downlink_ber(sim, min_bits, payload_bits, data_rng);
+}
 
+BerMeasurement measure_downlink_ber(LinkSimulator& sim, std::size_t min_bits,
+                                    std::size_t payload_bits, Rng& data_rng) {
+  BIS_CHECK(min_bits >= payload_bits);
   phy::ErrorCounter counter;
   BerMeasurement m;
   while (counter.total() < min_bits) {
@@ -46,7 +50,7 @@ BerMeasurement measure_downlink_ber(const SystemConfig& config, std::size_t min_
   m.bits = counter.total();
   m.ber = counter.rate();
   m.ber_upper95 = counter.wilson_upper_95();
-  m.envelope_snr_db = sim.downlink_envelope_snr_db(config.tag_range_m);
+  m.envelope_snr_db = sim.downlink_envelope_snr_db(sim.config().tag_range_m);
   return m;
 }
 
@@ -63,7 +67,6 @@ UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
                                  Rng& data_rng) {
   BIS_CHECK(frames >= 1 && bits_per_frame >= 1);
   LinkSimulator sim = make_simulator(config, shared_alphabet);
-  sim.calibrate_tag();
 
   UplinkMeasurement m;
   RunningStats snr_proc;
@@ -103,7 +106,6 @@ LocalizationMeasurement measure_localization(const SystemConfig& config,
                                              Rng& data_rng) {
   BIS_CHECK(frames >= 1);
   LinkSimulator sim = make_simulator(config, shared_alphabet);
-  sim.calibrate_tag();
 
   std::vector<double> errors;
   std::size_t detected = 0;
@@ -137,10 +139,15 @@ IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frame
                                    std::size_t payload_bits, std::size_t uplink_bits,
                                    const phy::SlopeAlphabet* shared_alphabet,
                                    Rng& data_rng) {
-  BIS_CHECK(frames >= 1);
   LinkSimulator sim = make_simulator(config, shared_alphabet);
   sim.calibrate_tag();
+  return measure_integrated(sim, frames, payload_bits, uplink_bits, data_rng);
+}
 
+IsacMeasurement measure_integrated(LinkSimulator& sim, std::size_t frames,
+                                   std::size_t payload_bits, std::size_t uplink_bits,
+                                   Rng& data_rng) {
+  BIS_CHECK(frames >= 1);
   IsacMeasurement m;
   phy::ErrorCounter dl_counter;
   RunningStats snr_proc;
@@ -170,7 +177,7 @@ IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frame
   m.downlink.errors = dl_counter.errors();
   m.downlink.ber = dl_counter.rate();
   m.downlink.ber_upper95 = dl_counter.wilson_upper_95();
-  m.downlink.envelope_snr_db = sim.downlink_envelope_snr_db(config.tag_range_m);
+  m.downlink.envelope_snr_db = sim.downlink_envelope_snr_db(sim.config().tag_range_m);
   m.uplink.ber = m.uplink.bits
                      ? static_cast<double>(m.uplink.errors) /
                            static_cast<double>(m.uplink.bits)

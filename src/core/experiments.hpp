@@ -31,11 +31,17 @@ BerMeasurement measure_downlink_ber(const SystemConfig& config,
 /// jump-separated stream under SweepRunner) and, when @p shared_alphabet is
 /// non-null, reuses a precomputed slope alphabet instead of rebuilding it
 /// per point. The default wrapper above derives data_rng from config.seed
-/// exactly as before, so existing callers are bit-identical.
+/// exactly as before, so existing callers are bit-identical. Builds the
+/// simulator, calibrates its tag and runs the overload below.
 BerMeasurement measure_downlink_ber(const SystemConfig& config,
                                     std::size_t min_bits, std::size_t payload_bits,
                                     const phy::SlopeAlphabet* shared_alphabet,
                                     Rng& data_rng);
+
+/// The measurement on @p sim, whose tag the caller has calibrated (for
+/// example in one LinkSimulator::calibrate_tags batch with other points).
+BerMeasurement measure_downlink_ber(LinkSimulator& sim, std::size_t min_bits,
+                                    std::size_t payload_bits, Rng& data_rng);
 
 struct UplinkMeasurement {
   double ber = 0.0;
@@ -47,7 +53,8 @@ struct UplinkMeasurement {
   double mean_range_error_m = 0.0;
 };
 
-/// Uplink BER / SNR / localization over repeated frames.
+/// Uplink BER / SNR / localization over repeated frames. The uplink never
+/// runs the tag's frontend or decoder, so the tag is not calibrated.
 UplinkMeasurement measure_uplink(const SystemConfig& config,
                                  std::size_t frames = 10,
                                  std::size_t bits_per_frame = 8,
@@ -68,7 +75,7 @@ struct LocalizationMeasurement {
 };
 
 /// Tag localization accuracy with or without concurrent CSSK downlink
-/// (Fig. 16's two conditions).
+/// (Fig. 16's two conditions). Uplink frames only: no tag calibration.
 LocalizationMeasurement measure_localization(const SystemConfig& config,
                                              std::size_t frames = 20,
                                              bool downlink_active = false);
@@ -94,6 +101,11 @@ IsacMeasurement measure_integrated(const SystemConfig& config,
 IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frames,
                                    std::size_t payload_bits, std::size_t uplink_bits,
                                    const phy::SlopeAlphabet* shared_alphabet,
+                                   Rng& data_rng);
+
+/// The measurement on @p sim, whose tag the caller has calibrated.
+IsacMeasurement measure_integrated(LinkSimulator& sim, std::size_t frames,
+                                   std::size_t payload_bits, std::size_t uplink_bits,
                                    Rng& data_rng);
 
 }  // namespace bis::core

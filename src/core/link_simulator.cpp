@@ -194,8 +194,20 @@ double LinkSimulator::downlink_envelope_snr_db(double range_m) const {
 }
 
 void LinkSimulator::calibrate_tag() {
-  const auto paths = incident_paths(config_.calibration_range_m);
-  tag_.calibrate(paths.front().amplitude_v);
+  LinkSimulator* const self = this;
+  calibrate_tags(std::span<LinkSimulator* const>(&self, 1), nullptr);
+}
+
+void LinkSimulator::calibrate_tags(std::span<LinkSimulator* const> sims,
+                                   ThreadPool* pool) {
+  std::vector<tag::TagNode*> nodes;
+  std::vector<double> amplitudes;
+  for (LinkSimulator* sim : sims) {
+    nodes.push_back(&sim->tag_);
+    amplitudes.push_back(
+        sim->incident_paths(sim->config_.calibration_range_m).front().amplitude_v);
+  }
+  tag::TagNode::calibrate_batch(nodes, amplitudes, {}, pool);
 }
 
 DownlinkRunResult LinkSimulator::run_downlink(const phy::Bits& payload) {

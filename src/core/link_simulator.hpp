@@ -14,6 +14,7 @@
 ///     sensing share every frame (paper §3.3).
 
 #include <memory>
+#include <span>
 
 #include "common/thread_pool.hpp"
 #include "core/system_config.hpp"
@@ -118,6 +119,12 @@ class LinkSimulator {
 
   /// One-time tag calibration at config.calibration_range_m (paper §5).
   void calibrate_tag();
+
+  /// calibrate_tag() for every simulator in @p sims, as one
+  /// tag::TagNode::calibrate_batch on @p pool. The simulators must be
+  /// distinct and share one slope alphabet and tag ADC rate.
+  static void calibrate_tags(std::span<LinkSimulator* const> sims,
+                             ThreadPool* pool);
 
   /// Send one downlink packet (tag absorptive throughout — the sequential
   /// downlink mode).

@@ -129,11 +129,17 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
 }
 
 void BiScatterNetwork::calibrate_all() {
+  // Every tag shares the network's alphabet and ADC rate: one batch.
+  std::vector<tag::TagNode*> nodes;
+  std::vector<double> amplitudes;
   for (auto& tag : tags_) {
-    const auto paths =
-        incident_paths_for(tag->config, tag->config.calibration_range_m);
-    tag->node.calibrate(paths.front().amplitude_v);
+    nodes.push_back(&tag->node);
+    amplitudes.push_back(
+        incident_paths_for(tag->config, tag->config.calibration_range_m)
+            .front()
+            .amplitude_v);
   }
+  tag::TagNode::calibrate_batch(nodes, amplitudes, {}, pool_);
 }
 
 std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(

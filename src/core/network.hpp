@@ -62,7 +62,8 @@ class BiScatterNetwork {
  public:
   explicit BiScatterNetwork(const NetworkConfig& config);
 
-  /// Calibrate every tag (one-time, short range).
+  /// Calibrate every tag (one-time, short range) in one batch on the frame
+  /// DSP pool: the tables equal per-tag TagNode::calibrate calls.
   void calibrate_all();
 
   /// Broadcast (address = 0xFF) or unicast a downlink packet; returns what
@@ -78,6 +79,9 @@ class BiScatterNetwork {
   std::vector<TagObservation> sense_all(bool downlink_active = false);
 
   const NetworkConfig& config() const { return config_; }
+
+  /// The node of tag @p i, in NetworkConfig::tags order.
+  tag::TagNode& tag_node(std::size_t i) { return tags_.at(i)->node; }
 
   /// Assigned-frequency pairs closer than the slow-time FFT resolution
   /// 1/(frame_chirps · chirp_period) — tags a single frame cannot separate.

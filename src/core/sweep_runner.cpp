@@ -153,44 +153,67 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
   ThreadPool* pool = resolve_dsp_pool(options_.threads, owned);
   out.threads_used = pool != nullptr ? pool->size() : 1;
 
+  // Per-point inputs: the point seed is the first draw of its substream,
+  // and the rest of the substream feeds the measurement's payloads.
+  std::vector<SystemConfig> configs(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    configs[i] = grid[i].config;
+    configs[i].seed = streams[i].next_u64();  // sim-internal streams derive from this
+    configs[i].dsp_threads = 1;               // the point IS the parallel task
+    ExperimentMetrics& m = out.points[i];
+    m.axis = grid[i].axis;
+    m.point_seed = configs[i].seed;
+    m.config = config_key(configs[i]);
+  }
+
+  // The downlink modes decode on a calibrated tag. Build every point's
+  // simulator, then calibrate the points that share an alphabet in one
+  // batch (one GLRT bank per slot for the whole batch, slots across the
+  // pool); each point below then measures on its calibrated simulator.
+  const SweepWorkload& w = options_.workload;
+  const bool downlink = options_.mode == SweepMode::kDownlinkBer ||
+                        options_.mode == SweepMode::kIntegrated;
+  std::vector<std::unique_ptr<LinkSimulator>> sims(downlink ? grid.size() : 0);
+  bis::parallel_for(pool, 0, sims.size(), [&](std::size_t i) {
+    sims[i] = std::make_unique<LinkSimulator>(configs[i], *point_alphabet[i]);
+  });
+  for (const auto& [key, alphabet] : alphabets) {
+    std::vector<LinkSimulator*> batch;
+    for (std::size_t i = 0; i < sims.size(); ++i)
+      if (point_alphabet[i] == alphabet.get()) batch.push_back(sims[i].get());
+    if (!batch.empty()) LinkSimulator::calibrate_tags(batch, pool);
+  }
+
   // One point per task (coarse-grained — see file comment). Each task reads
   // only shared immutable state and writes only its own slots, so the merge
   // below sees identical values for any thread count.
   std::vector<obs::RunReport> partials(grid.size());
-  const SweepWorkload& w = options_.workload;
   bis::parallel_for(pool, 0, grid.size(), [&](std::size_t i) {
     const bool timed = obs::enabled();
     const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-    SystemConfig cfg = grid[i].config;
-    Rng rng = streams[i];
-    cfg.seed = rng.next_u64();  // sim-internal streams derive from this
-    cfg.dsp_threads = 1;        // the point IS the parallel task
     ExperimentMetrics& m = out.points[i];
-    m.axis = grid[i].axis;
-    m.point_seed = cfg.seed;
-    m.config = config_key(cfg);
-    const phy::SlopeAlphabet* alphabet = point_alphabet[i];
+    Rng& rng = streams[i];
     switch (options_.mode) {
       case SweepMode::kDownlinkBer:
-        m.downlink =
-            measure_downlink_ber(cfg, w.min_bits, w.payload_bits, alphabet, rng);
+        m.downlink = measure_downlink_ber(*sims[i], w.min_bits, w.payload_bits, rng);
         break;
       case SweepMode::kUplink:
-        m.uplink = measure_uplink(cfg, w.frames, w.bits_per_frame,
-                                  w.downlink_active, alphabet, rng);
+        m.uplink = measure_uplink(configs[i], w.frames, w.bits_per_frame,
+                                  w.downlink_active, point_alphabet[i], rng);
         break;
       case SweepMode::kLocalization:
-        m.localization = measure_localization(cfg, w.frames, w.downlink_active,
-                                              alphabet, rng);
+        m.localization = measure_localization(configs[i], w.frames, w.downlink_active,
+                                              point_alphabet[i], rng);
         break;
       case SweepMode::kIntegrated: {
-        const auto isac = measure_integrated(cfg, w.frames, w.payload_bits,
-                                             w.uplink_bits, alphabet, rng);
+        const auto isac = measure_integrated(*sims[i], w.frames, w.payload_bits,
+                                             w.uplink_bits, rng);
         m.downlink = isac.downlink;
         m.uplink = isac.uplink;
         break;
       }
     }
+    if (downlink) sims[i].reset();
     partials[i] = point_report(options_.mode, w, m);
     if (timed) point_us.record((obs::now_ns() - t0) / 1000);
     points_done.add(1);

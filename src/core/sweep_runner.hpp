@@ -12,14 +12,27 @@
 /// LinkSimulator strictly sequentially (dsp_threads = 1) and the pool fans
 /// across points.
 ///
+/// The downlink modes (kDownlinkBer, kIntegrated) run in three phases:
+/// build every point's LinkSimulator, calibrate the tags of all points that
+/// share an alphabet in one batch (LinkSimulator::calibrate_tags: one GLRT
+/// bank per slot for the batch, slots across the pool), then measure each
+/// point on its calibrated simulator and free it. The uplink modes never
+/// calibrate and run each point in one task.
+///
 /// Reproducibility contract:
 ///   - Point i draws from substream i of the master seed via Rng::jump()
 ///     (2^128-step separation — provably non-overlapping, not merely
-///     probabilistically independent like fork()).
+///     probabilistically independent like fork()). Its first draw is the
+///     point's SystemConfig::seed; the rest feeds its payloads.
 ///   - Every point is fully independent and writes only its own result
-///     slot; results are merged in grid order afterwards. Hence the output
-///     is bit-identical for threads = 1, 2, N, or any scheduling order —
-///     tests/test_sweep.cpp and bench/bench_sweep.cpp enforce this.
+///     slot; results are merged in grid order afterwards. A batched
+///     calibration gives each tag the table it would get alone: every
+///     frontend draws its own noise in slot order, and each slot task
+///     writes only its own slot of every table. Hence the output is
+///     bit-identical for threads = 1, 2, N, or any scheduling order, and
+///     each point equals a standalone measure_* call on its derived seed
+///     and substream — tests/test_sweep.cpp and bench/bench_sweep.cpp
+///     enforce this.
 ///   - Immutable per-configuration state (the CSSK slope alphabet, whose
 ///     design cost is independent of seed/range/SNR) is precomputed once
 ///     per distinct parameter set and shared read-only across points.

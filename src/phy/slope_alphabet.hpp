@@ -41,6 +41,8 @@ struct SlopeAlphabetConfig {
   std::size_t preamble_guard_slots = 2;  ///< Unused slots beside header/sync.
   bool gray_coding = true;           ///< Gray-map symbols onto slots.
   rf::DelayLineConfig delay_line;    ///< Tag delay line that maps α → Δf.
+
+  bool operator==(const SlopeAlphabetConfig&) const = default;
 };
 
 /// Binary-reflected Gray code and its inverse.

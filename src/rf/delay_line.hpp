@@ -20,6 +20,8 @@ struct DelayLineConfig {
   double dispersion_per_ghz = 0.004;     ///< Fractional change of k per GHz offset.
   double reference_freq_hz = 9.0e9;      ///< Frequency at which k = velocity_factor.
   double loss_db_per_m_at_ref = 1.2;     ///< Conductor+dielectric loss at reference.
+
+  bool operator==(const DelayLineConfig&) const = default;
 };
 
 class DelayLinePair {

@@ -15,8 +15,10 @@
 /// runs through the *same* gating and windowing machinery as live decoding,
 /// so every systematic offset cancels at classification time.
 
+#include <span>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "dsp/types.hpp"
 #include "phy/slope_alphabet.hpp"
 #include "tag/periodic_gate.hpp"
@@ -47,14 +49,33 @@ struct CalibrationConfig {
   double grid_step_hz = 100.0;             ///< Search grid resolution.
 };
 
+/// One tag of a calibration batch: its frontend, the amplitude it is
+/// calibrated at, and the gate its decoder will slice with.
+struct CalibrationTarget {
+  TagFrontend* frontend = nullptr;
+  double incident_amplitude_v = 0.0;
+  PeriodicGateConfig gate;
+};
+
 /// Run the calibration procedure: for each slot, receive a training run of
 /// that slope through the frontend, gate it exactly as the decoder would,
 /// and locate the apparent beat frequency with the decoder's own
-/// duration-matched Hann/Goertzel estimator.
+/// duration-matched Hann/Goertzel estimator. A batch of one.
 CalibrationTable run_calibration(TagFrontend& frontend,
                                  const phy::SlopeAlphabet& alphabet,
                                  double incident_amplitude_v,
                                  const CalibrationConfig& config,
                                  const PeriodicGateConfig& gate_config);
+
+/// Calibrate every target, each exactly as the one-tag call would. A slot's
+/// search grid, analysis length, √Hann window and GLRT bank depend only on
+/// the alphabet, @p config and the ADC rate, so the batch plans them once
+/// per slot for every target; every frontend must share one sample rate.
+/// Each frontend first receives its training runs in slot order (drawing
+/// its own noise, as alone); then the slots are scored, one task per slot
+/// on @p pool (nullptr runs inline), each holding only its own bank.
+std::vector<CalibrationTable> run_calibration(
+    std::span<const CalibrationTarget> targets, const phy::SlopeAlphabet& alphabet,
+    const CalibrationConfig& config, ThreadPool* pool = nullptr);
 
 }  // namespace bis::tag

@@ -1,6 +1,7 @@
 #include "tag/tag_frontend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -12,6 +13,22 @@
 #include "obs/trace.hpp"
 
 namespace bis::tag {
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+std::size_t TagFrontend::PlanKeyHash::operator()(const PlanKey& key) const {
+  std::uint64_t h = key.absorptive ? 1 : 0;
+  for (const std::uint64_t bits : key.chirp_bits) {
+    h = (h ^ bits) * 0xFF51AFD7ED558CCDull;
+    h ^= h >> 33;
+  }
+  return static_cast<std::size_t>(h);
+}
 
 TagFrontend::TagFrontend(const TagFrontendConfig& config, Rng rng)
     : config_(config),
@@ -55,8 +72,50 @@ dsp::RVec TagFrontend::receive_chirp_period(const rf::ChirpParams& chirp,
                                             std::span<const IncidentPath> paths,
                                             bool absorptive) {
   dsp::RVec out(adc_.samples_for(chirp.period()), 0.0);
+  track_paths(paths);
   synthesize_period(chirp, paths, absorptive, out);
   return out;
+}
+
+void TagFrontend::track_paths(std::span<const IncidentPath> paths) {
+  const bool same = std::equal(
+      paths.begin(), paths.end(), planned_paths_.begin(), planned_paths_.end(),
+      [](const IncidentPath& a, const IncidentPath& b) {
+        return same_bits(a.amplitude_v, b.amplitude_v) &&
+               same_bits(a.excess_delay_s, b.excess_delay_s) &&
+               same_bits(a.phase_rad, b.phase_rad);
+      });
+  if (same) return;
+  plans_.clear();
+  planned_paths_.assign(paths.begin(), paths.end());
+}
+
+const dsp::RVec& TagFrontend::period_plan(const rf::ChirpParams& chirp,
+                                          std::span<const IncidentPath> paths,
+                                          bool absorptive) {
+  const PlanKey key{{std::bit_cast<std::uint64_t>(chirp.start_frequency_hz),
+                     std::bit_cast<std::uint64_t>(chirp.bandwidth_hz),
+                     std::bit_cast<std::uint64_t>(chirp.duration_s),
+                     std::bit_cast<std::uint64_t>(chirp.idle_s)},
+                    absorptive};
+  if (const auto it = plans_.find(key); it != plans_.end()) return it->second;
+  if (plans_.size() >= kMaxPlans) plans_.clear();
+
+  // Tones + DC during the active sweep. Oscillator bank: per tone, one
+  // complex multiply per sample replaces the cos call; accumulation order
+  // (dc, then tones in order) matches the old per-sample loop.
+  const auto mixed = mix_period(chirp, paths, absorptive);
+  const std::size_t n_active = std::min(adc_.samples_for(chirp.duration_s),
+                                        adc_.samples_for(chirp.period()));
+  const double dt = 1.0 / adc_.sample_rate();
+  dsp::RVec active(n_active, mixed.dc);
+  for (const auto& tone : mixed.tones)
+    dsp::accumulate_tone(active, tone.amplitude, tone.frequency_hz, dt,
+                         tone.phase_rad);
+  static obs::Counter& built =
+      obs::Registry::instance().counter("bis.tag.period_plans");
+  built.add();
+  return plans_.emplace(key, std::move(active)).first->second;
 }
 
 rf::EnvelopeDetector::Output TagFrontend::mix_period(
@@ -101,25 +160,16 @@ rf::EnvelopeDetector::Output TagFrontend::mix_period(
 void TagFrontend::synthesize_period(const rf::ChirpParams& chirp,
                                     std::span<const IncidentPath> paths,
                                     bool absorptive, std::span<double> out) {
-  const auto mixed = mix_period(chirp, paths, absorptive);
+  const dsp::RVec& plan = period_plan(chirp, paths, absorptive);
 
-  // Synthesize the ADC stream for the full period: tones + DC during the
-  // active sweep, detector noise throughout, PGA, quantization.
+  // Synthesize the ADC stream for the full period: the planned tones + DC
+  // during the active sweep, detector noise throughout, PGA, quantization.
   const std::size_t n_total = out.size();
   BIS_CHECK(n_total == adc_.samples_for(chirp.period()));
-  const std::size_t n_active = std::min(adc_.samples_for(chirp.duration_s), n_total);
-  const double dt = 1.0 / adc_.sample_rate();
   const double noise_rms = envelope_.output_noise_rms(adc_.sample_rate() / 2.0);
 
-  const std::span<double> active = out.first(n_active);
-  std::fill(active.begin(), active.end(), mixed.dc);
-  std::fill(out.begin() + static_cast<long>(n_active), out.end(), 0.0);
-  // Oscillator bank: per tone, one complex multiply per sample replaces the
-  // cos call; accumulation order (dc, then tones in order) matches the old
-  // per-sample loop.
-  for (const auto& tone : mixed.tones)
-    dsp::accumulate_tone(active, tone.amplitude, tone.frequency_hz, dt,
-                         tone.phase_rad);
+  std::copy(plan.begin(), plan.end(), out.begin());
+  std::fill(out.begin() + static_cast<long>(plan.size()), out.end(), 0.0);
   // Batched detector noise: one ziggurat fill per chunk replaces the
   // per-sample Box–Muller call that used to dominate this loop.
   constexpr std::size_t kChunk = 512;
@@ -202,6 +252,7 @@ dsp::RVec TagFrontend::receive_frame(std::span<const rf::ChirpParams> chirps,
       stream[i] = static_cast<double>(stream_f32[i]);
     return stream;
   }
+  track_paths(paths);
   std::size_t offset = 0;
   for (std::size_t i = 0; i < chirps.size(); ++i) {
     const std::size_t n = adc_.samples_for(chirps[i].period());

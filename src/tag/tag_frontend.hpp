@@ -15,7 +15,10 @@
 ///     insertion loss, switch isolation, detector noise, PGA and ADC
 ///     quantization.
 
+#include <array>
+#include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.hpp"
@@ -50,6 +53,14 @@ struct TagFrontendConfig {
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
 };
 
+/// The double path plans each period. A period's noiseless active-sweep
+/// waveform (DC plus tones, the paper's Eq. 9) depends only on the chirp,
+/// the switch state and the incident paths, so the frontend keeps one per
+/// (chirp, switch state) while the paths stay the same; each period then
+/// pays only for its noise fill, PGA and quantizer. A plan holds the same
+/// sums a period would form and the noise draws are unchanged, so planned
+/// frames are bit-identical to mixing every period in full. The float32
+/// tier still mixes every period.
 class TagFrontend {
  public:
   TagFrontend(const TagFrontendConfig& config, Rng rng);
@@ -65,8 +76,7 @@ class TagFrontend {
   /// Convenience: a whole frame of chirps with per-chirp switch states
   /// (states.size() must equal chirps.size(); true = absorptive). The output
   /// stream is sized up front from the summed per-chirp sample counts and
-  /// each period is synthesized directly into its slice — no repeated
-  /// reallocation/copy growth on the hot loop.
+  /// each period is synthesized directly into its slice from its plan.
   /// Under TagFrontendConfig::precision == kFloat32Fast the per-period
   /// synthesis runs in float32 and the stream is converted to double once,
   /// here, at the frame edge — same return type either way, so the decoder
@@ -77,7 +87,8 @@ class TagFrontend {
 
   /// Pick (and latch) a PGA gain so a tone of the given input amplitude
   /// spans roughly half the ADC range. Called once per frame by the MCU's
-  /// AGC loop; power-of-two gain steps model a real PGA.
+  /// AGC loop; power-of-two gain steps model a real PGA. The gain applies
+  /// after the period plans, so a new gain keeps them.
   void auto_gain(std::span<const IncidentPath> paths);
 
   double gain() const { return gain_; }
@@ -90,9 +101,34 @@ class TagFrontend {
   const TagFrontendConfig& config() const { return config_; }
 
  private:
+  /// Plan key: the bit patterns of the chirp's four fields plus the switch
+  /// state, so only an exactly equal chirp reuses a plan.
+  struct PlanKey {
+    std::array<std::uint64_t, 4> chirp_bits;
+    bool absorptive;
+    bool operator==(const PlanKey&) const = default;
+  };
+  struct PlanKeyHash {
+    std::size_t operator()(const PlanKey& key) const;
+  };
+  /// Plans kept before the table is cleared: the CSSK alphabet needs 38
+  /// slots × 2 switch states, but receive_chirp_period accepts any chirp.
+  static constexpr std::size_t kMaxPlans = 128;
+
+  /// Drop every plan unless @p paths equal the planned paths exactly
+  /// (count, then each path's amplitude, delay and phase bit for bit).
+  void track_paths(std::span<const IncidentPath> paths);
+
+  /// The noiseless active-sweep samples of @p chirp in switch state
+  /// @p absorptive at the tracked paths, built on first use.
+  const dsp::RVec& period_plan(const rf::ChirpParams& chirp,
+                               std::span<const IncidentPath> paths,
+                               bool absorptive);
+
   /// Synthesize one chirp period into @p out, which must hold exactly
-  /// adc_.samples_for(chirp.period()) samples. Shared by the per-chirp and
-  /// whole-frame entry points.
+  /// adc_.samples_for(chirp.period()) samples, from its plan. The caller
+  /// has tracked @p paths. Shared by the per-chirp and whole-frame entry
+  /// points.
   void synthesize_period(const rf::ChirpParams& chirp,
                          std::span<const IncidentPath> paths, bool absorptive,
                          std::span<double> out);
@@ -116,6 +152,8 @@ class TagFrontend {
   rf::RfSwitch switch_;
   Rng rng_;
   double gain_ = 1.0;
+  std::vector<IncidentPath> planned_paths_;
+  std::unordered_map<PlanKey, dsp::RVec, PlanKeyHash> plans_;
 };
 
 }  // namespace bis::tag

@@ -72,14 +72,34 @@ TagDecoderConfig TagNode::make_decoder_config() const {
 
 void TagNode::calibrate(double incident_amplitude_v,
                         const CalibrationConfig& cal_config) {
+  TagNode* const self = this;
+  calibrate_batch(std::span<TagNode* const>(&self, 1),
+                  std::span<const double>(&incident_amplitude_v, 1), cal_config);
+}
+
+void TagNode::calibrate_batch(std::span<TagNode* const> nodes,
+                              std::span<const double> incident_amplitudes_v,
+                              const CalibrationConfig& cal_config,
+                              ThreadPool* pool) {
+  BIS_CHECK(!nodes.empty());
+  BIS_CHECK(incident_amplitudes_v.size() == nodes.size());
   // Rebuild a throwaway alphabet view for calibration: the table is indexed
   // by slot and the frontend knows the physics; we only need chirps, which
-  // we reconstruct from the stored config. Calibration runs through the
+  // we reconstruct from the stored config. Calibration runs through each
   // decoder's own gate so its estimator matches classification exactly.
-  const auto alphabet = phy::SlopeAlphabet::design(alphabet_config_);
-  calibration_ = run_calibration(frontend_, alphabet, incident_amplitude_v,
-                                 cal_config, make_decoder_config().periodic_gate);
-  decoder_.reset();
+  const phy::SlopeAlphabetConfig& alphabet_config = nodes.front()->alphabet_config_;
+  const auto alphabet = phy::SlopeAlphabet::design(alphabet_config);
+  std::vector<CalibrationTarget> targets;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    BIS_CHECK(nodes[i]->alphabet_config_ == alphabet_config);
+    targets.push_back({&nodes[i]->frontend_, incident_amplitudes_v[i],
+                       nodes[i]->make_decoder_config().periodic_gate});
+  }
+  auto tables = run_calibration(targets, alphabet, cal_config, pool);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i]->calibration_ = std::move(tables[i]);
+    nodes[i]->decoder_.reset();
+  }
 }
 
 TagNode::DownlinkReception TagNode::receive_downlink(

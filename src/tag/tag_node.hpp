@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "phy/packet.hpp"
 #include "phy/slope_alphabet.hpp"
@@ -40,6 +41,17 @@ class TagNode {
   /// Run the one-time calibration procedure at the given incident amplitude.
   void calibrate(double incident_amplitude_v,
                  const CalibrationConfig& cal_config = {});
+
+  /// Calibrate every node as calibrate() would, node i at
+  /// @p incident_amplitudes_v[i], in one run_calibration batch: each slot's
+  /// grid and GLRT bank is planned once for all of them, and @p pool scores
+  /// the slots. The nodes must be distinct and share one alphabet
+  /// configuration and ADC rate; each keeps its own amplitude and gate.
+  static void calibrate_batch(std::span<TagNode* const> nodes,
+                              std::span<const double> incident_amplitudes_v,
+                              const CalibrationConfig& cal_config = {},
+                              ThreadPool* pool = nullptr);
+
   bool calibrated() const { return calibration_.calibrated; }
   const CalibrationTable& calibration() const { return calibration_; }
 

@@ -131,5 +131,36 @@ TEST(Network, SensingSurvivesConcurrentDownlink) {
   EXPECT_GE(detected, 2u);
 }
 
+TEST(NetworkCalibration, CalibrateAllMatchesPerTagCalibrate) {
+  // calibrate_all calibrates the tags as one batch on the network's pool;
+  // the tables, and what each tag decodes next, equal calibrating each tag
+  // alone.
+  const NetworkConfig cfg = three_tag_network();
+  BiScatterNetwork batched(cfg);
+  batched.calibrate_all();
+  BiScatterNetwork alone(cfg);
+  const double amplitude =
+      incident_paths_for(cfg.base, cfg.base.calibration_range_m).front().amplitude_v;
+  for (std::size_t i = 0; i < cfg.tags.size(); ++i)
+    alone.tag_node(i).calibrate(amplitude);
+
+  for (std::size_t i = 0; i < cfg.tags.size(); ++i) {
+    const auto& a = batched.tag_node(i).calibration();
+    const auto& b = alone.tag_node(i).calibration();
+    EXPECT_TRUE(a.calibrated);
+    EXPECT_EQ(a.slot_beat_freqs_hz, b.slot_beat_freqs_hz) << i;
+    EXPECT_EQ(a.slot_phases_rad, b.slot_phases_rad) << i;
+  }
+  const phy::Bits payload = {1, 1, 0, 1, 0, 0, 1, 0};
+  const auto got = batched.send_downlink(phy::kBroadcastAddress, payload);
+  const auto want = alone.send_downlink(phy::kBroadcastAddress, payload);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].locked, want[i].locked) << i;
+    EXPECT_EQ(got[i].crc_ok, want[i].crc_ok) << i;
+    EXPECT_EQ(got[i].payload, want[i].payload) << i;
+  }
+}
+
 }  // namespace
 }  // namespace bis::core

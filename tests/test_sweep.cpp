@@ -14,6 +14,7 @@
 #include "common/random.hpp"
 #include "core/sweep_runner.hpp"
 #include "dsp/resample.hpp"
+#include "obs/metrics.hpp"
 #include "radar/range_align.hpp"
 
 namespace bis {
@@ -361,6 +362,106 @@ TEST(SweepDeterminism, ReportAggregatesOutcomes) {
   // have seen traffic and the batched AWGN counter must have advanced.
   EXPECT_GT(r.report.regrid_plan_hits + r.report.regrid_plan_misses, 0u);
   EXPECT_GT(r.report.awgn_samples, 0u);
+}
+
+// The downlink modes build every point's simulator, calibrate the points
+// of one alphabet in a batch, then measure.
+
+core::SweepOptions small_downlink_options(core::SweepMode mode,
+                                          std::size_t threads) {
+  core::SweepOptions opts;
+  opts.mode = mode;
+  opts.master_seed = 2718;
+  opts.threads = threads;
+  opts.workload.min_bits = 240;
+  opts.workload.payload_bits = 120;
+  opts.workload.frames = 1;
+  opts.workload.uplink_bits = 4;
+  return opts;
+}
+
+std::vector<core::SweepPoint> small_downlink_grid() {
+  core::SystemConfig base;
+  base.tag.node.uplink.chirps_per_symbol = 32;
+  const std::vector<double> ranges = {2.0, 6.0};
+  return core::range_sweep_grid(base, ranges, /*repeats=*/2);
+}
+
+constexpr core::SweepMode kDownlinkModes[] = {core::SweepMode::kDownlinkBer,
+                                              core::SweepMode::kIntegrated};
+
+TEST(SweepDeterminism, DownlinkModesBitIdenticalAcrossThreadCounts) {
+  const auto grid = small_downlink_grid();
+  for (const auto mode : kDownlinkModes) {
+    SCOPED_TRACE(core::sweep_mode_name(mode));
+    const auto r1 = core::SweepRunner(small_downlink_options(mode, 1)).run(grid);
+    const auto r2 = core::SweepRunner(small_downlink_options(mode, 2)).run(grid);
+    const auto r4 = core::SweepRunner(small_downlink_options(mode, 4)).run(grid);
+    ASSERT_EQ(r1.points.size(), grid.size());
+    EXPECT_GT(r1.points[0].downlink.packets, 0u);
+    EXPECT_EQ(core::sweep_to_json(r1), core::sweep_to_json(r2));
+    EXPECT_EQ(core::sweep_to_json(r1), core::sweep_to_json(r4));
+  }
+}
+
+TEST(SweepDeterminism, DownlinkPointsMatchStandaloneMeasurements) {
+  // Each point of a batch-calibrated sweep equals the config-taking
+  // measure_* helper (which calibrates its tag alone) run on the point's
+  // derived seed and substream.
+  const auto grid = small_downlink_grid();
+  for (const auto mode : kDownlinkModes) {
+    SCOPED_TRACE(core::sweep_mode_name(mode));
+    const auto opts = small_downlink_options(mode, 2);
+    const auto swept = core::SweepRunner(opts).run(grid);
+    core::SweepResult alone = swept;
+    Rng walker(opts.master_seed);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      Rng rng = walker;
+      walker.jump();
+      core::SystemConfig cfg = grid[i].config;
+      cfg.seed = rng.next_u64();
+      cfg.dsp_threads = 1;
+      auto& m = alone.points[i];
+      m = core::ExperimentMetrics{};
+      m.axis = grid[i].axis;
+      m.point_seed = cfg.seed;
+      m.config = core::config_key(cfg);
+      const auto& w = opts.workload;
+      if (mode == core::SweepMode::kDownlinkBer) {
+        m.downlink = core::measure_downlink_ber(cfg, w.min_bits, w.payload_bits,
+                                                nullptr, rng);
+      } else {
+        const auto isac = core::measure_integrated(cfg, w.frames, w.payload_bits,
+                                                   w.uplink_bits, nullptr, rng);
+        m.downlink = isac.downlink;
+        m.uplink = isac.uplink;
+      }
+    }
+    EXPECT_EQ(core::sweep_to_json(alone), core::sweep_to_json(swept));
+  }
+}
+
+TEST(SweepCalibration, BerSweepGridBuildsOneBankPerSlot) {
+  // The ber_sweep grid: 8 ranges of one configuration share one alphabet,
+  // so the sweep plans each slot's calibration bank once (38 banks, where
+  // calibrating every point alone builds 8 × 38).
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const obs::Counter& banks =
+      obs::Registry::instance().counter("bis.tag.calibration_banks");
+  const core::SystemConfig base;
+  const std::vector<double> ranges = {1, 2, 3, 4, 5, 7, 9, 11};
+  core::SweepOptions opts;
+  opts.mode = core::SweepMode::kDownlinkBer;
+  opts.threads = 2;
+  opts.workload.min_bits = 120;
+  opts.workload.payload_bits = 120;
+  const std::uint64_t before = banks.value();
+  const auto r = core::SweepRunner(opts).run(core::range_sweep_grid(base, ranges));
+  EXPECT_EQ(r.points.size(), ranges.size());
+  EXPECT_EQ(banks.value() - before, base.make_alphabet().slot_count());
+  EXPECT_EQ(base.make_alphabet().slot_count(), 38u);
+  obs::set_enabled(was_enabled);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
+#include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "phy/slope_alphabet.hpp"
 #include "tag/calibration.hpp"
 #include "tag/symbol_demod.hpp"
@@ -150,6 +153,91 @@ TEST(Calibration, ClassificationUsesCalibratedTable) {
   }
   // High SNR: expect near-perfect classification.
   EXPECT_GE(correct, trials - 1);
+}
+
+// ---------------------------------------------------------------------------
+// Batched calibration
+
+/// Five tags with their own noise seeds, amplitudes and gates; the last
+/// tag's gate never finds a chirp start, so its table stays nominal.
+struct BatchTags {
+  std::vector<std::unique_ptr<TagFrontend>> frontends;
+  std::vector<CalibrationTarget> targets;
+
+  explicit BatchTags(const phy::SlopeAlphabet& a) {
+    for (std::size_t k = 0; k < 5; ++k) {
+      frontends.push_back(std::make_unique<TagFrontend>(frontend_config(), Rng(40 + k)));
+      PeriodicGateConfig gate = gate_config(a);
+      gate.smooth_window = 3 + k;
+      if (k == 4) gate.min_contrast = 1e9;
+      targets.push_back({frontends.back().get(), 1e-4 * (0.6 + 0.2 * k), gate});
+    }
+  }
+};
+
+TEST(CalibrationBatch, MatchesOneAtATimeAtAnyThreadCount) {
+  const auto a = make_alphabet();
+  BatchTags solo(a);
+  std::vector<CalibrationTable> expected;
+  for (const auto& t : solo.targets)
+    expected.push_back(run_calibration(*t.frontend, a, t.incident_amplitude_v,
+                                       CalibrationConfig{}, t.gate));
+  EXPECT_NE(expected[0].slot_beat_freqs_hz, a.nominal_beat_frequencies());
+  EXPECT_EQ(expected[4].slot_beat_freqs_hz, a.nominal_beat_frequencies());
+  const std::vector<IncidentPath> paths = {{2e-4, 0.0, 0.0}, {5e-5, 4e-9, 0.5}};
+  const auto next_frame = [&](TagFrontend& fe) {
+    const std::vector<rf::ChirpParams> chirps = {a.chirp(3), a.chirp(20), a.chirp(3)};
+    const bool flags[] = {true, false, true};
+    fe.auto_gain(paths);
+    return fe.receive_frame(chirps, paths, flags);
+  };
+  std::vector<dsp::RVec> expected_next;
+  for (auto& fe : solo.frontends) expected_next.push_back(next_frame(*fe));
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    BatchTags batch(a);
+    const auto tables = run_calibration(batch.targets, a, CalibrationConfig{}, &pool);
+    ASSERT_EQ(tables.size(), expected.size());
+    for (std::size_t k = 0; k < tables.size(); ++k) {
+      EXPECT_TRUE(tables[k].calibrated);
+      EXPECT_EQ(tables[k].slot_beat_freqs_hz, expected[k].slot_beat_freqs_hz) << k;
+      EXPECT_EQ(tables[k].slot_phases_rad, expected[k].slot_phases_rad) << k;
+      EXPECT_EQ(next_frame(*batch.frontends[k]), expected_next[k]) << k;
+    }
+  }
+}
+
+TEST(CalibrationBatch, OneBankPerSlot) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto a = make_alphabet();
+  const obs::Counter& banks =
+      obs::Registry::instance().counter("bis.tag.calibration_banks");
+  BatchTags batch(a);
+  const std::uint64_t before = banks.value();
+  run_calibration(batch.targets, a, CalibrationConfig{});
+  EXPECT_EQ(banks.value() - before, a.slot_count());
+  obs::set_enabled(was_enabled);
+}
+
+TEST(CalibrationBatch, RejectsTagsThatCannotShareAPlan) {
+  const auto a = make_alphabet(3);
+  BatchTags batch(a);
+  // The same frontend twice.
+  std::vector<CalibrationTarget> twice = {batch.targets[0], batch.targets[0]};
+  EXPECT_THROW(run_calibration(twice, a, CalibrationConfig{}), std::exception);
+  // Another ADC rate: the slot's window lengths and bank would differ.
+  auto cfg = frontend_config();
+  cfg.adc.sample_rate_hz = 2.0 * kFs;
+  TagFrontend fast(cfg, Rng(9));
+  std::vector<CalibrationTarget> mixed = {batch.targets[0],
+                                          {&fast, 1e-4, gate_config(a)}};
+  EXPECT_THROW(run_calibration(mixed, a, CalibrationConfig{}), std::exception);
+  EXPECT_THROW(run_calibration(std::span<const CalibrationTarget>(), a,
+                               CalibrationConfig{}),
+               std::exception);
 }
 
 }  // namespace
