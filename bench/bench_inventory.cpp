@@ -99,7 +99,6 @@ double naive_ms_per_slot(const core::NetworkConfig& net,
       inv.n_channels, net.base.radar.chirp_period_s);
   radar::TagDetectorConfig det_cfg;
   det_cfg.expected_mod_freq_hz = plan.front();
-  det_cfg.precision = net.base.precision;
   const radar::TagDetector detector(det_cfg);
   std::vector<radar::TagTarget> targets;
   for (double f : plan) targets.push_back({f, {}});

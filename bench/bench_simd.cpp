@@ -217,208 +217,6 @@ std::vector<Row> run_all(SimdTarget best) {
   return rows;
 }
 
-// ---------------------------------------------------------------------------
-// float32_fast tier rows: double vs float32 at the same dispatch target.
-// These rows are tolerance-gated ("ok"), never bit-compared — the tier's
-// contract (FMA + 8 lanes) gives up bit identity on purpose.
-
-struct TierRow {
-  std::string kernel;
-  std::size_t n = 0;
-  double double_ns = 0.0;
-  double f32_ns = 0.0;
-  double speedup = 0.0;
-  double max_rel_err = 0.0;
-  bool ok = false;
-};
-
-dsp::FVec to_f32(std::span<const double> x) {
-  dsp::FVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = static_cast<float>(x[i]);
-  return out;
-}
-
-dsp::CVecF to_f32(std::span<const dsp::cdouble> x) {
-  dsp::CVecF out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    out[i] = dsp::cfloat(static_cast<float>(x[i].real()),
-                         static_cast<float>(x[i].imag()));
-  return out;
-}
-
-/// Max |f32 − double| over the outputs, relative to the double output's
-/// largest magnitude (element-wise relative error is meaningless near the
-/// zero crossings of signed outputs).
-double rel_err(std::span<const double> d, std::span<const float> f) {
-  double scale = 1e-30, err = 0.0;
-  for (const double v : d) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < d.size(); ++i)
-    err = std::max(err, std::abs(static_cast<double>(f[i]) - d[i]));
-  return err / scale;
-}
-
-double rel_err(std::span<const dsp::cdouble> d, std::span<const dsp::cfloat> f) {
-  double scale = 1e-30, err = 0.0;
-  for (const auto& v : d) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < d.size(); ++i)
-    err = std::max(err, std::abs(dsp::cdouble(f[i].real(), f[i].imag()) - d[i]));
-  return err / scale;
-}
-
-template <typename RunD, typename RunF, typename Err>
-TierRow measure_tier(const char* name, std::size_t n, int iters, RunD&& run_d,
-                     RunF&& run_f, Err&& err, double tol) {
-  TierRow row;
-  row.kernel = name;
-  row.n = n;
-  row.double_ns = time_ns([&] { run_d(); }, iters);
-  row.f32_ns = time_ns([&] { run_f(); }, iters);
-  run_d();
-  run_f();
-  row.max_rel_err = err();
-  row.ok = row.max_rel_err <= tol;
-  row.speedup = row.double_ns / row.f32_ns;
-  return row;
-}
-
-std::vector<TierRow> run_tiers(SimdTarget best) {
-  set_target(best);  // both tiers measured at the same dispatch target
-  std::vector<TierRow> rows;
-  const struct { std::size_t n; int iters; } sizes[] = {{1024, 20000},
-                                                        {4096, 5000}};
-  for (const auto& s : sizes) {
-    const std::size_t n = s.n;
-    const int iters = s.iters;
-    const auto xc = random_complex(n, 11);
-    const auto yc = random_complex(n, 12);
-    const auto xr = random_real(n, 13);
-    const auto w = random_real(n, 14);
-    const auto xcf = to_f32(std::span<const dsp::cdouble>(xc));
-    const auto ycf = to_f32(std::span<const dsp::cdouble>(yc));
-    const auto xrf = to_f32(std::span<const double>(xr));
-    const auto wf = to_f32(std::span<const double>(w));
-
-    dsp::RVec rd(n);
-    dsp::FVec rf(n);
-    dsp::CVec cd(n);
-    dsp::CVecF cf(n);
-
-    rows.push_back(measure_tier(
-        "kmag", n, iters,
-        [&] { kmag(xc, rd); g_sink = rd[0]; },
-        [&] { kmag(xcf, rf); g_sink = rf[0]; },
-        [&] { return rel_err(rd, rf); }, 1e-4));
-    rows.push_back(measure_tier(
-        "knorm", n, iters,
-        [&] { knorm(xc, rd); g_sink = rd[0]; },
-        [&] { knorm(xcf, rf); g_sink = rf[0]; },
-        [&] { return rel_err(rd, rf); }, 1e-4));
-    // mag_db: the float tier uses a polynomial log10; gate on absolute dB
-    // error (expressed via the relative helper over a ~±300 dB range).
-    rows.push_back(measure_tier(
-        "kmag_db", n, iters,
-        [&] { kmag_db(xc, rd, -300.0); g_sink = rd[0]; },
-        [&] { kmag_db(xcf, rf, -300.0f); g_sink = rf[0]; },
-        [&] {
-          double err = 0.0;
-          for (std::size_t i = 0; i < n; ++i)
-            err = std::max(err, std::abs(static_cast<double>(rf[i]) - rd[i]));
-          return err;  // absolute dB
-        },
-        2e-3));
-    rows.push_back(measure_tier(
-        "kapply_window", n, iters,
-        [&] { kapply_window(xr, w, rd); g_sink = rd[0]; },
-        [&] { kapply_window(xrf, wf, rf); g_sink = rf[0]; },
-        [&] { return rel_err(rd, rf); }, 1e-4));
-    rows.push_back(measure_tier(
-        "kapply_window_c", n, iters,
-        [&] { kapply_window(xc, w, cd); g_sink = cd[0].real(); },
-        [&] { kapply_window(xcf, wf, cf); g_sink = cf[0].real(); },
-        [&] { return rel_err(cd, cf); }, 1e-4));
-    rows.push_back(measure_tier(
-        "kcmul", n, iters,
-        [&] { kcmul(xc, yc, cd); g_sink = cd[0].real(); },
-        [&] { kcmul(xcf, ycf, cf); g_sink = cf[0].real(); },
-        [&] { return rel_err(cd, cf); }, 1e-4));
-    rows.push_back(measure_tier(
-        "kaxpy", n, iters,
-        [&] {
-          std::copy(w.begin(), w.end(), rd.begin());
-          kaxpy(0.37, xr, rd);
-          g_sink = rd[0];
-        },
-        [&] {
-          std::copy(wf.begin(), wf.end(), rf.begin());
-          kaxpy(0.37f, xrf, rf);
-          g_sink = rf[0];
-        },
-        [&] { return rel_err(rd, rf); }, 1e-4));
-    rows.push_back(measure_tier(
-        "kscale_add", n, iters,
-        [&] {
-          std::copy(w.begin(), w.end(), rd.begin());
-          kscale_add(rd, 1.75, 0.37, xr);
-          g_sink = rd[0];
-        },
-        [&] {
-          std::copy(wf.begin(), wf.end(), rf.begin());
-          kscale_add(rf, 1.75f, 0.37f, xrf);
-          g_sink = rf[0];
-        },
-        [&] { return rel_err(rd, rf); }, 1e-4));
-
-    double sum_d = 0.0;
-    float sum_f = 0.0f;
-    rows.push_back(measure_tier(
-        "ksum_sq", n, iters,
-        [&] { sum_d = ksum_sq(std::span<const double>(xr)); g_sink = sum_d; },
-        [&] { sum_f = ksum_sq(std::span<const float>(xrf)); g_sink = sum_f; },
-        [&] { return std::abs(static_cast<double>(sum_f) - sum_d) / sum_d; },
-        1e-4));
-    rows.push_back(measure_tier(
-        "kdot", n, iters,
-        [&] { sum_d = kdot(xr, w); g_sink = sum_d; },
-        [&] { sum_f = kdot(xrf, wf); g_sink = sum_f; },
-        [&] {
-          return std::abs(static_cast<double>(sum_f) - sum_d) /
-                 std::max(1.0, std::abs(sum_d));
-        },
-        1e-4));
-  }
-
-  // Goertzel at the tag-decoder shape (short windows stay on the SIMD path
-  // in both tiers; the float recurrence accumulates rounding over n_samp
-  // iterations, hence the looser gate).
-  {
-    const std::size_t nfreq = 38, nsamp = 46;
-    const auto x = random_real(nsamp, 21);
-    const auto xf = to_f32(std::span<const double>(x));
-    dsp::RVec coeffs(nfreq), s1d(nfreq), s2d(nfreq);
-    dsp::FVec coeffsf(nfreq), s1f(nfreq), s2f(nfreq);
-    for (std::size_t j = 0; j < nfreq; ++j) {
-      coeffs[j] = 2.0 * std::cos(0.05 + 0.07 * static_cast<double>(j));
-      coeffsf[j] = static_cast<float>(coeffs[j]);
-    }
-    rows.push_back(measure_tier(
-        "kgoertzel", nfreq * nsamp, 50000,
-        [&] {
-          std::fill(s1d.begin(), s1d.end(), 0.0);
-          std::fill(s2d.begin(), s2d.end(), 0.0);
-          kgoertzel(x, coeffs, s1d, s2d);
-          g_sink = s1d[0];
-        },
-        [&] {
-          std::fill(s1f.begin(), s1f.end(), 0.0f);
-          std::fill(s2f.begin(), s2f.end(), 0.0f);
-          kgoertzel(xf, coeffsf, s1f, s2f);
-          g_sink = s1f[0];
-        },
-        [&] { return std::max(rel_err(s1d, s1f), rel_err(s2d, s2f)); }, 1e-3));
-  }
-  return rows;
-}
-
 bool write_bench_json(const std::string& path) {
   const SimdTarget best = active_target();
   std::printf("--- SIMD kernel harness (writing %s) ---\n", path.c_str());
@@ -440,23 +238,6 @@ bool write_bench_json(const std::string& path) {
                 r.speedup, r.parity ? "ok" : "FAIL",
                 r.has_fallback ? (r.fallback ? "  [scalar fallback]" : "  [simd]") : "");
   }
-
-  std::printf("--- float32_fast tier (vs double, both at %s) ---\n",
-              target_name(best));
-  const auto tiers = run_tiers(best);
-  bool all_tier_ok = true;
-  double log_sum = 0.0;
-  for (const auto& t : tiers) {
-    all_tier_ok = all_tier_ok && t.ok;
-    log_sum += std::log(t.speedup);
-    std::printf("%-16s n=%-6zu double %9.1f ns  f32 %9.1f ns  speedup %5.2fx  max_err %.2e  %s\n",
-                t.kernel.c_str(), t.n, t.double_ns, t.f32_ns, t.speedup,
-                t.max_rel_err, t.ok ? "ok" : "FAIL");
-  }
-  const double tier_geomean =
-      tiers.empty() ? 1.0 : std::exp(log_sum / static_cast<double>(tiers.size()));
-  std::printf("float32_fast geomean speedup: %.2fx over %zu rows\n", tier_geomean,
-              tiers.size());
 
   std::ofstream out(path);
   out << "{\n";
@@ -482,22 +263,9 @@ bool write_bench_json(const std::string& path) {
     out << ", \"parity\": " << (rows[i].parity ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"tiers\": [\n";
-  for (std::size_t i = 0; i < tiers.size(); ++i) {
-    out << "    {\"kernel\": \"" << tiers[i].kernel << "\", \"n\": " << tiers[i].n
-        << ", \"tier\": \"float32_fast\""
-        << ", \"double_ns\": " << tiers[i].double_ns
-        << ", \"f32_ns\": " << tiers[i].f32_ns
-        << ", \"speedup\": " << tiers[i].speedup
-        << ", \"max_rel_err\": " << tiers[i].max_rel_err
-        << ", \"ok\": " << (tiers[i].ok ? "true" : "false") << "}"
-        << (i + 1 < tiers.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"tier_geomean_speedup\": " << tier_geomean << "\n";
+  out << "  ]\n";
   out << "}\n";
-  return all_parity && all_tier_ok;
+  return all_parity;
 }
 
 }  // namespace

@@ -151,59 +151,7 @@ RegridCompare compare_regrid(std::size_t n_rows, std::size_t n_bins, int iters) 
 }
 
 // ---------------------------------------------------------------------------
-// 3. Precision tiers end-to-end: the fig13 grid (downlink BER vs distance)
-// and the uplink sweep, each run under double_strict and float32_fast with
-// the same master seed. "ok" gates the BER agreement (the tolerance
-// contract), not the speedup — speed regressions are bench_compare's job.
-
-struct PrecisionCompare {
-  const char* grid_name = "";
-  std::size_t points = 0;
-  double double_ms = 0.0;
-  double float32_ms = 0.0;
-  double speedup = 0.0;
-  double max_ber_delta = 0.0;
-  bool ok = false;
-};
-
-PrecisionCompare compare_precision(const char* grid_name,
-                                   core::SweepOptions opts,
-                                   const std::vector<core::SweepPoint>& grid,
-                                   int iters) {
-  PrecisionCompare c;
-  c.grid_name = grid_name;
-  c.points = grid.size();
-
-  auto tier_grid = [&](dsp::Precision p) {
-    std::vector<core::SweepPoint> g = grid;
-    for (auto& point : g) point.config.precision = p;
-    return g;
-  };
-  const auto grid_d = tier_grid(dsp::Precision::kDoubleStrict);
-  const auto grid_f = tier_grid(dsp::Precision::kFloat32Fast);
-  const core::SweepRunner runner(opts);
-
-  const auto res_d = runner.run(grid_d);
-  const auto res_f = runner.run(grid_f);
-  for (std::size_t i = 0; i < res_d.points.size(); ++i) {
-    const double ber_d = opts.mode == core::SweepMode::kDownlinkBer
-                             ? res_d.points[i].downlink.ber
-                             : res_d.points[i].uplink.ber;
-    const double ber_f = opts.mode == core::SweepMode::kDownlinkBer
-                             ? res_f.points[i].downlink.ber
-                             : res_f.points[i].uplink.ber;
-    c.max_ber_delta = std::max(c.max_ber_delta, std::abs(ber_d - ber_f));
-  }
-  c.ok = c.max_ber_delta <= 0.02;
-
-  c.double_ms = time_us([&] { runner.run(grid_d); }, iters) / 1e3;
-  c.float32_ms = time_us([&] { runner.run(grid_f); }, iters) / 1e3;
-  c.speedup = c.double_ms / c.float32_ms;
-  return c;
-}
-
-// ---------------------------------------------------------------------------
-// 4. Sweep thread scaling + 1-vs-N bit identity
+// 3. Sweep thread scaling + 1-vs-N bit identity
 
 core::SweepOptions sweep_options(std::size_t threads) {
   core::SweepOptions opts;
@@ -275,19 +223,6 @@ bool write_bench_json(const std::string& path) {
   std::printf("sweep results bit-identical across thread counts: %s\n",
               parity_ok ? "yes" : "NO");
 
-  // Precision tiers end-to-end. fig13 grid: downlink BER vs distance.
-  const auto prec_dl =
-      compare_precision("fig13_downlink", downlink_options(1), downlink_grid(), 2);
-  const auto prec_ul = compare_precision("uplink", sweep_options(1), grid, 2);
-  bool precision_ok = true;
-  for (const auto& p : {prec_dl, prec_ul}) {
-    precision_ok = precision_ok && p.ok;
-    std::printf(
-        "precision %-15s %zu points: double %8.1f ms  float32 %8.1f ms  "
-        "speedup %.2fx  max ber Δ %.4f  %s\n",
-        p.grid_name, p.points, p.double_ms, p.float32_ms, p.speedup,
-        p.max_ber_delta, p.ok ? "ok" : "FAIL");
-  }
   // Headline scaling number: best speedup over *valid* rows only (an
   // oversubscribed row on a small host is a time-slicing artifact, not a
   // parallel speedup).
@@ -318,22 +253,6 @@ bool write_bench_json(const std::string& path) {
       << ", \"bins\": " << regrid.bins << ", \"linear_us\": " << regrid.linear_us
       << ", \"plan_us\": " << regrid.plan_us << ", \"speedup\": " << regrid.speedup
       << ", \"parity\": " << (regrid.parity ? "true" : "false") << "},\n";
-  out << "  \"precision\": [\n";
-  {
-    const PrecisionCompare prec_rows[] = {prec_dl, prec_ul};
-    for (std::size_t i = 0; i < 2; ++i) {
-      const auto& p = prec_rows[i];
-      out << "    {\"grid\": \"" << p.grid_name << "\", \"tier\": \"float32_fast\""
-          << ", \"points\": " << p.points
-          << ", \"double_ms\": " << p.double_ms
-          << ", \"float32_ms\": " << p.float32_ms
-          << ", \"speedup\": " << p.speedup
-          << ", \"max_ber_delta\": " << p.max_ber_delta
-          << ", \"ok\": " << (p.ok ? "true" : "false") << "}" << (i == 0 ? "," : "")
-          << "\n";
-    }
-  }
-  out << "  ],\n";
   out << "  \"sweep\": {\n";
   out << "    \"points\": " << grid.size() << ",\n";
   out << "    \"scaling\": [\n";
@@ -351,7 +270,7 @@ bool write_bench_json(const std::string& path) {
   out << "  }\n";
   out << "}\n";
 
-  return regrid.parity && parity_ok && precision_ok;
+  return regrid.parity && parity_ok;
 }
 
 }  // namespace

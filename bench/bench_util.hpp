@@ -12,25 +12,23 @@
 
 #include "common/csv.hpp"
 #include "dsp/kernels/kernels.hpp"
-#include "dsp/precision.hpp"
 
 namespace bench {
 
 /// Host fingerprint recorded as the "host" object of every BENCH_*.json
-/// written by the perf harnesses: thread count, the SIMD target the rows
-/// were measured under, and the numeric tier of the normative rows. Numbers
-/// recorded under different targets or tiers are not comparable, so
-/// tools/bench_compare hard-errors when two files carry fingerprints that
-/// disagree on simd_target or precision (instead of silently diffing them).
-inline std::string host_fingerprint_json(
-    bis::dsp::Precision precision = bis::dsp::Precision::kDoubleStrict) {
+/// written by the perf harnesses: thread count and the SIMD target the rows
+/// were measured under. Numbers recorded under different targets are not
+/// comparable, so tools/bench_compare hard-errors when two files carry
+/// fingerprints that disagree on simd_target or precision (instead of
+/// silently diffing them). Every file records the one numeric path,
+/// "double_strict", so all BENCH_*.json files and perfbench's host record
+/// keep one schema.
+inline std::string host_fingerprint_json() {
   std::string s = "{\"hardware_threads\": ";
   s += std::to_string(std::thread::hardware_concurrency());
   s += ", \"simd_target\": \"";
   s += bis::dsp::kernels::target_name(bis::dsp::kernels::active_target());
-  s += "\", \"precision\": \"";
-  s += bis::dsp::precision_name(precision);
-  s += "\"}";
+  s += "\", \"precision\": \"double_strict\"}";
   return s;
 }
 

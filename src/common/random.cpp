@@ -163,21 +163,6 @@ void Rng::fill_gaussian(std::span<double> out, double mean, double stddev) {
   for (double& v : out) v = mean + stddev * v;
 }
 
-void Rng::fill_gaussian(std::span<float> out) {
-  // Chunked through the double path so the draw stream is identical to a
-  // double fill of the same length.
-  constexpr std::size_t kChunk = 256;
-  double buf[kChunk];
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::size_t n = std::min(kChunk, out.size() - done);
-    fill_gaussian(std::span<double>(buf, n));
-    for (std::size_t i = 0; i < n; ++i)
-      out[done + i] = static_cast<float>(buf[i]);
-    done += n;
-  }
-}
-
 bool Rng::coin() { return (next_u64() & 1ull) != 0; }
 
 std::vector<int> Rng::bits(std::size_t count) {

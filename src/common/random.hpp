@@ -54,12 +54,6 @@ class Rng {
   /// Batched normal with the given mean and standard deviation.
   void fill_gaussian(std::span<double> out, double mean, double stddev);
 
-  /// float32 batched normal (float32_fast tier): draws the SAME double
-  /// deviate stream as fill_gaussian(span<double>) and rounds each to float,
-  /// so a float32 run consumes the generator identically to the double run
-  /// it is compared against — only representation differs.
-  void fill_gaussian(std::span<float> out);
-
   /// Fair coin flip.
   bool coin();
 

@@ -35,7 +35,6 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
             assign_mod_frequencies(inventory.n_channels,
                                    network.base.radar.chirp_period_s)
                 .front();
-        det.precision = network.base.precision;
         return det;
       }()),
       assembler_([&] {

@@ -17,7 +17,7 @@
 /// The sequential reference simulates one standalone frame per slot through
 /// detect_many. Both paths share every decision input bit-for-bit, so the
 /// inventoried set and the per-round counters are identical at any batch
-/// size, thread count, SIMD target, and numeric tier.
+/// size, thread count and SIMD target.
 ///
 /// Tags respond on a small plan of resolvable slow-time channels instead of
 /// globally unique frequencies: 2^15 slots × 10^5 tags cannot have one tone

@@ -21,8 +21,6 @@ tag::TagNodeConfig effective_tag_node_config(const SystemConfig& config) {
   node.uplink.chirp_period_s = config.radar.chirp_period_s;
   node.expected_header_chirps = config.packet.header_chirps;
   node.expected_sync_chirps = config.packet.sync_chirps;
-  // The tag frontend runs the same numeric tier as the radar-side pipeline.
-  node.frontend.precision = config.precision;
   return node;
 }
 
@@ -44,10 +42,8 @@ std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
 
 namespace {
 
-radar::TagDetectorConfig make_uplink_detector_config(const phy::UplinkConfig& ul,
-                                                     dsp::Precision precision) {
+radar::TagDetectorConfig make_uplink_detector_config(const phy::UplinkConfig& ul) {
   radar::TagDetectorConfig det_cfg;
-  det_cfg.precision = precision;
   det_cfg.expected_mod_freq_hz = ul.mod_frequencies_hz.front();
   if (ul.scheme == phy::UplinkScheme::kFsk)
     det_cfg.candidate_mod_freqs_hz = ul.mod_frequencies_hz;
@@ -93,7 +89,7 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
       tag_(effective_tag_node_config(config), alphabet_, Rng(config.seed ^ 0x7A67ull)),
       range_processor_(radar::RangeProcessorConfig{}),
       aligner_(config.if_correction),
-      uplink_detector_(make_uplink_detector_config(tag_.modulator().config(), config.precision)),
+      uplink_detector_(make_uplink_detector_config(tag_.modulator().config())),
       uplink_decoder_(tag_.modulator().config()),
       pool_(resolve_dsp_pool(config.dsp_threads, owned_pool_)) {
   report_.config = config_key(config_);
@@ -133,7 +129,6 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
 void LinkSimulator::warm_caches() const {
   const double fs = config_.radar.if_synth.sample_rate_hz;
   dsp::CVec silence;
-  dsp::CVecF silence_f32;
   radar::RangeProfile profile;
   radar::AlignedProfiles aligned;
   for (std::size_t slot = 0; slot < alphabet_.slot_count(); ++slot) {
@@ -147,12 +142,6 @@ void LinkSimulator::warm_caches() const {
     // the axis depends only on the chirp metadata, never the samples.
     silence.assign(n, dsp::cdouble(0.0, 0.0));
     range_processor_.process_into(silence, chirp, fs, profile);
-    if (config_.precision == dsp::Precision::kFloat32Fast) {
-      // Same dry pass through the float32 path: builds the float window and
-      // float FFT plan for this chirp length and sizes the float scratch.
-      silence_f32.assign(n, dsp::cfloat(0.0f, 0.0f));
-      range_processor_.process_into_f32(silence_f32, chirp, fs, profile);
-    }
     if (config_.if_correction.enabled)
       aligner_.align_into(std::span<const radar::RangeProfile>(&profile, 1),
                           nullptr, aligned);
@@ -308,13 +297,8 @@ void LinkSimulator::prepare_uplink_frame(const phy::Bits& bits,
   // every time position i draws a longer chirp than it has ever held — a
   // coupon-collector process that would take unboundedly many frames to
   // quiesce. After this, steady-state frames allocate nothing.
-  if (config_.precision == dsp::Precision::kFloat32Fast) {
-    job.if_samples_f32.resize(n_chirps);
-    for (auto& s : job.if_samples_f32) s.reserve(max_chirp_samples_);
-  } else {
-    job.if_samples.resize(n_chirps);
-    for (auto& s : job.if_samples) s.reserve(max_chirp_samples_);
-  }
+  job.if_samples.resize(n_chirps);
+  for (auto& s : job.if_samples) s.reserve(max_chirp_samples_);
   job.profiles.resize(n_chirps);
   for (auto& p : job.profiles) p.bins.reserve(max_fft_bins_);
 }
@@ -330,33 +314,19 @@ void LinkSimulator::stage_synthesize(UplinkFrameJob& job) {
       db_to_amplitude(-config_.tag.node.frontend.rf_switch.insertion_loss_db);
   const double leak =
       db_to_amplitude(-config_.tag.node.frontend.rf_switch.isolation_db);
-  const bool f32 = config_.precision == dsp::Precision::kFloat32Fast;
-  job.if_samples.resize(f32 ? 0 : job.chirps.size());
-  job.if_samples_f32.resize(f32 ? job.chirps.size() : 0);
+  job.if_samples.resize(job.chirps.size());
   double mean_samples = 0.0;
   for (std::size_t i = 0; i < job.chirps.size(); ++i) {
     const double factor = job.tag_states[i] ? reflect : leak;
     chirp_returns_into(factor, job.returns_scratch);
-    if (f32) {
-      synth.synthesize_into_f32(job.chirps[i], job.returns_scratch,
-                                job.if_samples_f32[i]);
-      mean_samples += static_cast<double>(job.if_samples_f32[i].size());
-    } else {
-      synth.synthesize_into(job.chirps[i], job.returns_scratch,
-                            job.if_samples[i]);
-      mean_samples += static_cast<double>(job.if_samples[i].size());
-    }
+    synth.synthesize_into(job.chirps[i], job.returns_scratch,
+                          job.if_samples[i]);
+    mean_samples += static_cast<double>(job.if_samples[i].size());
   }
   job.mean_samples = mean_samples / static_cast<double>(job.chirps.size());
 }
 
 void LinkSimulator::stage_range_fft(UplinkFrameJob& job, ThreadPool* pool) const {
-  if (config_.precision == dsp::Precision::kFloat32Fast) {
-    range_processor_.process_frame_into_f32(
-        job.if_samples_f32, job.chirps, config_.radar.if_synth.sample_rate_hz,
-        pool, job.profiles);
-    return;
-  }
   range_processor_.process_frame_into(job.if_samples, job.chirps,
                                       config_.radar.if_synth.sample_rate_hz,
                                       pool, job.profiles);

@@ -68,12 +68,8 @@ struct UplinkFrameJob {
   bool downlink_active = false;
   std::vector<rf::ChirpParams> chirps;
   std::vector<int> tag_states;
-  // Per-stage intermediates. Exactly one of if_samples / if_samples_f32 is
-  // populated per frame, selected by SystemConfig::precision: the float32
-  // buffers carry the synthesize → range-FFT leg of the float32_fast tier
-  // and convert to the double RangeProfile at the range-FFT output.
+  // Per-stage intermediates.
   std::vector<dsp::CVec> if_samples;
-  std::vector<dsp::CVecF> if_samples_f32;
   double mean_samples = 0.0;
   std::vector<radar::RangeProfile> profiles;
   radar::AlignedProfiles aligned;
@@ -265,10 +261,9 @@ ThreadPool* resolve_dsp_pool(std::size_t dsp_threads,
 
 /// The tag-node config a LinkSimulator would actually run for @p config:
 /// `config.tag.node` with the uplink cadence locked to the radar chirp
-/// period, the packet's header/sync lengths wired into the decoder state
-/// machine, and the frontend numeric tier matched to `config.precision`.
-/// BiScatterNetwork builds lightweight per-tag TagNodes through this instead
-/// of carrying a full LinkSimulator per tag.
+/// period and the packet's header/sync lengths wired into the decoder state
+/// machine. BiScatterNetwork builds lightweight per-tag TagNodes through this
+/// instead of carrying a full LinkSimulator per tag.
 tag::TagNodeConfig effective_tag_node_config(const SystemConfig& config);
 
 /// Incident multipath set at the tag for a given range (LoS + channel taps),

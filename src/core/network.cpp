@@ -20,7 +20,6 @@ radar::TagDetectorConfig network_detector_config(const NetworkConfig& config) {
   // The config's own frequency is only detect()'s default target; sense_all
   // always scores through detect_many with the per-tag target list.
   det_cfg.expected_mod_freq_hz = config.tags.front().mod_freq_hz;
-  det_cfg.precision = config.base.precision;
   return det_cfg;
 }
 

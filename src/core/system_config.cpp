@@ -100,10 +100,6 @@ std::string config_key(const SystemConfig& config) {
       << "|bw=" << config.radar.bandwidth_hz
       << "|bps=" << config.bits_per_symbol
       << "|range=" << config.tag_range_m << "|seed=" << config.seed;
-  // Tag only the non-default tier so every existing double_strict key (and
-  // any baseline recorded against it) is unchanged.
-  if (config.precision != dsp::Precision::kDoubleStrict)
-    oss << "|prec=" << dsp::precision_name(config.precision);
   return oss.str();
 }
 

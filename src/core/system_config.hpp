@@ -84,16 +84,8 @@ struct SystemConfig {
                                      ///< k-lane pool. Results are
                                      ///< bit-identical for every setting.
 
+  /// Read by nothing; kept only because perfbench names it (DESIGN.md §16).
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
-                                     ///< Numeric tier for the per-frame inner
-                                     ///< loop (synthesis → window → range
-                                     ///< FFT and the tag downlink stream).
-                                     ///< kDoubleStrict (default) is the
-                                     ///< normative bit-identical path;
-                                     ///< kFloat32Fast runs float32+FMA
-                                     ///< kernels and is validated by
-                                     ///< tolerance, not parity (DESIGN.md
-                                     ///< §16). Per-run, not process-wide.
 
   /// Derive the CSSK alphabet for this radar+tag combination. Clamps the
   /// maximum beat frequency below the tag ADC Nyquist bound by raising the

@@ -202,65 +202,6 @@ void fft_pow2_with_plan(double* __restrict xr, double* __restrict xi,
   }
 }
 
-/// float32 mirror of a power-of-two plan (float32_fast tier): shares the
-/// bit-reversal table of the equal-size double plan and carries the same
-/// per-stage twiddles rounded once to float. Derived, never built from
-/// scratch, so the float tables always correspond to the double plan they
-/// were cast from.
-struct FftPlanF32 {
-  std::size_t n = 0;
-  std::shared_ptr<const FftPlan> base;  // swaps + lifetime anchor
-  std::vector<FVec> tw_re_fwd, tw_im_fwd;
-  std::vector<FVec> tw_re_inv, tw_im_inv;
-};
-
-/// Apply a float32 power-of-two plan in place on split re/im arrays. Same
-/// loop structure as fft_pow2_with_plan; this TU compiles with the default
-/// flags, so the compiler may contract/vectorize — acceptable because the
-/// float tier is tolerance-validated, not bit-compared.
-void fft_pow2_with_plan_f32(float* __restrict xr, float* __restrict xi,
-                            const FftPlanF32& plan, bool inverse) {
-  const std::size_t n = plan.n;
-  if (n <= 1) return;
-  for (const auto& [i, j] : plan.base->swaps) {
-    std::swap(xr[i], xr[j]);
-    std::swap(xi[i], xi[j]);
-  }
-
-  for (std::size_t i = 0; i + 1 < n; i += 2) {
-    const float ur = xr[i], ui = xi[i];
-    const float vr = xr[i + 1], vi = xi[i + 1];
-    xr[i] = ur + vr;
-    xi[i] = ui + vi;
-    xr[i + 1] = ur - vr;
-    xi[i + 1] = ui - vi;
-  }
-
-  std::size_t s = 0;
-  for (std::size_t len = 4; len <= n; len <<= 1, ++s) {
-    const float* __restrict twr =
-        (inverse ? plan.tw_re_inv : plan.tw_re_fwd)[s].data();
-    const float* __restrict twi =
-        (inverse ? plan.tw_im_inv : plan.tw_im_fwd)[s].data();
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n; i += len) {
-      float* __restrict ar = xr + i;
-      float* __restrict ai = xi + i;
-      float* __restrict br = xr + i + half;
-      float* __restrict bi = xi + i + half;
-      for (std::size_t k = 0; k < half; ++k) {
-        const float vr = br[k] * twr[k] - bi[k] * twi[k];
-        const float vi = br[k] * twi[k] + bi[k] * twr[k];
-        const float ur = ar[k], ui = ai[k];
-        ar[k] = ur + vr;
-        ai[k] = ui + vi;
-        br[k] = ur - vr;
-        bi[k] = ui - vi;
-      }
-    }
-  }
-}
-
 std::shared_ptr<const FftPlan> make_pow2_plan(std::size_t n) {
   auto plan = std::make_shared<FftPlan>();
   plan->n = n;
@@ -315,28 +256,6 @@ FftScratch& scratch() {
   return s;
 }
 
-struct FftScratchF32 {
-  FVec re, im;
-  void ensure(std::size_t n) {
-    if (re.size() < n) {
-      re.resize(n);
-      im.resize(n);
-    }
-  }
-};
-
-FftScratchF32& scratch_f32() {
-  thread_local FftScratchF32 s;
-  return s;
-}
-
-/// float32 untangle twiddles, cast once from the double RfftPlan.
-struct RfftPlanF32 {
-  std::size_t n = 0;
-  std::size_t h = 0;
-  FVec tw_re, tw_im;
-};
-
 class PlanCache {
  public:
   std::shared_ptr<const FftPlan> get(std::size_t n) {
@@ -363,53 +282,12 @@ class PlanCache {
     });
   }
 
-  /// float32 plan for a power-of-two size (float32_fast tier). Derived from
-  /// the double plan of the same size; shares the hit/miss counters.
-  std::shared_ptr<const FftPlanF32> get_f32(std::size_t n) {
-    return get_or_build(fplans_, n, [&] {
-      auto base = get(n);  // builds / fetches the double plan
-      auto plan = std::make_shared<FftPlanF32>();
-      plan->n = n;
-      plan->base = base;
-      const auto cast_stages = [](const std::vector<RVec>& src,
-                                  std::vector<FVec>& dst) {
-        dst.resize(src.size());
-        for (std::size_t s = 0; s < src.size(); ++s) {
-          dst[s].resize(src[s].size());
-          for (std::size_t k = 0; k < src[s].size(); ++k)
-            dst[s][k] = static_cast<float>(src[s][k]);
-        }
-      };
-      cast_stages(base->tw_re_fwd, plan->tw_re_fwd);
-      cast_stages(base->tw_im_fwd, plan->tw_im_fwd);
-      cast_stages(base->tw_re_inv, plan->tw_re_inv);
-      cast_stages(base->tw_im_inv, plan->tw_im_inv);
-      return plan;
-    });
-  }
-
-  std::shared_ptr<const RfftPlanF32> get_rfft_f32(std::size_t n) {
-    return get_or_build(rfplans_, n, [&] {
-      auto base = get_rfft(n);
-      auto plan = std::make_shared<RfftPlanF32>();
-      plan->n = base->n;
-      plan->h = base->h;
-      plan->tw_re.resize(base->tw_re.size());
-      plan->tw_im.resize(base->tw_im.size());
-      for (std::size_t k = 0; k < base->tw_re.size(); ++k) {
-        plan->tw_re[k] = static_cast<float>(base->tw_re[k]);
-        plan->tw_im[k] = static_cast<float>(base->tw_im[k]);
-      }
-      return plan;
-    });
-  }
-
   FftPlanCacheStats stats() {
     FftPlanCacheStats s;
     s.hits = hits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mu_);
-    s.plans = plans_.size() + rplans_.size() + fplans_.size() + rfplans_.size();
+    s.plans = plans_.size() + rplans_.size();
     return s;
   }
 
@@ -417,8 +295,6 @@ class PlanCache {
     std::lock_guard<std::mutex> lock(mu_);
     plans_.clear();
     rplans_.clear();
-    fplans_.clear();
-    rfplans_.clear();
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
   }
@@ -482,8 +358,6 @@ class PlanCache {
   std::mutex mu_;
   std::unordered_map<std::size_t, std::shared_ptr<const FftPlan>> plans_;
   std::unordered_map<std::size_t, std::shared_ptr<const RfftPlan>> rplans_;
-  std::unordered_map<std::size_t, std::shared_ptr<const FftPlanF32>> fplans_;
-  std::unordered_map<std::size_t, std::shared_ptr<const RfftPlanF32>> rfplans_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };
@@ -726,98 +600,6 @@ CVec rfft_padded(std::span<const double> x, std::size_t n_fft) {
   CVec out;
   rfft_padded_into(x, n_fft, out);
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// float32_fast tier (non-normative). Power-of-two sizes run entirely in
-// float32 with plans derived from the double cache; anything else converts
-// through the double path once each way.
-
-void fft_padded_into_f32(std::span<const cfloat> x, std::size_t n_fft,
-                         CVecF& out) {
-  BIS_CHECK(n_fft > 0);
-  const std::size_t n = std::min(x.size(), n_fft);
-  if (!is_power_of_two(n_fft)) {
-    thread_local CVec dx;
-    thread_local CVec dout;
-    dx.assign(n_fft, cdouble(0.0, 0.0));
-    for (std::size_t i = 0; i < n; ++i)
-      dx[i] = cdouble(x[i].real(), x[i].imag());
-    transform_into(dx, /*inverse=*/false, dout);
-    out.resize(n_fft);
-    for (std::size_t i = 0; i < n_fft; ++i)
-      out[i] = cfloat(static_cast<float>(dout[i].real()),
-                      static_cast<float>(dout[i].imag()));
-    return;
-  }
-  const auto plan = plan_cache().get_f32(n_fft);
-  FftScratchF32& sc = scratch_f32();
-  sc.ensure(n_fft);
-  float* __restrict xr = sc.re.data();
-  float* __restrict xi = sc.im.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    xr[i] = x[i].real();
-    xi[i] = x[i].imag();
-  }
-  for (std::size_t i = n; i < n_fft; ++i) xr[i] = xi[i] = 0.0f;
-  fft_pow2_with_plan_f32(xr, xi, *plan, /*inverse=*/false);
-  out.resize(n_fft);
-  for (std::size_t i = 0; i < n_fft; ++i) out[i] = cfloat(xr[i], xi[i]);
-}
-
-void rfft_padded_into_f32(std::span<const float> x, std::size_t n_fft,
-                          CVecF& out) {
-  BIS_CHECK(n_fft > 0);
-  const std::size_t n = std::min(x.size(), n_fft);
-  if (n_fft == 1) {
-    out.assign(1, cfloat(n > 0 ? x[0] : 0.0f, 0.0f));
-    return;
-  }
-  if (!is_power_of_two(n_fft)) {
-    thread_local RVec dx;
-    thread_local CVec dout;
-    dx.assign(n_fft, 0.0);
-    for (std::size_t i = 0; i < n; ++i) dx[i] = static_cast<double>(x[i]);
-    rfft_into(dx, dout);
-    out.resize(dout.size());
-    for (std::size_t i = 0; i < dout.size(); ++i)
-      out[i] = cfloat(static_cast<float>(dout[i].real()),
-                      static_cast<float>(dout[i].imag()));
-    return;
-  }
-  const std::size_t h = n_fft / 2;
-  const auto rplan = plan_cache().get_rfft_f32(n_fft);
-  const auto plan = plan_cache().get_f32(h);
-
-  // Pack even samples into re, odd into im (zero-padding past n), run the
-  // half-size float complex transform, then untangle — same structure as the
-  // double rfft_into.
-  FftScratchF32& sc = scratch_f32();
-  sc.ensure(h);
-  float* __restrict zr = sc.re.data();
-  float* __restrict zi = sc.im.data();
-  for (std::size_t k = 0; k < h; ++k) {
-    const std::size_t e = 2 * k, o = 2 * k + 1;
-    zr[k] = e < n ? x[e] : 0.0f;
-    zi[k] = o < n ? x[o] : 0.0f;
-  }
-  fft_pow2_with_plan_f32(zr, zi, *plan, /*inverse=*/false);
-
-  out.resize(h + 1);
-  out[0] = cfloat(zr[0] + zi[0], 0.0f);
-  out[h] = cfloat(zr[0] - zi[0], 0.0f);
-  const float* __restrict twr = rplan->tw_re.data();
-  const float* __restrict twi = rplan->tw_im.data();
-  for (std::size_t k = 1; k < h; ++k) {
-    const float ar = zr[k], ai = zi[k];
-    const float br = zr[h - k], bi = -zi[h - k];
-    const float er = 0.5f * (ar + br);
-    const float ei = 0.5f * (ai + bi);
-    const float od = 0.5f * (ai - bi);   // O = (di/2, −dr/2)
-    const float oi = -0.5f * (ar - br);
-    out[k] = cfloat(er + twr[k] * od - twi[k] * oi,
-                    ei + twr[k] * oi + twi[k] * od);
-  }
 }
 
 BIS_SCALAR_LOOP RVec irfft(std::span<const cdouble> spectrum, std::size_t n) {

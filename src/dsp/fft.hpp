@@ -100,24 +100,6 @@ class RfftPlanHandle {
   std::shared_ptr<const FftPlan> plan_;  ///< n_fft/2 (even) or n_fft (odd).
 };
 
-/// float32_fast tier transforms (non-normative; tolerance-validated, see
-/// dsp/precision.hpp and DESIGN.md §16). Float plans live in the same
-/// process-wide cache: a float plan is derived from — and shares the
-/// bit-reversal table of — the double plan of equal size, with twiddles
-/// rounded once to float32. Power-of-two sizes run fully in float32; other
-/// sizes fall back through the double path with one conversion each way (the
-/// radar pipeline only transforms power-of-two n_fft, so the fallback never
-/// runs in the hot loop).
-void fft_padded_into_f32(std::span<const cfloat> x, std::size_t n_fft,
-                         CVecF& out);
-
-/// float32 one-sided real-input spectrum (n/2+1 bins), padded/truncated to
-/// @p n_fft. Even power-of-two n_fft runs the packed half-size float complex
-/// transform plus a float untangle; other sizes fall back through the double
-/// rfft with one conversion each way.
-void rfft_padded_into_f32(std::span<const float> x, std::size_t n_fft,
-                          CVecF& out);
-
 /// Inverse of rfft: reconstruct the length-n real signal from its one-sided
 /// spectrum (spectrum.size() must be n/2+1). The upper half is implied by
 /// conjugate symmetry; any asymmetric content is discarded exactly as

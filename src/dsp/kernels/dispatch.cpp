@@ -1,9 +1,9 @@
 /// Runtime dispatch for the SIMD kernel layer. The target is selected once,
 /// lazily, on the first kernel call: the best CPU-supported backend
-/// (AVX2+FMA → SSE2 → scalar), overridden by the BIS_SIMD environment
-/// variable when set. core::SystemConfig::simd routes through set_target at
-/// simulator construction. Selection state is a single atomic pointer; the
-/// per-call cost is one relaxed load and an indirect call.
+/// (AVX2 → SSE2 → scalar), overridden by the BIS_SIMD environment variable
+/// when set; tests and benches switch it with set_target. Selection state is
+/// a single atomic pointer; the per-call cost is one relaxed load and an
+/// indirect call.
 
 #include <atomic>
 #include <cstdio>
@@ -16,11 +16,12 @@ namespace bis::dsp::kernels {
 namespace {
 
 using detail::KernelTable;
-using detail::KernelTableF;
 
-bool cpu_has_avx2_fma() {
+/// The AVX2 backend compiles with -mavx2 and -ffp-contract=off and emits no
+/// FMA instruction, so AVX2 support is all it needs.
+bool cpu_has_avx2() {
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
@@ -34,28 +35,7 @@ const KernelTable* table_for(SimdTarget target) {
     case SimdTarget::kSse2:
       return &detail::sse2_table();
     case SimdTarget::kAvx2:
-      return cpu_has_avx2_fma() ? &detail::avx2_table() : nullptr;
-#else
-    case SimdTarget::kSse2:
-    case SimdTarget::kAvx2:
-      return nullptr;
-#endif
-  }
-  return nullptr;
-}
-
-/// float32 tier table for the same target. Availability mirrors the double
-/// tier (a target is offered for both tiers or neither), so set_target can
-/// publish the pair together.
-const KernelTableF* table_f32_for(SimdTarget target) {
-  switch (target) {
-    case SimdTarget::kScalar:
-      return &detail::scalar_table_f32();
-#if BIS_HAVE_SIMD_BACKENDS
-    case SimdTarget::kSse2:
-      return &detail::sse2_table_f32();
-    case SimdTarget::kAvx2:
-      return cpu_has_avx2_fma() ? &detail::avx2_table_f32() : nullptr;
+      return cpu_has_avx2() ? &detail::avx2_table() : nullptr;
 #else
     case SimdTarget::kSse2:
     case SimdTarget::kAvx2:
@@ -81,7 +61,7 @@ bool parse_target(std::string_view name, SimdTarget& out) {
 SimdTarget detect_target() {
   SimdTarget best = SimdTarget::kScalar;
 #if BIS_HAVE_SIMD_BACKENDS
-  best = cpu_has_avx2_fma() ? SimdTarget::kAvx2 : SimdTarget::kSse2;
+  best = cpu_has_avx2() ? SimdTarget::kAvx2 : SimdTarget::kSse2;
 #endif
   if (const char* env = std::getenv("BIS_SIMD")) {
     SimdTarget requested;
@@ -105,46 +85,16 @@ SimdTarget detect_target() {
 /// written only by set_target / first-use init (benign ordering: every table
 /// is immutable and valid for the life of the process).
 std::atomic<const KernelTable*> g_table{nullptr};
-std::atomic<const KernelTableF*> g_table_f32{nullptr};
 std::atomic<SimdTarget> g_target{SimdTarget::kScalar};
-
-/// Test-only poison switch for the float32 tier (see set_f32_test_poison).
-std::atomic<bool> g_f32_poison{false};
 
 const KernelTable& active() {
   const KernelTable* t = g_table.load(std::memory_order_acquire);
   if (t) return *t;
   const SimdTarget target = detect_target();
   g_target.store(target, std::memory_order_relaxed);
-  g_table_f32.store(table_f32_for(target), std::memory_order_release);
   const KernelTable* chosen = table_for(target);
   g_table.store(chosen, std::memory_order_release);
   return *chosen;
-}
-
-void poisoned_apply_window_c(std::span<const cfloat> x,
-                             std::span<const float> /*w*/,
-                             std::span<cfloat> out) {
-  // Deliberately wrong: drop the signal entirely. Every downstream spectrum
-  // is zero, so detection/BER collapse and the tolerance gate must trip.
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = cfloat(0.0f, 0.0f);
-}
-
-const KernelTableF& poisoned_f32_table() {
-  static const KernelTableF table = [] {
-    KernelTableF t = detail::scalar_table_f32();
-    t.apply_window_c = &poisoned_apply_window_c;
-    return t;
-  }();
-  return table;
-}
-
-const KernelTableF& active_f32() {
-  if (g_f32_poison.load(std::memory_order_relaxed)) return poisoned_f32_table();
-  const KernelTableF* t = g_table_f32.load(std::memory_order_acquire);
-  if (t) return *t;
-  (void)active();  // first-use detection publishes both tiers
-  return *g_table_f32.load(std::memory_order_acquire);
 }
 
 }  // namespace
@@ -169,7 +119,6 @@ bool set_target(SimdTarget target) {
   const KernelTable* t = table_for(target);
   if (!t) return false;
   g_target.store(target, std::memory_order_relaxed);
-  g_table_f32.store(table_f32_for(target), std::memory_order_release);
   g_table.store(t, std::memory_order_release);
   return true;
 }
@@ -259,81 +208,5 @@ void ktagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
                std::size_t n, std::span<double> on, std::span<double> son) {
   active().tagscore(x, idx, w, g, n, on, son);
 }
-
-// ---------------------------------------------------------------------------
-// float32_fast tier → active f32 table
-
-void kmag(std::span<const cfloat> x, std::span<float> out) {
-  active_f32().mag(x, out);
-}
-
-void knorm(std::span<const cfloat> x, std::span<float> out) {
-  active_f32().norm(x, out);
-}
-
-void kmag_db(std::span<const cfloat> x, std::span<float> out, float floor_db) {
-  active_f32().mag_db(x, out, floor_db);
-}
-
-void kapply_window(std::span<const float> x, std::span<const float> w,
-                   std::span<float> out) {
-  active_f32().apply_window_r(x, w, out);
-}
-
-void kapply_window(std::span<const cfloat> x, std::span<const float> w,
-                   std::span<cfloat> out) {
-  active_f32().apply_window_c(x, w, out);
-}
-
-void kcmul(std::span<const cfloat> a, std::span<const cfloat> b,
-           std::span<cfloat> out) {
-  active_f32().cmul(a, b, out);
-}
-
-void kaxpy(float a, std::span<const float> x, std::span<float> y) {
-  active_f32().axpy(a, x, y);
-}
-
-void kscale_add(std::span<float> y, float scale, float a,
-                std::span<const float> x) {
-  active_f32().scale_add(y, scale, a, x);
-}
-
-void kscale(std::span<float> y, float s) { active_f32().scale_r(y, s); }
-
-void kscale(std::span<cfloat> y, float s) {
-  active_f32().scale_r(
-      std::span<float>(reinterpret_cast<float*>(y.data()), 2 * y.size()), s);
-}
-
-float ksum_sq(std::span<const float> x) { return active_f32().sum_sq(x); }
-
-float ksum_sq(std::span<const cfloat> x) {
-  return active_f32().sum_sq(std::span<const float>(
-      reinterpret_cast<const float*>(x.data()), 2 * x.size()));
-}
-
-float kdot(std::span<const float> x, std::span<const float> y) {
-  return active_f32().dot(x, y);
-}
-
-void kgoertzel(std::span<const float> x, std::span<const float> coeffs,
-               std::span<float> s1, std::span<float> s2) {
-  active_f32().goertzel(x, coeffs, s1, s2);
-}
-
-void ktagscore(std::span<const float> x, std::span<const std::uint32_t> idx,
-               std::span<const float> w, std::span<const float> g,
-               std::size_t n, std::span<float> on, std::span<float> son) {
-  active_f32().tagscore(x, idx, w, g, n, on, son);
-}
-
-namespace detail {
-
-void set_f32_test_poison(bool enabled) {
-  g_f32_poison.store(enabled, std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 }  // namespace bis::dsp::kernels

@@ -6,10 +6,10 @@
 /// Every stage of the signal path bottoms out in the map/reduce loops below
 /// (magnitude/power of a spectrum, window application, complex spectral
 /// products, AWGN application, Goertzel banks). This layer provides one
-/// narrow API backed by three interchangeable implementations — AVX2+FMA,
-/// SSE2, and scalar — selected once at startup by CPU detection and
-/// overridable with the BIS_SIMD environment variable
-/// (`BIS_SIMD=scalar|sse2|avx2`) or core::SystemConfig::simd.
+/// narrow API backed by three interchangeable implementations — AVX2, SSE2
+/// and scalar — selected once at startup by CPU detection and overridable
+/// with the BIS_SIMD environment variable (`BIS_SIMD=scalar|sse2|avx2`) or
+/// set_target.
 ///
 /// ## Bit-identity contract
 ///
@@ -34,16 +34,6 @@
 /// scalar code the reference uses. dsp::RVec / dsp::CVec allocate 64-byte
 /// aligned storage, so in practice full-vector loads on those buffers are
 /// aligned and only sub-spans pay the (tiny, modern-CPU) unaligned cost.
-///
-/// ## float32_fast tier (non-normative)
-///
-/// Every kernel also has a float overload backed by a second dispatch table
-/// (8-lane blocks; the AVX2 backend compiles with -mfma and fuses a·b+c).
-/// The float tier follows the same target selection (set_target switches
-/// both tables together) but is explicitly OUTSIDE the bit-identity
-/// contract: different targets round differently (FMA, vectorized log), and
-/// correctness is asserted by tolerance tests against the double tier, not
-/// by parity. See dsp/precision.hpp and DESIGN.md §16.
 
 #include <complex>
 #include <cstddef>
@@ -54,7 +44,6 @@
 namespace bis::dsp::kernels {
 
 using cdouble = std::complex<double>;
-using cfloat = std::complex<float>;
 
 // ---------------------------------------------------------------------------
 // Dispatch control
@@ -62,7 +51,7 @@ using cfloat = std::complex<float>;
 enum class SimdTarget {
   kScalar = 0,  ///< Normative reference (always available).
   kSse2 = 1,    ///< 2-lane double SIMD (x86-64 baseline).
-  kAvx2 = 2,    ///< 4-lane double SIMD (requires AVX2+FMA CPU support).
+  kAvx2 = 2,    ///< 4-lane double SIMD (requires AVX2 CPU support).
 };
 
 /// The target currently routing kernel calls.
@@ -179,47 +168,11 @@ bool kgoertzel_prefers_scalar(std::size_t n_samples);
 ///   son[j] += g[k·n+j] · x[idx[k·n+j]]   (raw power on the signature
 ///                                         support; g is the 0/1 indicator)
 /// The vector targets run kLanes rows per block; each row's accumulation is
-/// lane-independent and unfused (double tier), so results are bit-identical
-/// to evaluating each row with the scalar two-accumulator loop. idx values
-/// must be < x.size(); on/son must have size n.
+/// lane-independent and unfused, so results are bit-identical to evaluating
+/// each row with the scalar two-accumulator loop. idx values must be
+/// < x.size(); on/son must have size n.
 void ktagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
                std::span<const double> w, std::span<const double> g,
                std::size_t n, std::span<double> on, std::span<double> son);
-
-// ---------------------------------------------------------------------------
-// float32_fast tier overloads (non-normative; tolerance-validated)
-
-void kmag(std::span<const cfloat> x, std::span<float> out);
-void knorm(std::span<const cfloat> x, std::span<float> out);
-void kmag_db(std::span<const cfloat> x, std::span<float> out, float floor_db);
-void kapply_window(std::span<const float> x, std::span<const float> w,
-                   std::span<float> out);
-void kapply_window(std::span<const cfloat> x, std::span<const float> w,
-                   std::span<cfloat> out);
-void kcmul(std::span<const cfloat> a, std::span<const cfloat> b,
-           std::span<cfloat> out);
-void kaxpy(float a, std::span<const float> x, std::span<float> y);
-void kscale_add(std::span<float> y, float scale, float a,
-                std::span<const float> x);
-void kscale(std::span<float> y, float s);
-void kscale(std::span<cfloat> y, float s);
-float ksum_sq(std::span<const float> x);
-float ksum_sq(std::span<const cfloat> x);
-float kdot(std::span<const float> x, std::span<const float> y);
-void kgoertzel(std::span<const float> x, std::span<const float> coeffs,
-               std::span<float> s1, std::span<float> s2);
-void ktagscore(std::span<const float> x, std::span<const std::uint32_t> idx,
-               std::span<const float> w, std::span<const float> g,
-               std::size_t n, std::span<float> on, std::span<float> son);
-
-namespace detail {
-
-/// Test hook: route the float32 tier through a deliberately broken table
-/// (apply_window_c zeroes its output) so the tolerance harness can prove its
-/// delta gate actually fails on a bad kernel (mirrors bench_compare
-/// --self-test). Never enable outside tests.
-void set_f32_test_poison(bool enabled);
-
-}  // namespace detail
 
 }  // namespace bis::dsp::kernels

@@ -15,9 +15,7 @@ namespace bis::dsp::kernels {
 namespace {
 
 struct Avx2Ops {
-  using Real = double;
   static constexpr std::size_t kLanes = 4;
-  static constexpr bool kVecMagDb = false;
 
   using V = __m256d;
 
@@ -43,8 +41,8 @@ struct Avx2Ops {
     return _mm_cvtsd_f64(_mm_add_sd(s01, s23));
   }
 
-  // Normative tier: unfused a·b + c. This TU compiles with -ffp-contract=off
-  // and no -mfma, so _mm256_add_pd(_mm256_mul_pd(...)) cannot be contracted.
+  // Unfused a·b + c. This TU compiles with -ffp-contract=off and no -mfma,
+  // so _mm256_add_pd(_mm256_mul_pd(...)) cannot be contracted.
   static V fmadd(V a, V b, V c) { return add(mul(a, b), c); }
 
   static V load_norm(const cdouble* p) {

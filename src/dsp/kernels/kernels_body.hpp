@@ -2,50 +2,35 @@
 
 /// @file kernels_body.hpp
 /// Generic kernel bodies, templated on a per-target `Ops` policy that models
-/// one lane block of `Ops::Real` elements. The double tier uses 4-lane
-/// blocks (AVX2: one 256-bit register, SSE2: two 128-bit registers, scalar:
-/// four doubles); the float32_fast tier uses 8-lane blocks (AVX2: one
-/// 256-bit float register, SSE2: two 128-bit registers, scalar: eight
-/// floats). Writing each kernel once over this abstraction is what makes
-/// the double tier's bit-identity contract hold by construction: every
-/// element goes through the same IEEE operations in the same order on every
-/// target, and the sub-block tails below are the same scalar code in every
-/// backend (all double-tier TUs compile with -ffp-contract=off, so the
-/// compiler cannot fuse a·b+c differently per TU). The float32 tier reuses
-/// the same bodies but is explicitly non-normative: its AVX2 backend maps
-/// `fmadd` to a real fused multiply-add and vectorizes the dB log, so it is
-/// validated by tolerance, not parity.
+/// one 4-lane block of doubles (AVX2: one 256-bit register, SSE2: two
+/// 128-bit registers, scalar: four doubles). Writing each kernel once over
+/// this abstraction is what makes the bit-identity contract hold by
+/// construction: every element goes through the same IEEE operations in the
+/// same order on every target, and the sub-block tails below are the same
+/// scalar code in every backend (all kernel TUs compile with
+/// -ffp-contract=off, so the compiler cannot fuse a·b+c differently per TU).
 ///
-/// Required Ops interface (V is the block type, L = Ops::kLanes):
-///   Real                                  element type (double or float)
-///   kLanes                                lanes per block (4 or 8)
-///   V    load(const Real* p)              unaligned load of L elements
-///   void store(Real* p, V)                unaligned store of L elements
-///   V    bcast(Real v)
+/// Required Ops interface (V is the block type, L = Ops::kLanes = 4):
+///   V    load(const double* p)            unaligned load of L elements
+///   void store(double* p, V)              unaligned store of L elements
+///   V    bcast(double v)
 ///   V    add/sub/mul(V, V), vsqrt(V)
-///   V    fmadd(V a, V b, V c)             a·b + c. Double backends MUST
-///                                         implement this as add(mul(a, b), c)
-///                                         (no fusion); float32 AVX2 fuses.
-///   Real reduce(V)                        (l0+l1) + (l2+l3) for 4 lanes;
-///                                         ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))
-///                                         for 8 lanes
-///   V    gather(const Real* base, const uint32_t* idx)
+///   V    fmadd(V a, V b, V c)             a·b + c, implemented as
+///                                         add(mul(a, b), c) (no fusion)
+///   double reduce(V)                      (l0+l1) + (l2+l3)
+///   V    gather(const double* base, const uint32_t* idx)
 ///                                         [base[idx[0]], …, base[idx[L−1]]].
 ///                                         Loads the same IEEE values on
 ///                                         every target (a hardware gather
 ///                                         and L scalar loads are
 ///                                         value-identical), so bit-identity
 ///                                         is unaffected.
-///   V    load_norm(const Cplx* p)         [re·re + im·im] for L complex,
+///   V    load_norm(const cdouble* p)      [re·re + im·im] for L complex,
 ///                                         in element order
-///   void cmul_block(const Cplx* a, const Cplx* b, Cplx* out)
+///   void cmul_block(const cdouble* a, const cdouble* b, cdouble* out)
 ///                                         (ar·br − ai·bi, ar·bi + ai·br) ×L
-///   void cwin_block(const Cplx* x, const Real* w, Cplx* out)
+///   void cwin_block(const cdouble* x, const double* w, cdouble* out)
 ///                                         (re·w, im·w) ×L
-///   kVecMagDb                             true when the backend supplies a
-///                                         vectorized dB conversion:
-///   V    db_from_norm(V n, V floor)       max(10·log10(n), floor) per lane
-///                                         (float32 backends only)
 
 #include <algorithm>
 #include <cmath>
@@ -56,70 +41,50 @@
 
 namespace bis::dsp::kernels::body {
 
-template <typename Ops>
-using RealOf = typename Ops::Real;
-template <typename Ops>
-using CplxOf = std::complex<typename Ops::Real>;
-
 /// 10/ln(10): kmag_db hoists the dB scale and uses one natural log per
 /// element instead of 10·log10(x) (same function count, but libm's log is
 /// the cheaper entry point and the constant fold is explicit).
 inline constexpr double kTenOverLn10 = 4.342944819032518;
 
 template <typename Ops>
-void mag(std::span<const CplxOf<Ops>> x, std::span<RealOf<Ops>> out) {
+void mag(std::span<const cdouble> x, std::span<double> out) {
   const std::size_t n = x.size();
   const std::size_t nL = n - n % Ops::kLanes;
   for (std::size_t i = 0; i < nL; i += Ops::kLanes)
     Ops::store(out.data() + i, Ops::vsqrt(Ops::load_norm(x.data() + i)));
   for (std::size_t i = nL; i < n; ++i) {
-    const RealOf<Ops> re = x[i].real(), im = x[i].imag();
+    const double re = x[i].real(), im = x[i].imag();
     out[i] = std::sqrt(re * re + im * im);
   }
 }
 
 template <typename Ops>
-void norm(std::span<const CplxOf<Ops>> x, std::span<RealOf<Ops>> out) {
+void norm(std::span<const cdouble> x, std::span<double> out) {
   const std::size_t n = x.size();
   const std::size_t nL = n - n % Ops::kLanes;
   for (std::size_t i = 0; i < nL; i += Ops::kLanes)
     Ops::store(out.data() + i, Ops::load_norm(x.data() + i));
   for (std::size_t i = nL; i < n; ++i) {
-    const RealOf<Ops> re = x[i].real(), im = x[i].imag();
+    const double re = x[i].real(), im = x[i].imag();
     out[i] = re * re + im * im;
   }
 }
 
 template <typename Ops>
-void mag_db(std::span<const CplxOf<Ops>> x, std::span<RealOf<Ops>> out,
-            RealOf<Ops> floor_db) {
-  using Real = RealOf<Ops>;
-  // Vectorized |x|² first. The log pass depends on the tier: the double
-  // backends share one scalar loop (libm log has no vector counterpart
-  // here, and identical scalar code on every target keeps the output
-  // bit-identical by construction); the float32 backends convert in-register
-  // with a log2-based approximation (db_from_norm), leaving only the
-  // sub-block tail on the scalar path.
+void mag_db(std::span<const cdouble> x, std::span<double> out,
+            double floor_db) {
+  // Vectorized |x|² first, then one scalar log loop shared by every backend
+  // (libm log has no vector counterpart here, and identical scalar code on
+  // every target keeps the output bit-identical by construction).
   norm<Ops>(x, out);
-  const std::size_t n = out.size();
-  const Real scale = Real(kTenOverLn10);
-  std::size_t tail_start = 0;
-  if constexpr (Ops::kVecMagDb) {
-    const std::size_t nL = n - n % Ops::kLanes;
-    const auto vfloor = Ops::bcast(floor_db);
-    for (std::size_t i = 0; i < nL; i += Ops::kLanes)
-      Ops::store(out.data() + i,
-                 Ops::db_from_norm(Ops::load(out.data() + i), vfloor));
-    tail_start = nL;
-  }
-  for (std::size_t i = tail_start; i < n; ++i)
-    out[i] = out[i] > Real(0) ? std::max(scale * std::log(out[i]), floor_db)
-                              : floor_db;
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = out[i] > 0.0 ? std::max(kTenOverLn10 * std::log(out[i]), floor_db)
+                          : floor_db;
 }
 
 template <typename Ops>
-void apply_window_r(std::span<const RealOf<Ops>> x,
-                    std::span<const RealOf<Ops>> w, std::span<RealOf<Ops>> out) {
+void apply_window_r(std::span<const double> x, std::span<const double> w,
+                    std::span<double> out) {
   const std::size_t n = x.size();
   const std::size_t nL = n - n % Ops::kLanes;
   for (std::size_t i = 0; i < nL; i += Ops::kLanes)
@@ -129,20 +94,19 @@ void apply_window_r(std::span<const RealOf<Ops>> x,
 }
 
 template <typename Ops>
-void apply_window_c(std::span<const CplxOf<Ops>> x,
-                    std::span<const RealOf<Ops>> w, std::span<CplxOf<Ops>> out) {
+void apply_window_c(std::span<const cdouble> x, std::span<const double> w,
+                    std::span<cdouble> out) {
   const std::size_t n = x.size();
   const std::size_t nL = n - n % Ops::kLanes;
   for (std::size_t i = 0; i < nL; i += Ops::kLanes)
     Ops::cwin_block(x.data() + i, w.data() + i, out.data() + i);
   for (std::size_t i = nL; i < n; ++i)
-    out[i] = CplxOf<Ops>(x[i].real() * w[i], x[i].imag() * w[i]);
+    out[i] = cdouble(x[i].real() * w[i], x[i].imag() * w[i]);
 }
 
 template <typename Ops>
-void cmul(std::span<const CplxOf<Ops>> a, std::span<const CplxOf<Ops>> b,
-          std::span<CplxOf<Ops>> out) {
-  using Real = RealOf<Ops>;
+void cmul(std::span<const cdouble> a, std::span<const cdouble> b,
+          std::span<cdouble> out) {
   const std::size_t n = a.size();
   const std::size_t nL = n - n % Ops::kLanes;
   // Two independent blocks per iteration: complex multiply is bound by the
@@ -158,15 +122,14 @@ void cmul(std::span<const CplxOf<Ops>> a, std::span<const CplxOf<Ops>> b,
   for (std::size_t i = n2L; i < nL; i += Ops::kLanes)
     Ops::cmul_block(a.data() + i, b.data() + i, out.data() + i);
   for (std::size_t i = nL; i < n; ++i) {
-    const Real ar = a[i].real(), ai = a[i].imag();
-    const Real br = b[i].real(), bi = b[i].imag();
-    out[i] = CplxOf<Ops>(ar * br - ai * bi, ar * bi + ai * br);
+    const double ar = a[i].real(), ai = a[i].imag();
+    const double br = b[i].real(), bi = b[i].imag();
+    out[i] = cdouble(ar * br - ai * bi, ar * bi + ai * br);
   }
 }
 
 template <typename Ops>
-void axpy(RealOf<Ops> a, std::span<const RealOf<Ops>> x,
-          std::span<RealOf<Ops>> y) {
+void axpy(double a, std::span<const double> x, std::span<double> y) {
   const std::size_t n = x.size();
   const std::size_t nL = n - n % Ops::kLanes;
   const auto va = Ops::bcast(a);
@@ -177,8 +140,8 @@ void axpy(RealOf<Ops> a, std::span<const RealOf<Ops>> x,
 }
 
 template <typename Ops>
-void scale_add(std::span<RealOf<Ops>> y, RealOf<Ops> scale, RealOf<Ops> a,
-               std::span<const RealOf<Ops>> x) {
+void scale_add(std::span<double> y, double scale, double a,
+               std::span<const double> x) {
   const std::size_t n = y.size();
   const std::size_t nL = n - n % Ops::kLanes;
   const auto vs = Ops::bcast(scale);
@@ -191,7 +154,7 @@ void scale_add(std::span<RealOf<Ops>> y, RealOf<Ops> scale, RealOf<Ops> a,
 }
 
 template <typename Ops>
-void scale_r(std::span<RealOf<Ops>> y, RealOf<Ops> s) {
+void scale_r(std::span<double> y, double s) {
   const std::size_t n = y.size();
   const std::size_t nL = n - n % Ops::kLanes;
   const auto vs = Ops::bcast(s);
@@ -201,48 +164,44 @@ void scale_r(std::span<RealOf<Ops>> y, RealOf<Ops> s) {
 }
 
 template <typename Ops>
-RealOf<Ops> sum_sq(std::span<const RealOf<Ops>> x) {
-  using Real = RealOf<Ops>;
+double sum_sq(std::span<const double> x) {
   const std::size_t n = x.size();
   const std::size_t nL = n - n % Ops::kLanes;
-  auto acc = Ops::bcast(Real(0));
+  auto acc = Ops::bcast(0.0);
   for (std::size_t i = 0; i < nL; i += Ops::kLanes) {
     const auto v = Ops::load(x.data() + i);
     acc = Ops::fmadd(v, v, acc);
   }
-  Real total = Ops::reduce(acc);
+  double total = Ops::reduce(acc);
   for (std::size_t i = nL; i < n; ++i) total += x[i] * x[i];
   return total;
 }
 
 template <typename Ops>
-RealOf<Ops> dot(std::span<const RealOf<Ops>> x, std::span<const RealOf<Ops>> y) {
-  using Real = RealOf<Ops>;
+double dot(std::span<const double> x, std::span<const double> y) {
   const std::size_t n = x.size();
   const std::size_t nL = n - n % Ops::kLanes;
-  auto acc = Ops::bcast(Real(0));
+  auto acc = Ops::bcast(0.0);
   for (std::size_t i = 0; i < nL; i += Ops::kLanes)
     acc = Ops::fmadd(Ops::load(x.data() + i), Ops::load(y.data() + i), acc);
-  Real total = Ops::reduce(acc);
+  double total = Ops::reduce(acc);
   for (std::size_t i = nL; i < n; ++i) total += x[i] * y[i];
   return total;
 }
 
 template <typename Ops>
-void goertzel(std::span<const RealOf<Ops>> x, std::span<const RealOf<Ops>> coeffs,
-              std::span<RealOf<Ops>> s1, std::span<RealOf<Ops>> s2) {
-  using Real = RealOf<Ops>;
+void goertzel(std::span<const double> x, std::span<const double> coeffs,
+              std::span<double> s1, std::span<double> s2) {
   const std::size_t nf = coeffs.size();
   const std::size_t nfL = nf - nf % Ops::kLanes;
   // One frequency per lane: the recurrence is sequential in samples but
   // embarrassingly parallel across bins. Lanes never interact, so each
-  // bin's state matches the one-frequency scalar recurrence bit-for-bit
-  // (double tier; the float32 AVX2 backend fuses c·s1 + x instead).
+  // bin's state matches the one-frequency scalar recurrence bit-for-bit.
   for (std::size_t f = 0; f < nfL; f += Ops::kLanes) {
     const auto c = Ops::load(coeffs.data() + f);
-    auto vs1 = Ops::bcast(Real(0));
-    auto vs2 = Ops::bcast(Real(0));
-    for (const Real sample : x) {
+    auto vs1 = Ops::bcast(0.0);
+    auto vs2 = Ops::bcast(0.0);
+    for (const double sample : x) {
       const auto s = Ops::sub(Ops::fmadd(c, vs1, Ops::bcast(sample)), vs2);
       vs2 = vs1;
       vs1 = s;
@@ -251,10 +210,10 @@ void goertzel(std::span<const RealOf<Ops>> x, std::span<const RealOf<Ops>> coeff
     Ops::store(s2.data() + f, vs2);
   }
   for (std::size_t f = nfL; f < nf; ++f) {
-    const Real c = coeffs[f];
-    Real p1 = 0, p2 = 0;
-    for (const Real sample : x) {
-      const Real s = (sample + c * p1) - p2;
+    const double c = coeffs[f];
+    double p1 = 0, p2 = 0;
+    for (const double sample : x) {
+      const double s = (sample + c * p1) - p2;
       p2 = p1;
       p1 = s;
     }
@@ -264,24 +223,23 @@ void goertzel(std::span<const RealOf<Ops>> x, std::span<const RealOf<Ops>> coeff
 }
 
 template <typename Ops>
-void tagscore(std::span<const RealOf<Ops>> x, std::span<const std::uint32_t> idx,
-              std::span<const RealOf<Ops>> w, std::span<const RealOf<Ops>> g,
-              std::size_t n, std::span<RealOf<Ops>> on, std::span<RealOf<Ops>> son) {
-  using Real = RealOf<Ops>;
+void tagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
+              std::span<const double> w, std::span<const double> g,
+              std::size_t n, std::span<double> on, std::span<double> son) {
   // One signature row per lane (like goertzel's one frequency per lane):
   // the entry-major layout puts entry k of row j at [k·n + j], so a lane
   // block loads kLanes rows' k-th entries contiguously and gathers their
   // spectrum values. Each row's two accumulators advance sequentially over
   // its entries in increasing spectrum-index order — the same multiply/add
-  // sequence as the scalar tail below (fmadd is unfused in the double tier),
+  // sequence as the scalar tail below (fmadd is unfused),
   // so rows are bit-identical to the one-row scalar evaluation. Padding
   // entries (w = g = 0, idx = 0) contribute +0.0, which is exact on the
   // non-negative accumulators.
   const std::size_t entries = n == 0 ? 0 : idx.size() / n;
   const std::size_t nL = n - n % Ops::kLanes;
   for (std::size_t j = 0; j < nL; j += Ops::kLanes) {
-    auto acc_on = Ops::bcast(Real(0));
-    auto acc_son = Ops::bcast(Real(0));
+    auto acc_on = Ops::bcast(0.0);
+    auto acc_son = Ops::bcast(0.0);
     for (std::size_t k = 0; k < entries; ++k) {
       const std::size_t base = k * n + j;
       const auto xv = Ops::gather(x.data(), idx.data() + base);
@@ -292,10 +250,10 @@ void tagscore(std::span<const RealOf<Ops>> x, std::span<const std::uint32_t> idx
     Ops::store(son.data() + j, acc_son);
   }
   for (std::size_t j = nL; j < n; ++j) {
-    Real a = Real(0), b = Real(0);
+    double a = 0.0, b = 0.0;
     for (std::size_t k = 0; k < entries; ++k) {
       const std::size_t e = k * n + j;
-      const Real xv = x[idx[e]];
+      const double xv = x[idx[e]];
       a = a + w[e] * xv;
       b = b + g[e] * xv;
     }
@@ -306,8 +264,8 @@ void tagscore(std::span<const RealOf<Ops>> x, std::span<const std::uint32_t> idx
 
 /// Assemble the dispatch table for one backend.
 template <typename Ops>
-detail::KernelTableT<RealOf<Ops>> make_table() {
-  detail::KernelTableT<RealOf<Ops>> t;
+detail::KernelTable make_table() {
+  detail::KernelTable t;
   t.mag = &mag<Ops>;
   t.norm = &norm<Ops>;
   t.mag_db = &mag_db<Ops>;

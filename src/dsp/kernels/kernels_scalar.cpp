@@ -12,9 +12,7 @@ namespace bis::dsp::kernels {
 namespace {
 
 struct ScalarOps {
-  using Real = double;
   static constexpr std::size_t kLanes = 4;
-  static constexpr bool kVecMagDb = false;
 
   struct V {
     double l[4];
@@ -45,8 +43,8 @@ struct ScalarOps {
              std::sqrt(a.l[3])}};
   }
   static double reduce(V a) { return (a.l[0] + a.l[1]) + (a.l[2] + a.l[3]); }
-  // Normative tier: a·b + c with separate multiply and add (this TU compiles
-  // with -ffp-contract=off, so no fusion can sneak in).
+  // a·b + c with separate multiply and add (this TU compiles with
+  // -ffp-contract=off, so no fusion can sneak in).
   static V fmadd(V a, V b, V c) { return add(mul(a, b), c); }
 
   static V load_norm(const cdouble* p) {

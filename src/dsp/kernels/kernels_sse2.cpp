@@ -16,9 +16,7 @@ namespace bis::dsp::kernels {
 namespace {
 
 struct Sse2Ops {
-  using Real = double;
   static constexpr std::size_t kLanes = 4;
-  static constexpr bool kVecMagDb = false;
 
   struct V {
     __m128d lo;  // lanes 0, 1
@@ -57,7 +55,7 @@ struct Sse2Ops {
     return _mm_cvtsd_f64(_mm_add_sd(s01, s23));
   }
 
-  // Normative tier: unfused a·b + c (SSE2 has no FMA instruction anyway).
+  // Unfused a·b + c (SSE2 has no FMA instruction anyway).
   static V fmadd(V a, V b, V c) { return add(mul(a, b), c); }
 
   /// |x|² for two complex numbers held in two registers: [re0,im0], [re1,im1]

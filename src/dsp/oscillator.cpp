@@ -38,89 +38,7 @@ inline void run_oscillator(std::size_t n, double freq_hz, double dt,
   }
 }
 
-/// float32 core: 8 staggered lanes (samples i, i+1, …, i+7), each stepped by
-/// w⁸ so the lane recurrences are independent and vectorizable. Anchors and
-/// the w⁸ step are computed in double and rounded once; lanes re-anchor
-/// together every kOscResyncInterval samples. The emit callback receives the
-/// lane arrays for one 8-sample block.
-template <typename EmitBlock, typename EmitOne>
-inline void run_oscillator_f32(std::size_t n, double freq_hz, double dt,
-                               double phase0_rad, EmitBlock&& emit_block,
-                               EmitOne&& emit_one) {
-  constexpr std::size_t kLanes = 8;
-  // Staggered lanes cost 8 sincos anchors up front. Short tone runs (the
-  // tag's ~50-sample active periods, called once per cross-term tone) never
-  // amortize that, so below ~8 blocks run the double path's single-anchor
-  // scalar recurrence and round each emit.
-  if (n < 8 * kLanes) {
-    const double step1 = kTwoPi * freq_hz * dt;
-    const double wr1 = std::cos(step1), wi1 = std::sin(step1);
-    const cdouble z0 = exact_phasor(freq_hz, dt, phase0_rad, 0);
-    double zr = z0.real(), zi = z0.imag();
-    for (std::size_t i = 0; i < n; ++i) {
-      emit_one(i, static_cast<float>(zr), static_cast<float>(zi));
-      const double nr = zr * wr1 - zi * wi1;
-      zi = zr * wi1 + zi * wr1;
-      zr = nr;
-    }
-    return;
-  }
-  const double step = kTwoPi * freq_hz * dt;
-  const double step8 = static_cast<double>(kLanes) * step;
-  const float wr = static_cast<float>(std::cos(step8));
-  const float wi = static_cast<float>(std::sin(step8));
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t stop = std::min(n, i + kOscResyncInterval);
-    float zr[kLanes], zi[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const cdouble z = exact_phasor(freq_hz, dt, phase0_rad, i + l);
-      zr[l] = static_cast<float>(z.real());
-      zi[l] = static_cast<float>(z.imag());
-    }
-    for (; i + kLanes <= stop; i += kLanes) {
-      emit_block(i, zr, zi);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const float nr = zr[l] * wr - zi[l] * wi;
-        zi[l] = zr[l] * wi + zi[l] * wr;
-        zr[l] = nr;
-      }
-    }
-    for (; i < stop; ++i) {
-      const cdouble z = exact_phasor(freq_hz, dt, phase0_rad, i);
-      emit_one(i, static_cast<float>(z.real()), static_cast<float>(z.imag()));
-    }
-  }
-}
-
 }  // namespace
-
-void accumulate_tone_f32(std::span<cfloat> out, float amplitude, double freq_hz,
-                         double dt, double phase0_rad) {
-  cfloat* __restrict o = out.data();
-  run_oscillator_f32(
-      out.size(), freq_hz, dt, phase0_rad,
-      [o, amplitude](std::size_t i, const float* zr, const float* zi) {
-        for (std::size_t l = 0; l < 8; ++l)
-          o[i + l] += cfloat(amplitude * zr[l], amplitude * zi[l]);
-      },
-      [o, amplitude](std::size_t i, float zr, float zi) {
-        o[i] += cfloat(amplitude * zr, amplitude * zi);
-      });
-}
-
-void accumulate_tone_f32(std::span<float> out, float amplitude, double freq_hz,
-                         double dt, double phase0_rad) {
-  float* __restrict o = out.data();
-  run_oscillator_f32(
-      out.size(), freq_hz, dt, phase0_rad,
-      [o, amplitude](std::size_t i, const float* zr, const float*) {
-        for (std::size_t l = 0; l < 8; ++l) o[i + l] += amplitude * zr[l];
-      },
-      [o, amplitude](std::size_t i, float zr, float) {
-        o[i] += amplitude * zr;
-      });
-}
 
 void accumulate_tone(std::span<cdouble> out, double amplitude, double freq_hz,
                      double dt, double phase0_rad) {

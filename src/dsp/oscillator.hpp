@@ -32,19 +32,6 @@ void accumulate_tone(std::span<cdouble> out, double amplitude, double freq_hz,
 void accumulate_tone(std::span<double> out, double amplitude, double freq_hz,
                      double dt, double phase0_rad);
 
-/// float32_fast tier synthesis (non-normative; tolerance-validated). Eight
-/// staggered float phasors anchored to the exact double libm phase and each
-/// stepped by w⁸, so the eight recurrences are lane-independent and the
-/// compiler is free to vectorize them — the double recurrence above is a
-/// single serial dependency chain that no register width can speed up.
-/// Re-anchored every kOscResyncInterval samples like the double path; phase
-/// drift stays ≲ a few float ulps (~1e-6 rad), far inside the tier's
-/// tolerance bounds.
-void accumulate_tone_f32(std::span<cfloat> out, float amplitude, double freq_hz,
-                         double dt, double phase0_rad);
-void accumulate_tone_f32(std::span<float> out, float amplitude, double freq_hz,
-                         double dt, double phase0_rad);
-
 /// Per-sample libm reference paths (two transcendentals per sample) — the
 /// pre-oscillator implementation, kept for drift-bound tests and the
 /// old-vs-new synthesis throughput rows in bench_dsp_kernels.

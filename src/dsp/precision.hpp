@@ -1,44 +1,17 @@
 #pragma once
 
 /// @file precision.hpp
-/// Numeric precision tiers for the DSP hot path.
-///
-/// `kDoubleStrict` is the normative tier: every kernel is pinned to double
-/// with FMA forbidden, outputs are bit-identical across SIMD targets and
-/// thread counts, and all golden/parity gates are defined against it.
-///
-/// `kFloat32Fast` is an explicitly non-normative throughput tier for
-/// Monte-Carlo statistics (fig13 BER-vs-distance, fig16 localization):
-/// synthesis, windowing and the range FFT run in float32 with FMA and
-/// 8-lane AVX2 where available, converting back to double once at the frame
-/// edge. It is validated by *tolerance* (BER/SNR/localization deltas vs. the
-/// double tier, see core/precision_validation.hpp), never by bit parity.
-
-#include <string_view>
+/// The DSP path's one numeric contract: double everywhere, FMA forbidden in
+/// the kernel layer, outputs bit-identical across SIMD targets and thread
+/// counts. The enum has a single value; it remains only because perfbench's
+/// host record and inventory workload name it (DESIGN.md §16).
 
 namespace bis::dsp {
 
 enum class Precision {
-  kDoubleStrict = 0,  ///< Normative: bit-identical, no FMA, 4-lane double.
-  kFloat32Fast = 1,   ///< Fast: float32 + FMA, tolerance-validated.
+  kDoubleStrict,  ///< Bit-identical, no FMA, 4-lane double.
 };
 
-constexpr const char* precision_name(Precision p) {
-  return p == Precision::kFloat32Fast ? "float32_fast" : "double_strict";
-}
-
-/// Parses "double_strict" / "float32_fast" (empty string = default tier).
-/// Returns false and leaves @p out untouched on an unknown name.
-inline bool parse_precision(std::string_view name, Precision& out) {
-  if (name.empty() || name == "double_strict") {
-    out = Precision::kDoubleStrict;
-    return true;
-  }
-  if (name == "float32_fast") {
-    out = Precision::kFloat32Fast;
-    return true;
-  }
-  return false;
-}
+constexpr const char* precision_name(Precision) { return "double_strict"; }
 
 }  // namespace bis::dsp

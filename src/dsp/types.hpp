@@ -48,13 +48,6 @@ using cdouble = std::complex<double>;
 using CVec = std::vector<cdouble, AlignedAlloc<cdouble>>;
 using RVec = std::vector<double, AlignedAlloc<double>>;
 
-/// Single-precision counterparts for the opt-in float32_fast tier (see
-/// dsp/precision.hpp). Same 64-byte alignment so the 8-lane kernels stay on
-/// aligned full-width accesses.
-using cfloat = std::complex<float>;
-using CVecF = std::vector<cfloat, AlignedAlloc<cfloat>>;
-using FVec = std::vector<float, AlignedAlloc<float>>;
-
 /// Element-wise magnitude of a complex vector.
 RVec magnitude(std::span<const cdouble> xs);
 

@@ -76,7 +76,6 @@ using WindowKey = std::tuple<int, std::size_t, double>;
 struct WindowCache {
   std::mutex mu;
   std::map<WindowKey, WindowPtr> windows;
-  std::map<WindowKey, WindowPtrF32> windows_f32;
 };
 
 WindowCache& window_cache() {
@@ -110,45 +109,16 @@ WindowPtr cached_window(WindowType type, std::size_t n, double kaiser_beta) {
   return cache.windows.emplace(key, std::move(w)).first->second;
 }
 
-WindowPtrF32 cached_window_f32(WindowType type, std::size_t n,
-                               double kaiser_beta) {
-  static obs::Counter& hits =
-      obs::Registry::instance().counter("bis.dsp.window_cache_hits");
-  static obs::Counter& misses =
-      obs::Registry::instance().counter("bis.dsp.window_cache_misses");
-  const WindowKey key{static_cast<int>(type), n,
-                      type == WindowType::kKaiser ? kaiser_beta : 0.0};
-  auto& cache = window_cache();
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    auto it = cache.windows_f32.find(key);
-    if (it != cache.windows_f32.end()) {
-      hits.add();
-      return it->second;
-    }
-  }
-  misses.add();
-  // Round the (cached) double window once; both tiers share one evaluation.
-  const WindowPtr base = cached_window(type, n, kaiser_beta);
-  FVec wf(base->size());
-  for (std::size_t i = 0; i < base->size(); ++i)
-    wf[i] = static_cast<float>((*base)[i]);
-  auto w = std::make_shared<const FVec>(std::move(wf));
-  std::lock_guard<std::mutex> lock(cache.mu);
-  return cache.windows_f32.emplace(key, std::move(w)).first->second;
-}
-
 std::size_t window_cache_size() {
   auto& cache = window_cache();
   std::lock_guard<std::mutex> lock(cache.mu);
-  return cache.windows.size() + cache.windows_f32.size();
+  return cache.windows.size();
 }
 
 void window_cache_clear() {
   auto& cache = window_cache();
   std::lock_guard<std::mutex> lock(cache.mu);
   cache.windows.clear();
-  cache.windows_f32.clear();
 }
 
 RVec apply_window(std::span<const double> x, std::span<const double> w) {

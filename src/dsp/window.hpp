@@ -37,17 +37,7 @@ using WindowPtr = std::shared_ptr<const RVec>;
 /// and safe to share across the DSP thread pool.
 WindowPtr cached_window(WindowType type, std::size_t n, double kaiser_beta = 8.6);
 
-/// float32 window handle (float32_fast tier).
-using WindowPtrF32 = std::shared_ptr<const FVec>;
-
-/// float32 view of the cached window: the double window rounded once to
-/// float and memoized under the same key, so both tiers share one window
-/// evaluation (the cos/Bessel cost) and the float copy is made exactly once.
-WindowPtrF32 cached_window_f32(WindowType type, std::size_t n,
-                               double kaiser_beta = 8.6);
-
 /// Number of distinct windows currently cached (tests/benchmarks).
-/// Counts double and float32 entries.
 std::size_t window_cache_size();
 
 /// Drop all cached windows (tests/benchmarks).

@@ -92,57 +92,4 @@ void IfSynthesizer::synthesize_into(const rf::ChirpParams& chirp,
   }
 }
 
-void IfSynthesizer::synthesize_into_f32(const rf::ChirpParams& chirp,
-                                        std::span<const IfReturn> returns,
-                                        dsp::CVecF& out) {
-  BIS_TRACE_SPAN("radar.if_synthesis");
-  BIS_CHECK(chirp.valid());
-  const std::size_t n = samples_per_chirp(chirp);
-  static obs::Counter& samples =
-      obs::Registry::instance().counter("bis.radar.if_samples_synthesized");
-  samples.add(n);
-  out.assign(n, dsp::cfloat(0.0f, 0.0f));
-  const double dt = 1.0 / config_.sample_rate_hz;
-
-  const double pn = phase_noise_.step(chirp.period());
-
-  for (const auto& ret : returns) {
-    if (ret.amplitude_v == 0.0) continue;
-    BIS_CHECK(ret.range_m >= 0.0);
-    const double tau = 2.0 * ret.range_m / kSpeedOfLight;
-    const double f_if = chirp.beat_frequency(ret.range_m);
-    const double phi0 = kTwoPi * (chirp.start_frequency_hz * tau -
-                                  chirp.slope() * tau * tau / 2.0) +
-                        ret.phase_rad + pn;
-    dsp::accumulate_tone_f32(std::span<dsp::cfloat>(out),
-                             static_cast<float>(ret.amplitude_v), f_if, dt,
-                             phi0);
-  }
-
-  rf::add_awgn(std::span<dsp::cfloat>(out),
-               static_cast<float>(noise_sigma_), rng_);
-
-  if (config_.quantize) {
-    double gain = config_.if_gain;
-    if (gain <= 0.0) {
-      const double target =
-          config_.adc_full_scale_v /
-          std::pow(2.0, static_cast<double>(config_.adc_bits) - 4.0);
-      gain = noise_sigma_ > 0.0 ? target / noise_sigma_ : 1.0;
-    }
-    rf::AdcConfig adc_cfg;
-    adc_cfg.sample_rate_hz = config_.sample_rate_hz;
-    adc_cfg.bits = config_.adc_bits;
-    adc_cfg.full_scale = config_.adc_full_scale_v;
-    const rf::Adc adc(adc_cfg);
-    const float fgain = static_cast<float>(gain);
-    const float inv_gain = static_cast<float>(1.0 / gain);
-    for (auto& v : out) {
-      v = dsp::cfloat(
-          static_cast<float>(adc.quantize(v.real() * fgain)) * inv_gain,
-          static_cast<float>(adc.quantize(v.imag() * fgain)) * inv_gain);
-    }
-  }
-}
-
 }  // namespace bis::radar

@@ -53,14 +53,6 @@ class IfSynthesizer {
   void synthesize_into(const rf::ChirpParams& chirp,
                        std::span<const IfReturn> returns, dsp::CVec& out);
 
-  /// float32_fast tier synthesis (non-normative): float oscillator bank,
-  /// float AWGN fill drawn from the same RNG stream, quantization through the
-  /// same ADC model. Consumes the generator identically to synthesize_into,
-  /// so a float32 run stays frame-aligned with the double run it is
-  /// tolerance-compared against.
-  void synthesize_into_f32(const rf::ChirpParams& chirp,
-                           std::span<const IfReturn> returns, dsp::CVecF& out);
-
   /// Per-component noise sigma implied by the configured noise power.
   double noise_sigma() const { return noise_sigma_; }
 

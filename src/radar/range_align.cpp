@@ -32,16 +32,6 @@ void AlignedProfiles::column_magnitude(std::size_t bin, std::size_t first,
     out[m] = std::abs(rows[first + m][bin]);
 }
 
-void AlignedProfiles::column_magnitude_f32(std::size_t bin, std::size_t first,
-                                           std::size_t count,
-                                           std::span<float> out) const {
-  BIS_CHECK(bin < n_bins());
-  BIS_CHECK(first + count <= rows.size());
-  BIS_CHECK(out.size() == count);
-  for (std::size_t m = 0; m < count; ++m)
-    out[m] = std::sqrt(static_cast<float>(std::norm(rows[first + m][bin])));
-}
-
 dsp::CVec AlignedProfiles::column(std::size_t bin) const {
   dsp::CVec out(rows.size());
   column(bin, out);

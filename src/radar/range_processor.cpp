@@ -67,51 +67,6 @@ void RangeProcessor::process_into(std::span<const dsp::cdouble> if_samples,
   out.n_fft = n_fft;
 }
 
-void RangeProcessor::process_into_f32(std::span<const dsp::cfloat> if_samples,
-                                      const rf::ChirpParams& chirp,
-                                      double sample_rate_hz,
-                                      RangeProfile& out) const {
-  BIS_TRACE_SPAN("radar.range_fft");
-  BIS_CHECK(!if_samples.empty());
-  BIS_CHECK(sample_rate_hz > 0.0);
-  const auto w = dsp::cached_window_f32(config_.window, if_samples.size());
-  thread_local dsp::CVecF xw;
-  xw.resize(if_samples.size());
-  dsp::kernels::kapply_window(if_samples, *w, xw);
-  const std::size_t n_fft =
-      dsp::next_power_of_two(if_samples.size()) * config_.zero_pad_factor;
-  thread_local dsp::CVecF spec;
-  dsp::fft_padded_into_f32(xw, n_fft, spec);
-  // The tier's conversion boundary: one float→double pass with the window
-  // normalization folded in, writing the same double RangeProfile the
-  // normative path produces (values differ only by float rounding).
-  const double norm = dsp::window_sum(
-      *dsp::cached_window(config_.window, if_samples.size()));
-  const double inv_norm = 1.0 / norm;
-  out.bins.resize(n_fft);
-  for (std::size_t i = 0; i < n_fft; ++i)
-    out.bins[i] = dsp::cdouble(static_cast<double>(spec[i].real()) * inv_norm,
-                               static_cast<double>(spec[i].imag()) * inv_norm);
-  out.chirp = chirp;
-  out.sample_rate_hz = sample_rate_hz;
-  out.n_fft = n_fft;
-}
-
-void RangeProcessor::process_frame_into_f32(
-    std::span<const dsp::CVecF> chirp_samples,
-    std::span<const rf::ChirpParams> chirps, double sample_rate_hz,
-    ThreadPool* pool, std::vector<RangeProfile>& out) const {
-  BIS_TRACE_SPAN("radar.range_fft_frame");
-  BIS_CHECK(chirp_samples.size() == chirps.size());
-  static obs::Counter& chirps_processed =
-      obs::Registry::instance().counter("bis.radar.chirps_processed");
-  chirps_processed.add(chirp_samples.size());
-  out.resize(chirp_samples.size());
-  bis::parallel_for(pool, 0, chirp_samples.size(), [&](std::size_t i) {
-    process_into_f32(chirp_samples[i], chirps[i], sample_rate_hz, out[i]);
-  });
-}
-
 std::vector<RangeProfile> RangeProcessor::process_frame(
     std::span<const dsp::CVec> chirp_samples,
     std::span<const rf::ChirpParams> chirps, double sample_rate_hz,

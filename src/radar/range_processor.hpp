@@ -71,21 +71,6 @@ class RangeProcessor {
                           double sample_rate_hz, ThreadPool* pool,
                           std::vector<RangeProfile>& out) const;
 
-  /// float32_fast tier range FFT (non-normative): float window + float FFT,
-  /// with the window normalization folded into the one float→double
-  /// conversion that writes RangeProfile::bins. This is the tier's frame-edge
-  /// conversion boundary — everything downstream of the range profile
-  /// (IF correction, detection, decoding) runs the normative double path.
-  void process_into_f32(std::span<const dsp::cfloat> if_samples,
-                        const rf::ChirpParams& chirp, double sample_rate_hz,
-                        RangeProfile& out) const;
-
-  /// float32 frame variant of process_frame_into.
-  void process_frame_into_f32(std::span<const dsp::CVecF> chirp_samples,
-                              std::span<const rf::ChirpParams> chirps,
-                              double sample_rate_hz, ThreadPool* pool,
-                              std::vector<RangeProfile>& out) const;
-
   const RangeProcessorConfig& config() const { return config_; }
 
  private:

@@ -159,9 +159,8 @@ const ScoreBank& resolve_bank(std::uint64_t epoch,
 struct SpectrumPlan {
   std::size_t count = 0;
   std::size_t n_fft = 0;
-  dsp::WindowPtr hann;          ///< double_strict tier.
-  dsp::RfftPlanHandle rfft;     ///< double_strict tier.
-  dsp::WindowPtrF32 hann_f32;   ///< float32_fast tier.
+  dsp::WindowPtr hann;
+  dsp::RfftPlanHandle rfft;
 };
 
 SpectrumPlan spectrum_plan(const TagDetectorConfig& config, std::size_t count) {
@@ -169,12 +168,8 @@ SpectrumPlan spectrum_plan(const TagDetectorConfig& config, std::size_t count) {
   SpectrumPlan plan;
   plan.count = count;
   plan.n_fft = dsp::next_power_of_two(count) * config.slow_time_pad_factor;
-  if (config.precision == dsp::Precision::kFloat32Fast) {
-    plan.hann_f32 = dsp::cached_window_f32(dsp::WindowType::kHann, count);
-  } else {
-    plan.hann = dsp::cached_window(dsp::WindowType::kHann, count);
-    plan.rfft = dsp::RfftPlanHandle(plan.n_fft);
-  }
+  plan.hann = dsp::cached_window(dsp::WindowType::kHann, count);
+  plan.rfft = dsp::RfftPlanHandle(plan.n_fft);
   return plan;
 }
 
@@ -184,38 +179,14 @@ SpectrumPlan spectrum_plan(const TagDetectorConfig& config, std::size_t count) {
 /// slot pays for its window, not the whole concatenated column — and |·| is
 /// per-element, so the values are bit-identical to slicing a full-column
 /// read.
-std::span<const double> spectrum_window(const TagDetectorConfig& config,
-                                        const SpectrumPlan& plan,
+std::span<const double> spectrum_window(const SpectrumPlan& plan,
                                         const AlignedProfiles& profiles,
                                         std::size_t bin, std::size_t first) {
   const std::size_t count = plan.count;
   // This runs once per range bin per window — the detector's hottest loop.
   // thread_local scratch keeps each parallel_for lane allocation-free; every
   // call fully overwrites the buffers, so reuse never leaks state across bins.
-  thread_local dsp::RVec power;
-  if (config.precision == dsp::Precision::kFloat32Fast) {
-    // float32_fast tier: the whole per-bin chain (|·| column, mean removal,
-    // Hann, rfft, |·|²) runs in float; the power spectrum converts to the
-    // double scoring buffer once at the end.
-    thread_local dsp::FVec colf, xwf, powerf;
-    thread_local dsp::CVecF specf;
-    colf.resize(count);
-    profiles.column_magnitude_f32(bin, first, count, colf);
-    float mean = 0.0f;
-    for (float x : colf) mean += x;
-    mean /= static_cast<float>(count);
-    const dsp::FVec& wf = *plan.hann_f32;
-    xwf.resize(count);
-    for (std::size_t i = 0; i < count; ++i) xwf[i] = (colf[i] - mean) * wf[i];
-    dsp::rfft_padded_into_f32(xwf, plan.n_fft, specf);
-    powerf.resize(specf.size());
-    dsp::kernels::knorm(specf, powerf);
-    power.resize(powerf.size());
-    for (std::size_t i = 0; i < powerf.size(); ++i)
-      power[i] = static_cast<double>(powerf[i]);
-    return power;
-  }
-  thread_local dsp::RVec col, xw;
+  thread_local dsp::RVec col, xw, power;
   thread_local dsp::CVec spec;
   col.resize(count);
   profiles.column_magnitude(bin, first, count, col);
@@ -334,8 +305,7 @@ void score_bin(const TagDetectorConfig& config,
                std::size_t b) {
   if (profiles.range_grid[b] < config.min_range_m) return;
   const std::size_t* const tag_rows = core.tag_rows.data() + w.tag_rows_first;
-  const auto spectrum =
-      spectrum_window(config, w.spectrum, profiles, b, w.first);
+  const auto spectrum = spectrum_window(w.spectrum, profiles, b, w.first);
   double total = 0.0;
   for (std::size_t i = 1; i < spectrum.size(); ++i) total += spectrum[i];
 
@@ -502,8 +472,7 @@ std::span<const double> TagDetector::spectrum_into(
   BIS_CHECK(first < n_chirps);
   if (count == 0) count = n_chirps - first;
   BIS_CHECK(first + count <= n_chirps);
-  return spectrum_window(config_, spectrum_plan(config_, count), profiles,
-                         bin, first);
+  return spectrum_window(spectrum_plan(config_, count), profiles, bin, first);
 }
 
 dsp::RVec TagDetector::slow_time_spectrum(const AlignedProfiles& profiles,

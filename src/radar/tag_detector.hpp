@@ -45,10 +45,7 @@ struct TagDetectorConfig {
                                  ///< so detection integrates per block and
                                  ///< fuses across blocks. 0 = whole frame
                                  ///< (fixed-tone beacon / OOK).
-  /// Numeric tier for the per-bin slow-time spectrum (column magnitudes,
-  /// Hann window, rfft, |·|²) — the detector's hottest loop. Scores,
-  /// thresholds, and the SNR estimate stay double either way; the float
-  /// spectrum converts to double once per bin. Tolerance-validated.
+  /// Read by nothing; kept only because perfbench names it (DESIGN.md §16).
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
 };
 
@@ -62,9 +59,9 @@ struct TagDetection {
 };
 
 /// One tag's scoring frequencies for batched detection (detect_many). All
-/// remaining knobs — duty cycle, harmonics, thresholds, block length,
-/// precision — come from the shared TagDetectorConfig: a network's tags
-/// differ only in where their modulation tones sit.
+/// remaining knobs — duty cycle, harmonics, thresholds, block length — come
+/// from the shared TagDetectorConfig: a network's tags differ only in where
+/// their modulation tones sit.
 struct TagTarget {
   double expected_mod_freq_hz = 0.0;
   std::vector<double> candidate_mod_freqs_hz;  ///< FSK alphabet; empty =

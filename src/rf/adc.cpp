@@ -29,20 +29,6 @@ std::vector<double> Adc::quantize(std::span<const double> x) const {
   return out;
 }
 
-void Adc::quantize_f32(std::span<float> x) const {
-  const float full_scale = static_cast<float>(config_.full_scale);
-  const float lsb = static_cast<float>(lsb_);
-  const float inv_lsb = 1.0f / lsb;
-  const float lo_code = static_cast<float>(-levels_ / 2.0);
-  const float hi_code = static_cast<float>(levels_ / 2.0 - 1.0);
-  for (float& v : x) {
-    const float clipped = std::clamp(v, -full_scale, full_scale);
-    const float code =
-        std::clamp(std::roundf(clipped * inv_lsb), lo_code, hi_code);
-    v = code * lsb;
-  }
-}
-
 std::size_t Adc::samples_for(double duration_s) const {
   BIS_CHECK(duration_s >= 0.0);
   // Round: a floor() here would make a 59.99999-sample period contribute 59

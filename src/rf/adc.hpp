@@ -29,13 +29,6 @@ class Adc {
   /// Quantize a whole sampled signal.
   std::vector<double> quantize(std::span<const double> x) const;
 
-  /// In-place float quantizer for the float32_fast tier: same clip +
-  /// mid-tread model in float arithmetic, so the tier's synthesis loop
-  /// avoids a float→double→float round trip per sample. Codes can differ
-  /// from the double quantizer by one LSB near code boundaries — covered by
-  /// the tier's end-to-end tolerance gate, never bit-compared.
-  void quantize_f32(std::span<float> x) const;
-
   /// Number of samples produced over @p duration_s.
   std::size_t samples_for(double duration_s) const;
 

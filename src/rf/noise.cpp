@@ -38,19 +38,6 @@ void add_awgn_batched(std::span<double> x, double sigma, Rng& rng) {
   }
 }
 
-void add_awgn_batched_f32(std::span<float> x, float sigma, Rng& rng) {
-  constexpr std::size_t kChunk = 512;
-  float buf[kChunk];
-  std::size_t done = 0;
-  while (done < x.size()) {
-    const std::size_t n = std::min(kChunk, x.size() - done);
-    rng.fill_gaussian(std::span<float>(buf, n));
-    dsp::kernels::kaxpy(sigma, std::span<const float>(buf, n),
-                        x.subspan(done, n));
-    done += n;
-  }
-}
-
 }  // namespace
 
 void add_awgn(std::span<double> x, double sigma, Rng& rng) {
@@ -68,23 +55,6 @@ void add_awgn(std::span<bis::dsp::cdouble> x, double sigma_per_component, Rng& r
   // order (re, im, re, im, …) matches the old per-sample loop.
   add_awgn_batched(
       std::span<double>(reinterpret_cast<double*>(x.data()), 2 * x.size()),
-      sigma_per_component, rng);
-  record_awgn(2 * x.size());
-}
-
-void add_awgn(std::span<float> x, float sigma, Rng& rng) {
-  BIS_CHECK(sigma >= 0.0f);
-  if (sigma == 0.0f || x.empty()) return;
-  add_awgn_batched_f32(x, sigma, rng);
-  record_awgn(x.size());
-}
-
-void add_awgn(std::span<bis::dsp::cfloat> x, float sigma_per_component,
-              Rng& rng) {
-  BIS_CHECK(sigma_per_component >= 0.0f);
-  if (sigma_per_component == 0.0f || x.empty()) return;
-  add_awgn_batched_f32(
-      std::span<float>(reinterpret_cast<float*>(x.data()), 2 * x.size()),
       sigma_per_component, rng);
   record_awgn(2 * x.size());
 }

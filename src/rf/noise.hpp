@@ -22,14 +22,6 @@ namespace bis::rf {
 void add_awgn(std::span<double> x, double sigma, Rng& rng);
 void add_awgn(std::span<bis::dsp::cdouble> x, double sigma_per_component, Rng& rng);
 
-/// float32_fast tier AWGN: deviates come from the SAME double ziggurat
-/// stream (Rng::fill_gaussian(span<float>) rounds each draw), applied via
-/// the float kernel tier, so a float32 run consumes the generator exactly
-/// like the double run it is compared against.
-void add_awgn(std::span<float> x, float sigma, Rng& rng);
-void add_awgn(std::span<bis::dsp::cfloat> x, float sigma_per_component,
-              Rng& rng);
-
 /// Cumulative real samples noised by add_awgn across the process (a complex
 /// sample counts twice — once per component). Always on; run reports use
 /// deltas to attribute AWGN volume to a run. Also exported as the

@@ -187,41 +187,6 @@ void TagFrontend::synthesize_period(const rf::ChirpParams& chirp,
   }
 }
 
-void TagFrontend::synthesize_period_f32(const rf::ChirpParams& chirp,
-                                        std::span<const IncidentPath> paths,
-                                        bool absorptive,
-                                        std::span<float> out) {
-  const auto mixed = mix_period(chirp, paths, absorptive);
-
-  const std::size_t n_total = out.size();
-  BIS_CHECK(n_total == adc_.samples_for(chirp.period()));
-  const std::size_t n_active = std::min(adc_.samples_for(chirp.duration_s), n_total);
-  const double dt = 1.0 / adc_.sample_rate();
-  const double noise_rms = envelope_.output_noise_rms(adc_.sample_rate() / 2.0);
-
-  const std::span<float> active = out.first(n_active);
-  std::fill(active.begin(), active.end(), static_cast<float>(mixed.dc));
-  std::fill(out.begin() + static_cast<long>(n_active), out.end(), 0.0f);
-  for (const auto& tone : mixed.tones)
-    dsp::accumulate_tone_f32(active, static_cast<float>(tone.amplitude),
-                             tone.frequency_hz, dt, tone.phase_rad);
-  // Same chunking and the same ziggurat stream as the double path (the float
-  // fill rounds each double draw), so a float32 frame consumes the RNG
-  // identically to the double frame it is tolerance-compared against.
-  constexpr std::size_t kChunk = 512;
-  float noise[kChunk];
-  const float fgain = static_cast<float>(gain_);
-  const float fnoise_rms = static_cast<float>(noise_rms);
-  for (std::size_t base = 0; base < n_total; base += kChunk) {
-    const std::size_t n = std::min(kChunk, n_total - base);
-    rng_.fill_gaussian(std::span<float>(noise, n));
-    const std::span<float> chunk = out.subspan(base, n);
-    dsp::kernels::kscale_add(chunk, fgain, fnoise_rms,
-                             std::span<const float>(noise, n));
-    adc_.quantize_f32(chunk);
-  }
-}
-
 dsp::RVec TagFrontend::receive_frame(std::span<const rf::ChirpParams> chirps,
                                      std::span<const IncidentPath> paths,
                                      std::span<const bool> absorptive) {
@@ -236,22 +201,6 @@ dsp::RVec TagFrontend::receive_frame(std::span<const rf::ChirpParams> chirps,
   std::size_t total = 0;
   for (const auto& chirp : chirps) total += adc_.samples_for(chirp.period());
   dsp::RVec stream(total, 0.0);
-  if (config_.precision == dsp::Precision::kFloat32Fast) {
-    // float32_fast tier: synthesize the whole frame in float, convert to the
-    // decoder's double stream once at the frame edge.
-    thread_local dsp::FVec stream_f32;
-    stream_f32.assign(total, 0.0f);
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < chirps.size(); ++i) {
-      const std::size_t n = adc_.samples_for(chirps[i].period());
-      synthesize_period_f32(chirps[i], paths, absorptive[i],
-                            std::span<float>(stream_f32).subspan(offset, n));
-      offset += n;
-    }
-    for (std::size_t i = 0; i < total; ++i)
-      stream[i] = static_cast<double>(stream_f32[i]);
-    return stream;
-  }
   track_paths(paths);
   std::size_t offset = 0;
   for (std::size_t i = 0; i < chirps.size(); ++i) {

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "dsp/precision.hpp"
 #include "dsp/types.hpp"
 #include "rf/adc.hpp"
 #include "rf/chirp.hpp"
@@ -46,21 +45,15 @@ struct TagFrontendConfig {
   rf::RfSwitchConfig rf_switch;
   double pga_max_gain = 1e7;  ///< Programmable gain amplifier ceiling.
   bool model_multipath_cross_terms = true;
-  /// Numeric tier for the per-period synthesis loop (oscillator bank, noise
-  /// fill, PGA apply). kFloat32Fast runs the stream in float32 with one
-  /// conversion back to double at the frame edge; non-normative,
-  /// tolerance-validated (see dsp/precision.hpp).
-  dsp::Precision precision = dsp::Precision::kDoubleStrict;
 };
 
-/// The double path plans each period. A period's noiseless active-sweep
+/// The frontend plans each period. A period's noiseless active-sweep
 /// waveform (DC plus tones, the paper's Eq. 9) depends only on the chirp,
 /// the switch state and the incident paths, so the frontend keeps one per
 /// (chirp, switch state) while the paths stay the same; each period then
 /// pays only for its noise fill, PGA and quantizer. A plan holds the same
 /// sums a period would form and the noise draws are unchanged, so planned
-/// frames are bit-identical to mixing every period in full. The float32
-/// tier still mixes every period.
+/// frames are bit-identical to mixing every period in full.
 class TagFrontend {
  public:
   TagFrontend(const TagFrontendConfig& config, Rng rng);
@@ -77,10 +70,6 @@ class TagFrontend {
   /// (states.size() must equal chirps.size(); true = absorptive). The output
   /// stream is sized up front from the summed per-chirp sample counts and
   /// each period is synthesized directly into its slice from its plan.
-  /// Under TagFrontendConfig::precision == kFloat32Fast the per-period
-  /// synthesis runs in float32 and the stream is converted to double once,
-  /// here, at the frame edge — same return type either way, so the decoder
-  /// chain downstream is untouched.
   dsp::RVec receive_frame(std::span<const rf::ChirpParams> chirps,
                           std::span<const IncidentPath> paths,
                           std::span<const bool> absorptive);
@@ -133,13 +122,7 @@ class TagFrontend {
                          std::span<const IncidentPath> paths, bool absorptive,
                          std::span<double> out);
 
-  /// float32_fast tier variant of synthesize_period. Consumes the RNG
-  /// identically (same fill_gaussian chunking over the same stream).
-  void synthesize_period_f32(const rf::ChirpParams& chirp,
-                             std::span<const IncidentPath> paths,
-                             bool absorptive, std::span<float> out);
-
-  /// Shared per-period setup: switch routing, chirp copies, envelope mix,
+  /// Per-period setup for a plan: switch routing, chirp copies, envelope mix,
   /// optional cross-term pruning. Returns the mixed tone set.
   rf::EnvelopeDetector::Output mix_period(const rf::ChirpParams& chirp,
                                           std::span<const IncidentPath> paths,

@@ -1,6 +1,6 @@
 // Batched multi-tag detection (TagDetector::detect_many): bitwise parity
-// with the normative per-tag detect() reference at every pool width, SIMD
-// target, and numeric tier; bitwise agreement of detect_many/detect_slots
+// with the per-tag detect() reference at every pool width and SIMD target;
+// bitwise agreement of detect_many/detect_slots
 // with an independent per-bin reference; and the modulation-frequency
 // collision counter used by BiScatterNetwork.
 
@@ -98,20 +98,18 @@ AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
   return ::testing::AssertionSuccess();
 }
 
-TagDetectorConfig config_for(double freq, dsp::Precision precision) {
+TagDetectorConfig config_for(double freq) {
   TagDetectorConfig cfg;
   cfg.expected_mod_freq_hz = freq;
-  cfg.precision = precision;
   return cfg;
 }
 
-/// Normative reference: a fresh single-tag detector per target, inline.
+/// Reference: a fresh single-tag detector per target, inline.
 std::vector<TagDetection> sequential_reference(
-    const AlignedProfiles& aligned, const std::vector<TagTarget>& targets,
-    dsp::Precision precision) {
+    const AlignedProfiles& aligned, const std::vector<TagTarget>& targets) {
   std::vector<TagDetection> out;
   for (const TagTarget& t : targets) {
-    TagDetectorConfig cfg = config_for(t.expected_mod_freq_hz, precision);
+    TagDetectorConfig cfg = config_for(t.expected_mod_freq_hz);
     cfg.candidate_mod_freqs_hz = t.candidate_mod_freqs_hz;
     out.push_back(TagDetector(cfg).detect(aligned));
   }
@@ -136,35 +134,29 @@ std::vector<dsp::kernels::SimdTarget> available_targets() {
 
 }  // namespace
 
-TEST_F(DetectMany, BitwiseParityAcrossThreadsTargetsAndTiers) {
+TEST_F(DetectMany, BitwiseParityAcrossThreadsAndTargets) {
   const std::vector<SceneTag> scene = {
       {2.0, 700.0}, {3.1, 1100.0}, {5.2, 1500.0}, {6.4, 2100.0}};
   const auto aligned = make_frame(scene, 41);
   std::vector<TagTarget> targets;
   for (const SceneTag& t : scene) targets.push_back({t.mod_freq_hz, {}});
 
-  for (dsp::Precision prec :
-       {dsp::Precision::kDoubleStrict, dsp::Precision::kFloat32Fast}) {
-    SCOPED_TRACE(prec == dsp::Precision::kDoubleStrict ? "double_strict"
-                                                       : "float32_fast");
-    for (dsp::kernels::SimdTarget t : available_targets()) {
-      ASSERT_TRUE(dsp::kernels::set_target(t));
-      SCOPED_TRACE(dsp::kernels::target_name(t));
-      const auto ref = sequential_reference(aligned, targets, prec);
-      ASSERT_TRUE(ref[0].found && ref[1].found && ref[2].found &&
-                  ref[3].found);
-      const TagDetector det(config_for(targets[0].expected_mod_freq_hz, prec));
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{4}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        ThreadPool pool(threads);
-        const auto got = det.detect_many(aligned, targets,
-                                         threads > 1 ? &pool : nullptr);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          SCOPED_TRACE("tag=" + std::to_string(i));
-          EXPECT_TRUE(det_bits_eq(got[i], ref[i]));
-        }
+  for (dsp::kernels::SimdTarget t : available_targets()) {
+    ASSERT_TRUE(dsp::kernels::set_target(t));
+    SCOPED_TRACE(dsp::kernels::target_name(t));
+    const auto ref = sequential_reference(aligned, targets);
+    ASSERT_TRUE(ref[0].found && ref[1].found && ref[2].found && ref[3].found);
+    const TagDetector det(config_for(targets[0].expected_mod_freq_hz));
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{4}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      const auto got = det.detect_many(aligned, targets,
+                                       threads > 1 ? &pool : nullptr);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("tag=" + std::to_string(i));
+        EXPECT_TRUE(det_bits_eq(got[i], ref[i]));
       }
     }
   }
@@ -172,7 +164,7 @@ TEST_F(DetectMany, BitwiseParityAcrossThreadsTargetsAndTiers) {
 
 TEST_F(DetectMany, SingleTargetMatchesDetect) {
   const auto aligned = make_frame({{4.0, 900.0}}, 42);
-  const TagDetector det(config_for(900.0, dsp::Precision::kDoubleStrict));
+  const TagDetector det(config_for(900.0));
   const std::vector<TagTarget> targets = {{900.0, {}}};
   const auto batched = det.detect_many(aligned, targets);
   ASSERT_EQ(batched.size(), 1u);
@@ -184,7 +176,7 @@ TEST_F(DetectMany, DuplicateFrequenciesYieldIdenticalDetections) {
   // Two targets listening on the same tone must come back bit-identical —
   // the bank folds their rows independently but from the same spectra.
   const auto aligned = make_frame({{3.0, 1300.0}}, 43);
-  const TagDetector det(config_for(1300.0, dsp::Precision::kDoubleStrict));
+  const TagDetector det(config_for(1300.0));
   const std::vector<TagTarget> targets = {{1300.0, {}}, {1300.0, {}}};
   ThreadPool pool(2);
   const auto got = det.detect_many(aligned, targets, &pool);
@@ -197,7 +189,7 @@ TEST_F(DetectMany, StaticReflectorAtClutterRangeNotDetected) {
   // One modulated tag plus a strong *static* reflector: the target listening
   // for a tone that nothing transmits must not claim the clutter bin.
   const auto aligned = make_frame({{3.5, 1100.0}, {5.0, 0.0}}, 44);
-  const TagDetector det(config_for(1100.0, dsp::Precision::kDoubleStrict));
+  const TagDetector det(config_for(1100.0));
   const std::vector<TagTarget> targets = {{1100.0, {}}, {1900.0, {}}};
   const auto got = det.detect_many(aligned, targets);
   EXPECT_TRUE(got[0].found);
@@ -209,9 +201,8 @@ TEST_F(DetectMany, FskCandidatesMatchSequentialReference) {
   const auto aligned = make_frame({{3.5, 1600.0}}, 45);
   const std::vector<TagTarget> targets = {
       {800.0, {800.0, 1200.0, 1600.0, 2000.0}}};
-  const auto ref =
-      sequential_reference(aligned, targets, dsp::Precision::kDoubleStrict);
-  TagDetectorConfig cfg = config_for(800.0, dsp::Precision::kDoubleStrict);
+  const auto ref = sequential_reference(aligned, targets);
+  TagDetectorConfig cfg = config_for(800.0);
   cfg.candidate_mod_freqs_hz = targets[0].candidate_mod_freqs_hz;
   const TagDetector det(cfg);
   const auto got = det.detect_many(aligned, targets);
@@ -339,7 +330,7 @@ void expect_matches_reference(const TagDetector& detector,
 
 TEST_F(DetectMany, MatchesIndependentReferenceOokSingleBlock) {
   const auto aligned = make_frame({{4.0, 900.0}, {2.6, 1500.0}}, 46);
-  const TagDetector det(config_for(900.0, dsp::Precision::kDoubleStrict));
+  const TagDetector det(config_for(900.0));
   const std::vector<TagTarget> targets = {{900.0, {}}, {1500.0, {}}};
   const auto ref = reference_detect(det, aligned, targets, 0, 256);
   ASSERT_TRUE(ref.dets[0].found && ref.dets[1].found);
@@ -350,7 +341,7 @@ TEST_F(DetectMany, MatchesIndependentReferenceOokSingleBlock) {
 
 TEST_F(DetectMany, MatchesIndependentReferenceFskFourBlocks) {
   const auto aligned = make_frame({{3.5, 1600.0}}, 47);
-  TagDetectorConfig cfg = config_for(800.0, dsp::Precision::kDoubleStrict);
+  TagDetectorConfig cfg = config_for(800.0);
   cfg.candidate_mod_freqs_hz = {800.0, 1200.0, 1600.0, 2000.0};
   cfg.block_chirps = 64;  // 256 chirps → 4 fused blocks.
   const TagDetector det(cfg);
@@ -366,7 +357,7 @@ TEST_F(DetectMany, MatchesIndependentReferenceWhenNoBinPassesSignatureGate) {
   // Nothing transmits 1900 Hz, and a gate this strict rejects every bin, so
   // the noise floor is never read.
   const auto aligned = make_frame({{3.5, 1100.0}, {5.0, 0.0}}, 48);
-  TagDetectorConfig cfg = config_for(1900.0, dsp::Precision::kDoubleStrict);
+  TagDetectorConfig cfg = config_for(1900.0);
   cfg.min_signature_score = 0.9;
   const TagDetector det(cfg);
   const std::vector<TagTarget> targets = {{1900.0, {}}, {2300.0, {}}};
@@ -379,7 +370,7 @@ TEST_F(DetectMany, MatchesIndependentReferenceWhenNoBinPassesSignatureGate) {
 TEST_F(DetectMany, MatchesIndependentReferenceWithBinsBelowMinRange) {
   // The 2 m tag sits inside the ignored near region; the 4.5 m tag does not.
   const auto aligned = make_frame({{2.0, 900.0}, {4.5, 1300.0}}, 49);
-  TagDetectorConfig cfg = config_for(900.0, dsp::Precision::kDoubleStrict);
+  TagDetectorConfig cfg = config_for(900.0);
   cfg.min_range_m = 3.0;
   const TagDetector det(cfg);
   const std::vector<TagTarget> targets = {{900.0, {}}, {1300.0, {}}};
@@ -395,7 +386,7 @@ TEST_F(DetectMany, DetectSlotsMatchesIndependentReference) {
   // Two 128-chirp slot windows of one 256-chirp frame, each with its own
   // targets; slot 1 listens on tones slot 0 does not.
   const auto aligned = make_frame({{2.4, 900.0}, {4.2, 1500.0}}, 50);
-  const TagDetector det(config_for(900.0, dsp::Precision::kDoubleStrict));
+  const TagDetector det(config_for(900.0));
   const std::vector<TagTarget> targets = {
       {900.0, {}}, {1500.0, {}}, {1500.0, {}}, {700.0, {900.0, 1300.0}}};
   const std::vector<SlotSpan> spans = {{0, 128, 0, 2}, {128, 128, 2, 2}};

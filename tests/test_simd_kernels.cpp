@@ -339,6 +339,13 @@ TEST_F(SimdKernels, GoertzelBankMatchesSingleBinEvaluator) {
   }
 }
 
+TEST_F(SimdKernels, GoertzelFallbackThreshold) {
+  EXPECT_FALSE(kgoertzel_prefers_scalar(64));
+  EXPECT_FALSE(kgoertzel_prefers_scalar(kGoertzelScalarFallbackSamples));
+  EXPECT_TRUE(kgoertzel_prefers_scalar(kGoertzelScalarFallbackSamples + 1));
+  EXPECT_TRUE(kgoertzel_prefers_scalar(18944));
+}
+
 TEST_F(SimdKernels, MagnitudeDbMatchesOldSqrtDefinition) {
   // Satellite guard: 10·log10(|x|²) must agree with the old 20·log10(|x|)
   // to floating-point tolerance everywhere above the floor.
@@ -412,9 +419,9 @@ TEST_F(SimdKernels, LinkSimulatorFrameOutputBitIdenticalAcrossTargets) {
 TEST_F(SimdKernels, TagScoreBankMatchesPerRowScalarReference) {
   // Entry-major bank: element [k·n + j] is entry k of row j. The reference
   // is the one-row two-accumulator loop the kernel doc promises bit-identity
-  // with (k ascending, unfused in the double tier). Row counts straddle the
-  // SSE2 (2) and AVX2 (4) lane widths; bank includes padding entries
-  // (idx = 0, w = g = 0) like detect_many emits for short harmonic combs.
+  // with (k ascending, unfused). Row counts straddle the SSE2 (2) and AVX2
+  // (4) lane widths; bank includes padding entries (idx = 0, w = g = 0) like
+  // detect_many emits for short harmonic combs.
   const std::size_t n_spec = 96;
   const auto spec = [&] {
     RVec s(n_spec);
@@ -458,40 +465,6 @@ TEST_F(SimdKernels, TagScoreBankMatchesPerRowScalarReference) {
       }
       EXPECT_TRUE(bits_eq(on, ref_on));
       EXPECT_TRUE(bits_eq(son, ref_son));
-    }
-  }
-}
-
-TEST_F(SimdKernels, TagScoreBankFloatTierWithinToleranceOfFloatScalar) {
-  // The float32_fast tier may fuse (real FMA), so SIMD targets are gated by
-  // tolerance against the float scalar backend, not bitwise.
-  const std::size_t n_spec = 96, n = 13, entries = 5;
-  std::vector<float> spec(n_spec);
-  for (std::size_t i = 0; i < n_spec; ++i)
-    spec[i] = static_cast<float>(std::abs(det(i + 7000))) + 1e-9f;
-  std::vector<std::uint32_t> idx(entries * n, 0);
-  std::vector<float> w(entries * n, 0.0f), g(entries * n, 0.0f);
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t k = 0; k < 1 + j % entries; ++k) {
-      const std::size_t e = k * n + j;
-      idx[e] = static_cast<std::uint32_t>((7 * j + 13 * k + 3) % n_spec);
-      w[e] = 1.0f / static_cast<float>(2 * k + 1);
-      g[e] = 1.0f;
-    }
-  ASSERT_TRUE(set_target(SimdTarget::kScalar));
-  std::vector<float> on_ref(n), son_ref(n);
-  ktagscore(std::span<const float>(spec), idx, w, g, n,
-            std::span<float>(on_ref), std::span<float>(son_ref));
-  for (SimdTarget t : available_targets()) {
-    ASSERT_TRUE(set_target(t));
-    SCOPED_TRACE(target_name(t));
-    std::vector<float> on(n, -1.0f), son(n, -1.0f);
-    ktagscore(std::span<const float>(spec), idx, w, g, n,
-              std::span<float>(on), std::span<float>(son));
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(on[j], on_ref[j], 1e-5f * std::max(1.0f, std::abs(on_ref[j])));
-      EXPECT_NEAR(son[j], son_ref[j],
-                  1e-5f * std::max(1.0f, std::abs(son_ref[j])));
     }
   }
 }

@@ -34,10 +34,11 @@ namespace {
 using bis::JsonValue;
 
 /// Fields that identify a row inside an array of objects (never gated).
-/// "tier"/"precision"/"grid"/"fallback" keep float32_fast rows from ever
-/// being matched against double_strict rows (and scalar-fallback goertzel
-/// rows against SIMD rows) — a tier mismatch must read as a missing row,
-/// not a perf delta.
+/// "tier"/"precision"/"grid"/"fallback" keep rows of different numeric
+/// paths or grids apart (BENCH files recorded before the program had one
+/// numeric path carry per-tier rows) and scalar-fallback goertzel rows apart
+/// from SIMD rows: such a mismatch must read as a missing row, not a perf
+/// delta.
 constexpr const char* kIdentityFields[] = {
     "links", "workers", "frames_per_link", "threads",  "n",
     "n_fft", "kernel",  "chirps",          "points",   "rows",
@@ -239,9 +240,11 @@ void compare_values(const std::string& path, const JsonValue& base,
   }
 }
 
-/// Numbers measured under different SIMD targets or numeric tiers are not
-/// comparable: when both files carry a "host" fingerprint, disagreement on
-/// simd_target or precision is a usage error (exit 2), never a perf diff.
+/// Numbers measured under different SIMD targets or numeric paths are not
+/// comparable. The program writes one path ("double_strict"), but the files
+/// compared may come from other builds or older commits: when both carry a
+/// "host" fingerprint, disagreement on simd_target or precision is a usage
+/// error (exit 2), never a perf diff.
 bool host_fingerprints_compatible(const JsonValue& base, const JsonValue& cur,
                                   std::string& why) {
   const JsonValue* bh = base.is_object() ? base.find("host") : nullptr;
