@@ -2,7 +2,7 @@
 /// real-time path — range FFT, Goertzel bank, GLRT scoring, slow-time
 /// processing — plus a self-contained DSP-engine harness that measures the
 /// plan cache (cached vs uncached FFT) and frame-level thread scaling
-/// (process_frame + align + detect at 1/2/4 threads), verifies the parallel
+/// (receive chain + detect at 1/2/4 threads), verifies the parallel
 /// output is bit-identical to the sequential path, and writes the results to
 /// a machine-readable BENCH_dsp.json in the working directory.
 
@@ -30,8 +30,7 @@
 #include "dsp/tone_fit.hpp"
 #include "dsp/window.hpp"
 #include "obs/telemetry.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 #include "radar/tag_detector.hpp"
 
 namespace {
@@ -114,9 +113,14 @@ void BM_RangeProcessChirp(benchmark::State& state) {
   chirp.duration_s = 60e-6;
   chirp.idle_s = 60e-6;
   const auto samples = random_complex(120);  // 60 µs at 2 MS/s
-  const radar::RangeProcessor proc{radar::RangeProcessorConfig{}};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(proc.process(samples, chirp, 2e6));
+  const radar::ReceiveChain chain(2e6, radar::RangeAlignConfig{},
+                                  /*background_subtraction=*/false);
+  radar::RangeProfile profile;
+  for (auto _ : state) {
+    chain.range_fft(samples, chirp, profile);
+    benchmark::DoNotOptimize(profile.bins.data());
+    benchmark::ClobberMemory();
+  }
 }
 BENCHMARK(BM_RangeProcessChirp);
 
@@ -290,8 +294,8 @@ PeriodogramCompare compare_periodogram(std::size_t n, std::size_t n_fft, int ite
 }
 
 struct Frame {
-  std::vector<dsp::CVec> samples;
   std::vector<rf::ChirpParams> chirps;
+  radar::ReceiveFrame rx;  ///< IF samples filled once; the chain reuses the rest.
   double fs = 2e6;
 };
 
@@ -319,7 +323,7 @@ Frame make_frame(std::size_t n_chirps) {
                                    std::sin(kTwoPi * 210e3 * t));
       x[i] += dsp::cdouble(0.02 * rng.gaussian(), 0.02 * rng.gaussian());
     }
-    f.samples.push_back(std::move(x));
+    f.rx.if_samples.push_back(std::move(x));
     f.chirps.push_back(chirp);
   }
   return f;
@@ -330,14 +334,11 @@ struct FrameResult {
   radar::TagDetection detection;
 };
 
-FrameResult run_pipeline(const Frame& f, const radar::RangeProcessor& proc,
-                         const radar::RangeAligner& aligner,
+FrameResult run_pipeline(Frame& f, const radar::ReceiveChain& chain,
                          const radar::TagDetector& detector, ThreadPool* pool) {
-  FrameResult r;
-  const auto profiles = proc.process_frame(f.samples, f.chirps, f.fs, pool);
-  r.aligned = aligner.align(profiles, pool);
-  r.detection = detector.detect(r.aligned, pool);
-  return r;
+  chain.range_fft(f.chirps, f.rx, pool);
+  chain.if_correct(f.rx, pool);
+  return {f.rx.aligned, detector.detect(f.rx.aligned, pool)};
 }
 
 bool identical(const FrameResult& a, const FrameResult& b) {
@@ -396,15 +397,15 @@ bool write_bench_json(const std::string& path) {
   }
 
   // Frame pipeline thread scaling (64 chirps, full range/Doppler processing).
-  const Frame frame = make_frame(64);
-  const radar::RangeProcessor proc{radar::RangeProcessorConfig{}};
-  const radar::RangeAligner aligner{radar::RangeAlignConfig{}};
+  Frame frame = make_frame(64);
+  const radar::ReceiveChain chain(frame.fs, radar::RangeAlignConfig{},
+                                  /*background_subtraction=*/false);
   radar::TagDetectorConfig det_cfg;
   det_cfg.expected_mod_freq_hz = 1000.0;
   const radar::TagDetector detector(det_cfg);
 
   const auto reference =
-      run_pipeline(frame, proc, aligner, detector, nullptr);
+      run_pipeline(frame, chain, detector, nullptr);
   // Thread-scaling rows are only meaningful when the host actually has that
   // many cores: on an undersized machine (e.g. a 1-core CI runner) the extra
   // lanes just time-slice one core and the "speedup" column reads as a
@@ -418,9 +419,9 @@ bool write_bench_json(const std::string& path) {
     ThreadPool pool(nt);
     ThreadPool* p = nt == 1 ? nullptr : &pool;
     parity_ok = parity_ok &&
-                identical(reference, run_pipeline(frame, proc, aligner, detector, p));
+                identical(reference, run_pipeline(frame, chain, detector, p));
     const double us = time_us(
-        [&] { benchmark::DoNotOptimize(run_pipeline(frame, proc, aligner, detector, p)); },
+        [&] { benchmark::DoNotOptimize(run_pipeline(frame, chain, detector, p)); },
         5);
     frame_ms.push_back(us / 1e3);
     row_valid.push_back(hardware_threads >= nt);
@@ -454,11 +455,11 @@ bool write_bench_json(const std::string& path) {
   const bool telemetry_was_on = obs::enabled();
   obs::set_enabled(false);
   const double frame_ms_off = time_us(
-      [&] { benchmark::DoNotOptimize(run_pipeline(frame, proc, aligner, detector, nullptr)); },
+      [&] { benchmark::DoNotOptimize(run_pipeline(frame, chain, detector, nullptr)); },
       5) / 1e3;
   obs::set_enabled(true);
   const double frame_ms_on = time_us(
-      [&] { benchmark::DoNotOptimize(run_pipeline(frame, proc, aligner, detector, nullptr)); },
+      [&] { benchmark::DoNotOptimize(run_pipeline(frame, chain, detector, nullptr)); },
       5) / 1e3;
   obs::set_enabled(telemetry_was_on);
   const double overhead_frac = frame_ms_on / frame_ms_off - 1.0;

@@ -11,11 +11,10 @@
 #include "bench_util.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
-#include "core/system_config.hpp"
+#include "core/link_simulator.hpp"
 #include "dsp/peak.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 
 int main() {
   using namespace bis;
@@ -30,19 +29,22 @@ int main() {
   radar::IfSynthConfig synth_cfg = cfg.radar.if_synth;
   synth_cfg.phase_noise_rad_per_sqrt_s = 0.0;
   radar::IfSynthesizer synth(synth_cfg, Rng(7));
-  radar::RangeProcessor processor{radar::RangeProcessorConfig{}};
+  const radar::ReceiveChain chain(synth_cfg.sample_rate_hz,
+                                  radar::RangeAlignConfig{},
+                                  /*background_subtraction=*/false);
 
   Rng rng(3);
-  std::vector<radar::RangeProfile> profiles;
-  std::vector<double> raw_range;  // bin position interpreted with chirp 0's scale
   const std::size_t n_chirps = 48;
-  for (std::size_t m = 0; m < n_chirps; ++m) {
-    const auto slot = alphabet.slot_for_data(rng.uniform_index(alphabet.data_symbol_count()));
-    const auto chirp = alphabet.chirp(slot);
-    const std::vector<radar::IfReturn> rets = {{true_range, 1e-5, 0.0}};
-    profiles.push_back(
-        processor.process(synth.synthesize(chirp, rets), chirp, synth_cfg.sample_rate_hz));
-  }
+  std::vector<rf::ChirpParams> chirps;
+  core::draw_sensing_chirps(alphabet, n_chirps, /*downlink_active=*/true, rng,
+                            chirps);
+  radar::ReceiveFrame frame;
+  const std::vector<radar::IfReturn> rets = {{true_range, 1e-5, 0.0}};
+  for (const auto& chirp : chirps)
+    frame.if_samples.push_back(synth.synthesize(chirp, rets));
+  chain.range_fft(chirps, frame, nullptr);
+  const auto& profiles = frame.profiles;
+  std::vector<double> raw_range;  // bin position interpreted with chirp 0's scale
 
   // (a) Uncorrected: interpret every chirp's peak bin with the FIRST chirp's
   // bin→range scale — what a naive fixed-slope pipeline would do.
@@ -57,8 +59,8 @@ int main() {
 
   // (b) Corrected: align onto the common range grid (Eq. 15 + pairwise
   // interpolation), then read each chirp's peak off the grid.
-  radar::RangeAligner aligner{radar::RangeAlignConfig{}};
-  const auto aligned = aligner.align(profiles);
+  chain.if_correct(frame, nullptr);
+  const auto& aligned = frame.aligned;
   std::vector<double> corrected_range;
   const double step = aligned.range_grid[1] - aligned.range_grid[0];
   for (std::size_t m = 0; m < aligned.n_chirps(); ++m) {

@@ -18,11 +18,12 @@
 /// per scene return.
 ///
 /// CI smoke mode: `bench_network --smoke` runs only the parity gates at
-/// small tag counts.
+/// small tag counts, after printing a hash of the synthesized frame
+/// (tools/diff_outputs.sh compares it across commits).
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -34,15 +35,9 @@
 
 #include "bench_util.hpp"
 #include "common/thread_pool.hpp"
-#include "common/units.hpp"
 #include "core/network.hpp"
-#include "core/system_config.hpp"
-#include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
-#include "radar/scene.hpp"
+#include "radar/receive_chain.hpp"
 #include "radar/tag_detector.hpp"
-#include "rf/link_budget.hpp"
 
 namespace {
 
@@ -59,62 +54,39 @@ struct Frame {
 };
 
 Frame make_frame(std::size_t max_tags) {
-  core::SystemConfig base;
-  base.seed = 20240808;
-  const auto alphabet = base.make_alphabet();
-  const std::size_t slot =
-      alphabet.slot_for_data(alphabet.data_symbol_count() / 2);
-  std::vector<rf::ChirpParams> chirps(kFrameChirps, alphabet.chirp(slot));
-
+  core::NetworkConfig net;
+  net.base.seed = 20240808;
+  net.frame_chirps = kFrameChirps;
   Frame frame;
   frame.freqs =
-      core::assign_mod_frequencies(max_tags, base.radar.chirp_period_s);
+      core::assign_mod_frequencies(max_tags, net.base.radar.chirp_period_s);
 
   // Scene: office clutter plus kPhysicalTags beaconing tags on the first
-  // assigned frequencies, ranges spread across the office.
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  std::vector<radar::IfReturn> returns;
-  for (const auto& spec : radar::Scene::office_clutter_layout()) {
-    const double p_dbm = rf::clutter_return_dbm(base.radar.rf, spec.range_m,
-                                                f_c, spec.rcs_offset_db);
-    returns.push_back(
-        {spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
+  // assigned frequencies, ranges spread across the office — one sensing
+  // frame of the network that holds them.
+  for (std::size_t i = 0; i < std::min(kPhysicalTags, max_tags); ++i) {
+    net.tags.push_back({static_cast<std::uint8_t>(i + 1),
+                        1.5 + 0.6 * static_cast<double>(i), frame.freqs[i]});
   }
-  const std::size_t n_clutter = returns.size();
-  const std::size_t n_phys = std::min(kPhysicalTags, max_tags);
-  std::vector<double> tag_amp(n_phys);
-  for (std::size_t i = 0; i < n_phys; ++i) {
-    const double range_m = 1.5 + 0.6 * static_cast<double>(i);
-    tag_amp[i] = std::sqrt(dbm_to_watts(rf::uplink_power_at_radar_dbm(
-        base.radar.rf, base.tag.rf, range_m, f_c)));
-    returns.push_back({range_m, 0.0, 0.37 * static_cast<double>(i)});
-  }
-  const double reflect =
-      db_to_amplitude(-base.tag.node.frontend.rf_switch.insertion_loss_db);
-  const double leak =
-      db_to_amplitude(-base.tag.node.frontend.rf_switch.isolation_db);
-
-  Rng rng(base.seed ^ 0x5E25Eull);
-  radar::IfSynthesizer synth(base.radar.if_synth, rng.fork());
-  std::vector<dsp::CVec> if_samples(kFrameChirps);
-  for (std::size_t c = 0; c < kFrameChirps; ++c) {
-    const double t = static_cast<double>(c) * base.radar.chirp_period_s;
-    for (std::size_t i = 0; i < n_phys; ++i) {
-      const double f = frame.freqs[i];
-      const bool on = (t * f - std::floor(t * f)) < 0.5;
-      returns[n_clutter + i].amplitude_v = tag_amp[i] * (on ? reflect : leak);
-    }
-    if_samples[c] = synth.synthesize(chirps[c], returns);
-  }
-
-  radar::RangeProcessor processor{radar::RangeProcessorConfig{}};
-  const auto profiles = processor.process_frame(
-      if_samples, chirps, base.radar.if_synth.sample_rate_hz, nullptr);
-  radar::RangeAligner aligner{base.if_correction};
-  frame.aligned = aligner.align(profiles, nullptr);
-  if (base.use_background_subtraction) radar::subtract_background(frame.aligned, 0);
+  core::BiScatterNetwork network(net);
+  network.sense_all();
+  frame.aligned = network.sensed_frame();
   return frame;
+}
+
+/// FNV-1a over the bytes of every aligned row, then the range grid: a
+/// fingerprint of the synthesized frame, printed by --smoke so two builds
+/// can confirm they synthesize the same frame.
+std::uint64_t frame_hash(const radar::AlignedProfiles& aligned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const auto& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+    for (std::size_t i = 0; i < v.size() * sizeof(v[0]); ++i)
+      h = (h ^ p[i]) * 0x100000001b3ull;
+  };
+  for (const auto& row : aligned.rows) mix(row);
+  mix(aligned.range_grid);
+  return h;
 }
 
 radar::TagDetectorConfig detector_config(double expected_mod_freq_hz) {
@@ -287,6 +259,9 @@ bool write_bench_json(const std::string& path) {
 /// CI gate: parity only, small tag counts, no timing rows and no file.
 bool run_smoke() {
   const Frame frame = make_frame(64);
+  std::printf("smoke: frame %zux%zu, hash %016llx\n", frame.aligned.n_chirps(),
+              frame.aligned.n_bins(),
+              static_cast<unsigned long long>(frame_hash(frame.aligned)));
   bool ok = true;
   for (const std::size_t tags : {std::size_t{1}, std::size_t{16}, std::size_t{64}}) {
     const auto targets = make_targets(frame, tags);

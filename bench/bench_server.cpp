@@ -192,10 +192,9 @@ void alloc_debug() {
               static_cast<unsigned long long>(rg1.hits - rg0.hits),
               static_cast<unsigned long long>(rg1.misses - rg0.misses),
               static_cast<unsigned long long>(rg1.plans));
-  std::printf("  (range grid: %zu bins, last %.9f m)\n",
-              job.aligned.range_grid.size(),
-              job.aligned.range_grid.empty() ? 0.0
-                                             : job.aligned.range_grid.back());
+  const auto& grid = job.frame.aligned.range_grid;
+  std::printf("  (range grid: %zu bins, last %.9f m)\n", grid.size(),
+              grid.empty() ? 0.0 : grid.back());
   count("detect", [&] { sim.stage_detect(job, nullptr); });
   count("decode", [&] { sim.stage_decode(job); });
   count("fold", [&] { sim.fold_uplink_frame(job); });

@@ -35,8 +35,7 @@
 #include "phy/packet.hpp"
 #include "phy/slope_alphabet.hpp"
 #include "phy/uplink.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 #include "radar/tag_detector.hpp"
 #include "radar/uplink_decoder.hpp"
 #include "rf/chirp.hpp"

@@ -1,14 +1,10 @@
 #include "core/link_server.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
-#include "dsp/fft.hpp"
 #include "obs/trace.hpp"
-#include "radar/range_processor.hpp"
 
 namespace bis::core {
 
@@ -42,23 +38,14 @@ SystemConfig link_config(const LinkServerConfig& config, std::size_t link,
   c.dsp_threads = 1;
   // Pin the IF-correction grid to the whole alphabet (see the header doc):
   // max_range_m = min over slots of R_max is always covered by every chirp,
-  // so align_into's min(config, frame cover) resolves to the pinned value
+  // so the regrid's min(config, frame cover) resolves to the pinned value
   // for every frame. User-set values are respected.
   if (c.if_correction.enabled) {
-    const double fs = c.radar.if_synth.sample_rate_hz;
-    const std::size_t pad = radar::RangeProcessorConfig{}.zero_pad_factor;
-    double r_min = std::numeric_limits<double>::infinity();
-    std::size_t nfft_max = 0;
-    for (std::size_t slot = 0; slot < alphabet.slot_count(); ++slot) {
-      const rf::ChirpParams chirp = alphabet.chirp(slot);
-      const auto n = static_cast<std::size_t>(std::floor(chirp.duration_s * fs));
-      if (n == 0) continue;
-      r_min = std::min(r_min, chirp.max_unambiguous_range(fs));
-      nfft_max = std::max(nfft_max, dsp::next_power_of_two(n) * pad);
-    }
-    if (c.if_correction.max_range_m <= 0.0 && std::isfinite(r_min))
-      c.if_correction.max_range_m = r_min;
-    if (c.if_correction.grid_bins == 0) c.if_correction.grid_bins = nfft_max;
+    const radar::AlphabetExtent extent = c.make_receive_chain().extent(alphabet);
+    if (c.if_correction.max_range_m <= 0.0 && std::isfinite(extent.covered_range_m))
+      c.if_correction.max_range_m = extent.covered_range_m;
+    if (c.if_correction.grid_bins == 0)
+      c.if_correction.grid_bins = extent.max_fft_bins;
   }
   return c;
 }

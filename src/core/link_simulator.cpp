@@ -10,6 +10,7 @@
 #include "dsp/resample.hpp"
 #include "dsp/window.hpp"
 #include "obs/trace.hpp"
+#include "radar/scene.hpp"
 #include "rf/noise.hpp"
 
 namespace bis::core {
@@ -38,6 +39,44 @@ std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
                      tap.excess_delay_s, tap.phase_rad});
   }
   return paths;
+}
+
+std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet) {
+  return alphabet.slot_for_data(alphabet.data_symbol_count() / 2);
+}
+
+void draw_sensing_chirps(const phy::SlopeAlphabet& alphabet,
+                         std::size_t n_chirps, bool downlink_active, Rng& rng,
+                         std::vector<rf::ChirpParams>& out) {
+  out.clear();
+  out.reserve(n_chirps);
+  const std::size_t fixed_slot = fixed_sensing_slot(alphabet);
+  for (std::size_t i = 0; i < n_chirps; ++i) {
+    const std::size_t slot =
+        downlink_active
+            ? alphabet.slot_for_data(rng.uniform_index(alphabet.data_symbol_count()))
+            : fixed_slot;
+    out.push_back(alphabet.chirp(slot));
+  }
+}
+
+double tag_backscatter_amplitude(const SystemConfig& base, double range_m) {
+  const double f_c =
+      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
+  return std::sqrt(dbm_to_watts(rf::uplink_power_at_radar_dbm(
+      base.radar.rf, base.tag.rf, range_m, f_c)));
+}
+
+std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base) {
+  const double f_c =
+      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
+  std::vector<radar::IfReturn> out;
+  for (const auto& spec : radar::Scene::office_clutter_layout()) {
+    const double p_dbm = rf::clutter_return_dbm(base.radar.rf, spec.range_m,
+                                                f_c, spec.rcs_offset_db);
+    out.push_back({spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
+  }
+  return out;
 }
 
 namespace {
@@ -87,66 +126,23 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
       alphabet_(shared_alphabet),
       rng_(config.seed),
       tag_(effective_tag_node_config(config), alphabet_, Rng(config.seed ^ 0x7A67ull)),
-      range_processor_(radar::RangeProcessorConfig{}),
-      aligner_(config.if_correction),
+      // Scene: office clutter at fixed positions with absolute
+      // (range-dependent) returns, then the tag from the two-way retro link
+      // budget, so moving the tag changes the tag-to-clutter dynamics
+      // realistically.
+      scene_(clutter_returns(config)),
+      tag_amplitude_v_(tag_backscatter_amplitude(config, config.tag_range_m)),
+      chain_(config.make_receive_chain()),
+      extent_(chain_.extent(alphabet_)),
       uplink_detector_(make_uplink_detector_config(tag_.modulator().config())),
       uplink_decoder_(tag_.modulator().config()),
       pool_(resolve_dsp_pool(config.dsp_threads, owned_pool_)) {
   report_.config = config_key(config_);
   cache_baseline_ = CacheBaseline::capture();
-
-  // Scene: tag amplitude from the two-way retro link budget; clutter
-  // objects at fixed positions with absolute (range-dependent) returns, so
-  // moving the tag changes the tag-to-clutter dynamics realistically.
-  const double f_c =
-      config_.radar.start_frequency_hz + config_.radar.bandwidth_hz / 2.0;
-  scene_.tag_range_m = config_.tag_range_m;
-  scene_.tag_amplitude_v =
-      std::sqrt(dbm_to_watts(uplink_power_at_radar_dbm(config_.tag_range_m)));
-  scene_.has_tag = true;
-  for (const auto& spec : radar::Scene::office_clutter_layout()) {
-    const double p_dbm = rf::clutter_return_dbm(config_.radar.rf, spec.range_m,
-                                                f_c, spec.rcs_offset_db);
-    scene_.clutter.push_back(
-        {spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
-  }
-
-  // Worst-case per-chirp buffer sizes over the whole alphabet, so job
-  // buffers can be reserved once instead of regrowing whenever CSSK happens
-  // to draw a longer chirp than a given slot has seen before.
-  const double fs = config_.radar.if_synth.sample_rate_hz;
-  for (std::size_t slot = 0; slot < alphabet_.slot_count(); ++slot) {
-    const auto n = static_cast<std::size_t>(
-        std::floor(alphabet_.chirp(slot).duration_s * fs));
-    if (n == 0) continue;
-    max_chirp_samples_ = std::max(max_chirp_samples_, n);
-    max_fft_bins_ =
-        std::max(max_fft_bins_, dsp::next_power_of_two(n) *
-                                    range_processor_.config().zero_pad_factor);
-  }
+  scene_.push_back({config_.tag_range_m, 0.0, 0.0});
 }
 
-void LinkSimulator::warm_caches() const {
-  const double fs = config_.radar.if_synth.sample_rate_hz;
-  dsp::CVec silence;
-  radar::RangeProfile profile;
-  radar::AlignedProfiles aligned;
-  for (std::size_t slot = 0; slot < alphabet_.slot_count(); ++slot) {
-    const rf::ChirpParams chirp = alphabet_.chirp(slot);
-    const auto n = static_cast<std::size_t>(std::floor(chirp.duration_s * fs));
-    if (n == 0) continue;
-    // A dry range FFT builds this chirp length's window and FFT plan in the
-    // shared caches and sizes the calling thread's scratch; aligning the
-    // resulting (empty) profile builds the slot's regrid plan against the
-    // pinned grid — the exact (axis, grid) key frames will look up, since
-    // the axis depends only on the chirp metadata, never the samples.
-    silence.assign(n, dsp::cdouble(0.0, 0.0));
-    range_processor_.process_into(silence, chirp, fs, profile);
-    if (config_.if_correction.enabled)
-      aligner_.align_into(std::span<const radar::RangeProfile>(&profile, 1),
-                          nullptr, aligned);
-  }
-}
+void LinkSimulator::warm_caches() const { chain_.warm(alphabet_); }
 
 double LinkSimulator::downlink_power_at_tag_dbm(double range_m) const {
   return rf::downlink_power_at_tag_dbm(
@@ -254,19 +250,6 @@ void LinkSimulator::record_downlink(const DownlinkRunResult& result) {
   report_.downlink_bit_errors += result.bit_errors;
 }
 
-void LinkSimulator::chirp_returns_into(double tag_amplitude_factor,
-                                       std::vector<radar::IfReturn>& out) const {
-  out.clear();
-  out.reserve(scene_.clutter.size() + 1);
-  for (const auto& c : scene_.clutter)
-    out.push_back({c.range_m, c.amplitude_v, c.phase_rad});
-  if (scene_.has_tag && tag_amplitude_factor > 0.0) {
-    out.push_back({scene_.tag_range_m,
-                   scene_.tag_amplitude_v * tag_amplitude_factor,
-                   scene_.tag_phase_rad});
-  }
-}
-
 void LinkSimulator::prepare_uplink_frame(const phy::Bits& bits,
                                          bool downlink_active,
                                          UplinkFrameJob& job) {
@@ -280,27 +263,12 @@ void LinkSimulator::prepare_uplink_frame(const phy::Bits& bits,
   job.downlink_active = downlink_active;
   tag_.modulator().queue_bits(bits);
   tag_.modulator().next_states(n_chirps, job.tag_states);
-
-  job.chirps.clear();
-  job.chirps.reserve(n_chirps);
-  const std::size_t fixed_slot = alphabet_.slot_for_data(alphabet_.data_symbol_count() / 2);
-  for (std::size_t i = 0; i < n_chirps; ++i) {
-    const std::size_t slot =
-        downlink_active
-            ? alphabet_.slot_for_data(rng_.uniform_index(alphabet_.data_symbol_count()))
-            : fixed_slot;
-    job.chirps.push_back(alphabet_.chirp(slot));
-  }
-
-  // Reserve each per-chirp buffer at its alphabet-wide worst case. CSSK
-  // varies the chirp duration, so without this a job slot keeps reallocating
+  draw_sensing_chirps(alphabet_, n_chirps, downlink_active, rng_, job.chirps);
+  // Without the worst-case reservation a job slot would keep reallocating
   // every time position i draws a longer chirp than it has ever held — a
   // coupon-collector process that would take unboundedly many frames to
-  // quiesce. After this, steady-state frames allocate nothing.
-  job.if_samples.resize(n_chirps);
-  for (auto& s : job.if_samples) s.reserve(max_chirp_samples_);
-  job.profiles.resize(n_chirps);
-  for (auto& p : job.profiles) p.bins.reserve(max_fft_bins_);
+  // quiesce. After it, steady-state frames allocate nothing.
+  radar::ReceiveChain::reserve(job.frame, n_chirps, extent_);
 }
 
 void LinkSimulator::stage_synthesize(UplinkFrameJob& job) {
@@ -314,33 +282,28 @@ void LinkSimulator::stage_synthesize(UplinkFrameJob& job) {
       db_to_amplitude(-config_.tag.node.frontend.rf_switch.insertion_loss_db);
   const double leak =
       db_to_amplitude(-config_.tag.node.frontend.rf_switch.isolation_db);
-  job.if_samples.resize(job.chirps.size());
+  radar::IfReturn& tag = scene_.back();
+  job.frame.if_samples.resize(job.chirps.size());
   double mean_samples = 0.0;
   for (std::size_t i = 0; i < job.chirps.size(); ++i) {
-    const double factor = job.tag_states[i] ? reflect : leak;
-    chirp_returns_into(factor, job.returns_scratch);
-    synth.synthesize_into(job.chirps[i], job.returns_scratch,
-                          job.if_samples[i]);
-    mean_samples += static_cast<double>(job.if_samples[i].size());
+    tag.amplitude_v = tag_amplitude_v_ * (job.tag_states[i] ? reflect : leak);
+    synth.synthesize_into(job.chirps[i], scene_, job.frame.if_samples[i]);
+    mean_samples += static_cast<double>(job.frame.if_samples[i].size());
   }
   job.mean_samples = mean_samples / static_cast<double>(job.chirps.size());
 }
 
 void LinkSimulator::stage_range_fft(UplinkFrameJob& job, ThreadPool* pool) const {
-  range_processor_.process_frame_into(job.if_samples, job.chirps,
-                                      config_.radar.if_synth.sample_rate_hz,
-                                      pool, job.profiles);
+  chain_.range_fft(job.chirps, job.frame, pool);
 }
 
 void LinkSimulator::stage_if_correct(UplinkFrameJob& job, ThreadPool* pool) const {
-  aligner_.align_into(job.profiles, pool, job.aligned);
-  if (config_.use_background_subtraction)
-    radar::subtract_background(job.aligned, 0);
+  chain_.if_correct(job.frame, pool);
 }
 
 void LinkSimulator::stage_detect(UplinkFrameJob& job, ThreadPool* pool) const {
   job.result.downlink_active = job.downlink_active;
-  job.result.detection = uplink_detector_.detect(job.aligned, pool);
+  job.result.detection = uplink_detector_.detect(job.frame.aligned, pool);
   job.result.snr_processed_db = job.result.detection.snr_db;
   const double gain_db =
       10.0 * std::log10(std::max(job.mean_samples, 1.0)) +
@@ -348,7 +311,7 @@ void LinkSimulator::stage_detect(UplinkFrameJob& job, ThreadPool* pool) const {
   job.result.snr_per_chirp_db = job.result.snr_processed_db - gain_db;
   job.result.bits_compared = job.sent_bits.size();
   job.result.range_error_m =
-      std::abs(job.result.detection.range_m - scene_.tag_range_m);
+      std::abs(job.result.detection.range_m - config_.tag_range_m);
   if (!job.result.detection.found) job.result.bit_errors = job.sent_bits.size();
 }
 
@@ -356,7 +319,7 @@ void LinkSimulator::stage_decode(UplinkFrameJob& job) const {
   if (!job.result.detection.found) return;
   const std::size_t block = uplink_decoder_.config().chirps_per_symbol;
   if (job.chirps.size() < block) return;  // frame too short to decode
-  uplink_decoder_.decode_into(job.aligned, job.result.detection.grid_bin,
+  uplink_decoder_.decode_into(job.frame.aligned, job.result.detection.grid_bin,
                               job.result.decode);
   for (std::size_t i = 0; i < job.sent_bits.size(); ++i) {
     if (i >= job.result.decode.bits.size() ||

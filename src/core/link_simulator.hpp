@@ -21,9 +21,7 @@
 #include "obs/report.hpp"
 #include "phy/ber.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
-#include "radar/scene.hpp"
+#include "radar/receive_chain.hpp"
 #include "radar/tag_detector.hpp"
 #include "radar/uplink_decoder.hpp"
 #include "tag/tag_node.hpp"
@@ -69,11 +67,8 @@ struct UplinkFrameJob {
   std::vector<rf::ChirpParams> chirps;
   std::vector<int> tag_states;
   // Per-stage intermediates.
-  std::vector<dsp::CVec> if_samples;
+  radar::ReceiveFrame frame;
   double mean_samples = 0.0;
-  std::vector<radar::RangeProfile> profiles;
-  radar::AlignedProfiles aligned;
-  std::vector<radar::IfReturn> returns_scratch;
   // Output.
   UplinkRunResult result;
 
@@ -168,14 +163,11 @@ class LinkSimulator {
   /// Accumulate the finished frame into the link's report (frame-ordered).
   void fold_uplink_frame(const UplinkFrameJob& job);
 
-  /// Pre-build every size-dependent shared cache entry (Hann windows, FFT
-  /// plans, and — when the IF-correction grid is pinned via
-  /// SystemConfig::if_correction — regrid plans) for every chirp in the
-  /// alphabet, and grow the calling thread's thread_local DSP scratch to the
-  /// worst-case chirp size. One dry pure pass per alphabet slot; touches no
-  /// RNG or report state. The streaming engine calls this from each lane so
-  /// steady-state frames never miss a plan cache, which would allocate. Safe
-  /// to call concurrently.
+  /// radar::ReceiveChain::warm over the alphabet: pre-build every shared
+  /// plan a frame can ask for and grow the calling thread's DSP scratch to
+  /// the worst-case chirp. Touches no RNG or report state. The streaming
+  /// engine calls this from each lane so steady-state frames never miss a
+  /// plan cache, which would allocate. Safe to call concurrently.
   void warm_caches() const;
 
   // ---- Analytic link quantities (benchmark axes) ----
@@ -212,10 +204,6 @@ class LinkSimulator {
   void reset_report();
 
  private:
-  /// IF returns for one chirp given the tag's reflective amplitude factor.
-  void chirp_returns_into(double tag_amplitude_factor,
-                          std::vector<radar::IfReturn>& out) const;
-
   UplinkRunResult process_uplink_frame(const std::vector<rf::ChirpParams>& chirps,
                                        const std::vector<int>& tag_states,
                                        const phy::Bits& sent_bits,
@@ -234,9 +222,12 @@ class LinkSimulator {
   phy::SlopeAlphabet alphabet_;
   Rng rng_;
   tag::TagNode tag_;
-  radar::Scene scene_;
-  radar::RangeProcessor range_processor_;
-  radar::RangeAligner aligner_;
+  std::vector<radar::IfReturn> scene_;  ///< Office clutter, then the tag,
+                                        ///< whose amplitude each chirp sets.
+  double tag_amplitude_v_ = 0.0;        ///< The tag's fully reflective return.
+  radar::ReceiveChain chain_;
+  radar::AlphabetExtent extent_;  ///< prepare_uplink_frame reserves job
+                                  ///< buffers at this worst case.
   radar::TagDetector uplink_detector_;   ///< Shared across frames — the
                                          ///< detector config is fixed by the
                                          ///< tag's uplink config.
@@ -244,11 +235,6 @@ class LinkSimulator {
   std::unique_ptr<ThreadPool> owned_pool_;  ///< When config_.dsp_threads > 1.
   ThreadPool* pool_ = nullptr;              ///< nullptr = sequential.
   UplinkFrameJob seq_job_;  ///< Reused by the sequential run_* path.
-  std::size_t max_chirp_samples_ = 0;  ///< Worst case over the alphabet —
-  std::size_t max_fft_bins_ = 0;       ///< prepare_uplink_frame reserves
-                                       ///< these so per-chirp buffers never
-                                       ///< regrow when CSSK draws a longer
-                                       ///< chirp than a job slot has seen.
   obs::RunReport report_;                   ///< Accumulated run telemetry.
   CacheBaseline cache_baseline_;            ///< Taken at ctor / reset_report.
 };
@@ -271,5 +257,26 @@ tag::TagNodeConfig effective_tag_node_config(const SystemConfig& config);
 /// LinkSimulator::incident_paths, bit-identical to it.
 std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
                                                   double range_m);
+
+/// The fixed (non-data-bearing) sensing slot of a CSSK alphabet — the middle
+/// data symbol, the slope every pure sensing chirp uses.
+std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet);
+
+/// The chirps of one sensing frame, written into @p out: with
+/// @p downlink_active each chirp carries a data slot drawn uniformly from
+/// @p rng (a random CSSK payload, one draw per chirp), otherwise every chirp
+/// is the fixed sensing slot and @p rng is not touched.
+void draw_sensing_chirps(const phy::SlopeAlphabet& alphabet,
+                         std::size_t n_chirps, bool downlink_active, Rng& rng,
+                         std::vector<rf::ChirpParams>& out);
+
+/// Two-way backscatter amplitude (volts at the radar ADC) of a tag at
+/// @p range_m under @p base's link budget, evaluated at the band center.
+double tag_backscatter_amplitude(const SystemConfig& base, double range_m);
+
+/// The static office-clutter prefix of a sensing scene, link-budget scaled.
+/// Every engine builds its scene on this prefix, so a tag return sits on the
+/// same clutter floor in all of them.
+std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base);
 
 }  // namespace bis::core

@@ -7,9 +7,6 @@
 #include "common/units.hpp"
 #include "obs/trace.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
-#include "radar/scene.hpp"
 
 namespace bis::core {
 namespace {
@@ -40,29 +37,6 @@ std::vector<double> assign_mod_frequencies(std::size_t n, double chirp_period_s)
   return freqs;
 }
 
-std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet) {
-  return alphabet.slot_for_data(alphabet.data_symbol_count() / 2);
-}
-
-double tag_backscatter_amplitude(const SystemConfig& base, double range_m) {
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  return std::sqrt(dbm_to_watts(rf::uplink_power_at_radar_dbm(
-      base.radar.rf, base.tag.rf, range_m, f_c)));
-}
-
-std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base) {
-  const double f_c =
-      base.radar.start_frequency_hz + base.radar.bandwidth_hz / 2.0;
-  std::vector<radar::IfReturn> out;
-  for (const auto& spec : radar::Scene::office_clutter_layout()) {
-    const double p_dbm = rf::clutter_return_dbm(base.radar.rf, spec.range_m,
-                                                f_c, spec.rcs_offset_db);
-    out.push_back({spec.range_m, std::sqrt(dbm_to_watts(p_dbm)), spec.phase_rad});
-  }
-  return out;
-}
-
 std::size_t count_mod_freq_collisions(std::span<const double> freqs_hz,
                                       std::size_t n_chirps,
                                       double chirp_period_s) {
@@ -81,9 +55,9 @@ std::size_t count_mod_freq_collisions(std::span<const double> freqs_hz,
 BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
     : config_(config),
       alphabet_(config.base.make_alphabet()),
-      processor_(radar::RangeProcessorConfig{}),
-      aligner_(config.base.if_correction),
-      detector_(network_detector_config(config)) {
+      chain_(config.base.make_receive_chain()),
+      detector_(network_detector_config(config)),
+      rng_(config.base.seed ^ 0x5E25Eull) {
   BIS_CHECK(!config_.tags.empty());
   report_.config =
       config_key(config_.base) + "|tags=" + std::to_string(config_.tags.size());
@@ -111,17 +85,18 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
                                           config_.base.radar.chirp_period_s);
 
   // Shared sensing scene, built once: clutter prefix then one return slot
-  // per tag. sense_all only rewrites the per-tag amplitudes each chirp.
+  // per tag, whose square wave starts on at the frame's first chirp.
   const auto& base = config_.base;
-  tag_amp_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    tag_amp_[i] = tag_backscatter_amplitude(base, config_.tags[i].range_m);
-  returns_ = clutter_returns(base);
-  n_clutter_ = returns_.size();
+  beacons_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    returns_.push_back(
-        {config_.tags[i].range_m, 0.0, 0.37 * static_cast<double>(i)});
+    SlotResponder& b = beacons_[i];
+    b.mod_freq_hz = config_.tags[i].mod_freq_hz;
+    b.range_m = config_.tags[i].range_m;
+    b.amplitude_v = tag_backscatter_amplitude(base, b.range_m);
+    b.phase_rad = 0.37 * static_cast<double>(i);
   }
+  returns_ = clutter_returns(base);
+  returns_.resize(returns_.size() + n);
   reflect_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.insertion_loss_db);
   leak_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.isolation_db);
   cache_baseline_ = CacheBaseline::capture();
@@ -201,55 +176,30 @@ std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
 std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   BIS_TRACE_SPAN("core.network_sense");
   const auto& base = config_.base;
-  Rng rng(base.seed ^ 0x5E25Eull);
 
   // Per-chirp schedule: every tag beacons at its own frequency.
   const std::size_t n_chirps = config_.frame_chirps;
-  chirps_.clear();
-  chirps_.reserve(n_chirps);
-  const std::size_t fixed_slot = fixed_sensing_slot(alphabet_);
-  for (std::size_t i = 0; i < n_chirps; ++i) {
-    const std::size_t slot =
-        downlink_active
-            ? alphabet_.slot_for_data(rng.uniform_index(alphabet_.data_symbol_count()))
-            : fixed_slot;
-    chirps_.push_back(alphabet_.chirp(slot));
-  }
-
-  radar::IfSynthesizer synth(base.radar.if_synth, rng.fork());
+  draw_sensing_chirps(alphabet_, n_chirps, downlink_active, rng_, chirps_);
+  radar::IfSynthesizer synth(base.radar.if_synth, rng_.fork());
 
   // Synthesis stays sequential (single RNG stream); the frame DSP below
-  // fans across the pool with bit-identical results. The shared returns_
-  // scene only rewrites the per-tag amplitudes each chirp — no per-chirp
-  // allocation at steady state.
+  // fans across the pool with bit-identical results.
   ++report_.uplink_frames;
   report_.chirps_processed += n_chirps;
   report_.mod_freq_collisions += collisions_;
-  if_samples_.resize(n_chirps);
+  frame_.if_samples.resize(n_chirps);
   {
     obs::StageTimer timer(report_.stage, obs::Stage::kIfSynthesis);
-    for (std::size_t c = 0; c < n_chirps; ++c) {
-      const double t = static_cast<double>(c) * base.radar.chirp_period_s;
-      for (std::size_t i = 0; i < tags_.size(); ++i) {
-        const double f = config_.tags[i].mod_freq_hz;
-        const double phase = t * f - std::floor(t * f);
-        const bool on = phase < 0.5;
-        returns_[n_clutter_ + i].amplitude_v =
-            tag_amp_[i] * (on ? reflect_ : leak_);
-      }
-      synth.synthesize_into(chirps_[c], returns_, if_samples_[c]);
-    }
+    synthesize_beacons(synth, chirps_, base.radar.chirp_period_s, beacons_,
+                       reflect_, leak_, returns_, frame_.if_samples);
   }
   {
     obs::StageTimer timer(report_.stage, obs::Stage::kRangeFft);
-    processor_.process_frame_into(if_samples_, chirps_,
-                                  base.radar.if_synth.sample_rate_hz, pool_,
-                                  profiles_);
+    chain_.range_fft(chirps_, frame_, pool_);
   }
   {
     obs::StageTimer timer(report_.stage, obs::Stage::kIfCorrection);
-    aligner_.align_into(profiles_, pool_, aligned_);
-    if (base.use_background_subtraction) radar::subtract_background(aligned_, 0);
+    chain_.if_correct(frame_, pool_);
   }
 
   // One batched pass scores every tag against the shared spectra —
@@ -257,7 +207,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   detections_.resize(targets_.size());
   {
     obs::StageTimer timer(report_.stage, obs::Stage::kDetect);
-    detector_.detect_many(aligned_, targets_, detections_, pool_);
+    detector_.detect_many(frame_.aligned, targets_, detections_, pool_);
   }
 
   std::vector<TagObservation> out;

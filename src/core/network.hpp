@@ -23,6 +23,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/link_simulator.hpp"
+#include "core/slot_frame.hpp"
 #include "obs/report.hpp"
 #include "phy/bits.hpp"
 #include "radar/tag_detector.hpp"
@@ -75,8 +76,15 @@ class BiScatterNetwork {
   /// One sensing frame with every tag beaconing at its own frequency;
   /// the radar localizes each tag. One IF synthesis + range FFT + alignment
   /// pass for the whole network, then one batched detect_many call scoring
-  /// every tag's frequency signature against the shared spectra.
+  /// every tag's frequency signature against the shared spectra. Chirps and
+  /// noise come from one generator seeded at construction, so consecutive
+  /// frames draw fresh ones, and two networks built from one config sense
+  /// the same frame sequence.
   std::vector<TagObservation> sense_all(bool downlink_active = false);
+
+  /// The last sense_all frame after the receive chain (valid until the next
+  /// sense_all call).
+  const radar::AlignedProfiles& sensed_frame() const { return frame_.aligned; }
 
   const NetworkConfig& config() const { return config_; }
 
@@ -126,25 +134,22 @@ class BiScatterNetwork {
   CacheBaseline cache_baseline_;            ///< Taken at construction.
 
   // Shared radar-side pipeline stages, constructed once.
-  radar::RangeProcessor processor_;
-  radar::RangeAligner aligner_;
+  radar::ReceiveChain chain_;
   radar::TagDetector detector_;
   std::vector<radar::TagTarget> targets_;      ///< One per tag, fixed.
   std::vector<radar::TagDetection> detections_;  ///< detect_many output.
+  Rng rng_;  ///< Sensing chirps and noise, continued frame to frame.
 
   // Precomputed scene/link constants.
-  std::vector<double> tag_amp_;  ///< Two-way backscatter amplitude per tag.
+  std::vector<SlotResponder> beacons_;  ///< One square-wave beacon per tag.
   double reflect_ = 1.0;         ///< RF-switch reflective amplitude factor.
   double leak_ = 0.0;            ///< Absorptive-state leakage factor.
-  std::size_t n_clutter_ = 0;    ///< Clutter prefix length of returns_.
   std::size_t collisions_ = 0;   ///< See mod_freq_collisions().
 
   // Reused frame buffers (allocated once, steady-state alloc-free).
   std::vector<rf::ChirpParams> chirps_;
   std::vector<radar::IfReturn> returns_;  ///< [clutter..., one per tag].
-  std::vector<dsp::CVec> if_samples_;
-  std::vector<radar::RangeProfile> profiles_;
-  radar::AlignedProfiles aligned_;
+  radar::ReceiveFrame frame_;
   std::unique_ptr<bool[]> flags_;  ///< Absorptive flags for downlink frames.
   std::size_t flags_capacity_ = 0;
 };
@@ -152,19 +157,6 @@ class BiScatterNetwork {
 /// Assign well-separated modulation frequencies to @p n tags below the
 /// slow-time Nyquist bound for @p chirp_period_s.
 std::vector<double> assign_mod_frequencies(std::size_t n, double chirp_period_s);
-
-/// The fixed (non-data-bearing) sensing slot of a CSSK alphabet — the middle
-/// data symbol, the slope every pure sensing chirp uses.
-std::size_t fixed_sensing_slot(const phy::SlopeAlphabet& alphabet);
-
-/// Two-way backscatter amplitude (volts at the radar ADC) of a tag at
-/// @p range_m under @p base's link budget, evaluated at the band center.
-double tag_backscatter_amplitude(const SystemConfig& base, double range_m);
-
-/// The static office-clutter prefix of a sensing scene, link-budget scaled.
-/// BiScatterNetwork and the inventory engine's slot frames share this scene
-/// recipe so a tag return sits on the same clutter floor in both.
-std::vector<radar::IfReturn> clutter_returns(const SystemConfig& base);
 
 /// Count assigned-frequency pairs closer than the slow-time FFT resolution
 /// 1/(n_chirps · chirp_period_s) — adjacent pairs after sorting. Such pairs

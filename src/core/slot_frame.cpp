@@ -9,10 +9,34 @@
 
 namespace bis::core {
 
+void synthesize_beacons(radar::IfSynthesizer& synth,
+                        std::span<const rf::ChirpParams> chirps,
+                        double chirp_period_s,
+                        std::span<const SlotResponder> beacons,
+                        double reflect_amp, double leak_amp,
+                        std::span<radar::IfReturn> returns,
+                        std::span<dsp::CVec> out) {
+  BIS_CHECK(returns.size() >= beacons.size());
+  BIS_CHECK(out.size() == chirps.size());
+  const std::size_t first = returns.size() - beacons.size();
+  for (std::size_t c = 0; c < chirps.size(); ++c) {
+    const double t = static_cast<double>(c) * chirp_period_s;
+    for (std::size_t i = 0; i < beacons.size(); ++i) {
+      const SlotResponder& b = beacons[i];
+      const double x = t * b.mod_freq_hz + b.duty_phase;
+      const bool on = (x - std::floor(x)) < 0.5;
+      returns[first + i] = {b.range_m,
+                            b.amplitude_v * (on ? reflect_amp : leak_amp),
+                            b.phase_rad};
+    }
+    synth.synthesize_into(chirps[c], returns, out[c]);
+  }
+}
+
 SlotFrameAssembler::SlotFrameAssembler(const SlotFrameConfig& config)
     : config_(config),
-      processor_(radar::RangeProcessorConfig{}),
-      aligner_(config.if_correction) {
+      chain_(config.if_synth.sample_rate_hz, config.if_correction,
+             config.use_background_subtraction) {
   BIS_CHECK(config_.slot_chirps >= 8);
   BIS_CHECK(config_.chirp_period_s > 0.0);
 }
@@ -21,34 +45,25 @@ void SlotFrameAssembler::synthesize_slot(const SlotJob& job,
                                          std::uint64_t round,
                                          std::size_t row_first) {
   // The scene is the shared clutter prefix plus one point return per
-  // responder; only the responder amplitudes change chirp to chirp (the
-  // square-wave backscatter switching). thread_local scratch keeps each
-  // parallel lane allocation-free once warm.
+  // responder. thread_local scratch keeps each parallel lane
+  // allocation-free once warm.
   thread_local std::vector<radar::IfReturn> returns;
   returns.assign(config_.clutter.begin(), config_.clutter.end());
-  const std::size_t base_n = returns.size();
-  for (const SlotResponder& r : job.responders)
-    returns.push_back({r.range_m, 0.0, r.phase_rad});
+  returns.resize(config_.clutter.size() + job.responders.size());
 
   // Noise and phase-noise are drawn from a synthesizer seeded purely by
   // (seed, round, slot): the slot's samples do not depend on which batch it
-  // lands in, which batch-mate precedes it, or which thread runs it.
+  // lands in, which batch-mate precedes it, or which thread runs it. Slow
+  // time is slot-local: each slot is its own acquisition window, so the
+  // square wave restarts at the slot boundary; a tag's absolute phase is
+  // carried by its duty_phase.
   Rng rng(tag::gen2_hash(config_.seed, 0x5107F4A3ull, round, job.slot_index));
   radar::IfSynthesizer synth(config_.if_synth, rng);
-  for (std::size_t c = 0; c < config_.slot_chirps; ++c) {
-    // Slot-local slow time: each slot is its own acquisition window, so the
-    // square wave restarts at the slot boundary; a tag's absolute phase is
-    // carried by its duty_phase.
-    const double t = static_cast<double>(c) * config_.chirp_period_s;
-    for (std::size_t i = 0; i < job.responders.size(); ++i) {
-      const SlotResponder& r = job.responders[i];
-      const double x = t * r.mod_freq_hz + r.duty_phase;
-      const bool on = (x - std::floor(x)) < 0.5;
-      returns[base_n + i].amplitude_v =
-          r.amplitude_v * (on ? config_.reflect_amp : config_.leak_amp);
-    }
-    synth.synthesize_into(config_.chirp, returns, if_samples_[row_first + c]);
-  }
+  const std::size_t m = config_.slot_chirps;
+  synthesize_beacons(synth, std::span(chirps_).subspan(row_first, m),
+                     config_.chirp_period_s, job.responders,
+                     config_.reflect_amp, config_.leak_amp, returns,
+                     std::span(frame_.if_samples).subspan(row_first, m));
 }
 
 const radar::AlignedProfiles& SlotFrameAssembler::assemble(
@@ -63,27 +78,18 @@ const radar::AlignedProfiles& SlotFrameAssembler::assemble(
   // how many slots share the frame: a precondition for batched-vs-standalone
   // bit identity.
   chirps_.assign(n_total, config_.chirp);
-  if_samples_.resize(n_total);
+  frame_.if_samples.resize(n_total);
 
   // Per-slot synthesis is an independent pure map (own seed, own rows).
   bis::parallel_for(pool, 0, jobs.size(), [&](std::size_t s) {
     synthesize_slot(jobs[s], round, s * m);
   });
 
-  processor_.process_frame_into(if_samples_, chirps_,
-                                config_.if_synth.sample_rate_hz, pool,
-                                profiles_);
-  aligner_.align_into(profiles_, pool, aligned_);
-
-  if (config_.use_background_subtraction) {
-    // Each slot window subtracts its own first chirp — the same ops
-    // subtract_background(window, 0) runs on a standalone slot frame; rows
-    // outside the window are untouched, so windows can fan across the pool.
-    bis::parallel_for(pool, 0, jobs.size(), [&](std::size_t s) {
-      radar::subtract_background(aligned_, s * m, m, 0);
-    });
-  }
-  return aligned_;
+  // Each slot window subtracts its own first chirp — the same ops a
+  // standalone slot frame runs on its one window.
+  chain_.range_fft(chirps_, frame_, pool);
+  chain_.if_correct(frame_, pool, m);
+  return frame_.aligned;
 }
 
 }  // namespace bis::core

@@ -28,8 +28,7 @@
 
 #include "common/thread_pool.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 #include "rf/chirp.hpp"
 
 namespace bis::core {
@@ -64,6 +63,21 @@ struct SlotFrameConfig {
   double leak_amp = 0.0;             ///< Absorptive-state leakage factor.
 };
 
+/// The square-wave beacon loop every sensing frame shares (the network's,
+/// each inventory slot's). @p returns holds a static clutter prefix followed
+/// by one entry per beacon. For chirp c the beacons' returns are set for
+/// slow time t = c·chirp_period_s — beacon i reflects
+/// (amplitude_v·reflect_amp) while frac(t·mod_freq_hz + duty_phase) < 0.5
+/// and leaks (amplitude_v·leak_amp) otherwise — and chirps[c] is
+/// synthesized into out[c].
+void synthesize_beacons(radar::IfSynthesizer& synth,
+                        std::span<const rf::ChirpParams> chirps,
+                        double chirp_period_s,
+                        std::span<const SlotResponder> beacons,
+                        double reflect_amp, double leak_amp,
+                        std::span<radar::IfReturn> returns,
+                        std::span<dsp::CVec> out);
+
 /// Assembles batched slow-time frames out of MAC slot jobs. Frame buffers
 /// are owned and reused across batches; the returned profiles are valid
 /// until the next assemble() call.
@@ -80,7 +94,7 @@ class SlotFrameAssembler {
                                          std::uint64_t round,
                                          ThreadPool* pool = nullptr);
 
-  const radar::AlignedProfiles& aligned() const { return aligned_; }
+  const radar::AlignedProfiles& aligned() const { return frame_.aligned; }
   const SlotFrameConfig& config() const { return config_; }
 
  private:
@@ -88,14 +102,11 @@ class SlotFrameAssembler {
                        std::size_t row_first);
 
   SlotFrameConfig config_;
-  radar::RangeProcessor processor_;
-  radar::RangeAligner aligner_;
+  radar::ReceiveChain chain_;
 
   // Reused frame buffers (steady-state allocation-free once warm).
   std::vector<rf::ChirpParams> chirps_;
-  std::vector<dsp::CVec> if_samples_;
-  std::vector<radar::RangeProfile> profiles_;
-  radar::AlignedProfiles aligned_;
+  radar::ReceiveFrame frame_;
 };
 
 }  // namespace bis::core

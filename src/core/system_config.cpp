@@ -70,6 +70,11 @@ TagPreset TagPreset::prototype(double delay_line_inches,
   return t;
 }
 
+radar::ReceiveChain SystemConfig::make_receive_chain() const {
+  return radar::ReceiveChain(radar.if_synth.sample_rate_hz, if_correction,
+                             use_background_subtraction);
+}
+
 phy::SlopeAlphabet SystemConfig::make_alphabet() const {
   phy::SlopeAlphabetConfig a;
   a.bandwidth_hz = radar.bandwidth_hz;

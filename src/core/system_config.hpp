@@ -16,7 +16,7 @@
 #include "phy/slope_alphabet.hpp"
 #include "phy/uplink.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
+#include "radar/receive_chain.hpp"
 #include "rf/channel.hpp"
 #include "rf/link_budget.hpp"
 #include "tag/tag_node.hpp"
@@ -91,6 +91,10 @@ struct SystemConfig {
   /// maximum beat frequency below the tag ADC Nyquist bound by raising the
   /// minimum chirp duration when needed.
   phy::SlopeAlphabet make_alphabet() const;
+
+  /// The radar receive chain this configuration runs: the IF ADC rate, the
+  /// IF-correction stage and the background-subtraction switch.
+  radar::ReceiveChain make_receive_chain() const;
 };
 
 /// Compact human-readable key identifying a configuration, used to label

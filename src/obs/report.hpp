@@ -52,7 +52,8 @@ LatencyHistogram& stage_latency(Stage stage);
 struct StageTimes {
   double if_synthesis_s = 0.0;
   double range_fft_s = 0.0;
-  double if_correction_s = 0.0;  ///< IF-correction regrid (RangeAligner).
+  double if_correction_s = 0.0;  ///< Regrid + background subtraction
+                                 ///< (ReceiveChain::if_correct).
   double detect_s = 0.0;
   double uplink_decode_s = 0.0;
   double tag_frontend_s = 0.0;

@@ -7,7 +7,7 @@
 /// chrome://tracing or https://ui.perfetto.dev) or as an aggregated per-name
 /// summary.
 ///
-///   void RangeProcessor::process(...) {
+///   void ReceiveChain::range_fft(...) const {
 ///     BIS_TRACE_SPAN("radar.range_fft");
 ///     ...
 ///   }

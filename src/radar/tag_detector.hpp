@@ -15,7 +15,7 @@
 #include "common/thread_pool.hpp"
 #include "dsp/types.hpp"
 #include "dsp/precision.hpp"
-#include "radar/range_align.hpp"
+#include "radar/receive_chain.hpp"
 
 namespace bis::radar {
 

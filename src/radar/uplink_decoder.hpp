@@ -14,7 +14,7 @@
 
 #include "phy/bits.hpp"
 #include "phy/uplink.hpp"
-#include "radar/range_align.hpp"
+#include "radar/receive_chain.hpp"
 
 namespace bis::radar {
 

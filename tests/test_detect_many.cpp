@@ -23,8 +23,7 @@
 #include "dsp/matched_filter.hpp"
 #include "dsp/peak.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 #include "radar/tag_detector.hpp"
 
 namespace bis::radar {
@@ -55,9 +54,8 @@ AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
   cfg.noise_power_dbm = -90.0;
   cfg.phase_noise_rad_per_sqrt_s = 0.0;
   IfSynthesizer synth(cfg, Rng(seed));
-  RangeProcessor proc{RangeProcessorConfig{}};
   const auto chirp = fixed_chirp();
-  std::vector<RangeProfile> profiles;
+  ReceiveFrame frame;
   for (std::size_t m = 0; m < n_chirps; ++m) {
     const double t = static_cast<double>(m) * kPeriod;
     std::vector<IfReturn> rets = {{1.3, 2e-4, 0.1}, {4.2, 8e-5, 1.0}};
@@ -70,12 +68,13 @@ AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
       }
       rets.push_back({tag.range_m, on ? 2e-5 : 4e-7, 0.0});
     }
-    profiles.push_back(proc.process(synth.synthesize(chirp, rets), chirp, kFs));
+    frame.if_samples.push_back(synth.synthesize(chirp, rets));
   }
-  RangeAligner aligner{RangeAlignConfig{}};
-  auto aligned = aligner.align(profiles);
-  subtract_background(aligned, 0);
-  return aligned;
+  const ReceiveChain chain(kFs, RangeAlignConfig{},
+                           /*background_subtraction=*/true);
+  chain.range_fft(std::vector<rf::ChirpParams>(n_chirps, chirp), frame, nullptr);
+  chain.if_correct(frame, nullptr);
+  return frame.aligned;
 }
 
 ::testing::AssertionResult det_bits_eq(const TagDetection& a,

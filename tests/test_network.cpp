@@ -83,6 +83,29 @@ TEST(Network, SensesAllTagsSimultaneously) {
   }
 }
 
+TEST(Network, ConsecutiveSensingFramesDrawFreshNoise) {
+  // The sensing generator is seeded once, at construction: each frame draws
+  // fresh noise, and two networks built from one config sense the same frame
+  // sequence.
+  BiScatterNetwork a(three_tag_network());
+  BiScatterNetwork b(three_tag_network());
+  const auto a1 = a.sense_all();
+  const auto a2 = a.sense_all();
+  const auto b1 = b.sense_all();
+  const auto b2 = b.sense_all();
+  ASSERT_EQ(a1.size(), 3u);
+  bool fresh = false;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(a1[i].snr_db, b1[i].snr_db) << i;
+    EXPECT_EQ(a1[i].range_m, b1[i].range_m) << i;
+    EXPECT_EQ(a2[i].snr_db, b2[i].snr_db) << i;
+    EXPECT_EQ(a2[i].range_m, b2[i].range_m) << i;
+    if (a1[i].snr_db != a2[i].snr_db || a1[i].range_m != a2[i].range_m)
+      fresh = true;
+  }
+  EXPECT_TRUE(fresh) << "the second frame repeated the first";
+}
+
 TEST(Network, ReportAveragesSnrOverEveryAttempt) {
   // A tag far out of range is an attempt that misses; its SNR still counts,
   // since mean_detector_snr_db() divides by every attempt.

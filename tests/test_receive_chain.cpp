@@ -1,16 +1,19 @@
-// Range FFT processing, the IF-correction/range-alignment stage (paper §3.3,
-// Fig. 7), and background subtraction.
+// The radar receive chain (paper §3.3): range FFT, the IF-correction /
+// range-alignment stage (Fig. 7), windowed background subtraction, and the
+// alphabet worst case.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/random.hpp"
 #include "common/stats.hpp"
+#include "core/system_config.hpp"
 #include "dsp/peak.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 
 namespace bis::radar {
 namespace {
@@ -34,13 +37,28 @@ IfSynthConfig quiet() {
   return cfg;
 }
 
+ReceiveChain chain_with(const RangeAlignConfig& align = {},
+                        bool background_subtraction = false) {
+  return ReceiveChain(kFs, align, background_subtraction);
+}
+
 RangeProfile profile_for(double target_range, double duration, Rng rng = Rng(1)) {
   IfSynthesizer synth(quiet(), rng);
   const auto chirp = chirp_with_duration(duration);
   const auto x =
       synth.synthesize(chirp, std::vector<IfReturn>{{target_range, 1e-3, 0.0}});
-  RangeProcessor proc{RangeProcessorConfig{}};
-  return proc.process(x, chirp, kFs);
+  RangeProfile profile;
+  chain_with().range_fft(x, chirp, profile);
+  return profile;
+}
+
+/// @p profiles IF-corrected as one frame, without background subtraction.
+AlignedProfiles align(std::vector<RangeProfile> profiles,
+                      const RangeAlignConfig& config = {}) {
+  ReceiveFrame frame;
+  frame.profiles = std::move(profiles);
+  chain_with(config).if_correct(frame, nullptr);
+  return frame.aligned;
 }
 
 double peak_range(const RangeProfile& p) {
@@ -50,14 +68,14 @@ double peak_range(const RangeProfile& p) {
   return peak.refined_index / static_cast<double>(p.n_fft) * p.max_range_m();
 }
 
-TEST(RangeProcessor, PeakAtTargetRange) {
+TEST(ReceiveChain, PeakAtTargetRange) {
   for (double r : {1.5, 4.0, 7.0}) {
     const auto p = profile_for(r, 50e-6);
     EXPECT_NEAR(peak_range(p), r, 0.08) << r;
   }
 }
 
-TEST(RangeProcessor, BinMetadataConsistent) {
+TEST(ReceiveChain, BinMetadataConsistent) {
   const auto p = profile_for(3.0, 50e-6);
   EXPECT_EQ(p.bins.size(), p.n_fft);
   EXPECT_NEAR(p.bin_range_m(0), 0.0, 1e-12);
@@ -69,7 +87,7 @@ TEST(RangeProcessor, BinMetadataConsistent) {
   EXPECT_LT(axis.front(), axis.back());
 }
 
-TEST(RangeProcessor, AmplitudeComparableAcrossDurations) {
+TEST(ReceiveChain, AmplitudeComparableAcrossDurations) {
   // The window-sum normalization keeps the peak magnitude of the same
   // target comparable for short and long CSSK chirps.
   const auto a = profile_for(3.0, 40e-6);
@@ -82,7 +100,7 @@ TEST(RangeProcessor, AmplitudeComparableAcrossDurations) {
   EXPECT_NEAR(pa / pb, 1.0, 0.1);
 }
 
-TEST(RangeAlign, RawBinsDisagreeAcrossSlopes) {
+TEST(ReceiveChain, RawBinsDisagreeAcrossSlopes) {
   // Fig. 7(a): without IF correction, the same target lands on different
   // bins for different chirp durations.
   const auto a = profile_for(5.0, 40e-6);
@@ -95,15 +113,14 @@ TEST(RangeAlign, RawBinsDisagreeAcrossSlopes) {
   EXPECT_GT(std::abs(bin_a - bin_b), 0.05);  // normalized bin positions differ
 }
 
-TEST(RangeAlign, CorrectedProfilesAgree) {
+TEST(ReceiveChain, CorrectedProfilesAgree) {
   // Fig. 7(b): after alignment the peak sits at the same grid position for
   // every slope.
   std::vector<RangeProfile> profiles;
   Rng rng(7);
   for (double d : {40e-6, 55e-6, 70e-6, 90e-6})
     profiles.push_back(profile_for(5.0, d, rng.fork()));
-  RangeAligner aligner{RangeAlignConfig{}};
-  const auto aligned = aligner.align(profiles);
+  const auto aligned = align(profiles);
   ASSERT_EQ(aligned.n_chirps(), 4u);
   std::vector<double> peaks;
   for (std::size_t m = 0; m < 4; ++m) {
@@ -119,34 +136,31 @@ TEST(RangeAlign, CorrectedProfilesAgree) {
   EXPECT_LT(bis::stddev(peaks), 0.04);
 }
 
-TEST(RangeAlign, GridCoversMinimumMaxRange) {
+TEST(ReceiveChain, GridCoversMinimumMaxRange) {
   std::vector<RangeProfile> profiles;
   profiles.push_back(profile_for(2.0, 40e-6));
   profiles.push_back(profile_for(2.0, 90e-6));
-  RangeAligner aligner{RangeAlignConfig{}};
-  const auto aligned = aligner.align(profiles);
+  const auto aligned = align(profiles);
   const double r_min_max =
       std::min(profiles[0].max_range_m(), profiles[1].max_range_m());
   EXPECT_NEAR(aligned.range_grid.back(), r_min_max, 1e-6);
 }
 
-TEST(RangeAlign, DisabledBaselineStacksRawBins) {
+TEST(ReceiveChain, DisabledBaselineStacksRawBins) {
   std::vector<RangeProfile> profiles;
   profiles.push_back(profile_for(2.0, 40e-6));
   profiles.push_back(profile_for(2.0, 90e-6));
   RangeAlignConfig cfg;
   cfg.enabled = false;
-  RangeAligner aligner(cfg);
-  const auto aligned = aligner.align(profiles);
+  const auto aligned = align(profiles, cfg);
   EXPECT_EQ(aligned.n_bins(), profiles.front().bins.size());
 }
 
-TEST(RangeAlign, ColumnAccessors) {
+TEST(ReceiveChain, ColumnAccessors) {
   std::vector<RangeProfile> profiles;
   profiles.push_back(profile_for(3.0, 50e-6));
   profiles.push_back(profile_for(3.0, 50e-6));
-  RangeAligner aligner{RangeAlignConfig{}};
-  const auto aligned = aligner.align(profiles);
+  const auto aligned = align(profiles);
   const auto col = aligned.column(10);
   const auto mag = aligned.column_magnitude(10);
   ASSERT_EQ(col.size(), 2u);
@@ -158,22 +172,67 @@ TEST(BackgroundSubtraction, RemovesStaticClutterKeepsToggling) {
   // row 0, the clutter vanishes and the tag difference remains.
   IfSynthesizer synth(quiet(), Rng(3));
   const auto chirp = chirp_with_duration(60e-6);
-  RangeProcessor proc{RangeProcessorConfig{}};
-  std::vector<RangeProfile> profiles;
+  ReceiveFrame frame;
   for (int m = 0; m < 2; ++m) {
     std::vector<IfReturn> rets = {{2.0, 5e-3, 0.3}};  // clutter
     rets.push_back({5.0, m == 0 ? 0.0 : 1e-3, 0.0});  // tag off/on
-    profiles.push_back(proc.process(synth.synthesize(chirp, rets), chirp, kFs));
+    frame.if_samples.push_back(synth.synthesize(chirp, rets));
   }
-  RangeAligner aligner{RangeAlignConfig{}};
-  auto aligned = aligner.align(profiles);
-  subtract_background(aligned, 0);
+  const ReceiveChain chain = chain_with({}, /*background_subtraction=*/true);
+  chain.range_fft(std::vector<rf::ChirpParams>(2, chirp), frame, nullptr);
+  chain.if_correct(frame, nullptr);
+  const AlignedProfiles& aligned = frame.aligned;
   dsp::RVec mag(aligned.n_bins());
   for (std::size_t b = 0; b < aligned.n_bins(); ++b)
     mag[b] = std::abs(aligned.rows[1][b]);
   const auto p = dsp::find_peak(mag);
   const double peak_r = aligned.range_grid[p.index];
   EXPECT_NEAR(peak_r, 5.0, 0.2);  // the toggling tag, not the 2 m clutter
+}
+
+TEST(ReceiveChain, BackgroundWindowsMustTileTheFrame) {
+  // if_correct subtracts each window's first row; a window that does not
+  // divide the frame would leave a ragged tail with no background of its
+  // own, so the chain refuses it before touching the frame.
+  ReceiveFrame frame;
+  for (int m = 0; m < 6; ++m) frame.profiles.push_back(profile_for(3.0, 50e-6));
+  const ReceiveChain chain = chain_with({}, /*background_subtraction=*/true);
+  EXPECT_THROW(chain.if_correct(frame, nullptr, 4), std::invalid_argument);
+  EXPECT_TRUE(frame.aligned.rows.empty());
+  EXPECT_NO_THROW(chain.if_correct(frame, nullptr, 3));
+  EXPECT_EQ(frame.aligned.rows[3], dsp::CVec(frame.aligned.n_bins()));
+}
+
+TEST(ReceiveChain, ExtentIsTheAlphabetWorstCase) {
+  // The extent the link server pins its grid with, and job buffers are
+  // reserved at, is exactly what range_fft produces for the alphabet's
+  // longest, largest-N_FFT and shortest-R_max chirps.
+  const core::SystemConfig cfg;
+  const auto alphabet = cfg.make_alphabet();
+  const ReceiveChain chain = cfg.make_receive_chain();
+  std::size_t max_samples = 0, max_fft = 0;
+  double min_range = 1e300;
+  for (std::size_t slot = 0; slot < alphabet.slot_count(); ++slot) {
+    const auto chirp = alphabet.chirp(slot);
+    const dsp::CVec silence(chain.samples_per_chirp(chirp));
+    RangeProfile p;
+    chain.range_fft(silence, chirp, p);
+    max_samples = std::max(max_samples, silence.size());
+    max_fft = std::max(max_fft, p.n_fft);
+    min_range = std::min(min_range, p.max_range_m());
+  }
+  const AlphabetExtent extent = chain.extent(alphabet);
+  EXPECT_EQ(extent.max_samples, max_samples);
+  EXPECT_EQ(extent.max_fft_bins, max_fft);
+  EXPECT_EQ(extent.covered_range_m, min_range);
+  EXPECT_EQ(ReceiveChain::fft_size(max_samples), max_fft);
+
+  ReceiveFrame frame;
+  ReceiveChain::reserve(frame, 3, extent);
+  ASSERT_EQ(frame.if_samples.size(), 3u);
+  ASSERT_EQ(frame.profiles.size(), 3u);
+  EXPECT_GE(frame.if_samples[2].capacity(), max_samples);
+  EXPECT_GE(frame.profiles[2].bins.capacity(), max_fft);
 }
 
 }  // namespace

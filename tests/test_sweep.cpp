@@ -15,7 +15,7 @@
 #include "core/sweep_runner.hpp"
 #include "dsp/resample.hpp"
 #include "obs/metrics.hpp"
-#include "radar/range_align.hpp"
+#include "radar/receive_chain.hpp"
 
 namespace bis {
 namespace {
@@ -293,7 +293,7 @@ TEST(RangeAlignScratchTest, SubtractBackgroundZeroesBackgroundRow) {
             {{0.5, 0.5}, {1.0, 1.0}},
             {{-2.0, 0.0}, {0.0, 4.0}}};
   const auto rows_before = p.rows;
-  radar::subtract_background(p, 1);
+  radar::subtract_background(p, 0, p.n_chirps(), 1);
   for (std::size_t i = 0; i < p.rows[1].size(); ++i)
     EXPECT_EQ(p.rows[1][i], dsp::cdouble(0.0, 0.0));
   for (std::size_t r : {std::size_t{0}, std::size_t{2}}) {

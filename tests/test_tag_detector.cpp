@@ -7,8 +7,7 @@
 
 #include "common/random.hpp"
 #include "radar/if_synthesizer.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 #include "radar/tag_detector.hpp"
 #include "radar/uplink_decoder.hpp"
 
@@ -36,19 +35,20 @@ AlignedProfiles make_frame(double tag_range, const std::vector<int>& states,
   cfg.noise_power_dbm = noise_dbm;
   cfg.phase_noise_rad_per_sqrt_s = 0.0;
   IfSynthesizer synth(cfg, Rng(seed));
-  RangeProcessor proc{RangeProcessorConfig{}};
   const auto chirp = fixed_chirp();
-  std::vector<RangeProfile> profiles;
+  ReceiveFrame frame;
   for (std::size_t m = 0; m < states.size(); ++m) {
     std::vector<IfReturn> rets = {
         {1.3, 2e-4, 0.1}, {4.2, 8e-5, 1.0},  // static clutter
         {tag_range, states[m] ? tag_amp : tag_amp * 0.02, 0.0}};
-    profiles.push_back(proc.process(synth.synthesize(chirp, rets), chirp, kFs));
+    frame.if_samples.push_back(synth.synthesize(chirp, rets));
   }
-  RangeAligner aligner{RangeAlignConfig{}};
-  auto aligned = aligner.align(profiles);
-  subtract_background(aligned, 0);
-  return aligned;
+  const ReceiveChain chain(kFs, RangeAlignConfig{},
+                           /*background_subtraction=*/true);
+  chain.range_fft(std::vector<rf::ChirpParams>(states.size(), chirp), frame,
+                  nullptr);
+  chain.if_correct(frame, nullptr);
+  return frame.aligned;
 }
 
 std::vector<int> square_states(double f_mod, std::size_t n) {

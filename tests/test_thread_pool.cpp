@@ -1,12 +1,13 @@
 // ThreadPool semantics and the DSP engine's determinism guarantee: every
-// parallel stage is a pure per-item map, so process_frame / align / detect —
-// and the full LinkSimulator uplink — produce bit-identical results with 1
-// thread and N threads.
+// parallel stage is a pure per-item map, so the receive chain's range FFT and
+// windowed IF correction, detect — and the full LinkSimulator uplink —
+// produce bit-identical results with 1 thread and N threads.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -16,8 +17,7 @@
 #include "common/thread_pool.hpp"
 #include "core/link_simulator.hpp"
 #include "phy/bits.hpp"
-#include "radar/range_align.hpp"
-#include "radar/range_processor.hpp"
+#include "radar/receive_chain.hpp"
 #include "radar/tag_detector.hpp"
 
 namespace bis {
@@ -149,14 +149,24 @@ SyntheticFrame make_frame(std::size_t n_chirps) {
   return f;
 }
 
+/// True when @p a and @p b hold the same bits.
+bool same_bits(const dsp::CVec& a, const dsp::CVec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
 TEST(DspEngineDeterminism, ProcessFrameBitIdenticalAcrossThreadCounts) {
   const auto frame = make_frame(32);
-  const radar::RangeProcessor proc{radar::RangeProcessorConfig{}};
+  const radar::ReceiveChain chain(frame.fs, radar::RangeAlignConfig{},
+                                  /*background_subtraction=*/true);
 
-  const auto seq = proc.process_frame(frame.samples, frame.chirps, frame.fs,
-                                      /*pool=*/nullptr);
+  radar::ReceiveFrame seq_frame, par_frame;
+  seq_frame.if_samples = par_frame.if_samples = frame.samples;
+  chain.range_fft(frame.chirps, seq_frame, /*pool=*/nullptr);
   ThreadPool pool(4);
-  const auto par = proc.process_frame(frame.samples, frame.chirps, frame.fs, &pool);
+  chain.range_fft(frame.chirps, par_frame, &pool);
+  const auto& seq = seq_frame.profiles;
+  const auto& par = par_frame.profiles;
 
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t c = 0; c < seq.size(); ++c) {
@@ -169,23 +179,37 @@ TEST(DspEngineDeterminism, ProcessFrameBitIdenticalAcrossThreadCounts) {
           << "chirp " << c << " bin " << k;
     }
   }
+
+  // Four 8-chirp background windows, IF-corrected at 1 and 4 threads.
+  chain.if_correct(seq_frame, nullptr, 8);
+  chain.if_correct(par_frame, &pool, 8);
+  ASSERT_EQ(seq_frame.aligned.range_grid, par_frame.aligned.range_grid);
+  ASSERT_EQ(seq_frame.aligned.n_chirps(), par_frame.aligned.n_chirps());
+  for (std::size_t r = 0; r < seq_frame.aligned.n_chirps(); ++r)
+    ASSERT_TRUE(same_bits(seq_frame.aligned.rows[r], par_frame.aligned.rows[r]))
+        << "row " << r;
 }
 
 TEST(DspEngineDeterminism, AlignAndDetectBitIdenticalAcrossThreadCounts) {
   const auto frame = make_frame(64);
-  const radar::RangeProcessor proc{radar::RangeProcessorConfig{}};
-  const auto profiles =
-      proc.process_frame(frame.samples, frame.chirps, frame.fs, nullptr);
+  const radar::ReceiveChain chain(frame.fs, radar::RangeAlignConfig{},
+                                  /*background_subtraction=*/true);
+  radar::ReceiveFrame seq_frame;
+  seq_frame.if_samples = frame.samples;
+  chain.range_fft(frame.chirps, seq_frame, nullptr);
+  radar::ReceiveFrame par_frame = seq_frame;
 
-  const radar::RangeAligner aligner{radar::RangeAlignConfig{}};
+  // Four 16-chirp background windows.
   ThreadPool pool(4);
-  const auto seq = aligner.align(profiles, nullptr);
-  const auto par = aligner.align(profiles, &pool);
+  chain.if_correct(seq_frame, nullptr, 16);
+  chain.if_correct(par_frame, &pool, 16);
+  const auto& seq = seq_frame.aligned;
+  const auto& par = par_frame.aligned;
 
   ASSERT_EQ(seq.rows.size(), par.rows.size());
   ASSERT_EQ(seq.range_grid, par.range_grid);
   for (std::size_t r = 0; r < seq.rows.size(); ++r)
-    ASSERT_EQ(seq.rows[r], par.rows[r]) << "row " << r;
+    ASSERT_TRUE(same_bits(seq.rows[r], par.rows[r])) << "row " << r;
 
   radar::TagDetectorConfig det_cfg;
   det_cfg.expected_mod_freq_hz = 1000.0;
