@@ -59,18 +59,18 @@ struct AlignedProfiles {
   std::size_t n_chirps() const { return rows.size(); }
   std::size_t n_bins() const { return range_grid.size(); }
 
-  /// Magnitude of one slow-time column (fixed grid bin across chirps).
+  /// Magnitude of one slow-time column (fixed grid bin across chirps), as
+  /// dsp::kernels::kmag defines it: sqrt(re² + im²), bit for bit.
   dsp::RVec column_magnitude(std::size_t bin) const;
 
   /// Allocation-free overload: writes into @p out (size n_chirps()). The
-  /// detector's slow-time loop calls this once per range bin per block, so
-  /// the allocating form would churn in the hot path.
+  /// uplink decoder reads the tag bin's column once per frame.
   void column_magnitude(std::size_t bin, std::span<double> out) const;
 
-  /// Windowed overloads: magnitudes of chirps [first, first+count) only
+  /// Windowed overload: magnitudes of chirps [first, first+count) only
   /// (out.size() == count). |·| is per-element, so the values are identical
-  /// to slicing the full-column read — but a batched multi-slot frame only
-  /// pays for the slot's own window instead of the whole slow-time column.
+  /// to slicing the full-column read. The detector's per-bin diagnostic
+  /// spectrum (TagDetector::slow_time_spectrum) reads its window this way.
   void column_magnitude(std::size_t bin, std::size_t first, std::size_t count,
                         std::span<double> out) const;
   /// Complex slow-time column.
