@@ -176,6 +176,42 @@ std::vector<Row> run_all(SimdTarget best) {
         },
         [&] { return bits_equal(r_out[0], r_out[1]); }));
 
+    // Row FFT kernels of the detector's Doppler stage (one column per lane).
+    // kbutterfly works in place, so each call restarts from the same rows.
+    const auto xr2 = random_real(n, 15);
+    const auto xr3 = random_real(n, 16);
+    dsp::RVec bf[2][4];
+    const auto butterfly_rows = [&](int slot, bool twiddle) {
+      dsp::RVec* b = bf[slot];
+      b[0].assign(xr.begin(), xr.end());
+      b[1].assign(w.begin(), w.end());
+      b[2].assign(xr2.begin(), xr2.end());
+      b[3].assign(xr3.begin(), xr3.end());
+      if (twiddle)
+        kbutterfly(b[0], b[1], b[2], b[3], 0.8, -0.6);
+      else
+        kbutterfly(b[0], b[1], b[2], b[3]);
+      g_sink = b[0][0];
+    };
+    const auto butterfly_parity = [&] {
+      bool ok = true;
+      for (int r = 0; r < 4; ++r) ok = ok && bits_equal(bf[0][r], bf[1][r]);
+      return ok;
+    };
+    rows.push_back(measure(
+        "kbutterfly", n, iters, best,
+        [&](int slot) { butterfly_rows(slot, true); }, butterfly_parity));
+    rows.push_back(measure(
+        "kbutterfly_unit", n, iters, best,
+        [&](int slot) { butterfly_rows(slot, false); }, butterfly_parity));
+    rows.push_back(measure(
+        "kuntangle_norm", n, iters, best,
+        [&](int slot) {
+          kuntangle_norm(xr, w, xr2, xr3, 0.8, -0.6, r_out[slot]);
+          g_sink = r_out[slot][0];
+        },
+        [&] { return bits_equal(r_out[0], r_out[1]); }));
+
     double red[2] = {0.0, 0.0};
     rows.push_back(measure(
         "ksum_sq", n, iters, best,

@@ -10,6 +10,7 @@
 
 #include "common/check.hpp"
 #include "common/constants.hpp"
+#include "dsp/kernels/kernels.hpp"
 
 namespace bis::dsp {
 namespace {
@@ -576,6 +577,77 @@ void RfftPlanHandle::operator()(std::span<const double> x, CVec& out) const {
   if (n % 2 != 0) re[pairs] = x[n - 1];  // A lone last even sample.
   transform_split(re, im, *plan_, /*inverse=*/false);
   rfft_untangle(re, im, *untangle_, out);
+}
+
+void RfftPlanHandle::power_columns(std::span<const double> x,
+                                   std::size_t width,
+                                   std::span<double> power) const {
+  BIS_CHECK(width > 0 && x.size() % width == 0);
+  BIS_CHECK_MSG(n_fft_ >= 2 && is_power_of_two(n_fft_),
+                "power_columns needs a power-of-two size");
+  const std::size_t h = n_fft_ / 2;
+  BIS_CHECK(power.size() == (h + 1) * width);
+  const std::size_t n = std::min(x.size() / width, n_fft_);
+  const FftPlan& plan = *plan_;  // The h-point complex plan.
+
+  // Split re/im rows of the packed h-point transform, one column per signal.
+  thread_local RVec re, im;
+  thread_local std::vector<std::uint32_t> slot;
+  thread_local CVec bins;
+  re.resize(h * width);
+  im.resize(h * width);
+  const auto row = [width](RVec& v, std::size_t k) {
+    return std::span<double>(v.data() + k * width, width);
+  };
+  const auto in_row = [&](std::size_t m) { return x.subspan(m * width, width); };
+
+  // operator()'s even/odd packing (pair k: sample 2k into re, 2k+1 into im),
+  // written straight to the row the plan's bit-reversal swaps would move it
+  // to: slot[k] is the bit-reversed index of k.
+  slot.resize(h);
+  for (std::size_t k = 0; k < h; ++k) slot[k] = static_cast<std::uint32_t>(k);
+  for (const auto& [i, j] : plan.swaps) std::swap(slot[i], slot[j]);
+  const std::size_t pairs = n / 2;
+  for (std::size_t k = 0; k < pairs; ++k) {
+    std::ranges::copy(in_row(2 * k), row(re, slot[k]).begin());
+    std::ranges::copy(in_row(2 * k + 1), row(im, slot[k]).begin());
+  }
+  for (std::size_t k = pairs; k < h; ++k) {
+    std::ranges::fill(row(re, slot[k]), 0.0);
+    std::ranges::fill(row(im, slot[k]), 0.0);
+  }
+  if (n % 2 != 0) std::ranges::copy(in_row(n - 1), row(re, slot[pairs]).begin());
+
+  // fft_pow2_with_plan's stages, one row-pair butterfly per (group, k).
+  for (std::size_t i = 0; i + 1 < h; i += 2)
+    kernels::kbutterfly(row(re, i), row(im, i), row(re, i + 1), row(im, i + 1));
+  std::size_t s = 0;
+  for (std::size_t len = 4; len <= h; len <<= 1, ++s) {
+    const RVec& twr = plan.tw_re_fwd[s];
+    const RVec& twi = plan.tw_im_fwd[s];
+    const std::size_t half = len / 2;
+    for (std::size_t i = 0; i < h; i += len)
+      for (std::size_t k = 0; k < half; ++k)
+        kernels::kbutterfly(row(re, i + k), row(im, i + k),
+                            row(re, i + k + half), row(im, i + k + half),
+                            twr[k], twi[k]);
+  }
+
+  // rfft_untangle and knorm row by row: |X[k]|² into power row k. Bins 0
+  // and h are purely real, (Re Z[0] ± Im Z[0], 0).
+  const RfftPlan& u = *untangle_;
+  const auto power_row = [&](std::size_t k) {
+    return power.subspan(k * width, width);
+  };
+  bins.resize(width);
+  for (std::size_t j = 0; j < width; ++j) bins[j] = cdouble(re[j] + im[j], 0.0);
+  kernels::knorm(bins, power_row(0));
+  for (std::size_t j = 0; j < width; ++j) bins[j] = cdouble(re[j] - im[j], 0.0);
+  kernels::knorm(bins, power_row(h));
+  for (std::size_t k = 1; k < h; ++k)
+    kernels::kuntangle_norm(row(re, k), row(im, k), row(re, h - k),
+                            row(im, h - k), u.tw_re[k], u.tw_im[k],
+                            power_row(k));
 }
 
 void rfft_into(std::span<const double> x, CVec& out) {

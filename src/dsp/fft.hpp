@@ -94,6 +94,19 @@ class RfftPlanHandle {
   /// to size(). rfft_padded_into(x, size(), out) is exactly this call.
   void operator()(std::span<const double> x, CVec& out) const;
 
+  /// The one-sided power spectra of many signals at once. @p x is a
+  /// row-major matrix of @p width columns, one signal per column and one
+  /// sample per row (zero-padded or truncated to size() rows); @p power
+  /// receives the (size()/2+1) × width row-major matrix of |X[k]|², bin k
+  /// of column j at [k·width + j]. Each column is bit-identical to
+  /// operator() on that column followed by kernels::knorm: the rows are
+  /// packed in the plan's bit-reversed order, the plan's radix-2 stages
+  /// run as kernels::kbutterfly on whole rows with the same twiddle
+  /// tables, and the untangle applies the same expressions row by row.
+  /// size() must be a power of two ≥ 2.
+  void power_columns(std::span<const double> x, std::size_t width,
+                     std::span<double> power) const;
+
  private:
   std::size_t n_fft_ = 0;
   std::shared_ptr<const RfftPlan> untangle_;  ///< Even n_fft only.

@@ -203,6 +203,23 @@ bool kgoertzel_prefers_scalar(std::size_t n_samples) {
   return n_samples > kGoertzelScalarFallbackSamples;
 }
 
+void kbutterfly(std::span<double> ar, std::span<double> ai,
+                std::span<double> br, std::span<double> bi, double wr,
+                double wi) {
+  active().butterfly(ar, ai, br, bi, wr, wi);
+}
+
+void kbutterfly(std::span<double> ar, std::span<double> ai,
+                std::span<double> br, std::span<double> bi) {
+  active().butterfly_unit(ar, ai, br, bi);
+}
+
+void kuntangle_norm(std::span<const double> zr, std::span<const double> zi,
+                    std::span<const double> zr_m, std::span<const double> zi_m,
+                    double wr, double wi, std::span<double> out) {
+  active().untangle_norm(zr, zi, zr_m, zi_m, wr, wi, out);
+}
+
 void ktagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
                std::span<const double> w, std::span<const double> g,
                std::size_t n, std::span<double> on, std::span<double> son) {

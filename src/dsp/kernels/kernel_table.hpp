@@ -30,6 +30,13 @@ struct KernelTable {
   double (*dot)(std::span<const double>, std::span<const double>);
   void (*goertzel)(std::span<const double>, std::span<const double>,
                    std::span<double>, std::span<double>);
+  void (*butterfly)(std::span<double>, std::span<double>, std::span<double>,
+                    std::span<double>, double, double);
+  void (*butterfly_unit)(std::span<double>, std::span<double>,
+                         std::span<double>, std::span<double>);
+  void (*untangle_norm)(std::span<const double>, std::span<const double>,
+                        std::span<const double>, std::span<const double>,
+                        double, double, std::span<double>);
   void (*tagscore)(std::span<const double>, std::span<const std::uint32_t>,
                    std::span<const double>, std::span<const double>,
                    std::size_t, std::span<double>, std::span<double>);

@@ -155,6 +155,37 @@ inline constexpr std::size_t kGoertzelScalarFallbackSamples = 256;
 bool kgoertzel_prefers_scalar(std::size_t n_samples);
 
 // ---------------------------------------------------------------------------
+// Real FFT across rows: one transform per column of a row-major matrix
+// (dsp::RfftPlanHandle::power_columns, the detector's Doppler stage)
+
+/// One radix-2 decimation-in-time butterfly on every column of a pair of
+/// split re/im rows: v = (br·wr − bi·wi, br·wi + bi·wr), then a ← a + v and
+/// b ← a − v. These are the FFT plan's own butterfly expressions, so each
+/// column of rows run through a plan's stages this way is bit-identical to
+/// that column's one-column transform. The vector targets run kLanes
+/// columns per block; columns never interact. All four rows have equal
+/// length.
+void kbutterfly(std::span<double> ar, std::span<double> ai,
+                std::span<double> br, std::span<double> bi, double wr,
+                double wi);
+
+/// The first radix-2 stage's butterfly, whose twiddle is exactly 1: a ← a + b,
+/// b ← a − b, with no multiply (as the FFT plan runs it).
+void kbutterfly(std::span<double> ar, std::span<double> ai,
+                std::span<double> br, std::span<double> bi);
+
+/// The real-input FFT's untangle of bin k followed by |·|², on every column:
+/// from Z[k] = (zr, zi), Z[h−k] = (zr_m, zi_m) and the twiddle
+/// e^{−j2πk/n} = (wr, wi), X = E + W·O with E = (Z[k] + conj(Z[h−k]))/2 and
+/// O = −j(Z[k] − conj(Z[h−k]))/2, and out = re(X)² + im(X)². The
+/// expressions are rfft's own untangle followed by knorm's, so each column
+/// equals dsp::rfft's bin k run through knorm bit for bit. All spans have
+/// equal length.
+void kuntangle_norm(std::span<const double> zr, std::span<const double> zi,
+                    std::span<const double> zr_m, std::span<const double> zi_m,
+                    double wr, double wi, std::span<double> out);
+
+// ---------------------------------------------------------------------------
 // Batched tag-scoring bank (multi-tag detection inner loop)
 
 /// Score a bank of n sparse signature rows against one shared spectrum

@@ -223,6 +223,101 @@ void goertzel(std::span<const double> x, std::span<const double> coeffs,
 }
 
 template <typename Ops>
+void butterfly(std::span<double> ar, std::span<double> ai,
+               std::span<double> br, std::span<double> bi, double wr,
+               double wi) {
+  // One column per lane: the twiddle is shared by the whole row pair, and
+  // each lane runs the plan's scalar butterfly (unfused products, the same
+  // operand order), so every column matches the scalar tail bit for bit.
+  const std::size_t n = ar.size();
+  const std::size_t nL = n - n % Ops::kLanes;
+  const auto vwr = Ops::bcast(wr);
+  const auto vwi = Ops::bcast(wi);
+  for (std::size_t i = 0; i < nL; i += Ops::kLanes) {
+    const auto xr = Ops::load(br.data() + i);
+    const auto xi = Ops::load(bi.data() + i);
+    const auto vr = Ops::sub(Ops::mul(xr, vwr), Ops::mul(xi, vwi));
+    const auto vi = Ops::add(Ops::mul(xr, vwi), Ops::mul(xi, vwr));
+    const auto ur = Ops::load(ar.data() + i);
+    const auto ui = Ops::load(ai.data() + i);
+    Ops::store(ar.data() + i, Ops::add(ur, vr));
+    Ops::store(ai.data() + i, Ops::add(ui, vi));
+    Ops::store(br.data() + i, Ops::sub(ur, vr));
+    Ops::store(bi.data() + i, Ops::sub(ui, vi));
+  }
+  for (std::size_t i = nL; i < n; ++i) {
+    const double vr = br[i] * wr - bi[i] * wi;
+    const double vi = br[i] * wi + bi[i] * wr;
+    const double ur = ar[i], ui = ai[i];
+    ar[i] = ur + vr;
+    ai[i] = ui + vi;
+    br[i] = ur - vr;
+    bi[i] = ui - vi;
+  }
+}
+
+template <typename Ops>
+void butterfly_unit(std::span<double> ar, std::span<double> ai,
+                    std::span<double> br, std::span<double> bi) {
+  const std::size_t n = ar.size();
+  const std::size_t nL = n - n % Ops::kLanes;
+  for (std::size_t i = 0; i < nL; i += Ops::kLanes) {
+    const auto ur = Ops::load(ar.data() + i), ui = Ops::load(ai.data() + i);
+    const auto vr = Ops::load(br.data() + i), vi = Ops::load(bi.data() + i);
+    Ops::store(ar.data() + i, Ops::add(ur, vr));
+    Ops::store(ai.data() + i, Ops::add(ui, vi));
+    Ops::store(br.data() + i, Ops::sub(ur, vr));
+    Ops::store(bi.data() + i, Ops::sub(ui, vi));
+  }
+  for (std::size_t i = nL; i < n; ++i) {
+    const double ur = ar[i], ui = ai[i];
+    const double vr = br[i], vi = bi[i];
+    ar[i] = ur + vr;
+    ai[i] = ui + vi;
+    br[i] = ur - vr;
+    bi[i] = ui - vi;
+  }
+}
+
+template <typename Ops>
+void untangle_norm(std::span<const double> zr, std::span<const double> zi,
+                   std::span<const double> zr_m, std::span<const double> zi_m,
+                   double wr, double wi, std::span<double> out) {
+  // rfft's untangle takes b = conj(Z[h−k]) = (zr_m, −zi_m), then
+  // ei = ½(ai + bi) and di = ai − bi. IEEE-754 defines x − y as x + (−y), so
+  // ½(ai − zi_m) and ai + zi_m are those values bit for bit, and no lane
+  // needs a negation.
+  const std::size_t n = out.size();
+  const std::size_t nL = n - n % Ops::kLanes;
+  const auto half = Ops::bcast(0.5);
+  const auto neg_half = Ops::bcast(-0.5);
+  const auto vwr = Ops::bcast(wr);
+  const auto vwi = Ops::bcast(wi);
+  for (std::size_t i = 0; i < nL; i += Ops::kLanes) {
+    const auto ar = Ops::load(zr.data() + i), ai = Ops::load(zi.data() + i);
+    const auto br = Ops::load(zr_m.data() + i);
+    const auto bm = Ops::load(zi_m.data() + i);
+    const auto er = Ops::mul(half, Ops::add(ar, br));
+    const auto ei = Ops::mul(half, Ops::sub(ai, bm));
+    const auto od = Ops::mul(half, Ops::add(ai, bm));
+    const auto oi = Ops::mul(neg_half, Ops::sub(ar, br));
+    const auto xr = Ops::sub(Ops::add(er, Ops::mul(vwr, od)), Ops::mul(vwi, oi));
+    const auto xi = Ops::add(Ops::add(ei, Ops::mul(vwr, oi)), Ops::mul(vwi, od));
+    Ops::store(out.data() + i, Ops::add(Ops::mul(xr, xr), Ops::mul(xi, xi)));
+  }
+  for (std::size_t i = nL; i < n; ++i) {
+    const double ar = zr[i], ai = zi[i], br = zr_m[i], bm = zi_m[i];
+    const double er = 0.5 * (ar + br);
+    const double ei = 0.5 * (ai - bm);
+    const double od = 0.5 * (ai + bm);
+    const double oi = -0.5 * (ar - br);
+    const double xr = er + wr * od - wi * oi;
+    const double xi = ei + wr * oi + wi * od;
+    out[i] = xr * xr + xi * xi;
+  }
+}
+
+template <typename Ops>
 void tagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
               std::span<const double> w, std::span<const double> g,
               std::size_t n, std::span<double> on, std::span<double> son) {
@@ -278,6 +373,9 @@ detail::KernelTable make_table() {
   t.sum_sq = &sum_sq<Ops>;
   t.dot = &dot<Ops>;
   t.goertzel = &goertzel<Ops>;
+  t.butterfly = &butterfly<Ops>;
+  t.butterfly_unit = &butterfly_unit<Ops>;
+  t.untangle_norm = &untangle_norm<Ops>;
   t.tagscore = &tagscore<Ops>;
   return t;
 }

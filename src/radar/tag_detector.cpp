@@ -25,7 +25,6 @@ namespace bis::radar {
 TagDetector::TagDetector(const TagDetectorConfig& config) : config_(config) {
   BIS_CHECK(config_.expected_mod_freq_hz > 0.0);
   BIS_CHECK(config_.duty_cycle > 0.0 && config_.duty_cycle < 1.0);
-  BIS_CHECK(config_.slow_time_pad_factor >= 1);
   for (double f : config_.candidate_mod_freqs_hz) BIS_CHECK(f > 0.0);
   self_target_ = TagTarget{config_.expected_mod_freq_hz,
                            config_.candidate_mod_freqs_hz};
@@ -151,11 +150,11 @@ const ScoreBank& resolve_bank(std::uint64_t epoch,
   return bank;
 }
 
-/// What a slow-time spectrum needs besides its column: the window length,
+/// What a slow-time spectrum needs besides its samples: the window length,
 /// the Hann window, and the rfft plans. Resolved once per window and shared
-/// read-only by every bin, so the per-bin loop makes no cache lookups (each
-/// lookup takes a process-wide mutex that concurrent detect calls contend
-/// on).
+/// read-only by every tile, so the Doppler stage makes no cache lookups
+/// (each lookup takes a process-wide mutex that concurrent detect calls
+/// contend on).
 struct SpectrumPlan {
   std::size_t count = 0;
   std::size_t n_fft = 0;
@@ -163,47 +162,74 @@ struct SpectrumPlan {
   dsp::RfftPlanHandle rfft;
 };
 
-SpectrumPlan spectrum_plan(const TagDetectorConfig& config, std::size_t count) {
+SpectrumPlan spectrum_plan(std::size_t count) {
   BIS_CHECK(count >= 4);
   SpectrumPlan plan;
   plan.count = count;
-  plan.n_fft = dsp::next_power_of_two(count) * config.slow_time_pad_factor;
+  plan.n_fft = dsp::next_power_of_two(count) * kSlowTimePadFactor;
   plan.hann = dsp::cached_window(dsp::WindowType::kHann, count);
   plan.rfft = dsp::RfftPlanHandle(plan.n_fft);
   return plan;
 }
 
 /// Slow-time power spectrum of one grid bin over chirps [first,
-/// first+plan.count), in per-thread scratch. The windowed column read
-/// touches only the window's own rows — in a batched multi-slot frame each
-/// slot pays for its window, not the whole concatenated column — and |·| is
-/// per-element, so the values are bit-identical to slicing a full-column
-/// read.
-std::span<const double> spectrum_window(const SpectrumPlan& plan,
-                                        const AlignedProfiles& profiles,
-                                        std::size_t bin, std::size_t first) {
+/// first+plan.count), one column at a time: the per-bin definition behind
+/// TagDetector::slow_time_spectrum. The scoring path computes the same bits
+/// a tile of bins at a time (doppler_tile).
+dsp::RVec spectrum_window(const SpectrumPlan& plan,
+                          const AlignedProfiles& profiles, std::size_t bin,
+                          std::size_t first) {
   const std::size_t count = plan.count;
-  // This runs once per range bin per window — the detector's hottest loop.
-  // thread_local scratch keeps each parallel_for lane allocation-free; every
-  // call fully overwrites the buffers, so reuse never leaks state across bins.
-  thread_local dsp::RVec col, xw, power;
-  thread_local dsp::CVec spec;
-  col.resize(count);
+  dsp::RVec col(count);
   profiles.column_magnitude(bin, first, count, col);
   // Static clutter residue is DC in slow time; remove the mean before the
-  // FFT so the modulation tone dominates. Fused mean-removal + Hann window
-  // evaluates exactly what remove_dc + apply_window computed.
+  // FFT so the modulation tone dominates, then apply the Hann window.
   double mean = 0.0;
   for (double x : col) mean += x;
   mean /= static_cast<double>(count);
   const dsp::RVec& w = *plan.hann;
-  xw.resize(count);
-  for (std::size_t i = 0; i < count; ++i) xw[i] = (col[i] - mean) * w[i];
-  // Real-input fast path: the one-sided rfft is all this ever read from the
-  // full complex transform.
-  plan.rfft(xw, spec);
-  power.resize(spec.size());
+  for (std::size_t i = 0; i < count; ++i) col[i] = (col[i] - mean) * w[i];
+  dsp::CVec spec;
+  plan.rfft(col, spec);
+  dsp::RVec power(spec.size());
   dsp::kernels::knorm(spec, power);
+  return power;
+}
+
+/// The Doppler stage of one tile: the slow-time power spectra of range bins
+/// [b0, b0+width) over chirps [first, first+plan.count), as a
+/// (n_fft/2+1) × width row-major matrix in per-thread scratch (valid until
+/// the thread's next call). Every step runs along rows, across the tile's
+/// bins, and each bin's column gets exactly spectrum_window's operations:
+/// contiguous kmag per chirp row; each bin's mean summed in chirp order and
+/// divided by count; hann[m]·(x + (−1)·mean), which is (x − mean)·hann[m]
+/// bit for bit; and the batched rfft + |·|² of power_columns.
+std::span<const double> doppler_tile(const SpectrumPlan& plan,
+                                     const AlignedProfiles& profiles,
+                                     std::size_t first, std::size_t b0,
+                                     std::size_t width) {
+  const std::size_t count = plan.count;
+  // thread_local scratch keeps each parallel_for lane allocation-free; every
+  // call fully overwrites it, so reuse never leaks state across tiles.
+  thread_local dsp::RVec tile, mean, power;
+  tile.resize(count * width);
+  mean.assign(width, 0.0);
+  const auto tile_row = [&](std::size_t m) {
+    return std::span<double>(tile.data() + m * width, width);
+  };
+  for (std::size_t m = 0; m < count; ++m) {
+    const std::span<const dsp::cdouble> segment(
+        profiles.rows[first + m].data() + b0, width);
+    const std::span<double> row = tile_row(m);
+    dsp::kernels::kmag(segment, row);
+    for (std::size_t j = 0; j < width; ++j) mean[j] += row[j];
+  }
+  for (double& v : mean) v /= static_cast<double>(count);
+  const dsp::RVec& hann = *plan.hann;
+  for (std::size_t m = 0; m < count; ++m)
+    dsp::kernels::kscale_add(tile_row(m), hann[m], -1.0, mean);
+  power.resize((plan.n_fft / 2 + 1) * width);
+  plan.rfft.power_columns(tile, width, power);
   return power;
 }
 
@@ -275,7 +301,7 @@ void add_window(Core& core, const TagDetectorConfig& config,
   }
   core.tag_rows.push_back(core.row_freqs.size() - row_first);
   w.rows = core.row_freqs.size() - row_first;
-  w.spectrum = spectrum_plan(config, count);
+  w.spectrum = spectrum_plan(count);
   // The frame's slow-time cadence is the first chirp's duration + idle, and
   // under CSSK the slope draw perturbs that sum's last ULP — a different
   // double per frame for the same physical cadence, which would mint a new
@@ -293,19 +319,17 @@ void add_window(Core& core, const TagDetectorConfig& config,
   core.windows.push_back(std::move(w));
 }
 
-/// Scores one range bin of one window: the slow-time tone power at each
-/// row's frequency, gated by the square-wave signature correlation and by
-/// tone *prominence* over the bin's own spectral floor (broadband clutter
-/// residue under CSSK slope variation is flat, a tag tone is not). The
-/// spectrum and its total non-DC power are shared by every row. Scores land
-/// in the window's tag-major [t·n_bins + b] blk matrices, and a call writes
-/// only bin @p b's slots.
-void score_bin(const TagDetectorConfig& config,
-               const AlignedProfiles& profiles, Core& core, const Window& w,
-               std::size_t b) {
-  if (profiles.range_grid[b] < config.min_range_m) return;
+/// Scores one range bin of one window from its slow-time power spectrum:
+/// the tone power at each row's frequency, gated by the square-wave
+/// signature correlation and by tone *prominence* over the bin's own
+/// spectral floor (broadband clutter residue under CSSK slope variation is
+/// flat, a tag tone is not). The spectrum and its total non-DC power are
+/// shared by every row. Scores land in the window's tag-major [t·n_bins + b]
+/// blk matrices, and a call writes only bin @p b's slots.
+void score_bin(const TagDetectorConfig& config, std::size_t n_bins,
+               Core& core, const Window& w, std::size_t b,
+               std::span<const double> spectrum) {
   const std::size_t* const tag_rows = core.tag_rows.data() + w.tag_rows_first;
-  const auto spectrum = spectrum_window(w.spectrum, profiles, b, w.first);
   double total = 0.0;
   for (std::size_t i = 1; i < spectrum.size(); ++i) total += spectrum[i];
 
@@ -332,7 +356,7 @@ void score_bin(const TagDetectorConfig& config,
     }
     const double s = dsp::signature_score_from(on[r], bank.on_w[r], son[r],
                                                total, bank.off_n[r]);
-    const std::size_t slot = w.blk_first + t * profiles.n_bins() + b;
+    const std::size_t slot = w.blk_first + t * n_bins + b;
     core.blk_tone[slot] = std::max(core.blk_tone[slot], p);
     core.blk_score[slot] = std::max(core.blk_score[slot], s);
     if (s < config.min_signature_score) continue;
@@ -345,12 +369,33 @@ void score_bin(const TagDetectorConfig& config,
   }
 }
 
-/// Scores every (window, range bin) pair into the windows' blk matrices as
-/// one flat map across @p pool. Each item writes only its own bin's slots,
-/// so the result is bit-identical for any thread count.
+/// Scores one (window, tile) work item: the tile's Doppler stage, then each
+/// in-range bin's spectrum, gathered from the tile's column, through
+/// score_bin.
+void score_tile(const TagDetectorConfig& config,
+                const AlignedProfiles& profiles, Core& core, const Window& w,
+                std::size_t b0) {
+  const std::size_t n_bins = profiles.n_bins();
+  const std::size_t width = std::min(kDopplerTileBins, n_bins - b0);
+  const std::size_t n_spec = w.spectrum.n_fft / 2 + 1;
+  const auto power = doppler_tile(w.spectrum, profiles, w.first, b0, width);
+  thread_local dsp::RVec spectrum;
+  spectrum.resize(n_spec);
+  for (std::size_t j = 0; j < width; ++j) {
+    if (profiles.range_grid[b0 + j] < config.min_range_m) continue;
+    for (std::size_t k = 0; k < n_spec; ++k) spectrum[k] = power[k * width + j];
+    score_bin(config, n_bins, core, w, b0 + j, spectrum);
+  }
+}
+
+/// Scores every (window, tile of kDopplerTileBins range bins) pair into the
+/// windows' blk matrices as one flat map across @p pool. Each item writes
+/// only its own bins' slots, so the result is bit-identical for any thread
+/// count.
 void score_windows(Core& core, const TagDetectorConfig& config,
                    const AlignedProfiles& profiles, ThreadPool* pool) {
-  const std::size_t n_bins = profiles.n_bins();
+  const std::size_t n_tiles =
+      (profiles.n_bins() + kDopplerTileBins - 1) / kDopplerTileBins;
   core.blk_metric.assign(core.blk_total, 0.0);
   core.blk_tone.assign(core.blk_total, 0.0);
   core.blk_score.assign(core.blk_total, 0.0);
@@ -358,9 +403,9 @@ void score_windows(Core& core, const TagDetectorConfig& config,
   // reference (naming a thread_local inside the lambda would give a pool
   // worker its own, empty, instance); windows, plans and banks are read-only.
   bis::parallel_for(
-      pool, 0, core.windows.size() * n_bins, [&](std::size_t item) {
-        score_bin(config, profiles, core, core.windows[item / n_bins],
-                  item % n_bins);
+      pool, 0, core.windows.size() * n_tiles, [&](std::size_t item) {
+        score_tile(config, profiles, core, core.windows[item / n_tiles],
+                   (item % n_tiles) * kDopplerTileBins);
       });
 }
 
@@ -463,23 +508,35 @@ void finalize_window(const Core& core, const TagDetectorConfig& config,
   }
 }
 
-}  // namespace
-
-std::span<const double> TagDetector::spectrum_into(
-    const AlignedProfiles& profiles, std::size_t bin, std::size_t first,
-    std::size_t count) const {
+/// The window [first, first+count) of a slow-time diagnostic; count = 0 means
+/// the rest of the frame.
+std::size_t window_count(const AlignedProfiles& profiles, std::size_t first,
+                         std::size_t count) {
   const std::size_t n_chirps = profiles.n_chirps();
   BIS_CHECK(first < n_chirps);
   if (count == 0) count = n_chirps - first;
   BIS_CHECK(first + count <= n_chirps);
-  return spectrum_window(spectrum_plan(config_, count), profiles, bin, first);
+  return count;
 }
+
+}  // namespace
 
 dsp::RVec TagDetector::slow_time_spectrum(const AlignedProfiles& profiles,
                                           std::size_t bin, std::size_t first,
                                           std::size_t count) const {
-  const auto s = spectrum_into(profiles, bin, first, count);
-  return dsp::RVec(s.begin(), s.end());
+  count = window_count(profiles, first, count);
+  return spectrum_window(spectrum_plan(count), profiles, bin, first);
+}
+
+dsp::RVec TagDetector::slow_time_spectra(const AlignedProfiles& profiles,
+                                         std::size_t b0, std::size_t width,
+                                         std::size_t first,
+                                         std::size_t count) const {
+  count = window_count(profiles, first, count);
+  BIS_CHECK(width > 0 && b0 + width <= profiles.n_bins());
+  const auto tile =
+      doppler_tile(spectrum_plan(count), profiles, first, b0, width);
+  return dsp::RVec(tile.begin(), tile.end());
 }
 
 TagDetection TagDetector::detect(const AlignedProfiles& profiles,

@@ -7,7 +7,9 @@
 /// contains the tag's square-wave switching signature: the slow-time FFT
 /// shows a tone at the modulation frequency (plus odd harmonics). We score
 /// every bin with a matched filter against that signature (Millimetro-style)
-/// and localize by refining the peak of the per-bin modulation power.
+/// and localize by refining the peak of the per-bin modulation power. The
+/// slow-time spectra come from a radar Doppler stage that transforms a tile
+/// of kDopplerTileBins range bins at once, along rows (DESIGN.md §20).
 
 #include <span>
 #include <vector>
@@ -19,6 +21,15 @@
 
 namespace bis::radar {
 
+/// Zero padding of the slow-time FFT: a window of `count` chirps is
+/// transformed at n_fft = kSlowTimePadFactor · next_pow2(count) points. A
+/// power of two, so n_fft is one too, as the radix-2 Doppler stage needs.
+inline constexpr std::size_t kSlowTimePadFactor = 4;
+
+/// Range bins per work item of the detector's Doppler stage: their
+/// slow-time spectra are computed together, as rows across the tile.
+inline constexpr std::size_t kDopplerTileBins = 64;
+
 struct TagDetectorConfig {
   double expected_mod_freq_hz = 1200.0;  ///< The tag's assigned frequency.
   std::vector<double> candidate_mod_freqs_hz;  ///< FSK: all alphabet tones;
@@ -26,7 +37,6 @@ struct TagDetectorConfig {
   double duty_cycle = 0.5;
   std::size_t n_harmonics = 3;
   double min_range_m = 0.15;  ///< Ignore the DC/TX-leakage region.
-  std::size_t slow_time_pad_factor = 4;
   double detection_threshold_db = 13.0;  ///< Mod-tone power over the noise
                                           ///< floor. Must clear the extreme-
                                           ///< value statistics of max-over-
@@ -92,14 +102,14 @@ class TagDetector {
                       ThreadPool* pool = nullptr) const;
 
   /// Batched multi-tag detection: compute each range bin's slow-time power
-  /// spectrum ONCE per block (fanned across @p pool; nullptr = inline) and
-  /// score every target's modulation comb against it with the
+  /// spectrum ONCE per block (tiles of bins fanned across @p pool; nullptr =
+  /// inline) and score every target's modulation comb against it with the
   /// kernels::ktagscore signature bank. Writes targets.size() detections
   /// into @p out (same order). Per-tag results are bit-identical to calling
   /// detect() once per target with that target's frequencies, at any tag
   /// count, thread count, and SIMD target: the spectrum/score math per
-  /// (bin, row) is the same IEEE operations in the same order, and each bin
-  /// writes only its own slots of the score matrices.
+  /// (bin, row) is the same IEEE operations in the same order, and each tile
+  /// writes only its own bins' slots of the score matrices.
   void detect_many(const AlignedProfiles& profiles,
                    std::span<const TagTarget> targets,
                    std::span<TagDetection> out, ThreadPool* pool = nullptr) const;
@@ -112,13 +122,13 @@ class TagDetector {
   /// Batched multi-slot detection over one concatenated slow-time frame:
   /// each SlotSpan names a chirp window (one MAC slot's integration block)
   /// and the contiguous run of @p targets scored against it. All
-  /// (slot, range-bin) spectra fan across @p pool as one flat map, so a
-  /// round's worth of slots costs one parallel pass instead of one
+  /// (slot, tile of range bins) spectra fan across @p pool as one flat map,
+  /// so a round's worth of slots costs one parallel pass instead of one
   /// detect_many call per slot. Per-slot results are bit-identical to
   /// calling detect_many on a standalone AlignedProfiles holding just that
   /// slot's rows: the windowed spectrum, the signature bank, and the
   /// fuse/epilogue path run the same IEEE operations in the same order,
-  /// and each (slot, bin) work item writes only its own score slots.
+  /// and each (slot, tile) work item writes only its own bins' score slots.
   /// Slots are single integration blocks — config block_chirps must be 0 or
   /// ≥ every slot's n_chirps. Slots shorter than 8 chirps yield empty
   /// detections (the same guard detect_many applies to whole frames).
@@ -129,20 +139,25 @@ class TagDetector {
                     ThreadPool* pool = nullptr) const;
 
   /// Slow-time one-sided power spectrum of one grid bin (mean-removed,
-  /// Hann-windowed, zero-padded) over chirps [first, first+count); count=0
-  /// means the whole frame. Exposed for diagnostics and decoding.
+  /// Hann-windowed, zero-padded to kSlowTimePadFactor·next_pow2(count))
+  /// over chirps [first, first+count); count=0 means the whole frame.
+  /// Computed one column at a time; the detector's tiled Doppler stage
+  /// gives every bin exactly these bits. Exposed for diagnostics.
   dsp::RVec slow_time_spectrum(const AlignedProfiles& profiles, std::size_t bin,
                                std::size_t first = 0, std::size_t count = 0) const;
+
+  /// The spectra of range bins [b0, b0+width) as the detector scores them,
+  /// from its row-major Doppler stage: a (n_fft/2+1) × width row-major
+  /// matrix holding bin b0+j's spectrum in column j, each column
+  /// bit-identical to slow_time_spectrum of that bin. Exposed for
+  /// diagnostics.
+  dsp::RVec slow_time_spectra(const AlignedProfiles& profiles, std::size_t b0,
+                              std::size_t width, std::size_t first = 0,
+                              std::size_t count = 0) const;
 
   const TagDetectorConfig& config() const { return config_; }
 
  private:
-  /// slow_time_spectrum into per-thread scratch; the returned span is valid
-  /// until the next call on the same thread.
-  std::span<const double> spectrum_into(const AlignedProfiles& profiles,
-                                        std::size_t bin, std::size_t first,
-                                        std::size_t count) const;
-
   TagDetectorConfig config_;
   TagTarget self_target_;  ///< detect()'s single target, built once.
 };

@@ -49,7 +49,8 @@ struct SceneTag {
 /// A frame with several square-wave tags plus static clutter. Each tag
 /// toggles between full and residual amplitude on its own frequency.
 AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
-                           std::uint64_t seed, std::size_t n_chirps = 256) {
+                           std::uint64_t seed, std::size_t n_chirps = 256,
+                           std::size_t grid_bins = 0) {
   IfSynthConfig cfg;
   cfg.noise_power_dbm = -90.0;
   cfg.phase_noise_rad_per_sqrt_s = 0.0;
@@ -70,7 +71,7 @@ AlignedProfiles make_frame(const std::vector<SceneTag>& tags,
     }
     frame.if_samples.push_back(synth.synthesize(chirp, rets));
   }
-  const ReceiveChain chain(kFs, RangeAlignConfig{},
+  const ReceiveChain chain(kFs, RangeAlignConfig{grid_bins},
                            /*background_subtraction=*/true);
   chain.range_fft(std::vector<rf::ChirpParams>(n_chirps, chirp), frame, nullptr);
   chain.if_correct(frame, nullptr);
@@ -235,7 +236,7 @@ ReferenceDetections reference_detect(const TagDetector& detector,
   std::size_t block = cfg.block_chirps;
   if (block == 0 || block > count) block = count;
   const std::size_t n_fft =
-      dsp::next_power_of_two(block) * cfg.slow_time_pad_factor;
+      dsp::next_power_of_two(block) * kSlowTimePadFactor;
   // The detector's documented 1 ps quantization of the chirp cadence.
   const double period = std::round(a.chirp_period_s * 1e12) / 1e12;
   const double bin_hz = (1.0 / period) / static_cast<double>(n_fft);
@@ -378,6 +379,24 @@ TEST_F(DetectMany, MatchesIndependentReferenceWithBinsBelowMinRange) {
   ASSERT_TRUE(ref.dets[1].found);
   EXPECT_NEAR(ref.dets[1].range_m, 4.5, 0.05);
   EXPECT_GT(std::abs(ref.dets[0].range_m - 2.0), 0.5);  // Never at 2 m.
+  expect_matches_reference(det, aligned, targets, ref);
+}
+
+TEST_F(DetectMany, MatchesIndependentReferenceOnRaggedTiles) {
+  // 150 grid bins: the last Doppler tile is partial, and the first holds
+  // both bins below min_range_m and bins the detector scores. 199 chirps:
+  // an odd window, so the rfft packs a lone last sample.
+  const auto aligned = make_frame({{2.2, 1100.0}, {3.8, 700.0}}, 51, 199, 150);
+  ASSERT_NE(aligned.n_bins() % kDopplerTileBins, 0u);
+  TagDetectorConfig cfg = config_for(1100.0);
+  cfg.min_range_m = 0.5;
+  const TagDetector det(cfg);
+  const std::vector<TagTarget> targets = {{1100.0, {}}, {700.0, {}}};
+  const auto ref = reference_detect(det, aligned, targets, 0, 199);
+  ASSERT_GT(ref.bins_below_min_range, 0u);
+  ASSERT_LT(ref.bins_below_min_range, kDopplerTileBins);
+  ASSERT_TRUE(ref.dets[0].found && ref.dets[1].found);
+  EXPECT_NEAR(ref.dets[0].range_m, 2.2, 0.1);
   expect_matches_reference(det, aligned, targets, ref);
 }
 

@@ -1,6 +1,7 @@
 // Real-input FFT (rfft/irfft): parity against the complex-promoted
 // fft_real_padded reference across even, odd, and Bluestein-path sizes,
-// round trips, plan-cache integration, and padded variants.
+// round trips, plan-cache integration, padded variants, and the batched
+// power spectra of many columns (power_columns).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "common/random.hpp"
 #include "dsp/fft.hpp"
+#include "dsp/kernels/kernels.hpp"
 
 namespace bis::dsp {
 namespace {
@@ -126,6 +128,51 @@ TEST(Rfft, PlanHandleOwnsItsPlans) {
       EXPECT_EQ(got[k], want[k]) << "bin " << k << " n_fft " << n_fft;
   }
   fft_plan_cache_clear();
+}
+
+TEST(Rfft, PowerColumnsMatchPerColumnTransformOnAllTargets) {
+  // The batched transform of the detector's Doppler stage: each column of
+  // power_columns equals operator() on that column followed by knorm, bit
+  // for bit, on every SIMD target (its row butterflies and untangle are
+  // dispatched kernels), using only the plans the handle holds.
+  using kernels::SimdTarget;
+  const SimdTarget saved = kernels::active_target();
+  for (SimdTarget target :
+       {SimdTarget::kScalar, SimdTarget::kSse2, SimdTarget::kAvx2}) {
+    if (!kernels::set_target(target)) continue;
+    SCOPED_TRACE(kernels::target_name(target));
+    for (std::size_t n_fft : {16u, 128u, 256u}) {
+      const RfftPlanHandle handle(n_fft);
+      fft_plan_cache_clear();
+      // Below n_fft/2, odd (a lone last even sample), odd above n_fft/2, and
+      // the full length.
+      for (std::size_t count :
+           {n_fft / 4, n_fft / 4 + 3, n_fft / 2 + 1, n_fft}) {
+        for (std::size_t width : {1u, 3u, 4u, 5u, 64u, 67u}) {
+          SCOPED_TRACE("n_fft " + std::to_string(n_fft) + " count " +
+                       std::to_string(count) + " width " +
+                       std::to_string(width));
+          const RVec x = random_real(count * width, n_fft + count + width);
+          RVec power((n_fft / 2 + 1) * width, -1.0);
+          handle.power_columns(x, width, power);
+          RVec col(count), want(n_fft / 2 + 1);
+          CVec spec;
+          for (std::size_t j = 0; j < width; ++j) {
+            for (std::size_t m = 0; m < count; ++m) col[m] = x[m * width + j];
+            handle(col, spec);
+            kernels::knorm(spec, want);
+            for (std::size_t k = 0; k < want.size(); ++k)
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(power[k * width + j]),
+                        std::bit_cast<std::uint64_t>(want[k]))
+                  << "column " << j << " bin " << k;
+          }
+        }
+      }
+      const auto stats = fft_plan_cache_stats();
+      EXPECT_EQ(stats.hits + stats.misses, 0u) << "n_fft " << n_fft;
+    }
+  }
+  kernels::set_target(saved);
 }
 
 TEST(Rfft, DcBinIsPlainSum) {

@@ -369,6 +369,11 @@ TEST_F(SimdKernels, EmptySpansAreNoOps) {
     kscale(std::span<double>(), 2.0);
     kgoertzel(std::span<const double>(), std::span<const double>(),
               std::span<double>(), std::span<double>());
+    kbutterfly(std::span<double>(), std::span<double>(), std::span<double>(),
+               std::span<double>(), 1.0, 0.0);
+    kuntangle_norm(std::span<const double>(), std::span<const double>(),
+                   std::span<const double>(), std::span<const double>(), 1.0,
+                   0.0, std::span<double>());
   }
 }
 
@@ -413,6 +418,55 @@ TEST_F(SimdKernels, LinkSimulatorFrameOutputBitIdenticalAcrossTargets) {
     EXPECT_TRUE(bits_eq(results[i].snr_db, results[0].snr_db));
     EXPECT_TRUE(bits_eq(results[i].mod_power, results[0].mod_power));
     EXPECT_TRUE(bits_eq(results[i].signature_score, results[0].signature_score));
+  }
+}
+
+TEST_F(SimdKernels, RowFftKernelsMatchScalarReferenceOnAllTargets) {
+  // kbutterfly (with and without a twiddle) and kuntangle_norm run one
+  // column per lane; every column must equal the FFT plan's scalar
+  // butterfly and rfft's untangle followed by re² + im², at full-block and
+  // tail widths.
+  const double wr = std::cos(0.3), wi = -std::sin(0.3);
+  for (SimdTarget t : available_targets()) {
+    ASSERT_TRUE(set_target(t));
+    SCOPED_TRACE(target_name(t));
+    for (std::size_t n : kSizes) {
+      SCOPED_TRACE("width=" + std::to_string(n));
+      const RVec ar = det_real(n, 1), ai = det_real(n, 2);
+      const RVec br = det_real(n, 3), bi = det_real(n, 4);
+      RVec ref[4] = {RVec(n), RVec(n), RVec(n), RVec(n)};
+      RVec unit[4] = {RVec(n), RVec(n), RVec(n), RVec(n)};
+      RVec ref_norm(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double vr = br[i] * wr - bi[i] * wi;
+        const double vi = br[i] * wi + bi[i] * wr;
+        ref[0][i] = ar[i] + vr;
+        ref[1][i] = ai[i] + vi;
+        ref[2][i] = ar[i] - vr;
+        ref[3][i] = ai[i] - vi;
+        unit[0][i] = ar[i] + br[i];
+        unit[1][i] = ai[i] + bi[i];
+        unit[2][i] = ar[i] - br[i];
+        unit[3][i] = ai[i] - bi[i];
+        // rfft's untangle of Z[k] = (ar, ai) against Z[h−k] = (br, bi).
+        const double cr = br[i], ci = -bi[i];
+        const double er = 0.5 * (ar[i] + cr), ei = 0.5 * (ai[i] + ci);
+        const double od = 0.5 * (ai[i] - ci), oi = -0.5 * (ar[i] - cr);
+        const double xr = er + wr * od - wi * oi;
+        const double xi = ei + wr * oi + wi * od;
+        ref_norm[i] = xr * xr + xi * xi;
+      }
+      RVec got[4] = {ar, ai, br, bi};
+      kbutterfly(got[0], got[1], got[2], got[3], wr, wi);
+      for (int r = 0; r < 4; ++r) EXPECT_TRUE(bits_eq(got[r], ref[r])) << r;
+      RVec got_unit[4] = {ar, ai, br, bi};
+      kbutterfly(got_unit[0], got_unit[1], got_unit[2], got_unit[3]);
+      for (int r = 0; r < 4; ++r)
+        EXPECT_TRUE(bits_eq(got_unit[r], unit[r])) << "unit " << r;
+      RVec got_norm(n, -1.0);
+      kuntangle_norm(ar, ai, br, bi, wr, wi, got_norm);
+      EXPECT_TRUE(bits_eq(got_norm, ref_norm));
+    }
   }
 }
 

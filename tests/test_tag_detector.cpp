@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/random.hpp"
 #include "radar/if_synthesizer.hpp"
@@ -125,6 +127,27 @@ TEST(TagDetector, SlowTimeSpectrumWindowing) {
   const auto whole = det.slow_time_spectrum(aligned, 10);
   const auto half = det.slow_time_spectrum(aligned, 10, 0, 64);
   EXPECT_GT(whole.size(), half.size());
+}
+
+TEST(TagDetector, TiledSpectraMatchPerBinSpectrumBitForBit) {
+  // The scoring path's Doppler stage against the per-bin definition, on a
+  // 99-chirp window: odd, so the rfft packs a lone last sample, and not a
+  // power of two, so only a true divide reproduces each bin's mean. The
+  // tile is wider than the detector's own and starts mid-frame.
+  const auto aligned = make_frame(5.0, square_states(800.0, 128), 9);
+  TagDetectorConfig cfg;
+  cfg.expected_mod_freq_hz = 800.0;
+  const TagDetector det(cfg);
+  const std::size_t first = 20, count = 99, b0 = 3, width = 67;
+  const auto tile = det.slow_time_spectra(aligned, b0, width, first, count);
+  for (std::size_t j = 0; j < width; ++j) {
+    const auto spec = det.slow_time_spectrum(aligned, b0 + j, first, count);
+    ASSERT_EQ(tile.size(), spec.size() * width);
+    for (std::size_t k = 0; k < spec.size(); ++k)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(tile[k * width + j]),
+                std::bit_cast<std::uint64_t>(spec[k]))
+          << "bin " << b0 + j << " frequency " << k;
+  }
 }
 
 TEST(UplinkDecoder, FskSymbolsRoundTrip) {
