@@ -176,13 +176,17 @@ FftCompare compare_fft(std::size_t n, int iters) {
 
 // IF-synthesis kernel: the oscillator-bank recurrence vs the libm cos/sin
 // reference, on an IfSynthesizer-shaped workload (4 returns superposed into
-// one chirp's sample buffer).
+// one chirp's sample buffer), and the one-pass tone bank (all 4 returns per
+// sample, as IfSynthesizer runs them) vs one oscillator pass per tone.
 struct SynthCompare {
   std::size_t n = 0;
-  double ref_msps = 0.0;  // reference throughput, Msamples/s (n·tones per call)
-  double osc_msps = 0.0;  // oscillator-bank throughput
-  double speedup = 0.0;
+  double ref_msps = 0.0;   // reference throughput, Msamples/s (n·tones per call)
+  double osc_msps = 0.0;   // one accumulate_tone pass per tone
+  double bank_msps = 0.0;  // one accumulate_tones pass for all tones
+  double speedup = 0.0;    // osc over ref
+  double bank_speedup = 0.0;  // bank over osc
   bool parity = false;  // max |osc − ref| < 1e-11 · amplitude
+  bool bit_identical = false;  // bank == per-tone passes, bit for bit
 };
 
 SynthCompare compare_synthesis(std::size_t n, int iters) {
@@ -203,9 +207,17 @@ SynthCompare compare_synthesis(std::size_t n, int iters) {
   for (std::size_t i = 0; i < n; ++i)
     max_err = std::max(max_err, std::abs(osc[i] - ref[i]));
 
+  dsp::Tone tones[kTones];
+  for (std::size_t t = 0; t < kTones; ++t)
+    tones[t] = {amps[t], freqs[t], phases[t]};
+  dsp::CVec bank(n, dsp::cdouble(0.0, 0.0));
+  dsp::accumulate_tones(std::span<dsp::cdouble>(bank), tones, dt);
+
   SynthCompare c;
   c.n = n;
   c.parity = max_err < 1e-11;
+  c.bit_identical =
+      std::memcmp(bank.data(), osc.data(), n * sizeof(dsp::cdouble)) == 0;
   dsp::CVec buf(n);
   const auto run = [&](auto&& kernel) {
     return time_us(
@@ -219,10 +231,19 @@ SynthCompare compare_synthesis(std::size_t n, int iters) {
   };
   const double ref_us = run([](auto... a) { dsp::accumulate_tone_reference(a...); });
   const double osc_us = run([](auto... a) { dsp::accumulate_tone(a...); });
+  const double bank_us = time_us(
+      [&] {
+        std::fill(buf.begin(), buf.end(), dsp::cdouble(0.0, 0.0));
+        dsp::accumulate_tones(std::span<dsp::cdouble>(buf), tones, dt);
+        benchmark::DoNotOptimize(buf.data());
+      },
+      iters);
   const double samples = static_cast<double>(n * kTones);
   c.ref_msps = samples / ref_us;  // samples/µs == Msamples/s
   c.osc_msps = samples / osc_us;
+  c.bank_msps = samples / bank_us;
   c.speedup = ref_us / osc_us;
+  c.bank_speedup = osc_us / bank_us;
   return c;
 }
 
@@ -370,10 +391,12 @@ bool write_bench_json(const std::string& path) {
   std::vector<SynthCompare> synths;
   for (std::size_t n : {120u, 400u, 4096u}) {
     synths.push_back(compare_synthesis(n, 2000));
+    const SynthCompare& c = synths.back();
     std::printf(
-        "synth n=%-5zu ref %7.1f Ms/s  osc %7.1f Ms/s  speedup %.2fx  parity %s\n",
-        synths.back().n, synths.back().ref_msps, synths.back().osc_msps,
-        synths.back().speedup, synths.back().parity ? "ok" : "FAIL");
+        "synth n=%-5zu ref %7.1f Ms/s  osc %7.1f Ms/s  speedup %.2fx  parity %s"
+        "  bank %7.1f Ms/s (%.2fx osc)  bit-identical %s\n",
+        c.n, c.ref_msps, c.osc_msps, c.speedup, c.parity ? "ok" : "FAIL",
+        c.bank_msps, c.bank_speedup, c.bit_identical ? "yes" : "NO");
   }
 
   // Real-input FFT vs complex-promoted transform.
@@ -485,8 +508,12 @@ bool write_bench_json(const std::string& path) {
     out << "    {\"n\": " << synths[i].n
         << ", \"ref_msamples_per_s\": " << synths[i].ref_msps
         << ", \"oscillator_msamples_per_s\": " << synths[i].osc_msps
+        << ", \"bank_msamples_per_s\": " << synths[i].bank_msps
         << ", \"speedup\": " << synths[i].speedup
-        << ", \"parity\": " << (synths[i].parity ? "true" : "false") << "}"
+        << ", \"bank_speedup\": " << synths[i].bank_speedup
+        << ", \"parity\": " << (synths[i].parity ? "true" : "false")
+        << ", \"bit_identical\": "
+        << (synths[i].bit_identical ? "true" : "false") << "}"
         << (i + 1 < synths.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -535,7 +562,8 @@ bool write_bench_json(const std::string& path) {
   out << "}\n";
 
   bool all_parity = parity_ok;
-  for (const auto& s : synths) all_parity = all_parity && s.parity;
+  for (const auto& s : synths)
+    all_parity = all_parity && s.parity && s.bit_identical;
   for (const auto& r : rffts) all_parity = all_parity && r.parity;
   for (const auto& p : pgrams) all_parity = all_parity && p.parity;
   return all_parity;

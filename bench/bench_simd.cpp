@@ -175,6 +175,16 @@ std::vector<Row> run_all(SimdTarget best) {
           g_sink = r_out[slot][0];
         },
         [&] { return bits_equal(r_out[0], r_out[1]); }));
+    // The radar ADC's quantizer (12 bits, full scale 2.5: unit-variance
+    // input, so the tails clip) on a fresh copy of the input each call.
+    rows.push_back(measure(
+        "kquantize", n, iters, best,
+        [&](int slot) {
+          std::copy(xr.begin(), xr.end(), r_out[slot].begin());
+          kquantize(r_out[slot], 2.5, 2.5 / 2048.0, -2048.0, 2047.0);
+          g_sink = r_out[slot][0];
+        },
+        [&] { return bits_equal(r_out[0], r_out[1]); }));
 
     // Row FFT kernels of the detector's Doppler stage (one column per lane).
     // kbutterfly works in place, so each call restarts from the same rows.

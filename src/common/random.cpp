@@ -1,6 +1,8 @@
 #include "common/random.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -19,6 +21,24 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+/// One xoshiro256** step on the state words s[0..3].
+inline std::uint64_t xoshiro_next(std::uint64_t* s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// 53 high bits of a draw -> double in [0, 1).
+inline double unit_double(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
 
 // ---------------------------------------------------------------------------
 // Ziggurat tables (Marsaglia–Tsang, 256 layers) for the standard normal.
@@ -71,22 +91,9 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next_u64() { return xoshiro_next(s_); }
 
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit_double(next_u64()); }
 
 double Rng::uniform(double lo, double hi) {
   BIS_CHECK(lo <= hi);
@@ -122,37 +129,49 @@ double Rng::gaussian(double mean, double stddev) {
 
 void Rng::fill_gaussian(std::span<double> out) {
   const ZigguratTables& z = ziggurat();
+  // The state lives in locals for the whole fill: `out` may alias *this, so
+  // stepping s_ in place would store all four words back on every draw.
+  std::uint64_t s[4] = {s_[0], s_[1], s_[2], s_[3]};
+  const auto draw_uniform = [&s] { return unit_double(xoshiro_next(s)); };
   for (double& dst : out) {
     for (;;) {
       // One draw carries everything in the common case: layer index (bits
       // 0-7), sign (bit 8), and a 53-bit uniform magnitude (bits 11-63).
-      const std::uint64_t bits = next_u64();
+      const std::uint64_t bits = xoshiro_next(s);
       const std::size_t i = bits & 0xFFu;
-      const double sign = (bits & 0x100u) ? -1.0 : 1.0;
-      const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+      // Bit 8 moved to the sign bit: XOR-ing it into a magnitude is exactly
+      // the product with ±1.0, without a branch that mispredicts half the
+      // time.
+      const std::uint64_t sign = (bits & 0x100u) << 55;
+      const auto signed_by = [sign](double magnitude) {
+        return std::bit_cast<double>(std::bit_cast<std::uint64_t>(magnitude) ^
+                                     sign);
+      };
+      const double u = unit_double(bits);
       if (u < z.ratio[i]) {  // inside the layer's rectangle (~99% of draws)
-        dst = sign * (u * z.x[i]);
+        dst = signed_by(u * z.x[i]);
         break;
       }
       if (i == 0) {
         // Base layer miss: sample the tail beyond R (Marsaglia's method).
         double xx, yy;
         do {
-          xx = -std::log(1.0 - uniform()) / kZigR;
-          yy = -std::log(1.0 - uniform());
+          xx = -std::log(1.0 - draw_uniform()) / kZigR;
+          yy = -std::log(1.0 - draw_uniform());
         } while (yy + yy < xx * xx);
-        dst = sign * (kZigR + xx);
+        dst = signed_by(kZigR + xx);
         break;
       }
       // Wedge: accept against the density between the layer edges.
       const double v = u * z.x[i];
-      if (z.f[i + 1] + uniform() * (z.f[i] - z.f[i + 1]) <
+      if (z.f[i + 1] + draw_uniform() * (z.f[i] - z.f[i + 1]) <
           std::exp(-0.5 * v * v)) {
-        dst = sign * v;
+        dst = signed_by(v);
         break;
       }
     }
   }
+  std::copy(s, s + 4, s_);
   g_fill_samples.fetch_add(out.size(), std::memory_order_relaxed);
   g_fill_calls.fetch_add(1, std::memory_order_relaxed);
 }

@@ -176,6 +176,11 @@ void kscale(std::span<cdouble> y, double s) {
       std::span<double>(reinterpret_cast<double*>(y.data()), 2 * y.size()), s);
 }
 
+void kquantize(std::span<double> y, double full_scale, double lsb,
+               double min_code, double max_code) {
+  active().quantize(y, full_scale, lsb, min_code, max_code);
+}
+
 double ksum_sq(std::span<const double> x) { return active().sum_sq(x); }
 
 double ksum_sq(std::span<const cdouble> x) {

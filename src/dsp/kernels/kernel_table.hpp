@@ -26,6 +26,7 @@ struct KernelTable {
   void (*axpy)(double, std::span<const double>, std::span<double>);
   void (*scale_add)(std::span<double>, double, double, std::span<const double>);
   void (*scale_r)(std::span<double>, double);
+  void (*quantize)(std::span<double>, double, double, double, double);
   double (*sum_sq)(std::span<const double>);
   double (*dot)(std::span<const double>, std::span<const double>);
   void (*goertzel)(std::span<const double>, std::span<const double>,

@@ -113,6 +113,18 @@ void kscale_add(std::span<double> y, double scale, double a,
 void kscale(std::span<double> y, double s);
 void kscale(std::span<cdouble> y, double s);
 
+/// In-place ADC quantizer: rf::Adc::quantize(double) on every element —
+/// clip to [−full_scale, full_scale], divide by lsb, round half away from
+/// zero, clamp the code to [min_code, max_code], multiply by lsb. The
+/// rounding is trunc(q) plus an exact remainder test, code = t − trunc(2·(t −
+/// q)) with t = trunc(q): t − q is q's exact fractional part, doubling it is
+/// exact, and its trunc is the ±1 step exactly when that part reaches ½. So
+/// the code equals std::round(q) for every q, −0.0 and NaN included, with no
+/// rounding-mode instruction. Requires full_scale / lsb ≤ 2^52, where SSE2's
+/// trunc is exact (an ADC of at most 32 bits stays below 2^31).
+void kquantize(std::span<double> y, double full_scale, double lsb,
+               double min_code, double max_code);
+
 // ---------------------------------------------------------------------------
 // Reductions (fixed 4-lane-blocked order, bit-identical across targets)
 

@@ -21,15 +21,26 @@ struct Avx2Ops {
 
   static V load(const double* p) { return _mm256_loadu_pd(p); }
   static V gather(const double* base, const std::uint32_t* idx) {
-    // Hardware gather: loads the same IEEE values as four scalar loads.
-    return _mm256_i32gather_pd(
-        base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8);
+    // Hardware gather: loads the same IEEE values as four scalar loads. The
+    // masked form with a zero source and an all-ones mask loads every lane,
+    // like the unmasked one, but gives the source register a defined value
+    // (GCC 12 warns that the unmasked intrinsic's is maybe-uninitialized).
+    return _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), base,
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)),
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
   }
   static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
   static V bcast(double x) { return _mm256_set1_pd(x); }
   static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V div(V a, V b) { return _mm256_div_pd(a, b); }
+  static V vmax(V a, V b) { return _mm256_max_pd(a, b); }
+  static V vmin(V a, V b) { return _mm256_min_pd(a, b); }
+  static V trunc(V a) {
+    return _mm256_round_pd(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
   static V vsqrt(V a) { return _mm256_sqrt_pd(a); }
 
   static double reduce(V a) {

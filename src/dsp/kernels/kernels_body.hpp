@@ -14,7 +14,12 @@
 ///   V    load(const double* p)            unaligned load of L elements
 ///   void store(double* p, V)              unaligned store of L elements
 ///   V    bcast(double v)
-///   V    add/sub/mul(V, V), vsqrt(V)
+///   V    add/sub/mul/div(V, V), vsqrt(V)
+///   V    vmax(V a, V b), vmin(V a, V b)   a > b ? a : b and a < b ? a : b per
+///                                         lane (SSE maxpd/minpd: b when
+///                                         either is NaN)
+///   V    trunc(V)                         round toward zero, −0.0 kept; exact
+///                                         for |x| ≤ 2^52
 ///   V    fmadd(V a, V b, V c)             a·b + c, implemented as
 ///                                         add(mul(a, b), c) (no fusion)
 ///   double reduce(V)                      (l0+l1) + (l2+l3)
@@ -161,6 +166,39 @@ void scale_r(std::span<double> y, double s) {
   for (std::size_t i = 0; i < nL; i += Ops::kLanes)
     Ops::store(y.data() + i, Ops::mul(Ops::load(y.data() + i), vs));
   for (std::size_t i = nL; i < n; ++i) y[i] = y[i] * s;
+}
+
+/// Scalar vmax/vmin with the Ops lane semantics, for the kernel tails.
+inline double max_lane(double a, double b) { return a > b ? a : b; }
+inline double min_lane(double a, double b) { return a < b ? a : b; }
+
+template <typename Ops>
+void quantize(std::span<double> y, double full_scale, double lsb,
+              double min_code, double max_code) {
+  // std::clamp(v, lo, hi) is min(max(v, lo), hi) with std::max(v, lo) =
+  // v < lo ? lo : v and std::min(m, hi) = hi < m ? hi : m, which are
+  // vmax(lo, v) and vmin(hi, m) — NaN passes through both, as in the ADC.
+  const std::size_t n = y.size();
+  const std::size_t nL = n - n % Ops::kLanes;
+  const auto lo = Ops::bcast(-full_scale), hi = Ops::bcast(full_scale);
+  const auto step = Ops::bcast(lsb);
+  const auto cmin = Ops::bcast(min_code), cmax = Ops::bcast(max_code);
+  for (std::size_t i = 0; i < nL; i += Ops::kLanes) {
+    const auto x = Ops::load(y.data() + i);
+    const auto q = Ops::div(Ops::vmin(hi, Ops::vmax(lo, x)), step);
+    const auto t = Ops::trunc(q);
+    const auto f = Ops::sub(t, q);
+    const auto code = Ops::sub(t, Ops::trunc(Ops::add(f, f)));
+    Ops::store(y.data() + i,
+               Ops::mul(Ops::vmin(cmax, Ops::vmax(cmin, code)), step));
+  }
+  for (std::size_t i = nL; i < n; ++i) {
+    const double q = min_lane(full_scale, max_lane(-full_scale, y[i])) / lsb;
+    const double t = std::trunc(q);
+    const double f = t - q;
+    const double code = t - std::trunc(f + f);
+    y[i] = min_lane(max_code, max_lane(min_code, code)) * lsb;
+  }
 }
 
 template <typename Ops>
@@ -370,6 +408,7 @@ detail::KernelTable make_table() {
   t.axpy = &axpy<Ops>;
   t.scale_add = &scale_add<Ops>;
   t.scale_r = &scale_r<Ops>;
+  t.quantize = &quantize<Ops>;
   t.sum_sq = &sum_sq<Ops>;
   t.dot = &dot<Ops>;
   t.goertzel = &goertzel<Ops>;

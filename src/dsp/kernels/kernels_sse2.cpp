@@ -46,7 +46,31 @@ struct Sse2Ops {
   static V mul(V a, V b) {
     return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
   }
+  static V div(V a, V b) {
+    return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
+  }
+  static V vmax(V a, V b) {
+    return {_mm_max_pd(a.lo, b.lo), _mm_max_pd(a.hi, b.hi)};
+  }
+  static V vmin(V a, V b) {
+    return {_mm_min_pd(a.lo, b.lo), _mm_min_pd(a.hi, b.hi)};
+  }
   static V vsqrt(V a) { return {_mm_sqrt_pd(a.lo), _mm_sqrt_pd(a.hi)}; }
+
+  /// SSE2 has no roundpd, and cvttpd2dq overflows at 2^31, which a 32-bit
+  /// ADC code reaches. For a = |x| ≤ 2^52, (a + 2^52) − 2^52 is a rounded to
+  /// the nearest integer exactly; one less where that overshoots a is
+  /// trunc(a), and OR-ing x's sign back gives trunc(x) with −0.0 kept.
+  static __m128d trunc1(__m128d x) {
+    const __m128d sign = _mm_set1_pd(-0.0);
+    const __m128d big = _mm_set1_pd(0x1.0p52);
+    const __m128d a = _mm_andnot_pd(sign, x);
+    const __m128d r = _mm_sub_pd(_mm_add_pd(a, big), big);
+    const __m128d t =
+        _mm_sub_pd(r, _mm_and_pd(_mm_cmpgt_pd(r, a), _mm_set1_pd(1.0)));
+    return _mm_or_pd(t, _mm_and_pd(sign, x));
+  }
+  static V trunc(V a) { return {trunc1(a.lo), trunc1(a.hi)}; }
 
   static double reduce(V a) {
     // (l0 + l1) + (l2 + l3) — the documented lane-blocked combine order.

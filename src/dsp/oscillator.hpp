@@ -23,8 +23,29 @@ namespace bis::dsp {
 /// Samples between exact-phase re-anchors of the oscillator recurrence.
 inline constexpr std::size_t kOscResyncInterval = 512;
 
-/// out[i] += amplitude · e^{j(2π·freq_hz·(i·dt) + phase0_rad)} for all i.
-/// Matches accumulate_tone_reference to < ~1e-12 in phase.
+/// One oscillator of a tone bank: amplitude · e^{j(2π·freq_hz·t + phase0_rad)}.
+struct Tone {
+  double amplitude = 0.0;
+  double freq_hz = 0.0;
+  double phase0_rad = 0.0;
+};
+
+/// out[i] += Σ_k tones[k] at t = i·dt, for all i: the bank of a chirp's
+/// returns in one pass over @p out, so the tones' independent z ← z·w chains
+/// overlap instead of each tone paying the rotation's latency alone. Each
+/// sample takes its tones in the order of @p tones, and every tone
+/// re-anchors at the same kOscResyncInterval indices, so the result equals
+/// one accumulate_tone call per tone in that order, bit for bit.
+void accumulate_tones(std::span<cdouble> out, std::span<const Tone> tones,
+                      double dt);
+
+/// Real bank: out[i] += Σ_k re(tones[k] at t = i·dt), bit-identical to one
+/// real accumulate_tone call per tone in order.
+void accumulate_tones(std::span<double> out, std::span<const Tone> tones,
+                      double dt);
+
+/// out[i] += amplitude · e^{j(2π·freq_hz·(i·dt) + phase0_rad)} for all i:
+/// the one-tone bank. Matches accumulate_tone_reference to < ~1e-12 in phase.
 void accumulate_tone(std::span<cdouble> out, double amplitude, double freq_hz,
                      double dt, double phase0_rad);
 

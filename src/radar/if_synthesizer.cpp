@@ -5,6 +5,7 @@
 #include "common/check.hpp"
 #include "common/constants.hpp"
 #include "common/units.hpp"
+#include "dsp/kernels/kernels.hpp"
 #include "dsp/oscillator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,6 +20,23 @@ IfSynthesizer::IfSynthesizer(const IfSynthConfig& config, Rng rng)
   // Complex AWGN with total power P splits evenly across I and Q.
   const double noise_power_w = dbm_to_watts(config_.noise_power_dbm);
   noise_sigma_ = std::sqrt(noise_power_w / 2.0);
+  if (!config_.quantize) return;
+  gain_ = config_.if_gain;
+  if (gain_ <= 0.0) {
+    // Auto IF gain: noise floor at full_scale / 2^(bits−4). Very strong
+    // near-range returns (tag closer than ~1 m) can clip — the same
+    // saturation a real radar's fixed-AGC front-end exhibits.
+    const double target =
+        config_.adc_full_scale_v /
+        std::pow(2.0, static_cast<double>(config_.adc_bits) - 4.0);
+    gain_ = noise_sigma_ > 0.0 ? target / noise_sigma_ : 1.0;
+  }
+  inv_gain_ = 1.0 / gain_;
+  rf::AdcConfig adc_cfg;
+  adc_cfg.sample_rate_hz = config_.sample_rate_hz;
+  adc_cfg.bits = config_.adc_bits;
+  adc_cfg.full_scale = config_.adc_full_scale_v;
+  adc_.emplace(adc_cfg);
 }
 
 std::size_t IfSynthesizer::samples_per_chirp(const rf::ChirpParams& chirp) const {
@@ -48,6 +66,10 @@ void IfSynthesizer::synthesize_into(const rf::ChirpParams& chirp,
   // between chirps dominates intra-chirp wander for IF processing.
   const double pn = phase_noise_.step(chirp.period());
 
+  // The chirp's returns as one tone bank (per-thread, so steady-state chirps
+  // allocate nothing), accumulated in return order in one pass.
+  thread_local std::vector<dsp::Tone> tones;
+  tones.clear();
   for (const auto& ret : returns) {
     if (ret.amplitude_v == 0.0) continue;
     BIS_CHECK(ret.range_m >= 0.0);
@@ -58,37 +80,21 @@ void IfSynthesizer::synthesize_into(const rf::ChirpParams& chirp,
     const double phi0 = kTwoPi * (chirp.start_frequency_hz * tau -
                                   chirp.slope() * tau * tau / 2.0) +
                         ret.phase_rad + pn;
-    // Oscillator-bank kernel: one complex multiply per sample instead of a
-    // cos/sin pair, re-anchored to the exact phase periodically.
-    dsp::accumulate_tone(std::span<dsp::cdouble>(out), ret.amplitude_v, f_if,
-                         dt, phi0);
+    tones.push_back({ret.amplitude_v, f_if, phi0});
   }
+  dsp::accumulate_tones(std::span<dsp::cdouble>(out), tones, dt);
 
   rf::add_awgn(std::span<dsp::cdouble>(out), noise_sigma_, rng_);
 
-  if (config_.quantize) {
-    double gain = config_.if_gain;
-    if (gain <= 0.0) {
-      // Auto IF gain: noise floor at full_scale / 2^(bits−4). Very strong
-      // near-range returns (tag closer than ~1 m) can clip — the same
-      // saturation a real radar's fixed-AGC front-end exhibits.
-      const double target =
-          config_.adc_full_scale_v /
-          std::pow(2.0, static_cast<double>(config_.adc_bits) - 4.0);
-      gain = noise_sigma_ > 0.0 ? target / noise_sigma_ : 1.0;
-    }
-    rf::AdcConfig adc_cfg;
-    adc_cfg.sample_rate_hz = config_.sample_rate_hz;
-    adc_cfg.bits = config_.adc_bits;
-    adc_cfg.full_scale = config_.adc_full_scale_v;
-    const rf::Adc adc(adc_cfg);
-    const double inv_gain = 1.0 / gain;
-    for (auto& v : out) {
-      // Amplify, quantize, and refer back to the input scale so downstream
-      // amplitude bookkeeping (link budgets) stays consistent.
-      v = dsp::cdouble(adc.quantize(v.real() * gain) * inv_gain,
-                       adc.quantize(v.imag() * gain) * inv_gain);
-    }
+  if (adc_) {
+    // Amplify, quantize, and refer back to the input scale so downstream
+    // amplitude bookkeeping (link budgets) stays consistent. I and Q are
+    // quantized alike, so the chirp is one run of interleaved doubles.
+    const std::span<double> iq(reinterpret_cast<double*>(out.data()),
+                               2 * out.size());
+    dsp::kernels::kscale(iq, gain_);
+    adc_->quantize(iq);
+    dsp::kernels::kscale(iq, inv_gain_);
   }
 }
 

@@ -9,6 +9,7 @@
 /// noise, oscillator phase noise, and quantization — statistically
 /// equivalent to digitizing a real front-end, without a GHz carrier.
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -49,7 +50,9 @@ class IfSynthesizer {
                        std::span<const IfReturn> returns);
 
   /// Buffer-reusing variant for the streaming engine: identical samples (and
-  /// identical RNG consumption), written into @p out.
+  /// identical RNG consumption), written into @p out. The returns go through
+  /// one dsp::accumulate_tones pass in order, then AWGN, then the IF gain,
+  /// the ADC (rf::Adc's in-place quantizer) and the inverse gain.
   void synthesize_into(const rf::ChirpParams& chirp,
                        std::span<const IfReturn> returns, dsp::CVec& out);
 
@@ -65,6 +68,9 @@ class IfSynthesizer {
   Rng rng_;
   rf::PhaseNoise phase_noise_;
   double noise_sigma_;
+  std::optional<rf::Adc> adc_;  ///< Set when config_.quantize.
+  double gain_ = 1.0;           ///< IF gain before the ADC (resolved auto gain).
+  double inv_gain_ = 1.0;       ///< 1 / gain_: refers samples back to input.
 };
 
 }  // namespace bis::radar

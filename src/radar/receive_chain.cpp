@@ -43,9 +43,18 @@ double RangeProfile::max_range_m() const {
 }
 
 std::vector<double> RangeProfile::range_axis() const {
-  std::vector<double> axis(bins.size());
-  for (std::size_t i = 0; i < bins.size(); ++i) axis[i] = bin_range_m(i);
+  std::vector<double> axis;
+  range_axis(axis);
   return axis;
+}
+
+void RangeProfile::range_axis(std::vector<double>& axis) const {
+  BIS_CHECK(n_fft > 0);
+  const double n = static_cast<double>(n_fft);
+  const double r_max = max_range_m();
+  axis.resize(bins.size());
+  for (std::size_t k = 0; k < axis.size(); ++k)
+    axis[k] = static_cast<double>(k) / n * r_max;
 }
 
 dsp::RVec AlignedProfiles::column_magnitude(std::size_t bin) const {
@@ -184,8 +193,7 @@ void ReceiveChain::regrid(std::span<const RangeProfile> profiles,
     // The per-chirp range axis takes only |slope alphabet| distinct values;
     // fill it into per-thread scratch instead of allocating per chirp.
     thread_local std::vector<double> axis;
-    axis.resize(p.bins.size());
-    for (std::size_t k = 0; k < axis.size(); ++k) axis[k] = p.bin_range_m(k);
+    p.range_axis(axis);
     // CSSK reuses a handful of slopes, so the (axis, grid) pair repeats
     // across chirps and frames: replay the memoized stencil instead of
     // re-running the per-bin interval search (bit-identical output).

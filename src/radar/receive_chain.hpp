@@ -48,6 +48,11 @@ struct RangeProfile {
 
   /// All bin ranges (ascending).
   std::vector<double> range_axis() const;
+
+  /// All bin ranges written into @p axis (resized to bins.size()): R_max is
+  /// computed once, and each bin keeps bin_range_m's expression
+  /// n / N_FFT · R_max, so the two agree bit for bit.
+  void range_axis(std::vector<double>& axis) const;
 };
 
 /// Slow-time matrix of aligned complex range profiles.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "dsp/kernels/kernels.hpp"
 
 namespace bis::rf {
 
@@ -23,10 +24,9 @@ double Adc::quantize(double x) const {
   return bounded * lsb_;
 }
 
-std::vector<double> Adc::quantize(std::span<const double> x) const {
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = quantize(x[i]);
-  return out;
+void Adc::quantize(std::span<double> x) const {
+  dsp::kernels::kquantize(x, config_.full_scale, lsb_, -levels_ / 2.0,
+                          levels_ / 2.0 - 1.0);
 }
 
 std::size_t Adc::samples_for(double duration_s) const {

@@ -7,7 +7,6 @@
 /// quantization.
 
 #include <span>
-#include <vector>
 
 #include "dsp/types.hpp"
 
@@ -26,8 +25,9 @@ class Adc {
   /// Quantize one already-sampled value (clip + uniform mid-tread quantizer).
   double quantize(double x) const;
 
-  /// Quantize a whole sampled signal.
-  std::vector<double> quantize(std::span<const double> x) const;
+  /// Quantize a whole sampled signal in place through the kquantize kernel:
+  /// every element equals quantize(double) of it, bit for bit.
+  void quantize(std::span<double> x) const;
 
   /// Number of samples produced over @p duration_s.
   std::size_t samples_for(double duration_s) const;

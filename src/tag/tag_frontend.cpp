@@ -179,11 +179,11 @@ void TagFrontend::synthesize_period(const rf::ChirpParams& chirp,
     rng_.fill_gaussian(std::span<double>(noise, n));
     // PGA apply v = gain·(signal + noise_rms·deviate) through the kernel
     // layer (same association as the fused scalar loop it replaces), then
-    // the branchy ADC quantizer per sample.
+    // the ADC's kquantize kernel.
     const std::span<double> chunk = out.subspan(base, n);
     dsp::kernels::kscale_add(chunk, gain_, noise_rms,
                              std::span<const double>(noise, n));
-    for (double& v : chunk) v = adc_.quantize(v);
+    adc_.quantize(chunk);
   }
 }
 

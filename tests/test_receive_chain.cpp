@@ -88,6 +88,10 @@ TEST(ReceiveChain, BinMetadataConsistent) {
   const auto axis = p.range_axis();
   EXPECT_EQ(axis.size(), p.bins.size());
   EXPECT_LT(axis.front(), axis.back());
+  // The axis hoists R_max out of the loop but keeps bin_range_m's
+  // expression, so the regrid's stencil keys equal the per-bin ranges.
+  for (std::size_t k = 0; k < axis.size(); ++k)
+    ASSERT_EQ(axis[k], p.bin_range_m(k)) << "bin " << k;
 }
 
 TEST(ReceiveChain, AmplitudeComparableAcrossDurations) {

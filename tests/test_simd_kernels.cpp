@@ -9,6 +9,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "dsp/goertzel.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/types.hpp"
+#include "rf/adc.hpp"
 
 namespace bis::dsp::kernels {
 namespace {
@@ -374,6 +376,80 @@ TEST_F(SimdKernels, EmptySpansAreNoOps) {
     kuntangle_norm(std::span<const double>(), std::span<const double>(),
                    std::span<const double>(), std::span<const double>(), 1.0,
                    0.0, std::span<double>());
+    kquantize(std::span<double>(), 1.0, 1.0 / 2048.0, -2048.0, 2047.0);
+  }
+}
+
+/// Quantizer inputs for one ADC: every tie (k + ½)·lsb and the double just
+/// below it for k across the code range (all k at few bits, the ends and a
+/// stride at many), signed zeros and tiny negatives, full scale and beyond,
+/// infinities and a NaN.
+RVec quantizer_inputs(const rf::Adc& adc) {
+  const double lsb = adc.lsb();
+  const double fs = adc.config().full_scale;
+  const double half = fs / lsb;  // levels / 2
+  RVec x;
+  const auto add_tie = [&](double k) {
+    const double tie = (k + 0.5) * lsb;
+    x.push_back(tie);
+    x.push_back(std::nextafter(tie, -std::numeric_limits<double>::infinity()));
+  };
+  if (half <= 4096.0) {
+    for (double k = -half - 2.0; k <= half + 1.0; k += 1.0) add_tie(k);
+  } else {
+    for (double k = -40.0; k <= 40.0; k += 1.0) add_tie(k);
+    for (double k = -half - 2.0; k <= -half + 2.0; k += 1.0) add_tie(k);
+    for (double k = half - 3.0; k <= half + 1.0; k += 1.0) add_tie(k);
+    for (double k = -half; k < half; k += std::floor(half / 997.0)) add_tie(k);
+  }
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (const double v : {0.0, -0.0, -denorm, denorm, -1e-300, -0.25 * lsb,
+                         -0.5 * lsb, 0.5 * lsb, -0.75 * lsb, fs, -fs,
+                         std::nextafter(fs, 2.0 * fs), -std::nextafter(fs, 2.0 * fs),
+                         1.5 * fs, -1.5 * fs, 1e300, -1e300})
+    x.push_back(v);
+  x.push_back(std::numeric_limits<double>::infinity());
+  x.push_back(-std::numeric_limits<double>::infinity());
+  x.push_back(std::numeric_limits<double>::quiet_NaN());
+  return x;
+}
+
+TEST_F(SimdKernels, QuantizeMatchesAdcOnAllTargets) {
+  // Adc::quantize(span) runs kquantize on the active target; the reference
+  // is the per-value Adc::quantize(double) (std::clamp, std::round). Inputs
+  // are quantized from every start offset 0–3, so each element also lands in
+  // the tail of some run, and run lengths with n % 4 = 1, 2, 3 occur.
+  for (const unsigned bits : {1u, 12u, 31u, 32u}) {
+    for (const double fs : {1.0, 1.65}) {
+      rf::AdcConfig cfg;
+      cfg.bits = bits;
+      cfg.full_scale = fs;
+      const rf::Adc adc(cfg);
+      const RVec x = quantizer_inputs(adc);
+      RVec ref(x.size());
+      for (std::size_t i = 0; i < x.size(); ++i) ref[i] = adc.quantize(x[i]);
+      EXPECT_TRUE(std::signbit(adc.quantize(-0.0)) && adc.quantize(-0.0) == 0.0);
+      EXPECT_TRUE(std::signbit(adc.quantize(-1e-300)));
+      for (SimdTarget t : available_targets()) {
+        ASSERT_TRUE(set_target(t));
+        SCOPED_TRACE(std::string(target_name(t)) + " bits=" +
+                     std::to_string(bits) + " fs=" + std::to_string(fs));
+        for (std::size_t offset = 0; offset < 4; ++offset) {
+          RVec y = x;
+          adc.quantize(std::span<double>(y).subspan(offset));
+          for (std::size_t i = 0; i < x.size(); ++i) {
+            const double want = i < offset ? x[i] : ref[i];
+            if (std::isnan(want)) {
+              EXPECT_TRUE(std::isnan(y[i])) << "element " << i;
+            } else {
+              ASSERT_TRUE(bits_eq(y[i], want))
+                  << "element " << i << " (input " << x[i] << ", offset "
+                  << offset << ")";
+            }
+          }
+        }
+      }
+    }
   }
 }
 
