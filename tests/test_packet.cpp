@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include "common/random.hpp"
 #include "phy/packet.hpp"
 
@@ -167,6 +171,52 @@ TEST(Packet, ChirpCountFormula) {
   // framed = 16 (length) + 50 + 8 (crc) = 74 bits → ceil(74/5) = 15 symbols.
   EXPECT_EQ(packet.framed_bits().size(), 74u);
   EXPECT_EQ(packet.chirp_count(alphabet), 8u + 3u + 15u);
+}
+
+TEST(Packet, FramedBitsArePinned) {
+  // Every other framing test round-trips through parse_framed_bits, so a
+  // change that moves framing and parsing together passes them; these bit
+  // strings pin the wire format: the 16-bit length, the address byte when
+  // one is set, the payload and its CRC-8. They were recorded while framing
+  // still had settings (length prefix, CRC-8, Hamming FEC), at their
+  // defaults, before those became the constant format.
+  const auto bits_of = [](std::string_view s) {
+    Bits b;
+    for (const char c : s) b.push_back(c == '1' ? 1 : 0);
+    return b;
+  };
+  const auto text_of = [](const Bits& b) {
+    std::string s;
+    for (const int v : b) s += v ? '1' : '0';
+    return s;
+  };
+  struct Case {
+    std::optional<std::uint8_t> address;
+    std::string_view payload;
+    std::string_view framed;
+  };
+  const Case cases[] = {
+      {std::nullopt, "1011001110001111010",
+       "0000000000011011101100111000111101011101001"},
+      {0x42, "1100101000111010",
+       "000000000010000001000010110010100011101001001101"},
+      {kBroadcastAddress, "0110", "000000000001010011111111011011101101"},
+      {std::nullopt, "", "000000000000100000000000"},
+      {0x17, "", "00000000000100000001011101101001"},
+  };
+  for (const auto& c : cases) {
+    PacketConfig cfg;
+    cfg.tag_address = c.address;
+    const DownlinkPacket packet(cfg, bits_of(c.payload));
+    EXPECT_EQ(text_of(packet.framed_bits()), c.framed)
+        << "payload '" << c.payload << "', address "
+        << (c.address ? int(*c.address) : -1);
+    const auto parsed =
+        parse_framed_bits(packet.framed_bits(), cfg, c.address);
+    EXPECT_TRUE(parsed.crc_ok);
+    EXPECT_TRUE(parsed.address_match);
+    EXPECT_EQ(text_of(parsed.payload), c.payload);
+  }
 }
 
 TEST(Packet, EmptyPayloadAllowed) {

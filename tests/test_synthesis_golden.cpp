@@ -1,5 +1,6 @@
 // Golden bit patterns of the synthesis sample path: ziggurat deviates, one
-// radar IF link frame and one tag ADC stream. Every other synthesis test is
+// radar IF link frame and one tag ADC stream; and of that link frame through
+// the radar receive chain. Every other synthesis and receive-chain test is
 // relative (fast path against a reference in the same build), so a change
 // that moves both sides passes them; these values pin the absolute output.
 // They were recorded before the one-pass tone bank, the branch-free ziggurat
@@ -21,6 +22,7 @@
 #include "core/system_config.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "radar/if_synthesizer.hpp"
+#include "radar/receive_chain.hpp"
 #include "tag/tag_frontend.hpp"
 
 namespace bis {
@@ -111,17 +113,17 @@ TEST_F(SynthesisGolden, FillGaussianDrawsArePinned) {
   EXPECT_EQ(all.h, 0x0035dfd747062028ull) << std::hex << all.h;
 }
 
-TEST_F(SynthesisGolden, IfSynthesizerLinkFrameIsPinned) {
-  // One uplink frame as LinkSimulator synthesizes it: the five office
-  // clutter returns plus the tag, 32 CSSK data chirps, the tag switching
-  // between reflective and absorptive, noise, phase noise and the 12-bit ADC
-  // with automatic IF gain. The same frame without the ADC pins the tone
-  // sums and the noise to the last bit, which the quantizer would mostly
-  // round away.
-  const core::SystemConfig cfg;
-  ASSERT_TRUE(cfg.radar.if_synth.quantize);
+/// One uplink frame as LinkSimulator synthesizes it: the five office clutter
+/// returns plus the tag, 32 CSSK data chirps, the tag switching between
+/// reflective and absorptive, noise, phase noise and, when @p synth_cfg
+/// quantizes, the 12-bit ADC with automatic IF gain. Chirp i's IF samples
+/// land in if_samples[i].
+void synthesize_link_frame(const core::SystemConfig& cfg,
+                           const radar::IfSynthConfig& synth_cfg,
+                           std::vector<rf::ChirpParams>& chirps,
+                           std::vector<dsp::CVec>& if_samples) {
   const auto alphabet = cfg.make_alphabet();
-  std::vector<rf::ChirpParams> chirps;
+  chirps.clear();
   Rng draw(7);
   core::draw_sensing_chirps(alphabet, 32, true, draw, chirps);
   auto scene = core::clutter_returns(cfg);
@@ -132,14 +134,27 @@ TEST_F(SynthesisGolden, IfSynthesizerLinkFrameIsPinned) {
   const double reflect = db_to_amplitude(-sw.insertion_loss_db);
   const double leak = db_to_amplitude(-sw.isolation_db);
 
+  radar::IfSynthesizer synth(synth_cfg, Rng(cfg.seed).fork());
+  if_samples.resize(chirps.size());
+  for (std::size_t i = 0; i < chirps.size(); ++i) {
+    scene.back().amplitude_v = tag_amp * (i % 3 == 0 ? leak : reflect);
+    synth.synthesize_into(chirps[i], scene, if_samples[i]);
+  }
+}
+
+TEST_F(SynthesisGolden, IfSynthesizerLinkFrameIsPinned) {
+  // The link frame with and without the ADC: the frame without it pins the
+  // tone sums and the noise to the last bit, which the quantizer would
+  // mostly round away.
+  const core::SystemConfig cfg;
+  ASSERT_TRUE(cfg.radar.if_synth.quantize);
   const auto frame_hash = [&](const radar::IfSynthConfig& synth_cfg) {
-    radar::IfSynthesizer synth(synth_cfg, Rng(cfg.seed).fork());
+    std::vector<rf::ChirpParams> chirps;
+    std::vector<dsp::CVec> if_samples;
+    synthesize_link_frame(cfg, synth_cfg, chirps, if_samples);
     BitHash frame;
     std::size_t samples = 0;
-    dsp::CVec out;
-    for (std::size_t i = 0; i < chirps.size(); ++i) {
-      scene.back().amplitude_v = tag_amp * (i % 3 == 0 ? leak : reflect);
-      synth.synthesize_into(chirps[i], scene, out);
+    for (const auto& out : if_samples) {
       frame.add(std::span<const dsp::cdouble>(out));
       samples += out.size();
     }
@@ -182,6 +197,36 @@ TEST_F(SynthesisGolden, TagFrontendStreamIsPinned) {
     h.add(stream);
     EXPECT_EQ(stream.size(), 1440u);
     EXPECT_EQ(h.h, 0xc545ed421d9d9fdeull) << std::hex << h.h;
+  }
+}
+
+/// Restores the kernel target, like SynthesisGolden.
+class ReceiveChainGolden : public SynthesisGolden {};
+
+TEST_F(ReceiveChainGolden, AlignedFrameIsPinned) {
+  // The link frame above through the receive chain as the default
+  // SystemConfig builds it: the range FFT of every chirp, IF correction onto
+  // the common range grid, and background subtraction. The hash covers every
+  // aligned row, then the range grid, byte for byte (the frame fingerprint
+  // bench_network --smoke prints). Recorded before the chain's raw-bin
+  // stacking branch (RangeAlignConfig::enabled) was deleted.
+  const core::SystemConfig cfg;
+  const radar::ReceiveChain chain = cfg.make_receive_chain();
+  for (const auto target : available_targets()) {
+    ASSERT_TRUE(dsp::kernels::set_target(target));
+    SCOPED_TRACE(dsp::kernels::target_name(target));
+    std::vector<rf::ChirpParams> chirps;
+    radar::ReceiveFrame frame;
+    synthesize_link_frame(cfg, cfg.radar.if_synth, chirps, frame.if_samples);
+    chain.range_fft(chirps, frame, nullptr);
+    chain.if_correct(frame, nullptr);
+    BitHash h;
+    for (const auto& row : frame.aligned.rows)
+      h.add(std::span<const dsp::cdouble>(row));
+    h.add(frame.aligned.range_grid);
+    EXPECT_EQ(frame.aligned.n_chirps(), 32u);
+    EXPECT_EQ(frame.aligned.n_bins(), 512u);
+    EXPECT_EQ(h.h, 0xdb9416648e1e3f22ull) << std::hex << h.h;
   }
 }
 
