@@ -103,12 +103,4 @@ double rms(std::span<const double> xs) {
   return std::sqrt(sum / static_cast<double>(xs.size()));
 }
 
-double mean_abs_error(std::span<const double> a, std::span<const double> b) {
-  BIS_CHECK(a.size() == b.size());
-  BIS_CHECK(!a.empty());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
-  return sum / static_cast<double>(a.size());
-}
-
 }  // namespace bis

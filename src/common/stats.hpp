@@ -43,7 +43,4 @@ double percentile(std::span<const double> xs, double pct);
 /// Root-mean-square of the data.
 double rms(std::span<const double> xs);
 
-/// Mean absolute error between two equal-length spans.
-double mean_abs_error(std::span<const double> a, std::span<const double> b);
-
 }  // namespace bis

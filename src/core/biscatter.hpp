@@ -31,7 +31,6 @@
 #include "phy/bits.hpp"
 #include "phy/crc.hpp"
 #include "phy/datarate.hpp"
-#include "phy/fec.hpp"
 #include "phy/packet.hpp"
 #include "phy/slope_alphabet.hpp"
 #include "phy/uplink.hpp"
@@ -41,6 +40,5 @@
 #include "rf/chirp.hpp"
 #include "rf/link_budget.hpp"
 #include "rf/microstrip.hpp"
-#include "rf/van_atta.hpp"
 #include "tag/power_model.hpp"
 #include "tag/tag_node.hpp"

@@ -40,13 +40,11 @@ SystemConfig link_config(const LinkServerConfig& config, std::size_t link,
   // max_range_m = min over slots of R_max is always covered by every chirp,
   // so the regrid's min(config, frame cover) resolves to the pinned value
   // for every frame. User-set values are respected.
-  if (c.if_correction.enabled) {
-    const radar::AlphabetExtent extent = c.make_receive_chain().extent(alphabet);
-    if (c.if_correction.max_range_m <= 0.0 && std::isfinite(extent.covered_range_m))
-      c.if_correction.max_range_m = extent.covered_range_m;
-    if (c.if_correction.grid_bins == 0)
-      c.if_correction.grid_bins = extent.max_fft_bins;
-  }
+  const radar::AlphabetExtent extent = c.make_receive_chain().extent(alphabet);
+  if (c.if_correction.max_range_m <= 0.0 && std::isfinite(extent.covered_range_m))
+    c.if_correction.max_range_m = extent.covered_range_m;
+  if (c.if_correction.grid_bins == 0)
+    c.if_correction.grid_bins = extent.max_fft_bins;
   return c;
 }
 

@@ -1,107 +1,10 @@
 #include "dsp/filter.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/check.hpp"
-#include "common/constants.hpp"
 
 namespace bis::dsp {
-
-std::vector<double> design_lowpass_fir(double cutoff_hz, double fs, std::size_t n_taps) {
-  BIS_CHECK(fs > 0.0);
-  BIS_CHECK(cutoff_hz > 0.0 && cutoff_hz < fs / 2.0);
-  BIS_CHECK(n_taps % 2 == 1);
-  const double fc = cutoff_hz / fs;  // normalized cutoff (cycles/sample)
-  const auto mid = static_cast<double>(n_taps - 1) / 2.0;
-  std::vector<double> taps(n_taps);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n_taps; ++i) {
-    const double m = static_cast<double>(i) - mid;
-    const double sinc = m == 0.0 ? 2.0 * fc : std::sin(kTwoPi * fc * m) / (kPi * m);
-    const double hamming =
-        0.54 - 0.46 * std::cos(kTwoPi * static_cast<double>(i) /
-                               static_cast<double>(n_taps - 1));
-    taps[i] = sinc * hamming;
-    sum += taps[i];
-  }
-  BIS_CHECK(sum != 0.0);
-  for (double& t : taps) t /= sum;  // unity DC gain
-  return taps;
-}
-
-std::vector<double> fir_filter(std::span<const double> x, std::span<const double> taps) {
-  BIS_CHECK(!taps.empty());
-  const std::size_t n = x.size();
-  const std::size_t k = taps.size();
-  const std::size_t half = k / 2;
-  std::vector<double> out(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const auto idx = static_cast<long long>(i) + static_cast<long long>(half) -
-                       static_cast<long long>(j);
-      if (idx >= 0 && idx < static_cast<long long>(n))
-        acc += taps[j] * x[static_cast<std::size_t>(idx)];
-    }
-    out[i] = acc;
-  }
-  return out;
-}
-
-Biquad::Biquad(double b0, double b1, double b2, double a1, double a2)
-    : b0_(b0), b1_(b1), b2_(b2), a1_(a1), a2_(a2) {}
-
-Biquad Biquad::lowpass(double cutoff_hz, double fs, double q) {
-  BIS_CHECK(fs > 0.0 && cutoff_hz > 0.0 && cutoff_hz < fs / 2.0 && q > 0.0);
-  const double w0 = kTwoPi * cutoff_hz / fs;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha;
-  return Biquad((1.0 - cw) / 2.0 / a0, (1.0 - cw) / a0, (1.0 - cw) / 2.0 / a0,
-                -2.0 * cw / a0, (1.0 - alpha) / a0);
-}
-
-Biquad Biquad::highpass(double cutoff_hz, double fs, double q) {
-  BIS_CHECK(fs > 0.0 && cutoff_hz > 0.0 && cutoff_hz < fs / 2.0 && q > 0.0);
-  const double w0 = kTwoPi * cutoff_hz / fs;
-  const double alpha = std::sin(w0) / (2.0 * q);
-  const double cw = std::cos(w0);
-  const double a0 = 1.0 + alpha;
-  return Biquad((1.0 + cw) / 2.0 / a0, -(1.0 + cw) / a0, (1.0 + cw) / 2.0 / a0,
-                -2.0 * cw / a0, (1.0 - alpha) / a0);
-}
-
-double Biquad::process(double x) {
-  const double y = b0_ * x + z1_;
-  z1_ = b1_ * x - a1_ * y + z2_;
-  z2_ = b2_ * x - a2_ * y;
-  return y;
-}
-
-std::vector<double> Biquad::process(std::span<const double> x) {
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = process(x[i]);
-  return out;
-}
-
-void Biquad::reset() { z1_ = z2_ = 0.0; }
-
-SinglePoleLowpass::SinglePoleLowpass(double cutoff_hz, double fs) {
-  BIS_CHECK(fs > 0.0 && cutoff_hz > 0.0);
-  // Exact impulse-invariant mapping of an RC pole.
-  alpha_ = 1.0 - std::exp(-kTwoPi * cutoff_hz / fs);
-}
-
-double SinglePoleLowpass::process(double x) {
-  state_ += alpha_ * (x - state_);
-  return state_;
-}
-
-std::vector<double> SinglePoleLowpass::process(std::span<const double> x) {
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = process(x[i]);
-  return out;
-}
 
 std::vector<double> moving_average(std::span<const double> x, std::size_t window) {
   BIS_CHECK(window > 0);

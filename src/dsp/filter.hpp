@@ -1,8 +1,8 @@
 #pragma once
 
 /// @file filter.hpp
-/// Digital filters used by the simulated analog chain (envelope detector RC
-/// low-pass, tag DC blocker) and by the DSP pipeline (decimation filters).
+/// The tag's envelope-stream filters: a moving-average smoother (the period
+/// gate's energy profile) and a DC blocker (the burst gate).
 
 #include <span>
 #include <vector>
@@ -10,49 +10,6 @@
 #include "dsp/types.hpp"
 
 namespace bis::dsp {
-
-/// Design a windowed-sinc (Hamming) low-pass FIR.
-/// @p cutoff_hz is the -6 dB point, @p n_taps must be odd.
-std::vector<double> design_lowpass_fir(double cutoff_hz, double fs, std::size_t n_taps);
-
-/// Convolve a signal with FIR taps; "same" length output, zero-padded edges.
-std::vector<double> fir_filter(std::span<const double> x, std::span<const double> taps);
-
-/// Second-order IIR section, direct form II transposed.
-class Biquad {
- public:
-  /// Coefficients normalized so a0 == 1.
-  Biquad(double b0, double b1, double b2, double a1, double a2);
-
-  /// Butterworth-style single-biquad low-pass at @p cutoff_hz.
-  static Biquad lowpass(double cutoff_hz, double fs, double q = 0.7071067811865476);
-
-  /// Single-biquad high-pass at @p cutoff_hz (used as tag DC blocker).
-  static Biquad highpass(double cutoff_hz, double fs, double q = 0.7071067811865476);
-
-  double process(double x);
-  std::vector<double> process(std::span<const double> x);
-  void reset();
-
- private:
-  double b0_, b1_, b2_, a1_, a2_;
-  double z1_ = 0.0, z2_ = 0.0;
-};
-
-/// Single-pole RC low-pass, the discrete model of the envelope detector's
-/// internal filter (paper Fig. 4: envelope detector with internal LPF).
-class SinglePoleLowpass {
- public:
-  SinglePoleLowpass(double cutoff_hz, double fs);
-  double process(double x);
-  std::vector<double> process(std::span<const double> x);
-  void reset() { state_ = 0.0; }
-  double alpha() const { return alpha_; }
-
- private:
-  double alpha_;
-  double state_ = 0.0;
-};
 
 /// Moving-average smoother ("same" output length).
 std::vector<double> moving_average(std::span<const double> x, std::size_t window);

@@ -48,9 +48,8 @@ class GoertzelBank {
 };
 
 /// Sliding DFT at one frequency: maintains the DFT of the last N samples with
-/// O(1) work per new sample (sliding Goertzel, Chicharo & Kilani 1996). Used
-/// by the tag's sync search, which slides a chirp-sized window across the
-/// preamble.
+/// O(1) work per new sample (sliding Goertzel, Chicharo & Kilani 1996). No
+/// engine uses it; bench_dsp_kernels times it.
 class SlidingGoertzel {
  public:
   SlidingGoertzel(double freq, double sample_rate, std::size_t window_len);

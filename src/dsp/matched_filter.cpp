@@ -5,59 +5,9 @@
 
 #include "common/check.hpp"
 #include "common/constants.hpp"
-#include "dsp/fft.hpp"
-#include "dsp/kernels/kernels.hpp"
 #include "dsp/types.hpp"
 
 namespace bis::dsp {
-
-double normalized_correlation(std::span<const double> a, std::span<const double> b) {
-  BIS_CHECK(a.size() == b.size());
-  const double dot = kernels::kdot(a, b);
-  const double ea = kernels::ksum_sq(a);
-  const double eb = kernels::ksum_sq(b);
-  if (ea == 0.0 || eb == 0.0) return 0.0;
-  return dot / std::sqrt(ea * eb);
-}
-
-RVec cross_correlate(std::span<const double> x, std::span<const double> h) {
-  BIS_CHECK(!x.empty() && !h.empty());
-  const std::size_t nx = x.size();
-  const std::size_t nh = h.size();
-  // The sliding dot product is conv(x, reverse(h)); above a modest size the
-  // rfft/irfft route (three real transforms) beats the O(Nx·Nh) scan.
-  if (nx * nh >= 4096) {
-    const std::size_t n_full = nx + nh - 1;
-    const std::size_t n_fft = next_power_of_two(n_full);
-    const auto xf = rfft_padded(x, n_fft);
-    RVec h_rev(h.rbegin(), h.rend());
-    const auto hf = rfft_padded(h_rev, n_fft);
-    CVec prod(xf.size());
-    kernels::kcmul(xf, hf, prod);
-    auto full = irfft(prod, n_fft);
-    full.resize(n_full);
-    return full;
-  }
-  return cross_correlate_direct(x, h);
-}
-
-RVec cross_correlate_direct(std::span<const double> x, std::span<const double> h) {
-  BIS_CHECK(!x.empty() && !h.empty());
-  const std::size_t nx = x.size();
-  const std::size_t nh = h.size();
-  RVec out(nx + nh - 1, 0.0);
-  for (std::size_t lag_index = 0; lag_index < out.size(); ++lag_index) {
-    const long long lag = static_cast<long long>(lag_index) - static_cast<long long>(nh - 1);
-    double acc = 0.0;
-    for (std::size_t j = 0; j < nh; ++j) {
-      const long long xi = lag + static_cast<long long>(j);
-      if (xi >= 0 && xi < static_cast<long long>(nx))
-        acc += x[static_cast<std::size_t>(xi)] * h[j];
-    }
-    out[lag_index] = acc;
-  }
-  return out;
-}
 
 RVec square_wave_signature(double mod_freq, double duty,
                            std::size_t n_chirps, double chirp_period,

@@ -14,19 +14,6 @@
 
 namespace bis::dsp {
 
-/// Normalized cross-correlation (cosine similarity) of two equal-length
-/// real vectors; returns 0 when either vector has zero energy.
-double normalized_correlation(std::span<const double> a, std::span<const double> b);
-
-/// Direct O(Nx·Nh) sliding-dot-product cross-correlation — the reference
-/// implementation; cross_correlate routes large inputs through an
-/// rfft/irfft overlap-free fast path instead (identical output to ~1e-10).
-RVec cross_correlate_direct(std::span<const double> x, std::span<const double> h);
-
-/// Full cross-correlation of x with template h (lengths Nx and Nh) at all
-/// integer lags in [-(Nh-1), Nx-1]. out[i] corresponds to lag i-(Nh-1).
-RVec cross_correlate(std::span<const double> x, std::span<const double> h);
-
 /// Expected one-sided slow-time magnitude spectrum of an on/off square wave
 /// at @p mod_freq with @p duty cycle, observed over @p n_chirps chirps spaced
 /// @p chirp_period apart, evaluated on an n_fft-point grid (one-sided,

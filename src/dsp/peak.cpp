@@ -35,56 +35,4 @@ Peak find_peak(std::span<const double> xs) {
   return Peak{k, parabolic_refine(xs, k), xs[k]};
 }
 
-std::vector<Peak> find_peaks(std::span<const double> xs, double threshold,
-                             std::size_t min_distance) {
-  BIS_CHECK(min_distance >= 1);
-  std::vector<Peak> peaks;
-  for (std::size_t i = 1; i + 1 < xs.size(); ++i) {
-    if (xs[i] < threshold) continue;
-    if (xs[i] >= xs[i - 1] && xs[i] > xs[i + 1])
-      peaks.push_back(Peak{i, parabolic_refine(xs, i), xs[i]});
-  }
-  std::sort(peaks.begin(), peaks.end(),
-            [](const Peak& a, const Peak& b) { return a.value > b.value; });
-  // Greedy non-maximum suppression by distance.
-  std::vector<Peak> kept;
-  for (const auto& p : peaks) {
-    const bool close = std::any_of(kept.begin(), kept.end(), [&](const Peak& q) {
-      const auto d = p.index > q.index ? p.index - q.index : q.index - p.index;
-      return d < min_distance;
-    });
-    if (!close) kept.push_back(p);
-  }
-  return kept;
-}
-
-std::vector<std::size_t> cfar_detect(std::span<const double> power,
-                                     std::size_t guard_cells,
-                                     std::size_t training_cells,
-                                     double threshold_factor) {
-  BIS_CHECK(training_cells >= 1);
-  BIS_CHECK(threshold_factor > 0.0);
-  std::vector<std::size_t> detections;
-  const std::size_t n = power.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    double noise = 0.0;
-    std::size_t count = 0;
-    for (std::size_t t = 1; t <= training_cells; ++t) {
-      const std::size_t offset = guard_cells + t;
-      if (i >= offset) {
-        noise += power[i - offset];
-        ++count;
-      }
-      if (i + offset < n) {
-        noise += power[i + offset];
-        ++count;
-      }
-    }
-    if (count == 0) continue;
-    noise /= static_cast<double>(count);
-    if (power[i] > threshold_factor * noise) detections.push_back(i);
-  }
-  return detections;
-}
-
 }  // namespace bis::dsp

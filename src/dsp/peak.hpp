@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace bis::dsp {
 
@@ -27,18 +26,5 @@ double parabolic_refine(std::span<const double> xs, std::size_t k);
 
 /// Global maximum with sub-bin refinement.
 Peak find_peak(std::span<const double> xs);
-
-/// All local maxima above @p threshold, at least @p min_distance bins apart,
-/// sorted by descending value.
-std::vector<Peak> find_peaks(std::span<const double> xs, double threshold,
-                             std::size_t min_distance = 1);
-
-/// 1-D cell-averaging CFAR: returns indices whose value exceeds the local
-/// noise estimate (mean of training cells excluding guard cells) by
-/// @p threshold_factor. Used to separate tag/target returns from clutter.
-std::vector<std::size_t> cfar_detect(std::span<const double> power,
-                                     std::size_t guard_cells,
-                                     std::size_t training_cells,
-                                     double threshold_factor);
 
 }  // namespace bis::dsp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
@@ -22,23 +21,6 @@ std::size_t find_interval(std::span<const double> x, double xq) {
 }
 
 }  // namespace
-
-double interp_linear(std::span<const double> x, std::span<const double> y, double xq) {
-  BIS_CHECK(x.size() == y.size());
-  BIS_CHECK(x.size() >= 2);
-  if (xq <= x.front()) return y.front();
-  if (xq >= x.back()) return y.back();
-  const std::size_t i = find_interval(x, xq);
-  const double t = (xq - x[i]) / (x[i + 1] - x[i]);
-  return y[i] * (1.0 - t) + y[i + 1] * t;
-}
-
-std::vector<double> regrid_linear(std::span<const double> x, std::span<const double> y,
-                                  std::span<const double> xq) {
-  std::vector<double> out(xq.size());
-  for (std::size_t i = 0; i < xq.size(); ++i) out[i] = interp_linear(x, y, xq[i]);
-  return out;
-}
 
 CVec regrid_linear(std::span<const double> x, std::span<const cdouble> y,
                    std::span<const double> xq) {
@@ -84,16 +66,6 @@ RegridPlan::RegridPlan(std::span<const double> x, std::span<const double> xq) {
     // The exact expression regrid_linear evaluates per bin, so a replay is
     // bit-identical to the searched path.
     weight_[q] = (v - x[i]) / (x[i + 1] - x[i]);
-  }
-}
-
-void RegridPlan::apply(std::span<const double> y, std::span<double> out) const {
-  BIS_CHECK(y.size() == n_source_);
-  BIS_CHECK(out.size() == index_.size());
-  for (std::size_t q = 0; q < out.size(); ++q) {
-    const std::size_t i = index_[q];
-    const double t = weight_[q];
-    out[q] = y[i] * (1.0 - t) + y[i + 1] * t;
   }
 }
 
@@ -259,27 +231,6 @@ RegridPlanPtr cached_regrid_plan(std::span<const double> x,
 RegridPlanCacheStats regrid_plan_cache_stats() { return regrid_cache().stats(); }
 
 void regrid_plan_cache_clear() { regrid_cache().clear(); }
-
-double interp_cubic_uniform(std::span<const double> y, double x0, double dx, double xq) {
-  BIS_CHECK(y.size() >= 2);
-  BIS_CHECK(dx > 0.0);
-  const double pos = (xq - x0) / dx;
-  if (pos <= 0.0) return y.front();
-  if (pos >= static_cast<double>(y.size() - 1)) return y.back();
-  const auto i = static_cast<std::size_t>(pos);
-  const double t = pos - static_cast<double>(i);
-  const auto at = [&](long long idx) {
-    idx = std::clamp<long long>(idx, 0, static_cast<long long>(y.size()) - 1);
-    return y[static_cast<std::size_t>(idx)];
-  };
-  const double p0 = at(static_cast<long long>(i) - 1);
-  const double p1 = at(static_cast<long long>(i));
-  const double p2 = at(static_cast<long long>(i) + 1);
-  const double p3 = at(static_cast<long long>(i) + 2);
-  // Catmull–Rom spline.
-  return 0.5 * ((2.0 * p1) + (-p0 + p2) * t + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * t * t +
-                (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * t * t * t);
-}
 
 void linspace_into(double start, double stop, std::size_t n,
                    std::vector<double>& out) {

@@ -23,15 +23,9 @@
 
 namespace bis::dsp {
 
-/// Linear interpolation of tabulated (x, y) at query point @p xq.
-/// x must be strictly increasing. Clamps outside the table.
-double interp_linear(std::span<const double> x, std::span<const double> y, double xq);
-
-/// Vectorized linear regrid: evaluate (x, y) at every point of @p xq.
-std::vector<double> regrid_linear(std::span<const double> x, std::span<const double> y,
-                                  std::span<const double> xq);
-
-/// Complex-valued linear regrid (interpolates real and imaginary parts).
+/// Linear regrid of complex samples (x, y) onto every point of @p xq,
+/// interpolating real and imaginary parts. x must be strictly increasing,
+/// size >= 2; queries outside the table clamp to its end values.
 CVec regrid_linear(std::span<const double> x, std::span<const cdouble> y,
                    std::span<const double> xq);
 
@@ -50,7 +44,6 @@ class RegridPlan {
 
   /// out[q] = y[i_q]·(1−t_q) + y[i_q+1]·t_q. y.size() must equal
   /// n_source(), out.size() must equal n_queries(). out must not alias y.
-  void apply(std::span<const double> y, std::span<double> out) const;
   void apply(std::span<const cdouble> y, std::span<cdouble> out) const;
 
  private:
@@ -80,10 +73,6 @@ RegridPlanCacheStats regrid_plan_cache_stats();
 
 /// Drop all cached plans and reset the stats (tests/benchmarks).
 void regrid_plan_cache_clear();
-
-/// Catmull–Rom cubic interpolation at @p xq over a uniform grid with spacing
-/// @p dx starting at @p x0. Clamps outside the grid.
-double interp_cubic_uniform(std::span<const double> y, double x0, double dx, double xq);
 
 /// Evenly spaced grid [start, stop] with n points (n >= 2).
 std::vector<double> linspace(double start, double stop, std::size_t n);

@@ -11,43 +11,18 @@
 namespace bis::dsp {
 namespace {
 
-/// Thread-local windowed+padded input (and |·|² scratch) for the real-FFT
-/// spectral estimators: the per-call window multiply, zero pad, and power
-/// pass reuse two buffers instead of allocating temporaries per periodogram.
+/// Thread-local windowed+padded input for the periodogram: the per-call
+/// window multiply and zero pad reuse one buffer instead of allocating a
+/// temporary per call.
 RVec& spectrum_scratch() {
   thread_local RVec buf;
   return buf;
 }
 
-RVec& power_scratch() {
-  thread_local RVec buf;
-  return buf;
-}
-
-/// |rfft(x·w zero-padded to n_fft)|² / (Σw)² accumulated (@p accumulate) or
-/// assigned into @p out (size n_fft/2+1). The shared core of periodogram and
-/// the restructured single-pass welch. Window multiply, |·|², and the scaled
-/// accumulate all run through the SIMD kernel layer.
-void windowed_power_spectrum(std::span<const double> x, std::span<const double> w,
-                             std::size_t n_fft, double inv_norm_sq, RVec& out,
-                             bool accumulate) {
-  RVec& buf = spectrum_scratch();
-  buf.assign(n_fft, 0.0);
-  kernels::kapply_window(x, w, std::span<double>(buf).first(x.size()));
-  const auto spec = rfft(buf);
-  if (accumulate) {
-    RVec& p = power_scratch();
-    p.resize(out.size());
-    kernels::knorm(std::span<const cdouble>(spec).first(out.size()), p);
-    kernels::kaxpy(inv_norm_sq, p, out);
-  } else {
-    kernels::knorm(std::span<const cdouble>(spec).first(out.size()), out);
-    kernels::kscale(std::span<double>(out), inv_norm_sq);
-  }
-}
-
 }  // namespace
 
+/// |rfft(x·w zero-padded to n_fft)|² / (Σw)². The window multiply, |·|² and
+/// the scale run through the SIMD kernel layer.
 RVec periodogram(std::span<const double> x, std::size_t n_fft, WindowType window) {
   BIS_CHECK(!x.empty());
   BIS_CHECK(n_fft >= x.size());
@@ -55,54 +30,13 @@ RVec periodogram(std::span<const double> x, std::size_t n_fft, WindowType window
   const double norm = window_sum(*w);
   BIS_CHECK(norm > 0.0);
   RVec out(n_fft / 2 + 1);
-  windowed_power_spectrum(x, *w, n_fft, 1.0 / (norm * norm), out,
-                          /*accumulate=*/false);
+  RVec& buf = spectrum_scratch();
+  buf.assign(n_fft, 0.0);
+  kernels::kapply_window(x, *w, std::span<double>(buf).first(x.size()));
+  const auto spec = rfft(buf);
+  kernels::knorm(std::span<const cdouble>(spec).first(out.size()), out);
+  kernels::kscale(std::span<double>(out), 1.0 / (norm * norm));
   return out;
-}
-
-RVec welch(std::span<const double> x, std::size_t segment_len, std::size_t n_fft,
-           WindowType window) {
-  BIS_CHECK(segment_len > 0);
-  BIS_CHECK(x.size() >= segment_len);
-  BIS_CHECK(n_fft >= segment_len);
-  const std::size_t hop = std::max<std::size_t>(1, segment_len / 2);
-  // Window, normalization, and FFT plan are per-length invariants: resolve
-  // them once here instead of once per segment.
-  const auto w = cached_window(window, segment_len);
-  const double norm = window_sum(*w);
-  BIS_CHECK(norm > 0.0);
-  const double inv_norm_sq = 1.0 / (norm * norm);
-  RVec acc(n_fft / 2 + 1, 0.0);
-  std::size_t count = 0;
-  for (std::size_t start = 0; start + segment_len <= x.size(); start += hop) {
-    windowed_power_spectrum(x.subspan(start, segment_len), *w, n_fft,
-                            inv_norm_sq, acc, /*accumulate=*/true);
-    ++count;
-  }
-  BIS_CHECK(count > 0);
-  for (double& v : acc) v /= static_cast<double>(count);
-  return acc;
-}
-
-Spectrogram spectrogram(std::span<const double> x, double fs, std::size_t window_len,
-                        std::size_t hop, std::size_t n_fft, WindowType window) {
-  BIS_CHECK(fs > 0.0);
-  BIS_CHECK(window_len > 0 && hop > 0);
-  BIS_CHECK(n_fft >= window_len);
-  Spectrogram sg;
-  sg.frame_interval_s = static_cast<double>(hop) / fs;
-  sg.bin_hz = fs / static_cast<double>(n_fft);
-  const auto w = cached_window(window, window_len);
-  const double norm = window_sum(*w);
-  BIS_CHECK(norm > 0.0);
-  const double inv_norm_sq = 1.0 / (norm * norm);
-  for (std::size_t start = 0; start + window_len <= x.size(); start += hop) {
-    RVec frame(n_fft / 2 + 1);
-    windowed_power_spectrum(x.subspan(start, window_len), *w, n_fft,
-                            inv_norm_sq, frame, /*accumulate=*/false);
-    sg.frames.push_back(std::move(frame));
-  }
-  return sg;
 }
 
 double estimate_tone_frequency(std::span<const double> x, double fs, double f_lo,
@@ -120,19 +54,6 @@ double estimate_tone_frequency(std::span<const double> x, double fs, double f_lo
   const std::span<const double> band(p.data() + lo, hi - lo + 1);
   const Peak peak = find_peak(band);
   return (static_cast<double>(lo) + peak.refined_index) * bin_hz;
-}
-
-double band_power(std::span<const double> x, double fs, double f_lo, double f_hi,
-                  std::size_t n_fft) {
-  BIS_CHECK(fs > 0.0 && f_hi > f_lo);
-  const auto p = periodogram(x, n_fft, WindowType::kHann);
-  const double bin_hz = fs / static_cast<double>(n_fft);
-  double sum = 0.0;
-  for (std::size_t k = 0; k < p.size(); ++k) {
-    const double f = static_cast<double>(k) * bin_hz;
-    if (f >= f_lo && f <= f_hi) sum += p[k];
-  }
-  return sum;
 }
 
 }  // namespace bis::dsp

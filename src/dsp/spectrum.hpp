@@ -1,12 +1,10 @@
 #pragma once
 
 /// @file spectrum.hpp
-/// Spectral estimation helpers: periodogram, Welch averaging, sliding-window
-/// spectrogram (the "sliding FFT" the tag uses, Fig. 6), and tone frequency
+/// Spectral estimation helpers: the one-sided periodogram and tone frequency
 /// estimation with sub-bin accuracy.
 
 #include <span>
-#include <vector>
 
 #include "dsp/types.hpp"
 #include "dsp/window.hpp"
@@ -18,29 +16,10 @@ namespace bis::dsp {
 RVec periodogram(std::span<const double> x, std::size_t n_fft,
                  WindowType window = WindowType::kHann);
 
-/// Welch-averaged periodogram with 50% overlap.
-RVec welch(std::span<const double> x, std::size_t segment_len, std::size_t n_fft,
-           WindowType window = WindowType::kHann);
-
-struct Spectrogram {
-  std::vector<RVec> frames;  ///< frames[t] = one-sided power spectrum
-  double frame_interval_s = 0.0;
-  double bin_hz = 0.0;
-};
-
-/// Sliding-window magnitude spectrogram of a real signal.
-Spectrogram spectrogram(std::span<const double> x, double fs, std::size_t window_len,
-                        std::size_t hop, std::size_t n_fft,
-                        WindowType window = WindowType::kHann);
-
 /// Estimate the dominant tone frequency of a real signal in [f_lo, f_hi]
 /// using a zero-padded FFT and parabolic peak refinement.
 /// Returns 0 when the band contains no bins.
 double estimate_tone_frequency(std::span<const double> x, double fs, double f_lo,
                                double f_hi, std::size_t min_n_fft = 1024);
-
-/// Total in-band power of the one-sided periodogram between f_lo and f_hi.
-double band_power(std::span<const double> x, double fs, double f_lo, double f_hi,
-                  std::size_t n_fft);
 
 }  // namespace bis::dsp

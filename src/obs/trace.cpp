@@ -168,41 +168,4 @@ std::vector<SpanStats> trace_summary() {
   return out;
 }
 
-void write_trace_summary(std::ostream& os) {
-  const auto summary = trace_summary();
-  os << "span                               count   total ms    mean ms     max ms\n";
-  for (const auto& s : summary) {
-    os.width(32);
-    os.setf(std::ios::left, std::ios::adjustfield);
-    os << s.name;
-    os.setf(std::ios::right, std::ios::adjustfield);
-    os.width(9);
-    os << s.count;
-    os.precision(3);
-    os.setf(std::ios::fixed, std::ios::floatfield);
-    os.width(11);
-    os << s.total_ms;
-    os.width(11);
-    os << s.mean_ms;
-    os.width(11);
-    os << s.max_ms;
-    os << "\n";
-  }
-  const std::uint64_t dropped = trace_dropped_events();
-  if (dropped > 0) os << "(" << dropped << " events dropped)\n";
-}
-
-void write_trace_summary_json(std::ostream& os) {
-  const auto summary = trace_summary();
-  os << "[";
-  for (std::size_t i = 0; i < summary.size(); ++i) {
-    const auto& s = summary[i];
-    if (i) os << ",";
-    os << "\n  {\"name\": \"" << json_escape(s.name)
-       << "\", \"count\": " << s.count << ", \"total_ms\": " << s.total_ms
-       << ", \"mean_ms\": " << s.mean_ms << ", \"max_ms\": " << s.max_ms << "}";
-  }
-  os << "\n]\n";
-}
-
 }  // namespace bis::obs

@@ -96,8 +96,4 @@ struct SpanStats {
 /// Aggregated spans sorted by descending total time.
 std::vector<SpanStats> trace_summary();
 
-/// Human-readable summary table (and JSON variant) of trace_summary().
-void write_trace_summary(std::ostream& os);
-void write_trace_summary_json(std::ostream& os);
-
 }  // namespace bis::obs

@@ -33,11 +33,6 @@ void ErrorCounter::add(std::span<const int> sent, std::span<const int> received)
   total_ += std::max(sent.size(), received.size());
 }
 
-void ErrorCounter::add_lost(std::size_t bits) {
-  errors_ += bits;
-  total_ += bits;
-}
-
 void ErrorCounter::add_single(bool error) {
   if (error) ++errors_;
   ++total_;

@@ -16,9 +16,6 @@ class ErrorCounter {
   /// every missing/extra position as an error.
   void add(std::span<const int> sent, std::span<const int> received);
 
-  /// Record a whole lost packet of @p bits bits (all counted as errors).
-  void add_lost(std::size_t bits);
-
   void add_single(bool error);
 
   std::size_t total() const { return total_; }

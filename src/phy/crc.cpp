@@ -12,21 +12,10 @@ std::uint8_t crc8(std::span<const int> bits) {
     crc = static_cast<std::uint8_t>(crc << 1);
     if (top ^ static_cast<std::uint8_t>(bit)) crc ^= 0x07;
   }
-  // Final XOR: without it, a message followed by its own CRC keeps passing
-  // the check for ANY number of retained CRC bits (the register simply
-  // shifts its own top bits back in), which breaks the padding-trim search.
+  // Final XOR, part of the wire format: without it, a message followed by
+  // its own CRC keeps passing the check for ANY number of retained CRC bits
+  // (the register simply shifts its own top bits back in).
   return static_cast<std::uint8_t>(crc ^ 0xFF);
-}
-
-std::uint16_t crc16_ccitt(std::span<const int> bits) {
-  BIS_CHECK(is_bit_vector(bits));
-  std::uint16_t crc = 0xFFFF;
-  for (int bit : bits) {
-    const std::uint16_t top = static_cast<std::uint16_t>((crc >> 15) & 1);
-    crc = static_cast<std::uint16_t>(crc << 1);
-    if (top ^ static_cast<std::uint16_t>(bit)) crc ^= 0x1021;
-  }
-  return crc;
 }
 
 Bits append_crc8(std::span<const int> bits) {
@@ -43,24 +32,6 @@ bool check_and_strip_crc8(std::span<const int> bits, Bits& payload) {
   for (std::size_t i = bits.size() - 8; i < bits.size(); ++i)
     received = static_cast<std::uint8_t>((received << 1) | bits[i]);
   if (crc8(data) != received) return false;
-  payload.assign(data.begin(), data.end());
-  return true;
-}
-
-Bits append_crc16(std::span<const int> bits) {
-  Bits out(bits.begin(), bits.end());
-  const std::uint16_t crc = crc16_ccitt(bits);
-  for (int b = 15; b >= 0; --b) out.push_back((crc >> b) & 1);
-  return out;
-}
-
-bool check_and_strip_crc16(std::span<const int> bits, Bits& payload) {
-  if (bits.size() < 16) return false;
-  const auto data = bits.first(bits.size() - 16);
-  std::uint16_t received = 0;
-  for (std::size_t i = bits.size() - 16; i < bits.size(); ++i)
-    received = static_cast<std::uint16_t>((received << 1) | bits[i]);
-  if (crc16_ccitt(data) != received) return false;
   payload.assign(data.begin(), data.end());
   return true;
 }

@@ -1,9 +1,9 @@
 #pragma once
 
 /// @file crc.hpp
-/// CRC checksums for downlink/uplink payload integrity. The paper motivates
-/// the downlink with "on-demand retransmissions in case of packet loss" —
-/// CRC failure is the retransmission trigger in our protocol layer.
+/// CRC-8 for downlink packet integrity. The paper motivates the downlink
+/// with "on-demand retransmissions in case of packet loss" — CRC failure is
+/// the retransmission trigger in our protocol layer.
 
 #include <cstdint>
 #include <span>
@@ -15,20 +15,11 @@ namespace bis::phy {
 /// CRC-8 (poly 0x07, init 0xFF, xorout 0xFF), bitwise over a bit vector.
 std::uint8_t crc8(std::span<const int> bits);
 
-/// CRC-16-CCITT (poly 0x1021, init 0xFFFF), bitwise over a bit vector.
-std::uint16_t crc16_ccitt(std::span<const int> bits);
-
 /// Append the CRC-8 of @p bits as 8 bits (MSB first).
 Bits append_crc8(std::span<const int> bits);
 
 /// Check and strip a trailing CRC-8. Returns true and fills @p payload on
 /// success; returns false on mismatch or if the input is shorter than 8 bits.
 bool check_and_strip_crc8(std::span<const int> bits, Bits& payload);
-
-/// Append the CRC-16 of @p bits as 16 bits (MSB first).
-Bits append_crc16(std::span<const int> bits);
-
-/// Check and strip a trailing CRC-16.
-bool check_and_strip_crc16(std::span<const int> bits, Bits& payload);
 
 }  // namespace bis::phy

@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "phy/crc.hpp"
-#include "phy/fec.hpp"
 
 namespace bis::phy {
 namespace {
@@ -14,16 +13,13 @@ Bits frame_bits(const PacketConfig& config, const Bits& payload) {
     for (int b = 7; b >= 0; --b) body.push_back((addr >> b) & 1);
   }
   body.insert(body.end(), payload.begin(), payload.end());
-  if (config.append_crc8) body = append_crc8(body);
+  body = append_crc8(body);
 
+  BIS_CHECK_MSG(body.size() < (1u << 16), "packet too long for length prefix");
+  const auto len = static_cast<std::uint16_t>(body.size());
   Bits framed;
-  if (config.length_prefix) {
-    BIS_CHECK_MSG(body.size() < (1u << 16), "packet too long for length prefix");
-    const auto len = static_cast<std::uint16_t>(body.size());
-    for (int b = 15; b >= 0; --b) framed.push_back((len >> b) & 1);
-  }
+  for (int b = 15; b >= 0; --b) framed.push_back((len >> b) & 1);
   framed.insert(framed.end(), body.begin(), body.end());
-  if (config.hamming_fec) framed = hamming74_encode(framed);
   return framed;
 }
 
@@ -64,45 +60,17 @@ rf::ChirpFrame DownlinkPacket::to_frame(const SlopeAlphabet& alphabet) const {
 ParsedPacket parse_framed_bits(std::span<const int> framed, const PacketConfig& config,
                                std::optional<std::uint8_t> my_address) {
   ParsedPacket out;
-  Bits bits(framed.begin(), framed.end());
+  if (framed.size() < 16) return out;
+  std::size_t len = 0;
+  for (std::size_t i = 0; i < 16; ++i)
+    len = (len << 1) | static_cast<std::size_t>(framed[i]);
+  if (16 + len > framed.size()) return out;  // corrupted length field
+  // Anything after the counted bits is symbol padding or sensing chirps.
+  Bits bits(framed.begin() + 16, framed.begin() + 16 + static_cast<long>(len));
 
-  if (config.hamming_fec) {
-    // Trim any symbol-padding bits beyond the last full codeword.
-    const std::size_t usable = bits.size() - bits.size() % 7;
-    const auto decoded = hamming74_decode(std::span<const int>(bits.data(), usable));
-    out.fec_corrections = decoded.corrected_errors;
-    bits = decoded.data;
-  }
-
-  if (config.length_prefix) {
-    if (bits.size() < 16) return out;
-    std::size_t len = 0;
-    for (std::size_t i = 0; i < 16; ++i)
-      len = (len << 1) | static_cast<std::size_t>(bits[i]);
-    if (16 + len > bits.size()) return out;  // corrupted length field
-    bits = Bits(bits.begin() + 16, bits.begin() + 16 + static_cast<long>(len));
-  }
-
-  if (config.append_crc8) {
-    Bits verified;
-    if (config.length_prefix) {
-      // Exact length known: straight CRC check.
-      out.crc_ok = check_and_strip_crc8(bits, verified);
-    } else {
-      // Length known only modulo symbol padding: search the tail window
-      // (up to bits_per_symbol−1 padding bits, bounded by 12).
-      for (std::size_t trim = 0; trim <= 12 && trim < bits.size(); ++trim) {
-        const std::span<const int> candidate(bits.data(), bits.size() - trim);
-        if (check_and_strip_crc8(candidate, verified)) {
-          out.crc_ok = true;
-          break;
-        }
-      }
-    }
-    if (out.crc_ok) bits = verified;
-  } else {
-    out.crc_ok = true;
-  }
+  Bits verified;
+  out.crc_ok = check_and_strip_crc8(bits, verified);
+  if (out.crc_ok) bits = verified;
 
   if (config.tag_address.has_value()) {
     if (bits.size() < 8) {

@@ -6,6 +6,12 @@
 /// period. The header field (a run of the reserved header slope) lets the
 /// tag estimate the chirp period with a large FFT window; the sync field
 /// marks the start of the payload for window alignment.
+///
+/// The payload is framed as a 16-bit count of the bits that follow (so the
+/// tag knows exactly where the payload ends and trailing sensing chirps are
+/// harmless), the 8-bit tag address when one is set, the payload bits, and
+/// their CRC-8 (phy/crc.hpp). There is no FEC: the paper reaches its 1e-3
+/// BER target uncoded.
 
 #include <cstddef>
 #include <optional>
@@ -20,12 +26,6 @@ namespace bis::phy {
 struct PacketConfig {
   std::size_t header_chirps = 8;  ///< Length of the header field.
   std::size_t sync_chirps = 3;    ///< Length of the sync field.
-  bool length_prefix = true;      ///< 16-bit framed-bit count leads the
-                                  ///< packet so the tag knows exactly where
-                                  ///< the payload ends (trailing sensing
-                                  ///< chirps are then harmless).
-  bool append_crc8 = true;        ///< Protect the payload with CRC-8.
-  bool hamming_fec = false;       ///< Optional Hamming(7,4) on the payload.
   std::optional<std::uint8_t> tag_address;  ///< Multi-tag: 8-bit address
                                             ///< prepended to the payload;
                                             ///< std::nullopt = broadcast.
@@ -38,7 +38,7 @@ class DownlinkPacket {
  public:
   DownlinkPacket(PacketConfig config, Bits payload);
 
-  /// Bits after addressing/FEC/CRC framing — what is CSSK-mapped.
+  /// Bits after length/address/CRC framing — what is CSSK-mapped.
   const Bits& framed_bits() const { return framed_; }
   const Bits& payload() const { return payload_; }
   const PacketConfig& config() const { return config_; }
@@ -60,16 +60,15 @@ class DownlinkPacket {
 
 struct ParsedPacket {
   Bits payload;                ///< Recovered payload bits.
-  bool crc_ok = false;         ///< CRC verdict (true when CRC disabled).
+  bool crc_ok = false;         ///< CRC-8 verdict.
   bool address_match = false;  ///< True when addressed to us or broadcast.
   std::optional<std::uint8_t> address;  ///< Parsed address, when configured.
-  std::size_t fec_corrections = 0;
 };
 
-/// Reverse of the framing applied by DownlinkPacket: strip address, undo
-/// FEC, verify CRC. @p my_address is the receiving tag's address (matched
-/// against the packet address or broadcast); pass std::nullopt when
-/// addressing is disabled.
+/// Reverse of the framing applied by DownlinkPacket: read the length, verify
+/// and strip the CRC-8, strip the address. @p my_address is the receiving
+/// tag's address (matched against the packet address or broadcast); pass
+/// std::nullopt when addressing is disabled.
 ParsedPacket parse_framed_bits(std::span<const int> framed, const PacketConfig& config,
                                std::optional<std::uint8_t> my_address);
 

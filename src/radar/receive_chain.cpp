@@ -153,26 +153,6 @@ void ReceiveChain::regrid(std::span<const RangeProfile> profiles,
   BIS_CHECK(!profiles.empty());
   out.chirp_period_s = profiles.front().chirp.period();
 
-  if (!align_.enabled) {
-    // Ablation baseline (Fig. 7a): ignore the per-chirp range scaling and
-    // stack raw bins. The "range grid" is only nominally meaningful (taken
-    // from the first chirp) — exactly the ambiguity the paper illustrates.
-    const std::size_t n = profiles.front().bins.size();
-    out.rows.resize(profiles.size());
-    bis::parallel_for(pool, 0, profiles.size(), [&](std::size_t i) {
-      const auto& p = profiles[i];
-      auto& row = out.rows[i];
-      row.assign(n, dsp::cdouble(0.0, 0.0));
-      const std::size_t m = std::min(n, p.bins.size());
-      std::copy(p.bins.begin(), p.bins.begin() + static_cast<long>(m), row.begin());
-    });
-    const auto& first = profiles.front();
-    out.range_grid.resize(n);
-    for (std::size_t i = 0; i < n && i < first.bins.size(); ++i)
-      out.range_grid[i] = first.bin_range_m(i);
-    return;
-  }
-
   // Common coverage: every chirp can see at least min(R_max); the grid stops
   // there so no row needs extrapolation.
   double r_cover = profiles.front().max_range_m();
@@ -249,8 +229,7 @@ void ReceiveChain::warm(const phy::SlopeAlphabet& alphabet) const {
     // metadata, never the samples.
     silence.assign(n, dsp::cdouble(0.0, 0.0));
     range_fft(silence, chirp, profile);
-    if (align_.enabled)
-      regrid(std::span<const RangeProfile>(&profile, 1), nullptr, aligned);
+    regrid(std::span<const RangeProfile>(&profile, 1), nullptr, aligned);
   });
 }
 

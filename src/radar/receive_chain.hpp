@@ -89,8 +89,6 @@ struct RangeAlignConfig {
   std::size_t grid_bins = 0;    ///< 0 = use the largest profile's N_FFT.
   double max_range_m = 0.0;     ///< 0 = min over chirps of R_max (always
                                 ///< covered by every chirp).
-  bool enabled = true;          ///< false = no-IF-correction baseline: stack
-                                ///< raw bins directly (Fig. 7a ablation).
 };
 
 /// One frame's buffers through the chain. The caller keeps one per frame in
@@ -151,10 +149,10 @@ class ReceiveChain {
                       const AlphabetExtent& extent);
 
   /// Build every size-dependent shared cache entry for every chirp of
-  /// @p alphabet — the Hann window and FFT plan, and with IF correction on
-  /// the regrid plan against the configured grid — and grow the calling
-  /// thread's DSP scratch to the largest chirp. One dry pass per alphabet
-  /// slot; safe to call concurrently.
+  /// @p alphabet — the Hann window and FFT plan, and the regrid plan
+  /// against the configured grid — and grow the calling thread's DSP
+  /// scratch to the largest chirp. One dry pass per alphabet slot; safe to
+  /// call concurrently.
   void warm(const phy::SlopeAlphabet& alphabet) const;
 
  private:

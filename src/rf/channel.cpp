@@ -14,21 +14,4 @@ ChannelModel ChannelModel::indoor_office() {
   return ch;
 }
 
-ChannelModel ChannelModel::free_space() { return ChannelModel{}; }
-
-ChannelModel ChannelModel::random_office(Rng& rng, std::size_t n_taps,
-                                         double min_gain_db, double max_gain_db,
-                                         double max_excess_delay_s) {
-  ChannelModel ch;
-  ch.taps.reserve(n_taps);
-  for (std::size_t i = 0; i < n_taps; ++i) {
-    MultipathTap tap;
-    tap.excess_delay_s = rng.uniform(1e-9, max_excess_delay_s);
-    tap.relative_gain_db = rng.uniform(min_gain_db, max_gain_db);
-    tap.phase_rad = rng.uniform(0.0, 6.283185307179586);
-    ch.taps.push_back(tap);
-  }
-  return ch;
-}
-
 }  // namespace bis::rf

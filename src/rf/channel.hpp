@@ -13,8 +13,6 @@
 
 #include <vector>
 
-#include "common/random.hpp"
-
 namespace bis::rf {
 
 struct MultipathTap {
@@ -28,15 +26,6 @@ struct ChannelModel {
 
   /// Typical indoor office profile: two wall bounces and a ground bounce.
   static ChannelModel indoor_office();
-
-  /// Free-space only.
-  static ChannelModel free_space();
-
-  /// Randomized office-like profile for Monte-Carlo sweeps.
-  static ChannelModel random_office(Rng& rng, std::size_t n_taps = 3,
-                                    double min_gain_db = -25.0,
-                                    double max_gain_db = -10.0,
-                                    double max_excess_delay_s = 40e-9);
 };
 
 }  // namespace bis::rf

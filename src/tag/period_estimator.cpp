@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/peak.hpp"
-#include "dsp/spectrum.hpp"
 
 namespace bis::tag {
 
@@ -17,18 +16,7 @@ PeriodEstimator::PeriodEstimator(const PeriodEstimatorConfig& config) : config_(
   BIS_CHECK(config_.analysis_periods >= 3);
 }
 
-std::optional<double> PeriodEstimator::estimate(const dsp::RVec& stream,
-                                                PeriodMethod method) const {
-  switch (method) {
-    case PeriodMethod::kAutocorrelation:
-      return estimate_acf(stream);
-    case PeriodMethod::kSpectralComb:
-      return estimate_comb(stream);
-  }
-  return std::nullopt;
-}
-
-std::optional<double> PeriodEstimator::estimate_acf(const dsp::RVec& stream) const {
+std::optional<double> PeriodEstimator::estimate(const dsp::RVec& stream) const {
   const double fs = config_.sample_rate_hz;
   const auto need = static_cast<std::size_t>(config_.max_period_s * fs *
                                              static_cast<double>(config_.analysis_periods));
@@ -91,48 +79,6 @@ std::optional<double> PeriodEstimator::estimate_acf(const dsp::RVec& stream) con
 
   const double refined = dsp::parabolic_refine(norm_acf, best);
   return refined / fs;
-}
-
-std::optional<double> PeriodEstimator::estimate_comb(const dsp::RVec& stream) const {
-  const double fs = config_.sample_rate_hz;
-  const auto need = static_cast<std::size_t>(config_.max_period_s * fs *
-                                             static_cast<double>(config_.analysis_periods));
-  if (stream.size() < static_cast<std::size_t>(config_.max_period_s * fs * 3.0))
-    return std::nullopt;
-  const std::size_t n = std::min(stream.size(), need);
-  const std::span<const double> seg(stream.data(), n);
-
-  // Long-window FFT: the burst train produces a comb at multiples of
-  // 1/T_period. Use a harmonic product spectrum over the candidate band to
-  // find the fundamental robustly.
-  const std::size_t n_fft = dsp::next_power_of_two(n) * 4;
-  const auto p = dsp::periodogram(seg, n_fft, dsp::WindowType::kHann);
-  const double bin_hz = fs / static_cast<double>(n_fft);
-
-  const double f_lo = 1.0 / config_.max_period_s;
-  const double f_hi = 1.0 / config_.min_period_s;
-  const auto k_lo = std::max<std::size_t>(1, static_cast<std::size_t>(f_lo / bin_hz));
-  const auto k_hi = std::min(static_cast<std::size_t>(f_hi / bin_hz), p.size() - 1);
-  if (k_lo >= k_hi) return std::nullopt;
-
-  double best_score = 0.0;
-  std::size_t best_k = 0;
-  for (std::size_t k = k_lo; k <= k_hi; ++k) {
-    double score = 0.0;
-    for (std::size_t h = 1; h <= 3; ++h) {
-      const std::size_t kh = k * h;
-      if (kh < p.size()) score += std::log1p(p[kh]);
-    }
-    if (score > best_score) {
-      best_score = score;
-      best_k = k;
-    }
-  }
-  if (best_k == 0) return std::nullopt;
-  const double refined = dsp::parabolic_refine(p, best_k);
-  const double f0 = refined * bin_hz;
-  if (f0 <= 0.0) return std::nullopt;
-  return 1.0 / f0;
 }
 
 }  // namespace bis::tag

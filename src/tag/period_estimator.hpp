@@ -7,8 +7,8 @@
 /// The envelope stream during the header is a periodic burst train (tone
 /// during the sweep, noise during the idle), so its period shows up both as
 /// a comb in the long-window spectrum and as the first major peak of the
-/// autocorrelation. We implement both estimators; the autocorrelation
-/// (Wiener–Khinchin via FFT) is the default for robustness.
+/// autocorrelation. The estimator reads the autocorrelation (Wiener–Khinchin
+/// via FFT), which is the more robust of the two.
 
 #include <optional>
 
@@ -23,26 +23,19 @@ struct PeriodEstimatorConfig {
   std::size_t analysis_periods = 6;  ///< Header length used for analysis.
 };
 
-enum class PeriodMethod {
-  kAutocorrelation,  ///< ACF peak in the lag window (default).
-  kSpectralComb,     ///< Long-FFT comb fundamental (paper's description).
-};
-
 class PeriodEstimator {
  public:
   explicit PeriodEstimator(const PeriodEstimatorConfig& config);
 
-  /// Estimate the chirp period from the start of an envelope stream.
-  /// Returns std::nullopt when no periodicity is found in bounds.
-  std::optional<double> estimate(const dsp::RVec& stream,
-                                 PeriodMethod method = PeriodMethod::kAutocorrelation) const;
+  /// Estimate the chirp period from the start of an envelope stream: the
+  /// strongest peak of the autocorrelation in the lag window, folded down
+  /// from harmonics. Returns std::nullopt when no periodicity is found in
+  /// bounds.
+  std::optional<double> estimate(const dsp::RVec& stream) const;
 
   const PeriodEstimatorConfig& config() const { return config_; }
 
  private:
-  std::optional<double> estimate_acf(const dsp::RVec& stream) const;
-  std::optional<double> estimate_comb(const dsp::RVec& stream) const;
-
   PeriodEstimatorConfig config_;
 };
 

@@ -38,7 +38,6 @@ SymbolDemod::SymbolDemod(const SymbolDemodConfig& config)
     : config_(config),
       bank_(config.slot_beat_freqs_hz, config.sample_rate_hz,
             max_analysis_length(config)) {
-  BIS_CHECK(config_.guard_fraction >= 0.0 && config_.guard_fraction < 0.4);
   BIS_CHECK_MSG(config_.slot_beat_freqs_hz.size() >= 2,
                 "alphabet needs at least two slots");
   BIS_CHECK(config_.slot_durations_s.empty() ||
@@ -69,49 +68,22 @@ dsp::RVec SymbolDemod::analysis_weights(std::size_t n) {
 /// mean-removal + DFT-bin methods collapse.
 SymbolDemod::Result SymbolDemod::classify(std::span<const double> window) const {
   BIS_CHECK(window.size() >= 4);
-  const auto guard = static_cast<std::size_t>(
-      config_.guard_fraction * static_cast<double>(window.size()));
-  const auto core = window.subspan(guard, window.size() - 2 * guard);
   const auto& freqs = config_.slot_beat_freqs_hz;
   const double fs = config_.sample_rate_hz;
   const auto& phases = config_.slot_phases_rad;
-  const std::size_t n = core.size();
+  const std::size_t n = window.size();
 
   if (phases.empty() && n >= min_planned_length_ &&
       n - min_planned_length_ < windows_.size()) {
     std::vector<double> powers(freqs.size());
-    bank_.scores(core, windows_[n - min_planned_length_], powers);
+    bank_.scores(window, windows_[n - min_planned_length_], powers);
     return pick(std::move(powers));
   }
   const auto w = analysis_weights(n);
-  if (phases.empty()) return pick(dsp::tone_glrt_scores(core, freqs, fs, w));
+  if (phases.empty()) return pick(dsp::tone_glrt_scores(window, freqs, fs, w));
   std::vector<double> powers(freqs.size());
   for (std::size_t i = 0; i < freqs.size(); ++i)
-    powers[i] = dsp::tone_known_phase_score(core, freqs[i], phases[i], fs, w);
-  return pick(std::move(powers));
-}
-
-SymbolDemod::Result SymbolDemod::classify_matched(
-    std::span<const double> period_samples) const {
-  BIS_CHECK_MSG(!config_.slot_durations_s.empty(),
-                "classify_matched requires slot_durations_s");
-  BIS_CHECK(period_samples.size() >= 4);
-  const double fs = config_.sample_rate_hz;
-
-  std::vector<double> powers(config_.slot_beat_freqs_hz.size(), 0.0);
-  for (std::size_t i = 0; i < powers.size(); ++i) {
-    const std::size_t len = std::min(
-        analysis_length(config_.slot_durations_s[i], fs), period_samples.size());
-    if (len < 4) continue;
-    const auto core = period_samples.first(len);
-    const auto w = analysis_weights(len);
-    // GLRT normalization per window length so longer fully-filled windows
-    // win on signal, not size.
-    double w_energy = 0.0;
-    for (double v : w) w_energy += v * v;
-    powers[i] = dsp::tone_glrt_score(core, config_.slot_beat_freqs_hz[i], fs, w) /
-                std::max(w_energy, 1e-30);
-  }
+    powers[i] = dsp::tone_known_phase_score(window, freqs[i], phases[i], fs, w);
   return pick(std::move(powers));
 }
 

@@ -25,14 +25,13 @@ struct SymbolDemodConfig {
   double sample_rate_hz = 500e3;
   std::vector<double> slot_beat_freqs_hz;  ///< Calibrated Δf per slot.
   std::vector<double> slot_durations_s;    ///< Chirp duration per slot
-                                           ///< (protocol constant); required
-                                           ///< for classify_matched.
+                                           ///< (protocol constant); sizes
+                                           ///< the planned GLRT windows.
   std::vector<double> slot_phases_rad;     ///< Calibrated tone phase per
                                            ///< slot; when non-empty the
                                            ///< classifier uses known-phase
                                            ///< matching (decisive at ~1 beat
                                            ///< cycle per window).
-  double guard_fraction = 0.0;  ///< Optional trim from both window ends.
 };
 
 /// Immutable once built. The constructor plans the GLRT bank
@@ -55,13 +54,6 @@ class SymbolDemod {
   /// Classify one chirp-aligned window of envelope samples with a common
   /// window for every slot (simple bank argmax).
   Result classify(std::span<const double> window) const;
-
-  /// Joint duration+frequency matched classification: slot i is scored with
-  /// a window of its *own* protocol duration, Goertzel at its calibrated
-  /// Δf, normalized by the window's noise gain (GLRT metric |X|²/Σw²).
-  /// @p period_samples must start at the burst's first sample and extend to
-  /// the end of the chirp period (or stream). Requires slot_durations_s.
-  Result classify_matched(std::span<const double> period_samples) const;
 
   const SymbolDemodConfig& config() const { return config_; }
 

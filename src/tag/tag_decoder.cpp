@@ -16,7 +16,6 @@ SymbolDemodConfig make_demod_config(const TagDecoderConfig& cfg) {
   d.slot_beat_freqs_hz = cfg.slot_beat_freqs_hz;
   d.slot_durations_s = cfg.slot_durations_s;
   d.slot_phases_rad = cfg.slot_phases_rad;
-  d.guard_fraction = cfg.demod_guard_fraction;
   return d;
 }
 

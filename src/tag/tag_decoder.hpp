@@ -49,7 +49,6 @@ struct TagDecoderConfig {
   PeriodEstimatorConfig period;
   PeriodicGateConfig periodic_gate;  ///< Primary, period-folded windowing.
   BurstGateConfig gate;              ///< Fallback when period lock fails.
-  double demod_guard_fraction = 0.0;
 };
 
 struct DownlinkDecodeResult {

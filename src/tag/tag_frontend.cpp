@@ -142,19 +142,7 @@ rf::EnvelopeDetector::Output TagFrontend::mix_period(
     copies.push_back({a * long_line_scale, p.excess_delay_s + delta_t, p.phase_rad});
   }
 
-  auto mixed = envelope_.mix(copies, chirp.slope(), chirp.start_frequency_hz);
-
-  if (!config_.model_multipath_cross_terms) {
-    // Keep only the per-path self-beats (tones at exactly α·ΔT).
-    std::vector<rf::BasebandTone> kept;
-    for (const auto& t : mixed.tones) {
-      if (std::abs(t.frequency_hz - chirp.slope() * delta_t) <
-          0.01 * chirp.slope() * delta_t)
-        kept.push_back(t);
-    }
-    mixed.tones = std::move(kept);
-  }
-  return mixed;
+  return envelope_.mix(copies, chirp.slope(), chirp.start_frequency_hz);
 }
 
 void TagFrontend::synthesize_period(const rf::ChirpParams& chirp,

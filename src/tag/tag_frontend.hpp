@@ -44,7 +44,6 @@ struct TagFrontendConfig {
   rf::AdcConfig adc{500e3, 12, 1.0};  ///< kHz-class MCU ADC.
   rf::RfSwitchConfig rf_switch;
   double pga_max_gain = 1e7;  ///< Programmable gain amplifier ceiling.
-  bool model_multipath_cross_terms = true;
 };
 
 /// The frontend plans each period. A period's noiseless active-sweep
@@ -122,8 +121,8 @@ class TagFrontend {
                          std::span<const IncidentPath> paths, bool absorptive,
                          std::span<double> out);
 
-  /// Per-period setup for a plan: switch routing, chirp copies, envelope mix,
-  /// optional cross-term pruning. Returns the mixed tone set.
+  /// Per-period setup for a plan: switch routing, chirp copies, envelope
+  /// mix. Returns the mixed tone set, every cross term included.
   rf::EnvelopeDetector::Output mix_period(const rf::ChirpParams& chirp,
                                           std::span<const IncidentPath> paths,
                                           bool absorptive);

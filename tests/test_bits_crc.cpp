@@ -1,11 +1,10 @@
-// Bit utilities, CRC, FEC.
+// Bit utilities and CRC-8.
 
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
 #include "phy/bits.hpp"
 #include "phy/crc.hpp"
-#include "phy/fec.hpp"
 
 namespace bis::phy {
 namespace {
@@ -87,72 +86,9 @@ TEST(Crc8, DifferentPayloadsDifferentCrc) {
   EXPECT_NE(a, b);
 }
 
-TEST(Crc16, KnownVectorAndFlips) {
-  // CRC-16-CCITT of "123456789" (0x31..0x39) = 0x29B1.
-  const auto bits = string_to_bits("123456789");
-  EXPECT_EQ(crc16_ccitt(bits), 0x29B1);
-
-  Rng rng(6);
-  const auto payload = rng.bits(80);
-  const auto framed = append_crc16(payload);
-  Bits out;
-  EXPECT_TRUE(check_and_strip_crc16(framed, out));
-  auto corrupted = framed;
-  corrupted[40] ^= 1;
-  EXPECT_FALSE(check_and_strip_crc16(corrupted, out));
-}
-
 TEST(Crc, TooShortInputRejected) {
   Bits out;
   EXPECT_FALSE(check_and_strip_crc8(std::vector<int>{1, 0, 1}, out));
-  EXPECT_FALSE(check_and_strip_crc16(std::vector<int>{1}, out));
-}
-
-TEST(Hamming74, RoundTripNoErrors) {
-  Rng rng(7);
-  const auto data = rng.bits(40);
-  const auto coded = hamming74_encode(data);
-  EXPECT_EQ(coded.size(), 70u);
-  const auto decoded = hamming74_decode(coded);
-  EXPECT_EQ(decoded.corrected_errors, 0u);
-  EXPECT_EQ(decoded.data, data);
-}
-
-TEST(Hamming74, CorrectsEverySingleBitError) {
-  Rng rng(8);
-  const auto data = rng.bits(4);
-  const auto coded = hamming74_encode(data);
-  for (std::size_t i = 0; i < 7; ++i) {
-    auto corrupted = coded;
-    corrupted[i] ^= 1;
-    const auto decoded = hamming74_decode(corrupted);
-    EXPECT_EQ(decoded.data, data) << "error at " << i;
-    EXPECT_EQ(decoded.corrected_errors, 1u);
-  }
-}
-
-TEST(Hamming74, PadsPartialBlock) {
-  const Bits data = {1, 0, 1};  // padded to 4
-  const auto coded = hamming74_encode(data);
-  EXPECT_EQ(coded.size(), 7u);
-  const auto decoded = hamming74_decode(coded);
-  EXPECT_EQ(decoded.data[0], 1);
-  EXPECT_EQ(decoded.data[1], 0);
-  EXPECT_EQ(decoded.data[2], 1);
-  EXPECT_EQ(decoded.data[3], 0);
-}
-
-TEST(Repetition, MajorityDecodes) {
-  const Bits data = {1, 0, 1};
-  auto coded = repetition_encode(data, 3);
-  EXPECT_EQ(coded.size(), 9u);
-  coded[0] ^= 1;  // one error in the first symbol
-  coded[4] ^= 1;  // one error in the second symbol
-  EXPECT_EQ(repetition_decode(coded, 3), data);
-}
-
-TEST(Repetition, RequiresOddFactor) {
-  EXPECT_THROW(repetition_encode(std::vector<int>{1}, 2), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Filter behaviour: FIR design/response, biquad low/high-pass, single-pole
-// RC, moving average, DC blocker.
+// Filter behaviour: moving average and DC blocker.
 
 #include <gtest/gtest.h>
 
@@ -24,73 +23,6 @@ double steady_amplitude(const std::vector<double>& y, double freq, double fs) {
   const std::size_t n = y.size() / 2;
   const std::span<const double> tail(y.data() + n, n);
   return 2.0 * std::abs(goertzel(tail, freq, fs)) / static_cast<double>(n);
-}
-
-TEST(FirDesign, UnityDcGain) {
-  const auto taps = design_lowpass_fir(10e3, 500e3, 101);
-  double sum = 0.0;
-  for (double t : taps) sum += t;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-}
-
-TEST(FirDesign, PassesLowRejectsHigh) {
-  const double fs = 500e3;
-  const auto taps = design_lowpass_fir(50e3, fs, 101);
-  const auto low = fir_filter(tone(2000, 10e3, fs), taps);
-  const auto high = fir_filter(tone(2000, 200e3, fs), taps);
-  EXPECT_NEAR(steady_amplitude(low, 10e3, fs), 1.0, 0.05);
-  EXPECT_LT(steady_amplitude(high, 200e3, fs), 0.01);
-}
-
-TEST(FirDesign, RequiresOddTaps) {
-  EXPECT_THROW(design_lowpass_fir(10e3, 500e3, 100), std::invalid_argument);
-}
-
-TEST(FirFilter, IdentityWithUnitTap) {
-  std::vector<double> x = {1.0, -2.0, 3.0};
-  std::vector<double> taps = {1.0};
-  const auto y = fir_filter(x, taps);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y[i], x[i]);
-}
-
-TEST(Biquad, LowpassAttenuatesAboveCutoff) {
-  const double fs = 500e3;
-  auto lp = Biquad::lowpass(20e3, fs);
-  const auto passed = lp.process(tone(4000, 2e3, fs));
-  lp.reset();
-  const auto stopped = lp.process(tone(4000, 200e3, fs));
-  EXPECT_NEAR(steady_amplitude(passed, 2e3, fs), 1.0, 0.05);
-  EXPECT_LT(steady_amplitude(stopped, 200e3, fs), 0.03);
-}
-
-TEST(Biquad, HighpassBlocksDc) {
-  auto hp = Biquad::highpass(5e3, 500e3);
-  std::vector<double> dc(4000, 1.0);
-  const auto y = hp.process(dc);
-  EXPECT_NEAR(y.back(), 0.0, 1e-3);
-}
-
-TEST(Biquad, CutoffIsMinus3Db) {
-  const double fs = 500e3;
-  auto lp = Biquad::lowpass(50e3, fs);
-  const auto y = lp.process(tone(8000, 50e3, fs));
-  EXPECT_NEAR(steady_amplitude(y, 50e3, fs), 1.0 / std::sqrt(2.0), 0.03);
-}
-
-TEST(SinglePole, StepResponseSettles) {
-  SinglePoleLowpass lp(10e3, 500e3);
-  double y = 0.0;
-  for (int i = 0; i < 2000; ++i) y = lp.process(1.0);
-  EXPECT_NEAR(y, 1.0, 1e-6);
-}
-
-TEST(SinglePole, CutoffAttenuation) {
-  const double fs = 500e3;
-  SinglePoleLowpass lp(30e3, fs);
-  const auto y = lp.process(tone(8000, 30e3, fs));
-  // Single-pole at cutoff: 1/√2.
-  EXPECT_NEAR(steady_amplitude(y, 30e3, fs), 1.0 / std::sqrt(2.0), 0.05);
 }
 
 TEST(MovingAverage, FlatInputUnchanged) {

@@ -74,8 +74,13 @@ TEST(IfSynth, MultipleReturnsSuperpose) {
   const auto spec = dsp::fft_padded(x, 1024);
   dsp::RVec mag(spec.size());
   for (std::size_t i = 0; i < spec.size(); ++i) mag[i] = std::abs(spec[i]);
-  const auto peaks = dsp::find_peaks(mag, 0.1 * *std::max_element(mag.begin(), mag.end()), 3);
-  EXPECT_GE(peaks.size(), 2u);
+  // Count the local maxima above a tenth of the strongest bin.
+  const double threshold = 0.1 * *std::max_element(mag.begin(), mag.end());
+  std::size_t peaks = 0;
+  for (std::size_t i = 1; i + 1 < mag.size(); ++i)
+    if (mag[i] >= threshold && mag[i] >= mag[i - 1] && mag[i] > mag[i + 1])
+      ++peaks;
+  EXPECT_GE(peaks, 2u);
 }
 
 TEST(IfSynth, NoiseFloorMatchesConfig) {

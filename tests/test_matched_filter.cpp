@@ -1,4 +1,4 @@
-// Correlation and the square-wave slow-time signature used by the tag
+// The square-wave slow-time signature and its score, used by the tag
 // detector (Millimetro-style matched filtering, paper §3.3).
 
 #include <gtest/gtest.h>
@@ -14,53 +14,6 @@
 
 namespace bis::dsp {
 namespace {
-
-TEST(NormalizedCorrelation, BoundsAndIdentity) {
-  std::vector<double> a = {1.0, 2.0, 3.0};
-  EXPECT_NEAR(normalized_correlation(a, a), 1.0, 1e-12);
-  std::vector<double> neg = {-1.0, -2.0, -3.0};
-  EXPECT_NEAR(normalized_correlation(a, neg), -1.0, 1e-12);
-  std::vector<double> orth = {1.0, 0.0, 0.0};
-  std::vector<double> orth2 = {0.0, 1.0, 0.0};
-  EXPECT_NEAR(normalized_correlation(orth, orth2), 0.0, 1e-12);
-}
-
-TEST(NormalizedCorrelation, ZeroEnergyIsZero) {
-  std::vector<double> a = {0.0, 0.0};
-  std::vector<double> b = {1.0, 2.0};
-  EXPECT_EQ(normalized_correlation(a, b), 0.0);
-}
-
-TEST(CrossCorrelate, FindsKnownLag) {
-  std::vector<double> h = {1.0, 2.0, 1.0};
-  std::vector<double> x(40, 0.0);
-  // Template embedded at offset 17.
-  x[17] = 1.0;
-  x[18] = 2.0;
-  x[19] = 1.0;
-  const auto xc = cross_correlate(x, h);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < xc.size(); ++i)
-    if (xc[i] > xc[best]) best = i;
-  // out[i] is lag i-(Nh-1); max at lag 17.
-  EXPECT_EQ(static_cast<long long>(best) - 2, 17);
-}
-
-TEST(CrossCorrelate, FftPathMatchesDirect) {
-  // Above the size threshold cross_correlate routes through rfft/irfft;
-  // the result must match the O(Nx·Nh) scan to numerical precision.
-  Rng rng(9);
-  std::vector<double> x(300), h(40);
-  for (auto& v : x) v = rng.gaussian();
-  for (auto& v : h) v = rng.gaussian();
-  const auto fast = cross_correlate(x, h);  // 300·40 = 12000 ≥ threshold
-  const auto ref = cross_correlate_direct(x, h);
-  ASSERT_EQ(fast.size(), ref.size());
-  double scale = 0.0;
-  for (double v : ref) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < fast.size(); ++i)
-    EXPECT_NEAR(fast[i], ref[i], 1e-10 * scale) << "lag index " << i;
-}
 
 TEST(SquareWaveSignature, PlacesOddHarmonics) {
   const double period = 120e-6;

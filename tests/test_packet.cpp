@@ -1,5 +1,6 @@
 // Downlink packet framing: preamble layout, length prefix, CRC, address
-// filtering, FEC, slot serialization, and parse round trips.
+// filtering, slot serialization, the pinned wire bits, and parse round
+// trips.
 
 #include <gtest/gtest.h>
 
@@ -124,43 +125,6 @@ TEST(Packet, BroadcastAcceptedByEveryAddress) {
     const auto parsed = parse_framed_bits(packet.framed_bits(), cfg, addr);
     EXPECT_TRUE(parsed.address_match) << int(addr);
   }
-}
-
-TEST(Packet, FecCorrectsScatteredErrors) {
-  Rng rng(9);
-  const auto payload = rng.bits(32);
-  PacketConfig cfg;
-  cfg.hamming_fec = true;
-  const DownlinkPacket packet(cfg, payload);
-  auto framed = packet.framed_bits();
-  // One error per codeword is correctable.
-  for (std::size_t i = 0; i < framed.size(); i += 7) framed[i] ^= 1;
-  const auto parsed = parse_framed_bits(framed, cfg, std::nullopt);
-  EXPECT_TRUE(parsed.crc_ok);
-  EXPECT_EQ(parsed.payload, payload);
-  EXPECT_GT(parsed.fec_corrections, 0u);
-}
-
-TEST(Packet, NoLengthPrefixUsesTrimSearch) {
-  // Legacy mode (no length prefix): the parser searches the padding tail for
-  // a length whose CRC-8 checks out. Each wrong trim has a ~1/256 chance of
-  // a false accept — inherent to the legacy framing (the length prefix,
-  // default-on, removes the ambiguity) — so use a payload that does not
-  // collide.
-  Rng rng(12);
-  const auto payload = rng.bits(40);
-  PacketConfig cfg;
-  cfg.length_prefix = false;
-  const DownlinkPacket packet(cfg, payload);
-  auto framed = packet.framed_bits();
-  // Up to bits_per_symbol−1 padding zeros appear at the tag; the parser's
-  // trim search must still find the CRC.
-  framed.push_back(0);
-  framed.push_back(0);
-  framed.push_back(0);
-  const auto parsed = parse_framed_bits(framed, cfg, std::nullopt);
-  EXPECT_TRUE(parsed.crc_ok);
-  EXPECT_EQ(parsed.payload, payload);
 }
 
 TEST(Packet, ChirpCountFormula) {

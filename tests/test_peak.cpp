@@ -1,4 +1,4 @@
-// Peak detection, parabolic refinement, CFAR.
+// Peak detection and parabolic refinement.
 
 #include <gtest/gtest.h>
 
@@ -49,60 +49,6 @@ TEST(FindPeak, SubBinAccuracyOnSampledGaussian) {
   const auto p = find_peak(xs);
   EXPECT_EQ(p.index, 10u);
   EXPECT_NEAR(p.refined_index, 10.37, 0.02);
-}
-
-TEST(FindPeaks, OrdersByValueAndSuppressesNeighbours) {
-  std::vector<double> xs(50, 0.0);
-  xs[10] = 5.0;
-  xs[11] = 4.0;  // adjacent, should be suppressed with min_distance=3
-  xs[30] = 7.0;
-  const auto peaks = find_peaks(xs, 1.0, 3);
-  ASSERT_EQ(peaks.size(), 2u);
-  EXPECT_EQ(peaks[0].index, 30u);
-  EXPECT_EQ(peaks[1].index, 10u);
-}
-
-TEST(FindPeaks, ThresholdFilters) {
-  std::vector<double> xs(20, 0.0);
-  xs[5] = 0.5;
-  xs[15] = 2.0;
-  const auto peaks = find_peaks(xs, 1.0);
-  ASSERT_EQ(peaks.size(), 1u);
-  EXPECT_EQ(peaks[0].index, 15u);
-}
-
-TEST(Cfar, DetectsTargetAboveClutterFloor) {
-  std::vector<double> power(100, 1.0);
-  power[50] = 30.0;
-  const auto det = cfar_detect(power, 2, 8, 10.0);
-  ASSERT_EQ(det.size(), 1u);
-  EXPECT_EQ(det[0], 50u);
-}
-
-TEST(Cfar, GuardCellsProtectTargetSkirt) {
-  std::vector<double> power(100, 1.0);
-  power[49] = 10.0;
-  power[50] = 30.0;
-  power[51] = 10.0;
-  // With 2 guard cells the skirt samples don't raise the noise estimate.
-  const auto det = cfar_detect(power, 2, 8, 12.0);
-  EXPECT_EQ(det.size(), 1u);
-  EXPECT_EQ(det[0], 50u);
-}
-
-TEST(Cfar, NoFalseAlarmsOnFlatInput) {
-  std::vector<double> power(64, 2.0);
-  EXPECT_TRUE(cfar_detect(power, 2, 8, 3.0).empty());
-}
-
-TEST(Cfar, TwoSeparatedTargets) {
-  std::vector<double> power(128, 1.0);
-  power[30] = 25.0;
-  power[90] = 40.0;
-  const auto det = cfar_detect(power, 1, 6, 8.0);
-  ASSERT_EQ(det.size(), 2u);
-  EXPECT_EQ(det[0], 30u);
-  EXPECT_EQ(det[1], 90u);
 }
 
 }  // namespace

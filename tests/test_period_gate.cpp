@@ -83,18 +83,6 @@ TEST(PeriodEstimator, HeaderRunDefeatsAlternatingPayloadHarmonic) {
   EXPECT_NEAR(*p, 120e-6, 4e-6);
 }
 
-TEST(PeriodEstimator, SpectralCombMethodAgrees) {
-  const auto x = burst_train(12, 120e-6, {50e-6}, 60e3, 0.01, 4);
-  PeriodEstimatorConfig cfg;
-  cfg.sample_rate_hz = kFs;
-  cfg.min_period_s = 60e-6;
-  cfg.max_period_s = 250e-6;
-  PeriodEstimator pe(cfg);
-  const auto p = pe.estimate(x, PeriodMethod::kSpectralComb);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_NEAR(*p, 120e-6, 5e-6);
-}
-
 TEST(PeriodEstimator, RejectsPureNoise) {
   Rng rng(5);
   dsp::RVec x(3000);

@@ -153,16 +153,6 @@ TEST(ReceiveChain, GridCoversMinimumMaxRange) {
   EXPECT_NEAR(aligned.range_grid.back(), r_min_max, 1e-6);
 }
 
-TEST(ReceiveChain, DisabledBaselineStacksRawBins) {
-  std::vector<RangeProfile> profiles;
-  profiles.push_back(profile_for(2.0, 40e-6));
-  profiles.push_back(profile_for(2.0, 90e-6));
-  RangeAlignConfig cfg;
-  cfg.enabled = false;
-  const auto aligned = align(profiles, cfg);
-  EXPECT_EQ(aligned.n_bins(), profiles.front().bins.size());
-}
-
 TEST(ReceiveChain, ColumnAccessors) {
   std::vector<RangeProfile> profiles;
   profiles.push_back(profile_for(3.0, 50e-6));

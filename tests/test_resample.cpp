@@ -19,29 +19,26 @@ TEST(Linspace, EndpointsAndSpacing) {
     EXPECT_NEAR(g[i] - g[i - 1], 1.0, 1e-12);
 }
 
-TEST(InterpLinear, ExactAtKnots) {
-  std::vector<double> x = {0.0, 1.0, 3.0};
-  std::vector<double> y = {2.0, 4.0, -2.0};
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_DOUBLE_EQ(interp_linear(x, y, x[i]), y[i]);
-}
-
-TEST(InterpLinear, MidpointsAndClamping) {
-  std::vector<double> x = {0.0, 2.0};
-  std::vector<double> y = {0.0, 4.0};
-  EXPECT_DOUBLE_EQ(interp_linear(x, y, 1.0), 2.0);
-  EXPECT_DOUBLE_EQ(interp_linear(x, y, -5.0), 0.0);  // clamp left
-  EXPECT_DOUBLE_EQ(interp_linear(x, y, 9.0), 4.0);   // clamp right
-}
-
 TEST(RegridLinear, ReproducesLinearFunction) {
   const auto x = linspace(0.0, 1.0, 11);
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = 3.0 * x[i] - 1.0;
+  const auto f = [](double v) { return cdouble(3.0 * v - 1.0, 0.5 - 2.0 * v); };
+  CVec y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = f(x[i]);
   const auto q = linspace(0.05, 0.95, 19);
-  const auto r = regrid_linear(x, y, q);
-  for (std::size_t i = 0; i < q.size(); ++i)
-    EXPECT_NEAR(r[i], 3.0 * q[i] - 1.0, 1e-12);
+  const auto r = regrid_linear(x, std::span<const cdouble>(y), q);
+  ASSERT_EQ(r.size(), q.size());
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    EXPECT_NEAR(r[i].real(), f(q[i]).real(), 1e-12);
+    EXPECT_NEAR(r[i].imag(), f(q[i]).imag(), 1e-12);
+  }
+  // Exact at the knots; queries outside the table clamp to its end values.
+  const std::vector<double> knots_and_outside = {0.0, x[3], 1.0, -5.0, 9.0};
+  const auto k = regrid_linear(x, std::span<const cdouble>(y), knots_and_outside);
+  EXPECT_EQ(k[0], y.front());
+  EXPECT_EQ(k[1], y[3]);
+  EXPECT_EQ(k[2], y.back());
+  EXPECT_EQ(k[3], y.front());
+  EXPECT_EQ(k[4], y.back());
 }
 
 TEST(RegridLinear, ComplexInterpolatesBothParts) {
@@ -54,33 +51,25 @@ TEST(RegridLinear, ComplexInterpolatesBothParts) {
 }
 
 TEST(RegridLinear, SmoothFunctionAccuracy) {
-  // Dense sine regridded onto a shifted grid: linear interp error ~ h².
+  // Dense e^{jx} regridded onto a shifted grid: linear interp error ~ h².
   const auto x = linspace(0.0, 6.283, 200);
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::sin(x[i]);
+  CVec y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    y[i] = cdouble(std::cos(x[i]), std::sin(x[i]));
   const auto q = linspace(0.01, 6.27, 173);
-  const auto r = regrid_linear(x, y, q);
-  for (std::size_t i = 0; i < q.size(); ++i)
-    EXPECT_NEAR(r[i], std::sin(q[i]), 2e-4);
+  const auto r = regrid_linear(x, std::span<const cdouble>(y), q);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    EXPECT_NEAR(r[i].real(), std::cos(q[i]), 2e-4);
+    EXPECT_NEAR(r[i].imag(), std::sin(q[i]), 2e-4);
+  }
 }
 
-TEST(InterpCubic, ExactAtKnotsAndSmooth) {
-  std::vector<double> y = {0.0, 1.0, 4.0, 9.0, 16.0};  // x² at 0..4
-  EXPECT_NEAR(interp_cubic_uniform(y, 0.0, 1.0, 2.0), 4.0, 1e-12);
-  // Catmull–Rom reproduces quadratics exactly in the interior.
-  EXPECT_NEAR(interp_cubic_uniform(y, 0.0, 1.0, 2.5), 6.25, 1e-9);
-}
-
-TEST(InterpCubic, ClampsOutside) {
-  std::vector<double> y = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(interp_cubic_uniform(y, 0.0, 1.0, -1.0), 1.0);
-  EXPECT_DOUBLE_EQ(interp_cubic_uniform(y, 0.0, 1.0, 10.0), 3.0);
-}
-
-TEST(InterpLinear, RequiresMatchingSizes) {
-  std::vector<double> x = {0.0, 1.0, 2.0};
-  std::vector<double> y = {0.0, 1.0};
-  EXPECT_THROW(interp_linear(x, y, 0.5), std::invalid_argument);
+TEST(RegridLinear, RequiresMatchingSizes) {
+  const std::vector<double> x = {0.0, 1.0, 2.0};
+  const CVec y = {cdouble(0.0, 0.0), cdouble(1.0, 0.0)};
+  const std::vector<double> q = {0.5};
+  EXPECT_THROW(regrid_linear(x, std::span<const cdouble>(y), q),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,18 +1,14 @@
-// RF component models: ADC, noise, channel presets, RF switch, Van Atta,
-// antennas.
+// RF component models: ADC, noise, the channel preset, RF switch.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "common/constants.hpp"
 #include "common/stats.hpp"
 #include "rf/adc.hpp"
-#include "rf/antenna.hpp"
 #include "rf/channel.hpp"
 #include "rf/noise.hpp"
 #include "rf/rf_switch.hpp"
-#include "rf/van_atta.hpp"
 
 namespace bis::rf {
 namespace {
@@ -118,18 +114,6 @@ TEST(Channel, OfficePresetHasNegativeGainTaps) {
     EXPECT_LT(t.relative_gain_db, 0.0);
     EXPECT_GT(t.excess_delay_s, 0.0);
   }
-  EXPECT_TRUE(ChannelModel::free_space().taps.empty());
-}
-
-TEST(Channel, RandomOfficeWithinBounds) {
-  Rng rng(77);
-  const auto ch = ChannelModel::random_office(rng, 5, -30.0, -12.0, 50e-9);
-  EXPECT_EQ(ch.taps.size(), 5u);
-  for (const auto& t : ch.taps) {
-    EXPECT_GE(t.relative_gain_db, -30.0);
-    EXPECT_LE(t.relative_gain_db, -12.0);
-    EXPECT_LE(t.excess_delay_s, 50e-9);
-  }
 }
 
 TEST(RfSwitch, RoutingFollowsState) {
@@ -148,56 +132,6 @@ TEST(RfSwitch, IsolationSetsLeakage) {
   RfSwitch sw(cfg);
   sw.set_state(SwitchState::kAbsorptive);
   EXPECT_NEAR(sw.reflective_path_amplitude(), 0.1, 1e-9);
-}
-
-TEST(VanAtta, RetroGainFlatOverAngle) {
-  VanAttaConfig cfg;
-  cfg.element = AntennaPattern::patch(5.0, 2.0);
-  const VanAttaArray va(cfg);
-  const double at0 = va.retro_gain_db(0.0);
-  const double at30 = va.retro_gain_db(30.0 * kPi / 180.0);
-  // Retro response follows only the element pattern: a few dB, not a null.
-  EXPECT_LT(at0 - at30, 4.0);
-  EXPECT_GT(at0, at30);
-}
-
-TEST(VanAtta, SpecularCollapsesOffBoresight) {
-  VanAttaConfig cfg;
-  cfg.n_elements = 8;
-  cfg.element = AntennaPattern::patch(5.0, 2.0);
-  const VanAttaArray va(cfg);
-  const double retro30 = va.retro_gain_db(30.0 * kPi / 180.0);
-  const double spec30 = va.specular_gain_db(30.0 * kPi / 180.0, 9.5e9);
-  EXPECT_GT(retro30 - spec30, 10.0);
-  // On boresight the two coincide (array factor = 1).
-  EXPECT_NEAR(va.retro_gain_db(0.0), va.specular_gain_db(0.0, 9.5e9), 1e-9);
-}
-
-TEST(VanAtta, RequiresEvenElements) {
-  VanAttaConfig cfg;
-  cfg.n_elements = 3;
-  EXPECT_THROW(VanAttaArray{cfg}, std::invalid_argument);
-}
-
-TEST(Antenna, PatchPatternMonotoneAndBounded) {
-  const auto p = AntennaPattern::patch(6.0, 2.0);
-  EXPECT_DOUBLE_EQ(p.gain_dbi(0.0), 6.0);
-  EXPECT_GT(p.gain_dbi(0.3), p.gain_dbi(0.8));
-  EXPECT_EQ(p.gain_dbi(kPi), kBackLobeFloorDbi);
-}
-
-TEST(Antenna, IsotropicIsFlat) {
-  const auto p = AntennaPattern::isotropic();
-  EXPECT_DOUBLE_EQ(p.gain_dbi(0.0), p.gain_dbi(1.0));
-}
-
-TEST(Antenna, HalfPowerBeamwidth) {
-  const auto p = AntennaPattern::patch(5.0, 2.0);
-  const double bw = p.half_power_beamwidth();
-  // Power pattern cos²θ = 1/2 → θ = 45°, full width 90°.
-  EXPECT_NEAR(bw * 180.0 / kPi, 90.0, 1.0);
-  // At the half-power angle the gain is 3 dB down.
-  EXPECT_NEAR(p.gain_dbi(bw / 2.0), 5.0 - 3.0, 0.1);
 }
 
 }  // namespace

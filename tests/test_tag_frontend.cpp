@@ -1,5 +1,5 @@
 // Tag analog frontend: envelope stream structure, AGC, beat tone placement,
-// switch isolation, multipath cross terms.
+// switch isolation, multipath cross terms, period plans.
 
 #include <gtest/gtest.h>
 
@@ -131,26 +131,39 @@ TEST(TagFrontend, AutoGainTargetsAdcRange) {
   }
 }
 
+/// Sum of the Hann periodogram bins of @p x in [f_lo, f_hi].
+double band_sum(std::span<const double> x, double fs, double f_lo, double f_hi,
+                std::size_t n_fft) {
+  const auto p = dsp::periodogram(x, n_fft, dsp::WindowType::kHann);
+  const double bin_hz = fs / static_cast<double>(n_fft);
+  double sum = 0.0;
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    const double f = static_cast<double>(k) * bin_hz;
+    if (f >= f_lo && f <= f_hi) sum += p[k];
+  }
+  return sum;
+}
+
 TEST(TagFrontend, MultipathAddsCrossTones) {
   Fixture f;
-  f.cfg.model_multipath_cross_terms = true;
-  TagFrontend fe(f.cfg, Rng(7));
   // Strong reflection 20 ns late: cross tone at α·(Δτ±ΔT) and α·Δτ.
   const std::vector<IncidentPath> paths = {{1e-4, 0.0, 0.0}, {5e-5, 20e-9, 1.0}};
-  fe.auto_gain(paths);
+  const std::vector<IncidentPath> los = {paths.front()};
   const auto c = chirp(96e-6);
-  const auto s = fe.receive_chirp_period(c, paths, true);
   const auto n = static_cast<std::size_t>(c.duration_s * 500e3);
-  // Expect spectral energy at α·Δτ (the LoS×echo beat).
+  // Expect spectral energy at α·Δτ (the LoS×echo beat), which the
+  // line-of-sight path alone does not produce. Both frontends latch the
+  // same PGA gain.
   const double f_mp = c.slope() * 20e-9;
-  const double p_mp = dsp::band_power(std::span<const double>(s.data(), n), 500e3,
-                                      f_mp * 0.8, f_mp * 1.2, 1024);
-  f.cfg.model_multipath_cross_terms = false;
-  TagFrontend fe2(f.cfg, Rng(7));
-  fe2.auto_gain(paths);
-  const auto s2 = fe2.receive_chirp_period(c, paths, true);
-  const double p_clean = dsp::band_power(std::span<const double>(s2.data(), n),
-                                         500e3, f_mp * 0.8, f_mp * 1.2, 1024);
+  const auto beat_power = [&](std::span<const IncidentPath> incident) {
+    TagFrontend fe(f.cfg, Rng(7));
+    fe.auto_gain(paths);
+    const auto s = fe.receive_chirp_period(c, incident, true);
+    return band_sum(std::span<const double>(s.data(), n), 500e3, f_mp * 0.8,
+                    f_mp * 1.2, 1024);
+  };
+  const double p_mp = beat_power(paths);
+  const double p_clean = beat_power(los);
   EXPECT_GT(p_mp, 5.0 * (p_clean + 1e-30));
 }
 
@@ -177,8 +190,7 @@ TEST(TagFrontend, FrameConcatenatesPeriods) {
 class ReferenceFrontend {
  public:
   ReferenceFrontend(const TagFrontendConfig& cfg, Rng rng)
-      : cfg_(cfg),
-        delay_line_(cfg.delay_line),
+      : delay_line_(cfg.delay_line),
         envelope_(cfg.envelope),
         adc_(cfg.adc),
         switch_(cfg.rf_switch),
@@ -216,16 +228,8 @@ class ReferenceFrontend {
       copies.push_back({a, p.excess_delay_s, p.phase_rad});
       copies.push_back({a * long_line_scale, p.excess_delay_s + delta_t, p.phase_rad});
     }
-    auto mixed = envelope_.mix(copies, chirp.slope(), chirp.start_frequency_hz);
-    if (!cfg_.model_multipath_cross_terms) {
-      std::vector<rf::BasebandTone> kept;
-      for (const auto& t : mixed.tones) {
-        if (std::abs(t.frequency_hz - chirp.slope() * delta_t) <
-            0.01 * chirp.slope() * delta_t)
-          kept.push_back(t);
-      }
-      mixed.tones = std::move(kept);
-    }
+    const auto mixed =
+        envelope_.mix(copies, chirp.slope(), chirp.start_frequency_hz);
 
     const std::size_t n_total = out.size();
     const std::size_t n_active =
@@ -250,7 +254,6 @@ class ReferenceFrontend {
     }
   }
 
-  TagFrontendConfig cfg_;
   rf::DelayLinePair delay_line_;
   rf::EnvelopeDetector envelope_;
   rf::Adc adc_;
@@ -295,46 +298,42 @@ std::uint64_t period_plans_built() {
 TEST(TagFrontendPlan, MatchesPerPeriodReference) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  for (const bool cross_terms : {true, false}) {
-    SCOPED_TRACE(cross_terms ? "cross terms on" : "cross terms off");
-    Fixture f;
-    f.cfg.model_multipath_cross_terms = cross_terms;
-    f.cfg.envelope.output_noise_density = 1e-9;  // noise spans many LSBs
-    TagFrontend fe(f.cfg, Rng(21));
-    ReferenceFrontend ref(f.cfg, Rng(21));
+  Fixture f;
+  f.cfg.envelope.output_noise_density = 1e-9;  // noise spans many LSBs
+  TagFrontend fe(f.cfg, Rng(21));
+  ReferenceFrontend ref(f.cfg, Rng(21));
 
-    // Two paths: every frame plans, then reuses, each (slope, state).
-    const std::vector<IncidentPath> paths = {{1e-4, 0.0, 0.3},
-                                             {4e-5, 7e-9, 1.1}};
-    fe.auto_gain(paths);
-    const Frame a = mixed_frame(30, 0);
-    expect_same_samples(a.receive(fe, paths),
-                        ref.receive_frame(a.chirps, paths, a.absorptive, fe.gain()));
-    const auto single = chirp(72e-6);
-    expect_same_samples(fe.receive_chirp_period(single, paths, false),
-                        ref.receive_frame({single}, paths, {false}, fe.gain()));
+  // Two paths: every frame plans, then reuses, each (slope, state).
+  const std::vector<IncidentPath> paths = {{1e-4, 0.0, 0.3},
+                                           {4e-5, 7e-9, 1.1}};
+  fe.auto_gain(paths);
+  const Frame a = mixed_frame(30, 0);
+  expect_same_samples(a.receive(fe, paths),
+                      ref.receive_frame(a.chirps, paths, a.absorptive, fe.gain()));
+  const auto single = chirp(72e-6);
+  expect_same_samples(fe.receive_chirp_period(single, paths, false),
+                      ref.receive_frame({single}, paths, {false}, fe.gain()));
 
-    // Other paths (the echo 1 ps later): the plans must drop.
-    const std::vector<IncidentPath> moved = {{1e-4, 0.0, 0.3},
-                                             {4e-5, 7.001e-9, 1.1}};
-    const Frame b = mixed_frame(30, 1);
-    expect_same_samples(b.receive(fe, moved),
-                        ref.receive_frame(b.chirps, moved, b.absorptive, fe.gain()));
+  // Other paths (the echo 1 ps later): the plans must drop.
+  const std::vector<IncidentPath> moved = {{1e-4, 0.0, 0.3},
+                                           {4e-5, 7.001e-9, 1.1}};
+  const Frame b = mixed_frame(30, 1);
+  expect_same_samples(b.receive(fe, moved),
+                      ref.receive_frame(b.chirps, moved, b.absorptive, fe.gain()));
 
-    // A new PGA gain keeps the plans: the next frame builds none, and the
-    // one after it still matches (same noise draws).
-    const double old_gain = fe.gain();
-    fe.auto_gain(std::vector<IncidentPath>{{3e-4, 0.0, 0.0}});
-    ASSERT_NE(fe.gain(), old_gain);
-    const std::uint64_t before = period_plans_built();
-    const Frame c = mixed_frame(30, 1);
-    expect_same_samples(c.receive(fe, moved),
-                        ref.receive_frame(c.chirps, moved, c.absorptive, fe.gain()));
-    EXPECT_EQ(period_plans_built(), before);
-    const Frame d = mixed_frame(17, 2);
-    expect_same_samples(d.receive(fe, moved),
-                        ref.receive_frame(d.chirps, moved, d.absorptive, fe.gain()));
-  }
+  // A new PGA gain keeps the plans: the next frame builds none, and the
+  // one after it still matches (same noise draws).
+  const double old_gain = fe.gain();
+  fe.auto_gain(std::vector<IncidentPath>{{3e-4, 0.0, 0.0}});
+  ASSERT_NE(fe.gain(), old_gain);
+  const std::uint64_t before = period_plans_built();
+  const Frame c = mixed_frame(30, 1);
+  expect_same_samples(c.receive(fe, moved),
+                      ref.receive_frame(c.chirps, moved, c.absorptive, fe.gain()));
+  EXPECT_EQ(period_plans_built(), before);
+  const Frame d = mixed_frame(17, 2);
+  expect_same_samples(d.receive(fe, moved),
+                      ref.receive_frame(d.chirps, moved, d.absorptive, fe.gain()));
   obs::set_enabled(was_enabled);
 }
 
