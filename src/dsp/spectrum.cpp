@@ -9,17 +9,6 @@
 #include "dsp/peak.hpp"
 
 namespace bis::dsp {
-namespace {
-
-/// Thread-local windowed+padded input for the periodogram: the per-call
-/// window multiply and zero pad reuse one buffer instead of allocating a
-/// temporary per call.
-RVec& spectrum_scratch() {
-  thread_local RVec buf;
-  return buf;
-}
-
-}  // namespace
 
 /// |rfft(x·w zero-padded to n_fft)|² / (Σw)². The window multiply, |·|² and
 /// the scale run through the SIMD kernel layer.
@@ -30,7 +19,9 @@ RVec periodogram(std::span<const double> x, std::size_t n_fft, WindowType window
   const double norm = window_sum(*w);
   BIS_CHECK(norm > 0.0);
   RVec out(n_fft / 2 + 1);
-  RVec& buf = spectrum_scratch();
+  // The windowed, zero-padded input reuses one buffer per thread instead of
+  // allocating a temporary per call.
+  thread_local RVec buf;
   buf.assign(n_fft, 0.0);
   kernels::kapply_window(x, *w, std::span<double>(buf).first(x.size()));
   const auto spec = rfft(buf);
