@@ -1,10 +1,11 @@
 /// Engineering microbenchmarks (google-benchmark) for the DSP kernels on the
-/// real-time path — range FFT, Goertzel bank, GLRT scoring, slow-time
-/// processing — plus a self-contained DSP-engine harness that measures the
-/// plan cache (cached vs uncached FFT) and frame-level thread scaling
-/// (receive chain + detect at 1/2/4 threads), verifies the parallel
-/// output is bit-identical to the sequential path, and writes the results to
-/// a machine-readable BENCH_dsp.json in the working directory.
+/// real-time path — the FFT with and without the plan cache, the tag's tone
+/// GLRT bank and the radar's per-chirp range FFT — plus a self-contained
+/// DSP-engine harness that measures the plan cache (cached vs uncached FFT)
+/// and frame-level thread scaling (receive chain + detect at 1/2/4
+/// threads), verifies the parallel output is bit-identical to the
+/// sequential path, and writes the results to a machine-readable
+/// BENCH_dsp.json in the working directory.
 
 #include <benchmark/benchmark.h>
 
@@ -24,7 +25,6 @@
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/goertzel.hpp"
 #include "dsp/oscillator.hpp"
 #include "dsp/spectrum.hpp"
 #include "dsp/tone_fit.hpp"
@@ -66,17 +66,8 @@ void BM_FftUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_FftUncached)->Arg(128)->Arg(256)->Arg(1024)->Arg(120)->Arg(193);
 
-void BM_GoertzelBank38(benchmark::State& state) {
-  // The tag's per-chirp workload: a 38-slot bank over a 46-sample window.
-  std::vector<double> freqs;
-  for (int i = 0; i < 38; ++i) freqs.push_back(57e3 + i * 2.5e3);
-  const dsp::GoertzelBank bank(freqs, 500e3);
-  const auto window = random_real(46);
-  for (auto _ : state) benchmark::DoNotOptimize(bank.powers(window));
-}
-BENCHMARK(BM_GoertzelBank38);
-
 void BM_ToneGlrtBank38(benchmark::State& state) {
+  // The tag's per-chirp workload: a 38-slot bank over a 46-sample window.
   std::vector<double> freqs;
   for (int i = 0; i < 38; ++i) freqs.push_back(57e3 + i * 2.5e3);
   const auto window = random_real(46);
@@ -123,17 +114,6 @@ void BM_RangeProcessChirp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RangeProcessChirp);
-
-void BM_SlidingGoertzelPush(benchmark::State& state) {
-  dsp::SlidingGoertzel sg(60e3, 500e3, 32);
-  const auto x = random_real(4096);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sg.push(x[i]));
-    i = (i + 1) % x.size();
-  }
-}
-BENCHMARK(BM_SlidingGoertzelPush);
 
 // ---------------------------------------------------------------------------
 // BENCH_dsp.json harness

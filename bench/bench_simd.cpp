@@ -85,8 +85,6 @@ struct Row {
   double simd_ns = 0.0;
   double speedup = 0.0;
   bool parity = false;
-  bool has_fallback = false;  ///< Row printed with the scalar-reroute flag.
-  bool fallback = false;      ///< kgoertzel_prefers_scalar at this shape.
 };
 
 /// Measure one kernel at one size: run() must write its full output into
@@ -126,7 +124,6 @@ std::vector<Row> run_all(SimdTarget best) {
     const std::size_t n = s.n;
     const int iters = s.iters;
     const auto xc = random_complex(n, 11);
-    const auto yc = random_complex(n, 12);
     const auto xr = random_real(n, 13);
     const auto w = random_real(n, 14);
 
@@ -142,20 +139,12 @@ std::vector<Row> run_all(SimdTarget best) {
         [&](int slot) { knorm(xc, r_out[slot]); g_sink = r_out[slot][0]; },
         [&] { return bits_equal(r_out[0], r_out[1]); }));
     rows.push_back(measure(
-        "kmag_db", n, iters, best,
-        [&](int slot) { kmag_db(xc, r_out[slot], -300.0); g_sink = r_out[slot][0]; },
-        [&] { return bits_equal(r_out[0], r_out[1]); }));
-    rows.push_back(measure(
         "kapply_window", n, iters, best,
         [&](int slot) { kapply_window(xr, w, r_out[slot]); g_sink = r_out[slot][0]; },
         [&] { return bits_equal(r_out[0], r_out[1]); }));
     rows.push_back(measure(
         "kapply_window_c", n, iters, best,
         [&](int slot) { kapply_window(xc, w, c_out[slot]); g_sink = c_out[slot][0].real(); },
-        [&] { return bits_equal(c_out[0], c_out[1]); }));
-    rows.push_back(measure(
-        "kcmul", n, iters, best,
-        [&](int slot) { kcmul(xc, yc, c_out[slot]); g_sink = c_out[slot][0].real(); },
         [&] { return bits_equal(c_out[0], c_out[1]); }));
     // In-place kernels: reset the buffer each call so the work (and values)
     // stay fixed; parity compares the one-application result.
@@ -225,40 +214,8 @@ std::vector<Row> run_all(SimdTarget best) {
     double red[2] = {0.0, 0.0};
     rows.push_back(measure(
         "ksum_sq", n, iters, best,
-        [&](int slot) { red[slot] = ksum_sq(std::span<const double>(xr)); g_sink = red[slot]; },
+        [&](int slot) { red[slot] = ksum_sq(xr); g_sink = red[slot]; },
         [&] { return std::memcmp(&red[0], &red[1], sizeof(double)) == 0; }));
-    rows.push_back(measure(
-        "kdot", n, iters, best,
-        [&](int slot) { red[slot] = kdot(xr, w); g_sink = red[slot]; },
-        [&] { return std::memcmp(&red[0], &red[1], sizeof(double)) == 0; }));
-  }
-
-  // Goertzel: tag-decoder-shaped (38-frequency bank over a 46-sample chirp
-  // window) and a wider case with an odd bank size (non-multiple-of-4 tail).
-  const struct { std::size_t nfreq, nsamp; int iters; } gshapes[] = {
-      {38, 46, 50000}, {37, 512, 5000}};
-  for (const auto& g : gshapes) {
-    const auto x = random_real(g.nsamp, 21);
-    dsp::RVec coeffs(g.nfreq);
-    for (std::size_t j = 0; j < g.nfreq; ++j)
-      coeffs[j] = 2.0 * std::cos(0.05 + 0.07 * static_cast<double>(j));
-    dsp::RVec s1[2] = {dsp::RVec(g.nfreq), dsp::RVec(g.nfreq)};
-    dsp::RVec s2[2] = {dsp::RVec(g.nfreq), dsp::RVec(g.nfreq)};
-    rows.push_back(measure(
-        "kgoertzel", g.nfreq * g.nsamp, g.iters, best,
-        [&](int slot) {
-          std::fill(s1[slot].begin(), s1[slot].end(), 0.0);
-          std::fill(s2[slot].begin(), s2[slot].end(), 0.0);
-          kgoertzel(x, coeffs, s1[slot], s2[slot]);
-          g_sink = s1[slot][0];
-        },
-        [&] { return bits_equal(s1[0], s1[1]) && bits_equal(s2[0], s2[1]); }));
-    // Record whether the dispatcher reroutes this shape to scalar (the
-    // large-n fallback, keyed on samples-per-frequency): the 18944-element
-    // row must show fallback=true and a speedup back near 1.0x instead of
-    // the 0.93x regression the lane-blocked form measured there.
-    rows.back().has_fallback = true;
-    rows.back().fallback = kgoertzel_prefers_scalar(g.nsamp);
   }
   return rows;
 }
@@ -279,10 +236,9 @@ bool write_bench_json(const std::string& path) {
   bool all_parity = true;
   for (const auto& r : rows) {
     all_parity = all_parity && r.parity;
-    std::printf("%-16s n=%-6zu scalar %9.1f ns  %s %9.1f ns  speedup %5.2fx  parity %s%s\n",
+    std::printf("%-16s n=%-6zu scalar %9.1f ns  %s %9.1f ns  speedup %5.2fx  parity %s\n",
                 r.kernel.c_str(), r.n, r.scalar_ns, target_name(best), r.simd_ns,
-                r.speedup, r.parity ? "ok" : "FAIL",
-                r.has_fallback ? (r.fallback ? "  [scalar fallback]" : "  [simd]") : "");
+                r.speedup, r.parity ? "ok" : "FAIL");
   }
 
   std::ofstream out(path);
@@ -303,10 +259,8 @@ bool write_bench_json(const std::string& path) {
     out << "    {\"kernel\": \"" << rows[i].kernel << "\", \"n\": " << rows[i].n
         << ", \"scalar_ns\": " << rows[i].scalar_ns
         << ", \"simd_ns\": " << rows[i].simd_ns
-        << ", \"speedup\": " << rows[i].speedup;
-    if (rows[i].has_fallback)
-      out << ", \"fallback\": " << (rows[i].fallback ? "true" : "false");
-    out << ", \"parity\": " << (rows[i].parity ? "true" : "false") << "}"
+        << ", \"speedup\": " << rows[i].speedup
+        << ", \"parity\": " << (rows[i].parity ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n";

@@ -19,21 +19,4 @@ std::vector<double> moving_average(std::span<const double> x, std::size_t window
   return out;
 }
 
-DcBlocker::DcBlocker(double r) : r_(r) { BIS_CHECK(r > 0.0 && r < 1.0); }
-
-double DcBlocker::process(double x) {
-  const double y = x - prev_x_ + r_ * prev_y_;
-  prev_x_ = x;
-  prev_y_ = y;
-  return y;
-}
-
-std::vector<double> DcBlocker::process(std::span<const double> x) {
-  std::vector<double> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = process(x[i]);
-  return out;
-}
-
-void DcBlocker::reset() { prev_x_ = prev_y_ = 0.0; }
-
 }  // namespace bis::dsp

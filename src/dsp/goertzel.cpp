@@ -4,18 +4,20 @@
 
 #include "common/check.hpp"
 #include "common/constants.hpp"
-#include "dsp/kernels/kernels.hpp"
 
 namespace bis::dsp {
 
 cdouble goertzel(std::span<const double> x, double freq, double fs) {
   BIS_CHECK(fs > 0.0);
   const double omega = kTwoPi * freq / fs;
-  double coeff = 2.0 * std::cos(omega);
+  const double coeff = 2.0 * std::cos(omega);
   double s_prev = 0.0;
   double s_prev2 = 0.0;
-  kernels::kgoertzel(x, std::span<const double>(&coeff, 1),
-                     std::span<double>(&s_prev, 1), std::span<double>(&s_prev2, 1));
+  for (const double sample : x) {
+    const double s = (sample + coeff * s_prev) - s_prev2;
+    s_prev2 = s_prev;
+    s_prev = s;
+  }
   // Final complex correction step.
   const double real = s_prev - s_prev2 * std::cos(omega);
   const double imag = s_prev2 * std::sin(omega);
@@ -24,87 +26,6 @@ cdouble goertzel(std::span<const double> x, double freq, double fs) {
 
 double goertzel_power(std::span<const double> x, double freq, double fs) {
   return std::norm(goertzel(x, freq, fs));
-}
-
-GoertzelBank::GoertzelBank(std::vector<double> frequencies, double sample_rate)
-    : freqs_(std::move(frequencies)), fs_(sample_rate) {
-  BIS_CHECK(!freqs_.empty());
-  BIS_CHECK(fs_ > 0.0);
-  coeffs_.reserve(freqs_.size());
-  cos_.reserve(freqs_.size());
-  sin_.reserve(freqs_.size());
-  for (double f : freqs_) {
-    BIS_CHECK_MSG(f < fs_ / 2.0, "Goertzel bin above Nyquist");
-    const double omega = kTwoPi * f / fs_;
-    coeffs_.push_back(2.0 * std::cos(omega));
-    cos_.push_back(std::cos(omega));
-    sin_.push_back(std::sin(omega));
-  }
-}
-
-std::vector<double> GoertzelBank::powers(std::span<const double> window) const {
-  const std::size_t n = freqs_.size();
-  RVec s1(n, 0.0);
-  RVec s2(n, 0.0);
-  kernels::kgoertzel(window, coeffs_, s1, s2);
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double real = s1[i] - s2[i] * cos_[i];
-    const double imag = s2[i] * sin_[i];
-    out[i] = real * real + imag * imag;
-  }
-  return out;
-}
-
-std::size_t GoertzelBank::strongest(std::span<const double> window) const {
-  const auto p = powers(window);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < p.size(); ++i)
-    if (p[i] > p[best]) best = i;
-  return best;
-}
-
-SlidingGoertzel::SlidingGoertzel(double freq, double sample_rate, std::size_t window_len)
-    : buffer_(window_len, 0.0) {
-  BIS_CHECK(sample_rate > 0.0);
-  BIS_CHECK(window_len > 0);
-  const double omega = kTwoPi * freq / sample_rate;
-  rot_ = cdouble(std::cos(omega), std::sin(omega));
-}
-
-double SlidingGoertzel::push(double sample) {
-  const double oldest = buffer_[head_];
-  buffer_[head_] = sample;
-  head_ = (head_ + 1) % buffer_.size();
-  if (filled_ < buffer_.size()) ++filled_;
-
-  // Sliding DFT update: S ← (S + x_new − x_old)·e^{jω}.
-  state_ = (state_ + cdouble(sample - oldest, 0.0)) * rot_;
-
-  // Counter floating-point drift in the recursive update.
-  if (++pushes_since_renorm_ >= 1u << 16) {
-    pushes_since_renorm_ = 0;
-    cdouble exact(0.0, 0.0);
-    const std::size_t n = buffer_.size();
-    // Recompute from the buffer: oldest sample first.
-    cdouble w(1.0, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = buffer_[(head_ + i) % n];
-      exact = (exact + cdouble(v, 0.0)) * rot_;
-      w *= rot_;
-    }
-    (void)w;
-    state_ = exact;
-  }
-  return full() ? std::norm(state_) : 0.0;
-}
-
-void SlidingGoertzel::reset() {
-  std::fill(buffer_.begin(), buffer_.end(), 0.0);
-  head_ = 0;
-  filled_ = 0;
-  state_ = cdouble(0.0, 0.0);
-  pushes_since_renorm_ = 0;
 }
 
 }  // namespace bis::dsp

@@ -17,6 +17,7 @@ namespace {
 
 using detail::KernelTable;
 
+#if BIS_HAVE_SIMD_BACKENDS
 /// The AVX2 backend compiles with -mavx2 and -ffp-contract=off and emits no
 /// FMA instruction, so AVX2 support is all it needs.
 bool cpu_has_avx2() {
@@ -26,6 +27,7 @@ bool cpu_has_avx2() {
   return false;
 #endif
 }
+#endif
 
 const KernelTable* table_for(SimdTarget target) {
   switch (target) {
@@ -140,10 +142,6 @@ void knorm(std::span<const cdouble> x, std::span<double> out) {
   active().norm(x, out);
 }
 
-void kmag_db(std::span<const cdouble> x, std::span<double> out, double floor_db) {
-  active().mag_db(x, out, floor_db);
-}
-
 void kapply_window(std::span<const double> x, std::span<const double> w,
                    std::span<double> out) {
   active().apply_window_r(x, w, out);
@@ -152,11 +150,6 @@ void kapply_window(std::span<const double> x, std::span<const double> w,
 void kapply_window(std::span<const cdouble> x, std::span<const double> w,
                    std::span<cdouble> out) {
   active().apply_window_c(x, w, out);
-}
-
-void kcmul(std::span<const cdouble> a, std::span<const cdouble> b,
-           std::span<cdouble> out) {
-  active().cmul(a, b, out);
 }
 
 void kaxpy(double a, std::span<const double> x, std::span<double> y) {
@@ -182,31 +175,6 @@ void kquantize(std::span<double> y, double full_scale, double lsb,
 }
 
 double ksum_sq(std::span<const double> x) { return active().sum_sq(x); }
-
-double ksum_sq(std::span<const cdouble> x) {
-  // Σ(re² + im²) over the interleaved doubles in the lane-blocked order.
-  return active().sum_sq(std::span<const double>(
-      reinterpret_cast<const double*>(x.data()), 2 * x.size()));
-}
-
-double kdot(std::span<const double> x, std::span<const double> y) {
-  return active().dot(x, y);
-}
-
-void kgoertzel(std::span<const double> x, std::span<const double> coeffs,
-               std::span<double> s1, std::span<double> s2) {
-  // Long inputs run the scalar recurrence (measured faster past the
-  // crossover; bit-identical, so the reroute is output-preserving).
-  if (x.size() > kGoertzelScalarFallbackSamples) {
-    detail::scalar_table().goertzel(x, coeffs, s1, s2);
-    return;
-  }
-  active().goertzel(x, coeffs, s1, s2);
-}
-
-bool kgoertzel_prefers_scalar(std::size_t n_samples) {
-  return n_samples > kGoertzelScalarFallbackSamples;
-}
 
 void kbutterfly(std::span<double> ar, std::span<double> ai,
                 std::span<double> br, std::span<double> bi, double wr,

@@ -16,21 +16,15 @@ namespace bis::dsp::kernels::detail {
 struct KernelTable {
   void (*mag)(std::span<const cdouble>, std::span<double>);
   void (*norm)(std::span<const cdouble>, std::span<double>);
-  void (*mag_db)(std::span<const cdouble>, std::span<double>, double);
   void (*apply_window_r)(std::span<const double>, std::span<const double>,
                          std::span<double>);
   void (*apply_window_c)(std::span<const cdouble>, std::span<const double>,
                          std::span<cdouble>);
-  void (*cmul)(std::span<const cdouble>, std::span<const cdouble>,
-               std::span<cdouble>);
   void (*axpy)(double, std::span<const double>, std::span<double>);
   void (*scale_add)(std::span<double>, double, double, std::span<const double>);
   void (*scale_r)(std::span<double>, double);
   void (*quantize)(std::span<double>, double, double, double, double);
   double (*sum_sq)(std::span<const double>);
-  double (*dot)(std::span<const double>, std::span<const double>);
-  void (*goertzel)(std::span<const double>, std::span<const double>,
-                   std::span<double>, std::span<double>);
   void (*butterfly)(std::span<double>, std::span<double>, std::span<double>,
                     std::span<double>, double, double);
   void (*butterfly_unit)(std::span<double>, std::span<double>,

@@ -4,12 +4,13 @@
 /// Runtime-dispatched SIMD kernels for the element-wise DSP hot path.
 ///
 /// Every stage of the signal path bottoms out in the map/reduce loops below
-/// (magnitude/power of a spectrum, window application, complex spectral
-/// products, AWGN application, Goertzel banks). This layer provides one
-/// narrow API backed by three interchangeable implementations — AVX2, SSE2
-/// and scalar — selected once at startup by CPU detection and overridable
-/// with the BIS_SIMD environment variable (`BIS_SIMD=scalar|sse2|avx2`) or
-/// set_target.
+/// (magnitude/power of a spectrum, window application, AWGN and gain
+/// application, ADC quantization, the Doppler stage's row FFT, the
+/// detector's tag-scoring bank). Each kernel here has an engine caller.
+/// This layer provides one narrow API backed by three interchangeable
+/// implementations — AVX2, SSE2 and scalar — selected once at startup by CPU
+/// detection and overridable with the BIS_SIMD environment variable
+/// (`BIS_SIMD=scalar|sse2|avx2`) or set_target.
 ///
 /// ## Bit-identity contract
 ///
@@ -21,13 +22,13 @@
 ///    used anywhere in the layer (the kernels translation units compile with
 ///    -ffp-contract=off), because SSE2 has no fused multiply-add and a fused
 ///    AVX2 path could never match it bit-for-bit.
-///  - Reductions (ksum_sq, kdot) use a fixed 4-lane-blocked accumulation
-///    order: four independent accumulators acc[j] += x[4i+j]·y[4i+j],
+///  - The reduction (ksum_sq) uses a fixed 4-lane-blocked accumulation
+///    order: four independent accumulators acc[j] += x[4i+j]·x[4i+j],
 ///    combined as (acc0 + acc1) + (acc2 + acc3), then the <4 tail elements
 ///    added sequentially. The scalar reference implements exactly this
-///    order, so reduction results are also bit-identical across targets
-///    (AVX2 maps the block to one 4-lane register, SSE2 to two 2-lane
-///    registers, scalar to four doubles).
+///    order, so its result is also bit-identical across targets (AVX2 maps
+///    the block to one 4-lane register, SSE2 to two 2-lane registers, scalar
+///    to four doubles).
 ///
 /// All kernels accept arbitrary (unaligned, odd-length, empty) spans; the
 /// vector targets use unaligned loads and handle the tail with the same
@@ -85,21 +86,12 @@ void kmag(std::span<const cdouble> x, std::span<double> out);
 /// out[i] = re² + im² (squared magnitude / power).
 void knorm(std::span<const cdouble> x, std::span<double> out);
 
-/// out[i] = max(10·log10(re² + im²), floor_db), floor_db where |x| = 0.
-/// Equals 20·log10|x| without the per-element sqrt.
-void kmag_db(std::span<const cdouble> x, std::span<double> out, double floor_db);
-
 /// out[i] = x[i]·w[i]. out may alias x.
 void kapply_window(std::span<const double> x, std::span<const double> w,
                    std::span<double> out);
 /// Complex signal × real window. out may alias x.
 void kapply_window(std::span<const cdouble> x, std::span<const double> w,
                    std::span<cdouble> out);
-
-/// Element-wise complex product out[i] = a[i]·b[i], computed as
-/// (ar·br − ai·bi, ar·bi + ai·br). out may alias a or b.
-void kcmul(std::span<const cdouble> a, std::span<const cdouble> b,
-           std::span<cdouble> out);
 
 /// y[i] += a·x[i].
 void kaxpy(double a, std::span<const double> x, std::span<double> y);
@@ -126,45 +118,10 @@ void kquantize(std::span<double> y, double full_scale, double lsb,
                double min_code, double max_code);
 
 // ---------------------------------------------------------------------------
-// Reductions (fixed 4-lane-blocked order, bit-identical across targets)
+// Reduction (fixed 4-lane-blocked order, bit-identical across targets)
 
 /// Σ x[i]² in the documented lane-blocked order.
 double ksum_sq(std::span<const double> x);
-
-/// Σ |x[i]|² — the complex buffer is reduced as 2n interleaved reals
-/// (re₀, im₀, re₁, …) in the same lane-blocked order.
-double ksum_sq(std::span<const cdouble> x);
-
-/// Σ x[i]·y[i] in the documented lane-blocked order.
-double kdot(std::span<const double> x, std::span<const double> y);
-
-// ---------------------------------------------------------------------------
-// Goertzel bank inner loop
-
-/// For each coefficient c_j = 2·cos(ω_j), iterate the Goertzel recurrence
-/// s = (x[i] + c_j·s1) − s2 over all samples and return the final state pair
-/// (s1[j], s2[j]). The vector targets run 4 frequencies per lane block; each
-/// frequency's arithmetic is lane-independent, so results are bit-identical
-/// to running the scalar recurrence per frequency. Callers apply the final
-/// complex correction. s1/s2/coeffs must have equal lengths.
-///
-/// Above kGoertzelScalarFallbackSamples samples the dispatcher routes to the
-/// scalar backend regardless of the active target: the broadcast-per-sample
-/// latency chain makes the lane-blocked form *slower* than scalar on long
-/// inputs (BENCH_simd.json measured 0.93x at 18944 samples), and because the
-/// SIMD form is bit-identical to scalar the reroute is exactly
-/// output-preserving.
-void kgoertzel(std::span<const double> x, std::span<const double> coeffs,
-               std::span<double> s1, std::span<double> s2);
-
-/// Sample-count crossover for the kgoertzel scalar fallback. 256 keeps the
-/// measured-fast short-window shapes (tag demod windows, tens of samples) on
-/// the SIMD path and reroutes the measured-slow long-window shapes.
-inline constexpr std::size_t kGoertzelScalarFallbackSamples = 256;
-
-/// True when kgoertzel(x, ...) with x.size() == n_samples routes to the
-/// scalar backend (exposed so benches/tests can prove the fallback engages).
-bool kgoertzel_prefers_scalar(std::size_t n_samples);
 
 // ---------------------------------------------------------------------------
 // Real FFT across rows: one transform per column of a row-major matrix

@@ -70,27 +70,6 @@ struct Avx2Ops {
     return _mm256_permute4x64_pd(n, _MM_SHUFFLE(3, 1, 2, 0));
   }
 
-  /// Two complex products per register: a = [ar0,ai0,ar1,ai1].
-  static __m256d cmul2(__m256d a, __m256d b) {
-    const __m256d br = _mm256_movedup_pd(b);               // br0 br0 br1 br1
-    const __m256d bi = _mm256_permute_pd(b, 0xF);          // bi0 bi0 bi1 bi1
-    const __m256d a_swap = _mm256_permute_pd(a, 0x5);      // ai0 ar0 ai1 ar1
-    const __m256d t1 = _mm256_mul_pd(a, br);               // ar·br, ai·br
-    const __m256d t2 = _mm256_mul_pd(a_swap, bi);          // ai·bi, ar·bi
-    // Even lanes subtract, odd lanes add — exactly the scalar reference's
-    // (ar·br − ai·bi, ar·bi + ai·br) with ai·br + ar·bi commuted (exact).
-    return _mm256_addsub_pd(t1, t2);
-  }
-
-  static void cmul_block(const cdouble* a, const cdouble* b, cdouble* out) {
-    const double* da = reinterpret_cast<const double*>(a);
-    const double* db = reinterpret_cast<const double*>(b);
-    double* dout = reinterpret_cast<double*>(out);
-    _mm256_storeu_pd(dout, cmul2(_mm256_loadu_pd(da), _mm256_loadu_pd(db)));
-    _mm256_storeu_pd(dout + 4,
-                     cmul2(_mm256_loadu_pd(da + 4), _mm256_loadu_pd(db + 4)));
-  }
-
   static void cwin_block(const cdouble* x, const double* w, cdouble* out) {
     const double* dx = reinterpret_cast<const double*>(x);
     double* dout = reinterpret_cast<double*>(out);

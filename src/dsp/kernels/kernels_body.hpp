@@ -32,12 +32,9 @@
 ///                                         is unaffected.
 ///   V    load_norm(const cdouble* p)      [re·re + im·im] for L complex,
 ///                                         in element order
-///   void cmul_block(const cdouble* a, const cdouble* b, cdouble* out)
-///                                         (ar·br − ai·bi, ar·bi + ai·br) ×L
 ///   void cwin_block(const cdouble* x, const double* w, cdouble* out)
 ///                                         (re·w, im·w) ×L
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -45,11 +42,6 @@
 #include "dsp/kernels/kernel_table.hpp"
 
 namespace bis::dsp::kernels::body {
-
-/// 10/ln(10): kmag_db hoists the dB scale and uses one natural log per
-/// element instead of 10·log10(x) (same function count, but libm's log is
-/// the cheaper entry point and the constant fold is explicit).
-inline constexpr double kTenOverLn10 = 4.342944819032518;
 
 template <typename Ops>
 void mag(std::span<const cdouble> x, std::span<double> out) {
@@ -76,18 +68,6 @@ void norm(std::span<const cdouble> x, std::span<double> out) {
 }
 
 template <typename Ops>
-void mag_db(std::span<const cdouble> x, std::span<double> out,
-            double floor_db) {
-  // Vectorized |x|² first, then one scalar log loop shared by every backend
-  // (libm log has no vector counterpart here, and identical scalar code on
-  // every target keeps the output bit-identical by construction).
-  norm<Ops>(x, out);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = out[i] > 0.0 ? std::max(kTenOverLn10 * std::log(out[i]), floor_db)
-                          : floor_db;
-}
-
-template <typename Ops>
 void apply_window_r(std::span<const double> x, std::span<const double> w,
                     std::span<double> out) {
   const std::size_t n = x.size();
@@ -107,30 +87,6 @@ void apply_window_c(std::span<const cdouble> x, std::span<const double> w,
     Ops::cwin_block(x.data() + i, w.data() + i, out.data() + i);
   for (std::size_t i = nL; i < n; ++i)
     out[i] = cdouble(x[i].real() * w[i], x[i].imag() * w[i]);
-}
-
-template <typename Ops>
-void cmul(std::span<const cdouble> a, std::span<const cdouble> b,
-          std::span<cdouble> out) {
-  const std::size_t n = a.size();
-  const std::size_t nL = n - n % Ops::kLanes;
-  // Two independent blocks per iteration: complex multiply is bound by the
-  // shuffle port, so overlapping two dependence-free block computations lets
-  // the multiplies of one block hide under the shuffles of the other. The
-  // per-element operations are untouched, so bit-identity is unaffected.
-  const std::size_t n2L = nL - nL % (2 * Ops::kLanes);
-  for (std::size_t i = 0; i < n2L; i += 2 * Ops::kLanes) {
-    Ops::cmul_block(a.data() + i, b.data() + i, out.data() + i);
-    Ops::cmul_block(a.data() + i + Ops::kLanes, b.data() + i + Ops::kLanes,
-                    out.data() + i + Ops::kLanes);
-  }
-  for (std::size_t i = n2L; i < nL; i += Ops::kLanes)
-    Ops::cmul_block(a.data() + i, b.data() + i, out.data() + i);
-  for (std::size_t i = nL; i < n; ++i) {
-    const double ar = a[i].real(), ai = a[i].imag();
-    const double br = b[i].real(), bi = b[i].imag();
-    out[i] = cdouble(ar * br - ai * bi, ar * bi + ai * br);
-  }
 }
 
 template <typename Ops>
@@ -213,51 +169,6 @@ double sum_sq(std::span<const double> x) {
   double total = Ops::reduce(acc);
   for (std::size_t i = nL; i < n; ++i) total += x[i] * x[i];
   return total;
-}
-
-template <typename Ops>
-double dot(std::span<const double> x, std::span<const double> y) {
-  const std::size_t n = x.size();
-  const std::size_t nL = n - n % Ops::kLanes;
-  auto acc = Ops::bcast(0.0);
-  for (std::size_t i = 0; i < nL; i += Ops::kLanes)
-    acc = Ops::fmadd(Ops::load(x.data() + i), Ops::load(y.data() + i), acc);
-  double total = Ops::reduce(acc);
-  for (std::size_t i = nL; i < n; ++i) total += x[i] * y[i];
-  return total;
-}
-
-template <typename Ops>
-void goertzel(std::span<const double> x, std::span<const double> coeffs,
-              std::span<double> s1, std::span<double> s2) {
-  const std::size_t nf = coeffs.size();
-  const std::size_t nfL = nf - nf % Ops::kLanes;
-  // One frequency per lane: the recurrence is sequential in samples but
-  // embarrassingly parallel across bins. Lanes never interact, so each
-  // bin's state matches the one-frequency scalar recurrence bit-for-bit.
-  for (std::size_t f = 0; f < nfL; f += Ops::kLanes) {
-    const auto c = Ops::load(coeffs.data() + f);
-    auto vs1 = Ops::bcast(0.0);
-    auto vs2 = Ops::bcast(0.0);
-    for (const double sample : x) {
-      const auto s = Ops::sub(Ops::fmadd(c, vs1, Ops::bcast(sample)), vs2);
-      vs2 = vs1;
-      vs1 = s;
-    }
-    Ops::store(s1.data() + f, vs1);
-    Ops::store(s2.data() + f, vs2);
-  }
-  for (std::size_t f = nfL; f < nf; ++f) {
-    const double c = coeffs[f];
-    double p1 = 0, p2 = 0;
-    for (const double sample : x) {
-      const double s = (sample + c * p1) - p2;
-      p2 = p1;
-      p1 = s;
-    }
-    s1[f] = p1;
-    s2[f] = p2;
-  }
 }
 
 template <typename Ops>
@@ -359,15 +270,14 @@ template <typename Ops>
 void tagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
               std::span<const double> w, std::span<const double> g,
               std::size_t n, std::span<double> on, std::span<double> son) {
-  // One signature row per lane (like goertzel's one frequency per lane):
-  // the entry-major layout puts entry k of row j at [k·n + j], so a lane
-  // block loads kLanes rows' k-th entries contiguously and gathers their
-  // spectrum values. Each row's two accumulators advance sequentially over
-  // its entries in increasing spectrum-index order — the same multiply/add
-  // sequence as the scalar tail below (fmadd is unfused),
-  // so rows are bit-identical to the one-row scalar evaluation. Padding
-  // entries (w = g = 0, idx = 0) contribute +0.0, which is exact on the
-  // non-negative accumulators.
+  // One signature row per lane: the entry-major layout puts entry k of row
+  // j at [k·n + j], so a lane block loads kLanes rows' k-th entries
+  // contiguously and gathers their spectrum values. Each row's two
+  // accumulators advance sequentially over its entries in increasing
+  // spectrum-index order — the same multiply/add sequence as the scalar
+  // tail below (fmadd is unfused), so rows are bit-identical to the one-row
+  // scalar evaluation. Padding entries (w = g = 0, idx = 0) contribute
+  // +0.0, which is exact on the non-negative accumulators.
   const std::size_t entries = n == 0 ? 0 : idx.size() / n;
   const std::size_t nL = n - n % Ops::kLanes;
   for (std::size_t j = 0; j < nL; j += Ops::kLanes) {
@@ -401,17 +311,13 @@ detail::KernelTable make_table() {
   detail::KernelTable t;
   t.mag = &mag<Ops>;
   t.norm = &norm<Ops>;
-  t.mag_db = &mag_db<Ops>;
   t.apply_window_r = &apply_window_r<Ops>;
   t.apply_window_c = &apply_window_c<Ops>;
-  t.cmul = &cmul<Ops>;
   t.axpy = &axpy<Ops>;
   t.scale_add = &scale_add<Ops>;
   t.scale_r = &scale_r<Ops>;
   t.quantize = &quantize<Ops>;
   t.sum_sq = &sum_sq<Ops>;
-  t.dot = &dot<Ops>;
-  t.goertzel = &goertzel<Ops>;
   t.butterfly = &butterfly<Ops>;
   t.butterfly_unit = &butterfly_unit<Ops>;
   t.untangle_norm = &untangle_norm<Ops>;

@@ -64,25 +64,14 @@ struct ScalarOps {
 
   // The block helpers below name their four lanes instead of looping. As
   // 4-trip loops, GCC 12 unrolled them or not depending on the rest of the
-  // TU: once kquantize joined it they stayed rolled, and the scalar knorm,
-  // kapply_window_c and kcmul ran up to 1.6x slower.
+  // TU: once kquantize joined it they stayed rolled, and the scalar block
+  // kernels ran up to 1.6x slower.
   static V load_norm(const cdouble* p) {
     const auto norm = [p](int i) {
       const double re = p[i].real(), im = p[i].imag();
       return re * re + im * im;
     };
     return {{norm(0), norm(1), norm(2), norm(3)}};
-  }
-  static void cmul_block(const cdouble* a, const cdouble* b, cdouble* out) {
-    const auto cmul1 = [a, b, out](int i) {
-      const double ar = a[i].real(), ai = a[i].imag();
-      const double br = b[i].real(), bi = b[i].imag();
-      out[i] = cdouble(ar * br - ai * bi, ar * bi + ai * br);
-    };
-    cmul1(0);
-    cmul1(1);
-    cmul1(2);
-    cmul1(3);
   }
   static void cwin_block(const cdouble* x, const double* w, cdouble* out) {
     const auto cwin1 = [x, w, out](int i) {

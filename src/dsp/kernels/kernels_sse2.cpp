@@ -99,28 +99,6 @@ struct Sse2Ops {
             norm2(_mm_loadu_pd(d + 4), _mm_loadu_pd(d + 6))};
   }
 
-  /// One complex product: a=[ar,ai], b=[br,bi] → [ar·br − ai·bi, ar·bi + ai·br].
-  static __m128d cmul1(__m128d a, __m128d b) {
-    const __m128d br = _mm_unpacklo_pd(b, b);              // [br, br]
-    const __m128d bi = _mm_unpackhi_pd(b, b);              // [bi, bi]
-    const __m128d a_swap = _mm_shuffle_pd(a, a, 0x1);      // [ai, ar]
-    const __m128d t1 = _mm_mul_pd(a, br);                  // [ar·br, ai·br]
-    const __m128d t2 = _mm_mul_pd(a_swap, bi);             // [ai·bi, ar·bi]
-    // Flip the sign of the low lane of t2 and add: x + (−y) is bit-identical
-    // to x − y in IEEE-754, so this matches the scalar reference exactly.
-    const __m128d signflip = _mm_set_pd(0.0, -0.0);
-    return _mm_add_pd(t1, _mm_xor_pd(t2, signflip));
-  }
-
-  static void cmul_block(const cdouble* a, const cdouble* b, cdouble* out) {
-    const double* da = reinterpret_cast<const double*>(a);
-    const double* db = reinterpret_cast<const double*>(b);
-    double* dout = reinterpret_cast<double*>(out);
-    for (int i = 0; i < 4; ++i)
-      _mm_storeu_pd(dout + 2 * i, cmul1(_mm_loadu_pd(da + 2 * i),
-                                        _mm_loadu_pd(db + 2 * i)));
-  }
-
   static void cwin_block(const cdouble* x, const double* w, cdouble* out) {
     const double* dx = reinterpret_cast<const double*>(x);
     double* dout = reinterpret_cast<double*>(out);

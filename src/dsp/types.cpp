@@ -1,30 +1,6 @@
 #include "dsp/types.hpp"
 
-#include "dsp/kernels/kernels.hpp"
-
 namespace bis::dsp {
-
-RVec magnitude(std::span<const cdouble> xs) {
-  RVec out(xs.size());
-  kernels::kmag(xs, out);
-  return out;
-}
-
-RVec power(std::span<const cdouble> xs) {
-  RVec out(xs.size());
-  kernels::knorm(xs, out);
-  return out;
-}
-
-RVec magnitude_db(std::span<const cdouble> xs, double floor_db) {
-  RVec out(xs.size());
-  kernels::kmag_db(xs, out, floor_db);
-  return out;
-}
-
-double energy(std::span<const cdouble> xs) { return kernels::ksum_sq(xs); }
-
-double energy(std::span<const double> xs) { return kernels::ksum_sq(xs); }
 
 RVec remove_dc(std::span<const double> xs) {
   RVec out(xs.begin(), xs.end());

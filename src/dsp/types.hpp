@@ -48,21 +48,6 @@ using cdouble = std::complex<double>;
 using CVec = std::vector<cdouble, AlignedAlloc<cdouble>>;
 using RVec = std::vector<double, AlignedAlloc<double>>;
 
-/// Element-wise magnitude of a complex vector.
-RVec magnitude(std::span<const cdouble> xs);
-
-/// Element-wise squared magnitude (power) of a complex vector.
-RVec power(std::span<const cdouble> xs);
-
-/// Element-wise magnitude in dB (20·log10|x| computed as 10·log10|x|² — one
-/// log per element, no sqrt), clamped at @p floor_db.
-RVec magnitude_db(std::span<const cdouble> xs, double floor_db = -300.0);
-
-/// Sum of squared magnitudes, in the kernel layer's fixed lane-blocked
-/// reduction order (see dsp/kernels/kernels.hpp).
-double energy(std::span<const cdouble> xs);
-double energy(std::span<const double> xs);
-
 /// Remove the mean from a real signal (DC blocking used by the tag decoder).
 RVec remove_dc(std::span<const double> xs);
 

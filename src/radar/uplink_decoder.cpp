@@ -16,19 +16,6 @@ UplinkDecoder::UplinkDecoder(phy::UplinkConfig config) : config_(std::move(confi
   phy::validate_uplink_config(config_);
 }
 
-UplinkDecodeResult UplinkDecoder::decode(const AlignedProfiles& profiles,
-                                         std::size_t tag_bin) const {
-  UplinkDecodeResult out;
-  decode_into(profiles, tag_bin, out);
-  return out;
-}
-
-UplinkDecodeResult UplinkDecoder::decode_series(const dsp::RVec& series) const {
-  UplinkDecodeResult out;
-  decode_series_into(series, out);
-  return out;
-}
-
 void UplinkDecoder::decode_into(const AlignedProfiles& profiles,
                                 std::size_t tag_bin,
                                 UplinkDecodeResult& out) const {

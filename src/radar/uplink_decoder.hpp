@@ -28,18 +28,14 @@ class UplinkDecoder {
  public:
   explicit UplinkDecoder(phy::UplinkConfig config);
 
-  /// Decode the slow-time series of the tag's grid bin across one frame.
-  /// The frame must contain a whole number of symbol blocks.
-  UplinkDecodeResult decode(const AlignedProfiles& profiles, std::size_t tag_bin) const;
-
-  /// Decode from a raw slow-time magnitude series (utility for tests).
-  UplinkDecodeResult decode_series(const dsp::RVec& series) const;
-
-  /// Buffer-reusing variants for the streaming engine: identical output,
-  /// written into @p out (its vectors are cleared, capacity retained, so the
-  /// per-frame loop is allocation-free once warm).
+  /// Decode the slow-time series of the tag's grid bin across one frame
+  /// into @p out (its vectors are cleared, capacity retained, so the
+  /// per-frame loop is allocation-free once warm). The frame must contain a
+  /// whole number of symbol blocks.
   void decode_into(const AlignedProfiles& profiles, std::size_t tag_bin,
                    UplinkDecodeResult& out) const;
+  /// Decode from a raw slow-time magnitude series, as decode_into does for
+  /// the tag bin's column.
   void decode_series_into(std::span<const double> series,
                           UplinkDecodeResult& out) const;
 

@@ -24,7 +24,6 @@ SymbolDemodConfig make_demod_config(const TagDecoderConfig& cfg) {
 TagDecoder::TagDecoder(const TagDecoderConfig& config)
     : config_(config),
       periodic_gate_(config.periodic_gate),
-      gate_(config.gate),
       period_(config.period),
       demod_(make_demod_config(config)) {
   BIS_CHECK(config_.slot_beat_freqs_hz.size() >= 4);
@@ -49,22 +48,12 @@ DownlinkDecodeResult TagDecoder::decode_stream(
 
   // Step 1 (paper Fig. 6): chirp period from the long-window analysis of
   // the header field.
-  std::optional<std::vector<PeriodicWindow>> windows;
-  if (const auto period = period_.estimate(stream)) {
-    result.estimated_period_s = *period;
-    // Step 2a: period-folded, chirp-aligned analysis windows (Fig. 6(e)).
-    windows = periodic_gate_.slice(stream, *period);
-  }
-  if (!windows) {
-    // Step 2b fallback: plain energy gating without a period lock.
-    const auto bursts = gate_.detect(stream);
-    if (bursts.size() < config_.min_header_run + 1) return result;
-    std::vector<PeriodicWindow> converted;
-    converted.reserve(bursts.size());
-    for (const auto& b : bursts)
-      converted.push_back(PeriodicWindow{b.start, b.length, true});
-    windows = std::move(converted);
-  }
+  const auto period = period_.estimate(stream);
+  if (!period) return result;
+  result.estimated_period_s = *period;
+  // Step 2: period-folded, chirp-aligned analysis windows (Fig. 6(e)).
+  const auto windows = periodic_gate_.slice(stream, *period);
+  if (!windows) return result;
 
   // Step 3: duration-matched two-pass classification (Fig. 6(e) realized
   // without fragile energy-based end detection). Pass 1 sizes the window to

@@ -4,17 +4,17 @@
 /// The tag's full downlink decoding pipeline (paper §3.2.2):
 ///   1. estimate the chirp period T_period from the header field
 ///      (PeriodEstimator — "FFT across multiple header bits"),
-///   2. gate the envelope stream into chirp-aligned bursts (the Fig. 6(e)
-///      condition: window inside the chirp and aligned with it),
-///   3. classify each burst's beat frequency against the calibrated slope
-///      table (SymbolDemod / Goertzel bank),
+///   2. fold the envelope stream on that period into chirp-aligned windows
+///      (PeriodicGate; the Fig. 6(e) condition: window inside the chirp and
+///      aligned with it); without a period or a slice the frame is unlocked,
+///   3. classify each window's beat frequency against the calibrated slope
+///      table (SymbolDemod's tone GLRT bank),
 ///   4. walk the slot sequence through the packet state machine:
 ///      header run → sync run → payload symbols → bits.
 
 #include <vector>
 
 #include "phy/bits.hpp"
-#include "tag/burst_gate.hpp"
 #include "tag/period_estimator.hpp"
 #include "tag/periodic_gate.hpp"
 #include "tag/symbol_demod.hpp"
@@ -47,8 +47,7 @@ struct TagDecoderConfig {
                                          ///< classifies into the sync guard
                                          ///< band.
   PeriodEstimatorConfig period;
-  PeriodicGateConfig periodic_gate;  ///< Primary, period-folded windowing.
-  BurstGateConfig gate;              ///< Fallback when period lock fails.
+  PeriodicGateConfig periodic_gate;  ///< Period-folded windowing.
 };
 
 struct DownlinkDecodeResult {
@@ -81,7 +80,6 @@ class TagDecoder {
  private:
   TagDecoderConfig config_;
   PeriodicGate periodic_gate_;
-  BurstGate gate_;
   PeriodEstimator period_;
   SymbolDemod demod_;
 };

@@ -60,13 +60,6 @@ TagDecoderConfig TagNode::make_decoder_config() const {
   // the gate would merge consecutive bursts.
   const double min_idle_s = alphabet_config_.chirp_period_s - max_duration_s_;
   d.periodic_gate.max_dip_s = std::min(d.periodic_gate.max_dip_s, 0.7 * min_idle_s);
-
-  d.gate.sample_rate_hz = frontend_.sample_rate();
-  // Fallback gate: reject blips shorter than half the shortest chirp; merge
-  // dips shorter than a tenth of it.
-  d.gate.min_burst_s = 0.5 * min_duration_s_;
-  d.gate.merge_gap_s = 0.1 * min_duration_s_;
-  d.gate.smooth_window = 5;
   return d;
 }
 

@@ -1,6 +1,5 @@
-// Goertzel evaluators: agreement with the FFT, off-grid frequencies, pinned
-// bit patterns on every kernel target, the bank, and the sliding variant's
-// equivalence to block recomputation.
+// Goertzel evaluator: agreement with the FFT, off-grid frequencies, and
+// pinned bit patterns on every kernel target.
 
 #include <gtest/gtest.h>
 
@@ -103,77 +102,6 @@ TEST(Goertzel, PowersArePinned) {
     }
   }
   kernels::set_target(saved);
-}
-
-TEST(GoertzelBank, StrongestPicksTheTone) {
-  const double fs = 500e3;
-  GoertzelBank bank({20e3, 40e3, 60e3, 80e3}, fs);
-  for (std::size_t i = 0; i < 4; ++i) {
-    const auto x = tone(150, bank.frequencies()[i], fs, 1.0, 1.1);
-    EXPECT_EQ(bank.strongest(x), i);
-  }
-}
-
-TEST(GoertzelBank, PowersOrdering) {
-  const double fs = 500e3;
-  GoertzelBank bank({20e3, 40e3}, fs);
-  const auto x = tone(150, 40e3, fs, 1.0, 0.0);
-  const auto p = bank.powers(x);
-  EXPECT_GT(p[1], p[0]);
-}
-
-TEST(GoertzelBank, RejectsAboveNyquist) {
-  EXPECT_THROW(GoertzelBank({300e3}, 500e3), std::invalid_argument);
-}
-
-TEST(SlidingGoertzel, MatchesBlockGoertzelOnRectWindow) {
-  const double fs = 500e3;
-  const double f = 50e3;  // exactly 10 samples/cycle: integer-periodic in 40
-  const std::size_t window = 40;
-  Rng rng(8);
-  std::vector<double> x(200);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::cos(kTwoPi * f * static_cast<double>(i) / fs) + 0.1 * rng.gaussian();
-
-  SlidingGoertzel sg(f, fs, window);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double p = sg.push(x[i]);
-    if (i + 1 >= window) {
-      const std::span<const double> block(x.data() + i + 1 - window, window);
-      // The sliding DFT's phase reference rotates, but the POWER matches the
-      // block DFT when the tone frequency is bin-centred for the window.
-      const double ref = goertzel_power(block, f, fs);
-      EXPECT_NEAR(p, ref, 1e-6 * std::max(1.0, ref)) << "sample " << i;
-    } else {
-      EXPECT_EQ(p, 0.0);
-    }
-  }
-}
-
-TEST(SlidingGoertzel, ResetClearsState) {
-  SlidingGoertzel sg(10e3, 500e3, 16);
-  for (int i = 0; i < 20; ++i) sg.push(1.0);
-  EXPECT_TRUE(sg.full());
-  sg.reset();
-  EXPECT_FALSE(sg.full());
-  EXPECT_EQ(sg.push(0.0), 0.0);
-}
-
-TEST(SlidingGoertzel, DetectsToneOnset) {
-  const double fs = 500e3;
-  const double f = 62.5e3;  // 8 samples/cycle
-  const std::size_t window = 32;
-  std::vector<double> x(300, 0.0);
-  for (std::size_t i = 150; i < 300; ++i)
-    x[i] = std::cos(kTwoPi * f * static_cast<double>(i - 150) / fs);
-  SlidingGoertzel sg(f, fs, window);
-  double before = 0.0, after = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double p = sg.push(x[i]);
-    if (i == 140) before = p;
-    if (i == 290) after = p;
-  }
-  EXPECT_GT(after, 100.0 * (before + 1e-12));
 }
 
 }  // namespace

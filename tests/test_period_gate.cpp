@@ -1,5 +1,5 @@
-// Tag timing recovery: period estimation (paper Fig. 6), period-folded
-// windowing, and the fallback burst gate.
+// Tag timing recovery: period estimation (paper Fig. 6) and period-folded
+// windowing.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
-#include "tag/burst_gate.hpp"
 #include "tag/period_estimator.hpp"
 #include "tag/periodic_gate.hpp"
 
@@ -166,28 +165,6 @@ TEST(PeriodicGate, RejectsFlatNoise) {
   cfg.sample_rate_hz = kFs;
   PeriodicGate gate(cfg);
   EXPECT_FALSE(gate.slice(x, 120e-6).has_value());
-}
-
-TEST(BurstGate, DetectsIsolatedBursts) {
-  const auto x = burst_train(8, 120e-6, {50e-6}, 60e3, 0.01, 10);
-  BurstGateConfig cfg;
-  cfg.sample_rate_hz = kFs;
-  cfg.min_burst_s = 16e-6;
-  cfg.merge_gap_s = 6e-6;
-  BurstGate gate(cfg);
-  const auto bursts = gate.detect(x);
-  EXPECT_GE(bursts.size(), 7u);
-  EXPECT_LE(bursts.size(), 9u);
-}
-
-TEST(BurstGate, EmptyOnNoise) {
-  Rng rng(11);
-  dsp::RVec x(1000);
-  for (auto& v : x) v = rng.gaussian(0.0, 0.3);
-  BurstGateConfig cfg;
-  cfg.sample_rate_hz = kFs;
-  BurstGate gate(cfg);
-  EXPECT_TRUE(gate.detect(x).empty());
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/link_simulator.hpp"
-#include "dsp/goertzel.hpp"
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/types.hpp"
 #include "rf/adc.hpp"
@@ -89,41 +88,17 @@ RVec ref_norm(std::span<const cdouble> x) {
   return out;
 }
 
-RVec ref_mag_db(std::span<const cdouble> x, double floor_db) {
-  RVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    // Mirrors the kernel's hoisted form: 10·log10(n) = (10/ln 10)·ln(n).
-    const double n = x[i].real() * x[i].real() + x[i].imag() * x[i].imag();
-    constexpr double kTenOverLn10 = 4.342944819032518;
-    out[i] =
-        n > 0.0 ? std::max(kTenOverLn10 * std::log(n), floor_db) : floor_db;
-  }
-  return out;
-}
-
-CVec ref_cmul(std::span<const cdouble> a, std::span<const cdouble> b) {
-  CVec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double ar = a[i].real(), ai = a[i].imag();
-    const double br = b[i].real(), bi = b[i].imag();
-    out[i] = cdouble(ar * br - ai * bi, ar * bi + ai * br);
-  }
-  return out;
-}
-
 /// The documented normative reduction: 4 independent accumulators over full
 /// blocks combined as (acc0 + acc1) + (acc2 + acc3), sequential tail.
-double ref_blocked_dot(std::span<const double> x, std::span<const double> y) {
+double ref_blocked_sum_sq(std::span<const double> x) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   const std::size_t n4 = x.size() - x.size() % 4;
   for (std::size_t i = 0; i < n4; i += 4)
-    for (std::size_t j = 0; j < 4; ++j) acc[j] += x[i + j] * y[i + j];
+    for (std::size_t j = 0; j < 4; ++j) acc[j] += x[i + j] * x[i + j];
   double sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  for (std::size_t i = n4; i < x.size(); ++i) sum += x[i] * y[i];
+  for (std::size_t i = n4; i < x.size(); ++i) sum += x[i] * x[i];
   return sum;
 }
-
-double ref_blocked_sum_sq(std::span<const double> x) { return ref_blocked_dot(x, x); }
 
 // ---------------------------------------------------------------------------
 // Target iteration
@@ -169,7 +144,6 @@ TEST_F(SimdKernels, ElementwiseKernelsMatchReferenceOnAllTargets) {
     for (std::size_t n : kSizes) {
       SCOPED_TRACE("n=" + std::to_string(n));
       const auto xc = det_complex(n, 1);
-      const auto yc = det_complex(n, 2);
       const auto xr = det_real(n, 3);
       const auto w = det_real(n, 4);
 
@@ -178,8 +152,6 @@ TEST_F(SimdKernels, ElementwiseKernelsMatchReferenceOnAllTargets) {
       EXPECT_TRUE(bits_eq(out, ref_mag(xc)));
       knorm(xc, out);
       EXPECT_TRUE(bits_eq(out, ref_norm(xc)));
-      kmag_db(xc, out, -300.0);
-      EXPECT_TRUE(bits_eq(out, ref_mag_db(xc, -300.0)));
 
       kapply_window(xr, w, out);
       {
@@ -195,9 +167,6 @@ TEST_F(SimdKernels, ElementwiseKernelsMatchReferenceOnAllTargets) {
           ref[i] = cdouble(xc[i].real() * w[i], xc[i].imag() * w[i]);
         EXPECT_TRUE(bits_eq(outc, ref));
       }
-
-      kcmul(xc, yc, outc);
-      EXPECT_TRUE(bits_eq(outc, ref_cmul(xc, yc)));
 
       {
         RVec y = det_real(n, 5);
@@ -238,15 +207,7 @@ TEST_F(SimdKernels, ReductionsMatchLaneBlockedReferenceOnAllTargets) {
     for (std::size_t n : kSizes) {
       SCOPED_TRACE("n=" + std::to_string(n));
       const auto x = det_real(n, 11);
-      const auto y = det_real(n, 12);
-      EXPECT_TRUE(bits_eq(ksum_sq(std::span<const double>(x)), ref_blocked_sum_sq(x)));
-      EXPECT_TRUE(bits_eq(kdot(x, y), ref_blocked_dot(x, y)));
-      // Complex sum of squares reduces the interleaved 2n reals.
-      const auto xc = det_complex(n, 13);
-      const std::span<const double> flat(
-          reinterpret_cast<const double*>(xc.data()), 2 * n);
-      EXPECT_TRUE(bits_eq(ksum_sq(std::span<const cdouble>(xc)),
-                          ref_blocked_sum_sq(flat)));
+      EXPECT_TRUE(bits_eq(ksum_sq(x), ref_blocked_sum_sq(x)));
     }
   }
 }
@@ -274,7 +235,7 @@ TEST_F(SimdKernels, SubSpansAtEveryAlignmentOffset) {
         RVec ref(len);
         for (std::size_t i = 0; i < len; ++i) ref[i] = xr[i] * w[i];
         EXPECT_TRUE(bits_eq(out, ref));
-        EXPECT_TRUE(bits_eq(kdot(xr, w), ref_blocked_dot(xr, w)));
+        EXPECT_TRUE(bits_eq(ksum_sq(xr), ref_blocked_sum_sq(xr)));
       }
     }
   }
@@ -299,78 +260,14 @@ TEST_F(SimdKernels, ApplyWindowSupportsAliasedOutput) {
   }
 }
 
-TEST_F(SimdKernels, GoertzelMatchesScalarRecurrenceOnAllTargets) {
-  const auto x = det_real(257, 41);
-  // 6 frequencies: one full lane block + a 2-wide remainder.
-  RVec coeffs(6);
-  for (std::size_t j = 0; j < coeffs.size(); ++j)
-    coeffs[j] = 2.0 * std::cos(0.1 + 0.37 * static_cast<double>(j));
-  RVec ref_s1(coeffs.size(), 0.0), ref_s2(coeffs.size(), 0.0);
-  for (std::size_t j = 0; j < coeffs.size(); ++j) {
-    double s1 = 0.0, s2 = 0.0;
-    for (double sample : x) {
-      const double s = (sample + coeffs[j] * s1) - s2;
-      s2 = s1;
-      s1 = s;
-    }
-    ref_s1[j] = s1;
-    ref_s2[j] = s2;
-  }
-  for (SimdTarget t : available_targets()) {
-    ASSERT_TRUE(set_target(t));
-    SCOPED_TRACE(target_name(t));
-    RVec s1(coeffs.size(), 0.0), s2(coeffs.size(), 0.0);
-    kgoertzel(x, coeffs, s1, s2);
-    EXPECT_TRUE(bits_eq(s1, ref_s1));
-    EXPECT_TRUE(bits_eq(s2, ref_s2));
-  }
-}
-
-TEST_F(SimdKernels, GoertzelBankMatchesSingleBinEvaluator) {
-  const auto x = det_real(200, 42);
-  const std::vector<double> freqs = {100.0, 250.0, 333.0, 420.0, 490.0};
-  const double fs = 2000.0;
-  const GoertzelBank bank(freqs, fs);
-  for (SimdTarget t : available_targets()) {
-    ASSERT_TRUE(set_target(t));
-    SCOPED_TRACE(target_name(t));
-    const auto p = bank.powers(x);
-    ASSERT_EQ(p.size(), freqs.size());
-    for (std::size_t j = 0; j < freqs.size(); ++j)
-      EXPECT_TRUE(bits_eq(p[j], goertzel_power(x, freqs[j], fs)));
-  }
-}
-
-TEST_F(SimdKernels, GoertzelFallbackThreshold) {
-  EXPECT_FALSE(kgoertzel_prefers_scalar(64));
-  EXPECT_FALSE(kgoertzel_prefers_scalar(kGoertzelScalarFallbackSamples));
-  EXPECT_TRUE(kgoertzel_prefers_scalar(kGoertzelScalarFallbackSamples + 1));
-  EXPECT_TRUE(kgoertzel_prefers_scalar(18944));
-}
-
-TEST_F(SimdKernels, MagnitudeDbMatchesOldSqrtDefinition) {
-  // Satellite guard: 10·log10(|x|²) must agree with the old 20·log10(|x|)
-  // to floating-point tolerance everywhere above the floor.
-  const auto x = det_complex(512, 51);
-  const auto now = magnitude_db(x, -300.0);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double old = std::max(20.0 * std::log10(std::abs(x[i])), -300.0);
-    EXPECT_NEAR(now[i], old, 1e-9) << "element " << i;
-  }
-}
-
 TEST_F(SimdKernels, EmptySpansAreNoOps) {
   for (SimdTarget t : available_targets()) {
     ASSERT_TRUE(set_target(t));
     SCOPED_TRACE(target_name(t));
     EXPECT_EQ(ksum_sq(std::span<const double>()), 0.0);
-    EXPECT_EQ(ksum_sq(std::span<const cdouble>()), 0.0);
-    EXPECT_EQ(kdot(std::span<const double>(), std::span<const double>()), 0.0);
     kmag(std::span<const cdouble>(), std::span<double>());
     knorm(std::span<const cdouble>(), std::span<double>());
     kscale(std::span<double>(), 2.0);
-    kgoertzel(std::span<const double>(), std::span<const double>(),
-              std::span<double>(), std::span<double>());
     kbutterfly(std::span<double>(), std::span<double>(), std::span<double>(),
                std::span<double>(), 1.0, 0.0);
     kuntangle_norm(std::span<const double>(), std::span<const double>(),

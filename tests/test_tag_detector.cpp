@@ -171,7 +171,8 @@ TEST(UplinkDecoder, FskSymbolsRoundTrip) {
   ASSERT_TRUE(d.found);
 
   const UplinkDecoder decoder(ul);
-  const auto r = decoder.decode(aligned, d.grid_bin);
+  UplinkDecodeResult r;
+  decoder.decode_into(aligned, d.grid_bin, r);
   ASSERT_GE(r.bits.size(), bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(r.bits[i], bits[i]) << i;
 }
@@ -198,7 +199,8 @@ TEST(UplinkDecoder, OokBitsRoundTrip) {
   ASSERT_TRUE(d.found);
 
   const UplinkDecoder decoder(ul);
-  const auto r = decoder.decode(aligned, d.grid_bin);
+  UplinkDecodeResult r;
+  decoder.decode_into(aligned, d.grid_bin, r);
   ASSERT_GE(r.bits.size(), bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) EXPECT_EQ(r.bits[i], bits[i]) << i;
 }
@@ -223,7 +225,8 @@ TEST(UplinkDecoder, ConfidenceReported) {
       bin = b;
     }
   }
-  const auto r = decoder.decode(aligned, bin);
+  UplinkDecodeResult r;
+  decoder.decode_into(aligned, bin, r);
   ASSERT_EQ(r.symbol_confidence.size(), 2u);
   for (double c : r.symbol_confidence) EXPECT_GT(c, 1.5);
 }
@@ -236,7 +239,8 @@ TEST(UplinkDecoder, SeriesShorterThanSymbolThrows) {
   ul.chirp_period_s = kPeriod;
   const UplinkDecoder decoder(ul);
   dsp::RVec series(10, 0.0);
-  EXPECT_THROW(decoder.decode_series(series), std::invalid_argument);
+  UplinkDecodeResult r;
+  EXPECT_THROW(decoder.decode_series_into(series, r), std::invalid_argument);
 }
 
 }  // namespace

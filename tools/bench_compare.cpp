@@ -34,17 +34,16 @@ namespace {
 using bis::JsonValue;
 
 /// Fields that identify a row inside an array of objects (never gated).
-/// "tier"/"precision"/"grid"/"fallback" keep rows of different numeric
-/// paths or grids apart (BENCH files recorded before the program had one
-/// numeric path carry per-tier rows) and scalar-fallback goertzel rows apart
-/// from SIMD rows: such a mismatch must read as a missing row, not a perf
-/// delta.
+/// "tier"/"precision"/"grid" keep rows of different numeric paths or grids
+/// apart (BENCH files recorded before the program had one numeric path
+/// carry per-tier rows): such a mismatch must read as a missing row, not a
+/// perf delta.
 constexpr const char* kIdentityFields[] = {
     "links", "workers", "frames_per_link", "threads",  "n",
     "n_fft", "kernel",  "chirps",          "points",   "rows",
     "bins",  "target",  "tier",            "precision", "grid",
-    "fallback", "tags", "population",      "q",        "session",
-    "slot_chirps", "n_channels",
+    "tags",  "population", "q",            "session",  "slot_chirps",
+    "n_channels",
 };
 
 /// Boolean gates: a true→false flip is always a regression.
