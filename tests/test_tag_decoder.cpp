@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/random.hpp"
+#include "dsp/kernels/kernels.hpp"
 #include "phy/packet.hpp"
 #include "tag/tag_node.hpp"
 
@@ -210,6 +214,147 @@ TEST(TagNode, CalibrationImprovesOverNominalUnderDispersion) {
   const auto after = count_errors(send());
   EXPECT_LT(after, before);
   EXPECT_EQ(after, 0u);
+}
+
+/// FNV-1a over the little-endian bytes of each value's bit pattern.
+std::uint64_t bit_hash(std::span<const double> values) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const double v : values) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xFFu;
+      h *= 0x100000001B3ull;
+    }
+  }
+  return h;
+}
+
+std::string bit_string(const phy::Bits& bits) {
+  std::string s;
+  for (const int b : bits) s.push_back(b ? '1' : '0');
+  return s;
+}
+
+/// What one decode returned, bit for bit.
+struct DecodePin {
+  std::uint64_t period_bits = 0;
+  std::size_t header_run = 0;
+  std::size_t sync_run = 0;
+  std::vector<std::size_t> payload_slots;
+  std::uint64_t confidences_hash = 0;
+  std::string bits;
+};
+
+void expect_pinned(const DownlinkDecodeResult& r, const DecodePin& pin) {
+  const std::uint64_t period = std::bit_cast<std::uint64_t>(r.estimated_period_s);
+  EXPECT_EQ(period, pin.period_bits) << std::hex << period;
+  EXPECT_EQ(r.header_run, pin.header_run);
+  EXPECT_EQ(r.sync_run, pin.sync_run);
+  EXPECT_EQ(r.payload_slots, pin.payload_slots);
+  const std::uint64_t confidences = bit_hash(r.confidences);
+  EXPECT_EQ(confidences, pin.confidences_hash) << std::hex << confidences;
+  EXPECT_EQ(bit_string(r.bits), pin.bits);
+}
+
+/// The frame MaskSkipsReflectiveChirpsInIntegratedMode builds: the preamble
+/// on every chirp, then each payload symbol on an absorptive chirp followed
+/// by a reflective filler copy. @p absorptive receives the tag's mask.
+dsp::RVec receive_interleaved(Link& link, const phy::DownlinkPacket& packet,
+                              std::vector<bool>& absorptive) {
+  const auto slots = packet.to_slots(link.alphabet);
+  const std::size_t preamble =
+      packet.config().header_chirps + packet.config().sync_chirps;
+  std::vector<rf::ChirpParams> chirps;
+  absorptive.clear();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    chirps.push_back(link.alphabet.chirp(slots[i]));
+    absorptive.push_back(true);
+    if (i < preamble) continue;
+    chirps.push_back(link.alphabet.chirp(slots[i]));
+    absorptive.push_back(false);
+  }
+  std::unique_ptr<bool[]> flags(new bool[chirps.size()]);
+  for (std::size_t i = 0; i < chirps.size(); ++i) flags[i] = absorptive[i];
+  return link.node.frontend().receive_frame(
+      chirps, link.paths, std::span<const bool>(flags.get(), chirps.size()));
+}
+
+/// Restores the process-wide kernel target after a test that switches it.
+class TagDecoderGolden : public ::testing::Test {
+ protected:
+  void TearDown() override { dsp::kernels::set_target(saved_); }
+  dsp::kernels::SimdTarget saved_ = dsp::kernels::active_target();
+};
+
+TEST_F(TagDecoderGolden, CalibrationAndDecodesArePinned) {
+  // Absolute outputs of the tag's downlink path on every kernel target: the
+  // calibrated table of a 5-bit and a 3-bit alphabet, then one sequential
+  // packet and one whose payload chirps alternate with reflective filler.
+  // Every other decoder test checks only that the payload comes back, so a
+  // change that moves a confidence or the period estimate passes them. The
+  // values were recorded while the tag still copied its alphabet and
+  // preamble settings into a decoder config; reading them from their owners
+  // is an exact rewrite. A value here moves only with a deliberate output
+  // change, recorded as such.
+  struct Case {
+    std::size_t bits_per_symbol;
+    std::uint64_t beat_freqs_hash;
+    std::uint64_t phases_hash;
+    DecodePin sequential;
+    DecodePin interleaved;
+  };
+  const Case cases[] = {
+      {5,
+       0xd4753db6837cc7f6ull,
+       0x7e0bdff905dc0d4dull,
+       {0x3f1f72e7f3a53491ull, 8, 3, {3, 3, 27, 11, 30, 34, 27, 24, 31, 21},
+        0x75cd694fc18cd31aull,
+        "00000000001000001111100101010110000110011011111100"},
+       {0x3f1f72bf600d0b23ull, 8, 3, {3, 3, 12, 7, 7, 5, 25, 30, 3},
+        0x0748281436972d96ull,
+        "000000000001110001110011100011110111001000000"}},
+      {3,
+       0xc5df9e64b2118ac1ull,
+       0x2fcc55c866b27847ull,
+       {0x3f1f73935411d046ull, 8, 3,
+        {3, 3, 3, 6, 3, 5, 7, 4, 6, 10, 9, 4, 9, 8, 7, 7},
+        0xf22238e1c07ce559ull,
+        "000000000010000011111001010101100001100110111111"},
+       {0x3f1f7432c2815c9bull, 8, 3,
+        {3, 3, 3, 4, 8, 4, 8, 5, 9, 5, 8, 7, 4, 3, 3},
+        0xba658d356a028431ull,
+        "000000000001110001110011100011110111001000000"}},
+  };
+  std::vector<dsp::kernels::SimdTarget> targets;
+  for (const auto t : {dsp::kernels::SimdTarget::kScalar,
+                       dsp::kernels::SimdTarget::kSse2,
+                       dsp::kernels::SimdTarget::kAvx2})
+    if (dsp::kernels::target_available(t)) targets.push_back(t);
+
+  for (const auto target : targets) {
+    ASSERT_TRUE(dsp::kernels::set_target(target));
+    SCOPED_TRACE(dsp::kernels::target_name(target));
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.bits_per_symbol);
+      Link link(c.bits_per_symbol);
+      const auto& table = link.node.calibration();
+      const std::uint64_t freqs = bit_hash(table.slot_beat_freqs_hz);
+      EXPECT_EQ(freqs, c.beat_freqs_hash) << std::hex << freqs;
+      const std::uint64_t phases = bit_hash(table.slot_phases_rad);
+      EXPECT_EQ(phases, c.phases_hash) << std::hex << phases;
+
+      Rng rng(21);
+      const phy::PacketConfig pkt;
+      const phy::DownlinkPacket sequential(pkt, rng.bits(24));
+      expect_pinned(link.node.receive_downlink(link.transmit(sequential), pkt).decode,
+                    c.sequential);
+      const phy::DownlinkPacket interleaved(pkt, rng.bits(20));
+      std::vector<bool> absorptive;
+      const auto stream = receive_interleaved(link, interleaved, absorptive);
+      expect_pinned(link.node.receive_downlink(stream, pkt, absorptive).decode,
+                    c.interleaved);
+    }
+  }
 }
 
 }  // namespace
