@@ -15,16 +15,6 @@
 
 namespace bis::core {
 
-tag::TagNodeConfig effective_tag_node_config(const SystemConfig& config) {
-  tag::TagNodeConfig node = config.tag.node;
-  // The uplink cadence must match the radar frame cadence, and the decoder
-  // state machine must know the protocol's sync-field length.
-  node.uplink.chirp_period_s = config.radar.chirp_period_s;
-  node.expected_header_chirps = config.packet.header_chirps;
-  node.expected_sync_chirps = config.packet.sync_chirps;
-  return node;
-}
-
 std::vector<tag::IncidentPath> incident_paths_for(const SystemConfig& config,
                                                   double range_m) {
   const double p_dbm = rf::downlink_power_at_tag_dbm(
@@ -125,7 +115,7 @@ LinkSimulator::LinkSimulator(const SystemConfig& config,
     : config_(config),
       alphabet_(shared_alphabet),
       rng_(config.seed),
-      tag_(effective_tag_node_config(config), alphabet_, Rng(config.seed ^ 0x7A67ull)),
+      tag_(config.tag.node, alphabet_, Rng(config.seed ^ 0x7A67ull)),
       // Scene: office clutter at fixed positions with absolute
       // (range-dependent) returns, then the tag from the two-way retro link
       // budget, so moving the tag changes the tag-to-clutter dynamics
@@ -192,7 +182,7 @@ void LinkSimulator::calibrate_tags(std::span<LinkSimulator* const> sims,
     amplitudes.push_back(
         sim->incident_paths(sim->config_.calibration_range_m).front().amplitude_v);
   }
-  tag::TagNode::calibrate_batch(nodes, amplitudes, {}, pool);
+  tag::TagNode::calibrate_batch(nodes, amplitudes, pool);
 }
 
 DownlinkRunResult LinkSimulator::run_downlink(const phy::Bits& payload) {

@@ -245,13 +245,6 @@ class LinkSimulator {
 ThreadPool* resolve_dsp_pool(std::size_t dsp_threads,
                              std::unique_ptr<ThreadPool>& owned);
 
-/// The tag-node config a LinkSimulator would actually run for @p config:
-/// `config.tag.node` with the uplink cadence locked to the radar chirp
-/// period and the packet's header/sync lengths wired into the decoder state
-/// machine. BiScatterNetwork builds lightweight per-tag TagNodes through this
-/// instead of carrying a full LinkSimulator per tag.
-tag::TagNodeConfig effective_tag_node_config(const SystemConfig& config);
-
 /// Incident multipath set at the tag for a given range (LoS + channel taps),
 /// in frontend units — the free-function form of
 /// LinkSimulator::incident_paths, bit-identical to it.

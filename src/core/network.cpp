@@ -113,7 +113,7 @@ void BiScatterNetwork::calibrate_all() {
             .front()
             .amplitude_v);
   }
-  tag::TagNode::calibrate_batch(nodes, amplitudes, {}, pool_);
+  tag::TagNode::calibrate_batch(nodes, amplitudes, pool_);
 }
 
 std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(

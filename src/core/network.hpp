@@ -117,8 +117,7 @@ class BiScatterNetwork {
 
     TagState(const SystemConfig& cfg, const phy::SlopeAlphabet& alphabet)
         : config(cfg),
-          node(effective_tag_node_config(cfg), alphabet,
-               Rng(cfg.seed ^ 0x7A67ull)) {
+          node(cfg.tag.node, alphabet, Rng(cfg.seed ^ 0x7A67ull)) {
       report.config = config_key(cfg);
     }
   };

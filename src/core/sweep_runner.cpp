@@ -26,8 +26,7 @@ std::string alphabet_key(const SystemConfig& c) {
   os << c.radar.bandwidth_hz << '|' << c.radar.start_frequency_hz << '|'
      << c.radar.chirp_period_s << '|' << c.radar.max_duty << '|'
      << c.radar.min_chirp_duration_s << '|' << c.bits_per_symbol << '|'
-     << c.gray_coding << '|' << c.max_beat_fraction << '|'
-     << c.min_demod_window_samples << '|' << dl.length_diff_m << '|'
+     << c.gray_coding << '|' << dl.length_diff_m << '|'
      << dl.velocity_factor << '|' << dl.dispersion_per_ghz << '|'
      << dl.reference_freq_hz << '|' << dl.loss_db_per_m_at_ref << '|'
      << c.tag.node.frontend.adc.sample_rate_hz;

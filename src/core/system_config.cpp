@@ -7,6 +7,15 @@
 #include "common/constants.hpp"
 
 namespace bis::core {
+namespace {
+
+/// Cap on the highest beat frequency, as a fraction of the tag ADC rate
+/// (image-interference margin below Nyquist).
+constexpr double kMaxBeatFraction = 0.3;
+/// Floor on the tag's per-chirp analysis window, in ADC samples.
+constexpr double kMinDemodWindowSamples = 16.0;
+
+}  // namespace
 
 RadarPreset RadarPreset::chirpgen_9ghz(double bandwidth_hz) {
   BIS_CHECK(bandwidth_hz > 0.0 && bandwidth_hz <= 1e9);
@@ -62,7 +71,6 @@ TagPreset TagPreset::prototype(double delay_line_inches,
   t.node.frontend.adc.bits = 12;
   t.node.frontend.adc.full_scale = 1.65;              // 3.3 V MCU rail.
   t.node.address = address;
-  t.node.uplink.chirp_period_s = 120e-6;
   t.rf.antenna_gain_dbi = 5.0;
   t.rf.decoder_insertion_loss_db = 8.0;  // splitters + connectors + lines (§6).
   t.rf.retro_gain_db = 18.0;
@@ -85,15 +93,15 @@ phy::SlopeAlphabet SystemConfig::make_alphabet() const {
   a.gray_coding = gray_coding;
   a.delay_line = tag.node.frontend.delay_line;
 
-  // Keep the highest beat frequency below ~0.4 of the tag ADC rate; with
+  // Keep the highest beat frequency below 0.3 of the tag ADC rate; with
   // long delay lines and wide bandwidth, short chirps would alias otherwise.
   const rf::DelayLinePair line(a.delay_line);
-  const double max_beat = max_beat_fraction * tag.node.frontend.adc.sample_rate_hz;
+  const double max_beat = kMaxBeatFraction * tag.node.frontend.adc.sample_rate_hz;
   const double t_for_max_beat =
       line.beat_frequency_nominal(a.bandwidth_hz, 1.0) / max_beat;
   // Also give the tag demodulator a workable number of samples per chirp.
-  const double t_for_window = static_cast<double>(min_demod_window_samples) /
-                              tag.node.frontend.adc.sample_rate_hz;
+  const double t_for_window =
+      kMinDemodWindowSamples / tag.node.frontend.adc.sample_rate_hz;
   a.min_chirp_duration_s =
       std::max({radar.min_chirp_duration_s, t_for_max_beat, t_for_window});
   return phy::SlopeAlphabet::design(a);

@@ -59,13 +59,6 @@ struct SystemConfig {
   rf::ChannelModel channel = rf::ChannelModel::indoor_office();
   double tag_range_m = 2.0;
   double calibration_range_m = 0.5;  ///< §5: calibration at 0.5 m.
-  double max_beat_fraction = 0.3;    ///< Cap Δf_max at this fraction of the
-                                     ///< tag ADC rate (image-interference
-                                     ///< margin below Nyquist).
-  std::size_t min_demod_window_samples = 16;  ///< Floor on the tag's
-                                     ///< per-chirp analysis window; raises
-                                     ///< the minimum chirp duration when the
-                                     ///< tag ADC is slow.
   bool gray_coding = true;           ///< Gray-map data symbols onto slope
                                      ///< slots (ablation knob).
   bool use_background_subtraction = true;
@@ -87,9 +80,10 @@ struct SystemConfig {
   /// Read by nothing; kept only because perfbench names it (DESIGN.md §16).
   dsp::Precision precision = dsp::Precision::kDoubleStrict;
 
-  /// Derive the CSSK alphabet for this radar+tag combination. Clamps the
-  /// maximum beat frequency below the tag ADC Nyquist bound by raising the
-  /// minimum chirp duration when needed.
+  /// Derive the CSSK alphabet for this radar+tag combination. Raises the
+  /// minimum chirp duration when needed, so the highest beat frequency stays
+  /// at or below 0.3 of the tag ADC rate and every chirp spans at least 16
+  /// ADC samples.
   phy::SlopeAlphabet make_alphabet() const;
 
   /// The radar receive chain this configuration runs: the IF ADC rate, the

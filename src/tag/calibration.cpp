@@ -1,8 +1,8 @@
 #include "tag/calibration.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <memory>
 #include <optional>
 
 #include "common/check.hpp"
@@ -13,6 +13,19 @@
 #include "tag/symbol_demod.hpp"
 
 namespace bis::tag {
+namespace {
+
+/// Chirps per slope training run.
+constexpr std::size_t kRepeatsPerSlot = 6;
+/// Beat-frequency search half-width: an absolute floor, widened relative to
+/// the nominal Δf, because dielectric dispersion plus short-window estimator
+/// bias can shift the apparent Δf by tens of percent at mmWave (§4, §5.3).
+constexpr double kSearchHalfwidthHz = 4e3;
+constexpr double kSearchHalfwidthFraction = 0.35;
+/// Search grid resolution.
+constexpr double kGridStepHz = 100.0;
+
+}  // namespace
 
 CalibrationTable CalibrationTable::nominal(const phy::SlopeAlphabet& alphabet) {
   CalibrationTable t;
@@ -25,21 +38,16 @@ CalibrationTable CalibrationTable::nominal(const phy::SlopeAlphabet& alphabet) {
 CalibrationTable run_calibration(TagFrontend& frontend,
                                  const phy::SlopeAlphabet& alphabet,
                                  double incident_amplitude_v,
-                                 const CalibrationConfig& config,
                                  const PeriodicGateConfig& gate_config) {
   const CalibrationTarget target{&frontend, incident_amplitude_v, gate_config};
-  return run_calibration(std::span<const CalibrationTarget>(&target, 1), alphabet,
-                         config)
+  return run_calibration(std::span<const CalibrationTarget>(&target, 1), alphabet)
       .front();
 }
 
 std::vector<CalibrationTable> run_calibration(
     std::span<const CalibrationTarget> targets, const phy::SlopeAlphabet& alphabet,
-    const CalibrationConfig& config, ThreadPool* pool) {
+    ThreadPool* pool) {
   BIS_CHECK(!targets.empty());
-  BIS_CHECK(config.repeats_per_slot >= 2);
-  BIS_CHECK(config.search_halfwidth_hz > 0.0);
-  BIS_CHECK(config.grid_step_hz > 0.0);
   const double fs = targets.front().frontend->sample_rate();
   std::vector<const TagFrontend*> frontends;
   for (const auto& t : targets) {
@@ -61,13 +69,11 @@ std::vector<CalibrationTable> run_calibration(
     const std::vector<IncidentPath> paths = {
         {targets[t].incident_amplitude_v, 0.0, 0.0}};
     frontend.auto_gain(paths);
-    std::unique_ptr<bool[]> flags(new bool[config.repeats_per_slot]);
-    std::fill_n(flags.get(), config.repeats_per_slot, true);
+    std::array<bool, kRepeatsPerSlot> flags;
+    flags.fill(true);
     for (std::size_t slot = 0; slot < n_slots; ++slot) {
-      const std::vector<rf::ChirpParams> chirps(config.repeats_per_slot,
-                                                alphabet.chirp(slot));
-      streams[t].push_back(frontend.receive_frame(
-          chirps, paths, std::span<const bool>(flags.get(), chirps.size())));
+      const std::vector<rf::ChirpParams> chirps(kRepeatsPerSlot, alphabet.chirp(slot));
+      streams[t].push_back(frontend.receive_frame(chirps, paths, flags));
     }
   });
 
@@ -94,11 +100,10 @@ std::vector<CalibrationTable> run_calibration(
       return;
 
     // Frequency search grid around the nominal prediction.
-    const double halfwidth = std::max(
-        config.search_halfwidth_hz, config.search_halfwidth_fraction * nominal);
+    const double halfwidth =
+        std::max(kSearchHalfwidthHz, kSearchHalfwidthFraction * nominal);
     std::vector<double> grid;
-    for (double f = nominal - halfwidth; f <= nominal + halfwidth;
-         f += config.grid_step_hz) {
+    for (double f = nominal - halfwidth; f <= nominal + halfwidth; f += kGridStepHz) {
       if (f > 0.0 && f < fs / 2.0) grid.push_back(f);
     }
     if (grid.size() < 3) return;
@@ -131,8 +136,7 @@ std::vector<CalibrationTable> run_calibration(
 
       const auto peak = dsp::find_peak(acc);
       if (acc[peak.index] <= 0.0) continue;
-      const double f_star =
-          grid.front() + peak.refined_index * config.grid_step_hz;
+      const double f_star = grid.front() + peak.refined_index * kGridStepHz;
       tables[t].slot_beat_freqs_hz[slot] = f_star;
 
       // Phase at the gated window start: average the per-window fits as

@@ -38,17 +38,6 @@ struct CalibrationTable {
   static CalibrationTable nominal(const phy::SlopeAlphabet& alphabet);
 };
 
-struct CalibrationConfig {
-  std::size_t repeats_per_slot = 6;  ///< Chirps per slope training run.
-  double search_halfwidth_hz = 4e3;        ///< Absolute search floor.
-  double search_halfwidth_fraction = 0.35; ///< Relative widening: dielectric
-                                           ///< dispersion plus short-window
-                                           ///< estimator bias can shift the
-                                           ///< apparent Δf by tens of percent
-                                           ///< at mmWave (§4, §5.3).
-  double grid_step_hz = 100.0;             ///< Search grid resolution.
-};
-
 /// One tag of a calibration batch: its frontend, the amplitude it is
 /// calibrated at, and the gate its decoder will slice with.
 struct CalibrationTarget {
@@ -58,24 +47,24 @@ struct CalibrationTarget {
 };
 
 /// Run the calibration procedure: for each slot, receive a training run of
-/// that slope through the frontend, gate it exactly as the decoder would,
-/// and locate the apparent beat frequency with the decoder's own
-/// duration-matched Hann/Goertzel estimator. A batch of one.
+/// six chirps of that slope through the frontend, gate it exactly as the
+/// decoder would, and locate the apparent beat frequency with the decoder's
+/// own duration-matched √Hann GLRT estimator, on a 100 Hz grid within
+/// max(4 kHz, 35 % of the nominal Δf) of the nominal value. A batch of one.
 CalibrationTable run_calibration(TagFrontend& frontend,
                                  const phy::SlopeAlphabet& alphabet,
                                  double incident_amplitude_v,
-                                 const CalibrationConfig& config,
                                  const PeriodicGateConfig& gate_config);
 
 /// Calibrate every target, each exactly as the one-tag call would. A slot's
 /// search grid, analysis length, √Hann window and GLRT bank depend only on
-/// the alphabet, @p config and the ADC rate, so the batch plans them once
-/// per slot for every target; every frontend must share one sample rate.
-/// Each frontend first receives its training runs in slot order (drawing
-/// its own noise, as alone); then the slots are scored, one task per slot
-/// on @p pool (nullptr runs inline), each holding only its own bank.
+/// the alphabet and the ADC rate, so the batch plans them once per slot for
+/// every target; every frontend must share one sample rate. Each frontend
+/// first receives its training runs in slot order (drawing its own noise,
+/// as alone); then the slots are scored, one task per slot on @p pool
+/// (nullptr runs inline), each holding only its own bank.
 std::vector<CalibrationTable> run_calibration(
     std::span<const CalibrationTarget> targets, const phy::SlopeAlphabet& alphabet,
-    const CalibrationConfig& config, ThreadPool* pool = nullptr);
+    ThreadPool* pool = nullptr);
 
 }  // namespace bis::tag

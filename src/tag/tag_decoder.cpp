@@ -5,41 +5,73 @@
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "phy/slope_alphabet.hpp"
 
 namespace bis::tag {
 namespace {
 
-SymbolDemodConfig make_demod_config(const TagDecoderConfig& cfg) {
+/// Header bursts required to lock.
+constexpr std::size_t kMinHeaderRun = 3;
+
+PeriodEstimatorConfig period_config(const phy::SlopeAlphabet& alphabet,
+                                    double sample_rate_hz) {
+  PeriodEstimatorConfig p;
+  p.sample_rate_hz = sample_rate_hz;
+  p.min_period_s = alphabet.config().chirp_period_s * 0.4;
+  p.max_period_s = alphabet.config().chirp_period_s * 2.5;
+  return p;
+}
+
+SymbolDemodConfig demod_config(const phy::SlopeAlphabet& alphabet,
+                               std::span<const double> beat_freqs_hz,
+                               double sample_rate_hz) {
   SymbolDemodConfig d;
-  d.sample_rate_hz = cfg.sample_rate_hz;
-  d.slot_beat_freqs_hz = cfg.slot_beat_freqs_hz;
-  d.slot_durations_s = cfg.slot_durations_s;
-  d.slot_phases_rad = cfg.slot_phases_rad;
+  d.sample_rate_hz = sample_rate_hz;
+  d.slot_beat_freqs_hz.assign(beat_freqs_hz.begin(), beat_freqs_hz.end());
+  for (std::size_t slot = 0; slot < alphabet.slot_count(); ++slot)
+    d.slot_durations_s.push_back(alphabet.duration(slot));
+  // Calibrated phases exist in the table but are NOT used for matching:
+  // the gate's integer-sample start jitter de-coheres them at the higher
+  // beat frequencies (documented limitation; see EXPERIMENTS.md, Fig. 17).
   return d;
 }
 
 }  // namespace
 
-TagDecoder::TagDecoder(const TagDecoderConfig& config)
-    : config_(config),
-      periodic_gate_(config.periodic_gate),
-      period_(config.period),
-      demod_(make_demod_config(config)) {
-  BIS_CHECK(config_.slot_beat_freqs_hz.size() >= 4);
-  BIS_CHECK(config_.slot_durations_s.size() == config_.slot_beat_freqs_hz.size());
-  BIS_CHECK(config_.header_slot < config_.slot_beat_freqs_hz.size());
-  BIS_CHECK(config_.sync_slot < config_.slot_beat_freqs_hz.size());
-  BIS_CHECK(config_.header_slot != config_.sync_slot);
-  BIS_CHECK(config_.min_header_run >= 1);
-  BIS_CHECK(config_.bits_per_symbol >= 1);
+PeriodicGateConfig decoder_gate_config(const phy::SlopeAlphabet& alphabet,
+                                       std::span<const double> beat_freqs_hz,
+                                       double sample_rate_hz) {
+  BIS_CHECK(beat_freqs_hz.size() == alphabet.slot_count());
+  PeriodicGateConfig g;
+  g.sample_rate_hz = sample_rate_hz;
+  // The header slope is the shortest chirp, the sync slope the longest.
+  g.min_burst_s = 0.5 * alphabet.duration(alphabet.header_slot());
+  // Dip tolerance: the pedestal+tone sum swings to zero every beat-tone
+  // trough, so the end-scan must ride across ~0.6 cycles of the lowest tone.
+  const double min_beat = *std::min_element(beat_freqs_hz.begin(), beat_freqs_hz.end());
+  g.max_dip_s = 0.6 / std::max(min_beat, 1.0);
+  // The dip tolerance must never bridge the shortest inter-chirp idle, or
+  // the gate would merge consecutive bursts.
+  const double min_idle_s =
+      alphabet.config().chirp_period_s - alphabet.duration(alphabet.sync_slot());
+  g.max_dip_s = std::min(g.max_dip_s, 0.7 * min_idle_s);
+  return g;
+}
+
+TagDecoder::TagDecoder(const phy::SlopeAlphabet& alphabet,
+                       std::span<const double> beat_freqs_hz, double sample_rate_hz)
+    : alphabet_(alphabet),
+      sample_rate_hz_(sample_rate_hz),
+      periodic_gate_(decoder_gate_config(alphabet, beat_freqs_hz, sample_rate_hz)),
+      period_(period_config(alphabet, sample_rate_hz)),
+      demod_(demod_config(alphabet, beat_freqs_hz, sample_rate_hz)) {
   static obs::Counter& builds =
       obs::Registry::instance().counter("bis.tag.decoder_builds");
   builds.add();
 }
 
 DownlinkDecodeResult TagDecoder::decode_stream(
-    const dsp::RVec& stream, const std::vector<bool>& absorptive_mask) const {
+    const dsp::RVec& stream, const phy::PacketConfig& packet,
+    const std::vector<bool>& absorptive_mask) const {
   BIS_TRACE_SPAN("tag.decode_stream");
   static obs::Counter& sync_attempts =
       obs::Registry::instance().counter("bis.tag.sync_attempts");
@@ -64,14 +96,11 @@ DownlinkDecodeResult TagDecoder::decode_stream(
   // was reflective carries no symbol (skip); an absorptive period with no
   // usable burst is an erasure that must still hold its payload position.
   constexpr std::size_t kErasure = static_cast<std::size_t>(-1);
-  const double min_duration = *std::min_element(
-      config_.slot_durations_s.begin(), config_.slot_durations_s.end());
-  const double max_duration = *std::max_element(
-      config_.slot_durations_s.begin(), config_.slot_durations_s.end());
-  const std::size_t min_len =
-      SymbolDemod::analysis_length(min_duration, config_.sample_rate_hz);
-  const std::size_t max_len =
-      SymbolDemod::analysis_length(max_duration, config_.sample_rate_hz);
+  // The header slope is the shortest chirp, the sync slope the longest.
+  const std::size_t min_len = SymbolDemod::analysis_length(
+      alphabet_.duration(alphabet_.header_slot()), sample_rate_hz_);
+  const std::size_t max_len = SymbolDemod::analysis_length(
+      alphabet_.duration(alphabet_.sync_slot()), sample_rate_hz_);
 
   // slot value per period index; kSkipped marks a period the tag's own
   // switch made invisible (reflective), kErasure a missed absorptive chirp.
@@ -94,8 +123,7 @@ DownlinkDecodeResult TagDecoder::decode_stream(
     // Refine with the hypothesized slot's protocol duration until stable.
     for (int pass = 0; pass < 3; ++pass) {
       const std::size_t len = std::min(
-          SymbolDemod::analysis_length(config_.slot_durations_s[r.slot],
-                                       config_.sample_rate_hz),
+          SymbolDemod::analysis_length(alphabet_.duration(r.slot), sample_rate_hz_),
           stream.size() - w.start);
       const auto refined =
           demod_.classify(std::span<const double>(stream.data() + w.start, len));
@@ -114,12 +142,14 @@ DownlinkDecodeResult TagDecoder::decode_stream(
   // chirps (reflective slots in integrated mode, noise drops) cannot shift
   // payload alignment. The radar guarantees the frame starts on a chirp the
   // tag absorbs, so the first observed header IS the frame start.
-  const std::size_t guard = config_.preamble_guard_slots;
+  const std::size_t guard = alphabet_.config().preamble_guard_slots;
   const auto is_sync = [&](std::size_t slot) {
-    return slot != kErasure && slot != kSkipped && slot <= config_.sync_slot + guard;
+    return slot != kErasure && slot != kSkipped &&
+           slot <= alphabet_.sync_slot() + guard;
   };
   const auto is_header = [&](std::size_t slot) {
-    return slot != kErasure && slot != kSkipped && slot + guard >= config_.header_slot;
+    return slot != kErasure && slot != kSkipped &&
+           slot + guard >= alphabet_.header_slot();
   };
 
   // Anchor: score every candidate frame start against the full preamble
@@ -127,8 +157,8 @@ DownlinkDecodeResult TagDecoder::decode_stream(
   // inside the sync field, minus penalties for preamble slopes appearing
   // where data should start. A single garbled preamble chirp then cannot
   // shift the payload boundary (which would scramble the whole packet).
-  const std::size_t h_len = config_.expected_header_chirps;
-  const std::size_t s_len = config_.expected_sync_chirps;
+  const std::size_t h_len = packet.header_chirps;
+  const std::size_t s_len = packet.sync_chirps;
   std::size_t anchor = slots.size();
   double best_score = 0.0;
   for (std::size_t a = 0; a + h_len + s_len <= slots.size() + s_len; ++a) {
@@ -154,18 +184,15 @@ DownlinkDecodeResult TagDecoder::decode_stream(
     if (first_payload < slots.size() &&
         (is_header(slots[first_payload]) || is_sync(slots[first_payload])))
       score -= 0.5;
-    if (header_hits >= config_.min_header_run && score > best_score) {
+    if (header_hits >= kMinHeaderRun && score > best_score) {
       best_score = score;
       anchor = a;
     }
   }
   if (anchor == slots.size()) return result;
 
-  const std::size_t header_end =
-      std::min(anchor + config_.expected_header_chirps, slots.size());
-  const std::size_t payload_start = std::min(
-      anchor + config_.expected_header_chirps + config_.expected_sync_chirps,
-      slots.size());
+  const std::size_t header_end = std::min(anchor + h_len, slots.size());
+  const std::size_t payload_start = std::min(anchor + h_len + s_len, slots.size());
   std::size_t header_run = 0;
   for (std::size_t k = anchor; k < header_end; ++k)
     if (is_header(slots[k])) ++header_run;
@@ -177,7 +204,7 @@ DownlinkDecodeResult TagDecoder::decode_stream(
     if (slots[k] == kSkipped) continue;  // tag was reflective: no symbol sent
     if (slots[k] == kErasure) {
       // Missed absorptive chirp: placeholder keeps later symbols aligned.
-      result.payload_slots.push_back(config_.first_data_slot);
+      result.payload_slots.push_back(alphabet_.first_data_slot());
       result.confidences.push_back(0.0);
       continue;
     }
@@ -187,8 +214,7 @@ DownlinkDecodeResult TagDecoder::decode_stream(
 
   result.header_run = header_run;
   result.sync_run = sync_run;
-  result.locked =
-      header_run >= config_.min_header_run && !result.payload_slots.empty();
+  result.locked = header_run >= kMinHeaderRun && !result.payload_slots.empty();
   static obs::Counter& sync_locks =
       obs::Registry::instance().counter("bis.tag.sync_locks");
   if (result.locked) sync_locks.add();
@@ -199,16 +225,11 @@ DownlinkDecodeResult TagDecoder::decode_stream(
   // (the bit errors it causes are counted by the caller).
   std::vector<std::size_t> symbols;
   symbols.reserve(result.payload_slots.size());
-  const std::size_t n_data =
-      static_cast<std::size_t>(1) << config_.bits_per_symbol;
-  const std::size_t lo = config_.first_data_slot;
-  const std::size_t hi = lo + n_data - 1;
-  for (auto slot : result.payload_slots) {
-    const std::size_t clamped = std::clamp(slot, lo, hi);
-    const std::size_t index = clamped - lo;
-    symbols.push_back(config_.gray_coding ? phy::gray_decode(index) : index);
-  }
-  result.bits = phy::symbols_to_bits(symbols, config_.bits_per_symbol);
+  const std::size_t lo = alphabet_.first_data_slot();
+  const std::size_t hi = lo + alphabet_.data_symbol_count() - 1;
+  for (auto slot : result.payload_slots)
+    symbols.push_back(alphabet_.data_for_slot(std::clamp(slot, lo, hi)));
+  result.bits = phy::symbols_to_bits(symbols, alphabet_.bits_per_symbol());
   return result;
 }
 

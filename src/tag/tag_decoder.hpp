@@ -12,43 +12,17 @@
 ///   4. walk the slot sequence through the packet state machine:
 ///      header run → sync run → payload symbols → bits.
 
+#include <span>
 #include <vector>
 
 #include "phy/bits.hpp"
+#include "phy/packet.hpp"
+#include "phy/slope_alphabet.hpp"
 #include "tag/period_estimator.hpp"
 #include "tag/periodic_gate.hpp"
 #include "tag/symbol_demod.hpp"
 
 namespace bis::tag {
-
-struct TagDecoderConfig {
-  double sample_rate_hz = 500e3;
-  std::vector<double> slot_beat_freqs_hz;  ///< Calibrated Δf per slot.
-  std::vector<double> slot_durations_s;    ///< Protocol constant: chirp
-                                           ///< duration per slot, used for
-                                           ///< duration-matched windows.
-  std::vector<double> slot_phases_rad;     ///< Calibrated phases (optional).
-  std::size_t bits_per_symbol = 5;
-  std::size_t header_slot = 0;  ///< Set from the alphabet.
-  std::size_t sync_slot = 0;
-  std::size_t first_data_slot = 1;  ///< Alphabet layout (guard slots).
-  std::size_t preamble_guard_slots = 0;  ///< Classification tolerance: a slot
-                                         ///< within the guard band of the
-                                         ///< header/sync slope still counts
-                                         ///< as that preamble field.
-  bool gray_coding = true;          ///< Must match the alphabet.
-  std::size_t min_header_run = 3;  ///< Header bursts required to lock.
-  std::size_t expected_header_chirps = 8;  ///< Protocol constant: header
-                                           ///< field length in chirp periods.
-  std::size_t expected_sync_chirps = 3;  ///< Protocol constant: the sync
-                                         ///< field length. Once this many
-                                         ///< sync bursts are seen, the next
-                                         ///< burst is payload even if it
-                                         ///< classifies into the sync guard
-                                         ///< band.
-  PeriodEstimatorConfig period;
-  PeriodicGateConfig periodic_gate;  ///< Period-folded windowing.
-};
 
 struct DownlinkDecodeResult {
   bool locked = false;            ///< Preamble found (header run + sync).
@@ -60,11 +34,25 @@ struct DownlinkDecodeResult {
   std::vector<double> confidences;  ///< Per-symbol decision confidence.
 };
 
+/// The period-folded gate a decoder for @p alphabet slices with when it
+/// classifies against @p beat_freqs_hz (one per slot) at the ADC rate
+/// @p sample_rate_hz. Calibration slices through the same gate, so a
+/// re-calibration, which moves the lowest beat tone, can move the gate.
+PeriodicGateConfig decoder_gate_config(const phy::SlopeAlphabet& alphabet,
+                                       std::span<const double> beat_freqs_hz,
+                                       double sample_rate_hz);
+
 class TagDecoder {
  public:
-  explicit TagDecoder(const TagDecoderConfig& config);
+  /// A decoder for @p alphabet's slot layout that classifies against
+  /// @p beat_freqs_hz, one per slot (the calibrated table or the nominal
+  /// Eq. 11 one), at the tag ADC rate @p sample_rate_hz. It keeps its own
+  /// copy of the alphabet.
+  TagDecoder(const phy::SlopeAlphabet& alphabet,
+             std::span<const double> beat_freqs_hz, double sample_rate_hz);
 
-  /// Decode one captured envelope stream (typically one packet/frame).
+  /// Decode one captured envelope stream (typically one packet/frame) of a
+  /// packet with @p packet's header and sync field lengths.
   ///
   /// @p absorptive_mask — the tag's own per-chirp switch schedule (it drives
   /// the switch, so it always knows it). Periods where the tag was
@@ -73,12 +61,12 @@ class TagDecoder {
   /// (placeholder symbols) so payload alignment survives a missed chirp.
   /// An empty mask means "absorptive throughout" (sequential downlink mode).
   DownlinkDecodeResult decode_stream(const dsp::RVec& stream,
+                                     const phy::PacketConfig& packet,
                                      const std::vector<bool>& absorptive_mask = {}) const;
 
-  const TagDecoderConfig& config() const { return config_; }
-
  private:
-  TagDecoderConfig config_;
+  phy::SlopeAlphabet alphabet_;
+  double sample_rate_hz_;
   PeriodicGate periodic_gate_;
   PeriodEstimator period_;
   SymbolDemod demod_;

@@ -22,25 +22,23 @@ namespace bis::tag {
 
 struct TagNodeConfig {
   TagFrontendConfig frontend;
-  phy::UplinkConfig uplink;
+  phy::UplinkConfig uplink;  ///< TagNode sets chirp_period_s to the
+                             ///< alphabet's chirp period.
   TagPowerConfig power;
   std::optional<std::uint8_t> address;  ///< For addressed downlink packets.
-  std::size_t min_header_run = 3;
-  std::size_t expected_header_chirps = 8;  ///< Must match the packet config.
-  std::size_t expected_sync_chirps = 3;    ///< Must match the packet config.
   TagOperatingMode mode = TagOperatingMode::kContinuous;
 };
 
 class TagNode {
  public:
-  /// The tag must know the alphabet geometry (slot layout); its beat-
-  /// frequency table starts as the nominal Eq. 11 prediction until
-  /// calibrate() replaces it with measured values.
+  /// The tag keeps a copy of the alphabet it shares with the radar: the slot
+  /// layout, the chirp period its decoder searches around and its uplink
+  /// cadence. Its beat-frequency table starts as the nominal Eq. 11
+  /// prediction until calibrate() replaces it with measured values.
   TagNode(const TagNodeConfig& config, const phy::SlopeAlphabet& alphabet, Rng rng);
 
   /// Run the one-time calibration procedure at the given incident amplitude.
-  void calibrate(double incident_amplitude_v,
-                 const CalibrationConfig& cal_config = {});
+  void calibrate(double incident_amplitude_v);
 
   /// Calibrate every node as calibrate() would, node i at
   /// @p incident_amplitudes_v[i], in one run_calibration batch: each slot's
@@ -49,14 +47,14 @@ class TagNode {
   /// configuration and ADC rate; each keeps its own amplitude and gate.
   static void calibrate_batch(std::span<TagNode* const> nodes,
                               std::span<const double> incident_amplitudes_v,
-                              const CalibrationConfig& cal_config = {},
                               ThreadPool* pool = nullptr);
 
   bool calibrated() const { return calibration_.calibrated; }
   const CalibrationTable& calibration() const { return calibration_; }
 
-  /// Capture + decode a downlink stream (frame of envelope samples). The
-  /// first call after construction or calibrate() builds the decoder from
+  /// Capture + decode a downlink stream (frame of envelope samples) of a
+  /// packet with @p packet_config's preamble. The first call after
+  /// construction or calibrate() builds the decoder from the alphabet and
   /// the current calibration table; a tag that never receives a downlink
   /// never plans one.
   struct DownlinkReception {
@@ -73,21 +71,9 @@ class TagNode {
   TagOperatingMode mode() const { return config_.mode; }
   std::optional<std::uint8_t> address() const { return config_.address; }
 
-  /// Decoder configuration derived from the alphabet + calibration state.
-  TagDecoderConfig make_decoder_config() const;
-
  private:
   TagNodeConfig config_;
-  phy::SlopeAlphabetConfig alphabet_config_;
-  std::size_t header_slot_;
-  std::size_t sync_slot_;
-  std::size_t first_data_slot_;
-  bool gray_coding_;
-  std::size_t bits_per_symbol_;
-  std::vector<double> slot_durations_s_;
-  double min_duration_s_;
-  double max_duration_s_;
-
+  phy::SlopeAlphabet alphabet_;  ///< A copy: TagNode is copyable.
   TagFrontend frontend_;
   TagModulator modulator_;
   PowerModel power_;

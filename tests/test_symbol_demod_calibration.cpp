@@ -86,8 +86,7 @@ TEST(Calibration, MeasuresDispersionShift) {
   auto fc = frontend_config();
   fc.delay_line.dispersion_per_ghz = 0.01;  // exaggerated for visibility
   TagFrontend fe(fc, Rng(2));
-  const auto table =
-      run_calibration(fe, a, 1e-4, CalibrationConfig{}, gate_config(a));
+  const auto table = run_calibration(fe, a, 1e-4, gate_config(a));
   ASSERT_TRUE(table.calibrated);
 
   const rf::DelayLinePair line(fc.delay_line);
@@ -107,8 +106,7 @@ TEST(Calibration, MeasuresDispersionShift) {
 TEST(Calibration, TableMostlyMonotone) {
   const auto a = make_alphabet();
   TagFrontend fe(frontend_config(), Rng(3));
-  const auto table =
-      run_calibration(fe, a, 1e-4, CalibrationConfig{}, gate_config(a));
+  const auto table = run_calibration(fe, a, 1e-4, gate_config(a));
   std::size_t inversions = 0;
   for (std::size_t s = 1; s < table.slot_beat_freqs_hz.size(); ++s)
     if (table.slot_beat_freqs_hz[s] < table.slot_beat_freqs_hz[s - 1]) ++inversions;
@@ -118,8 +116,7 @@ TEST(Calibration, TableMostlyMonotone) {
 TEST(Calibration, PhasesRecorded) {
   const auto a = make_alphabet(3);
   TagFrontend fe(frontend_config(), Rng(4));
-  const auto table =
-      run_calibration(fe, a, 1e-4, CalibrationConfig{}, gate_config(a));
+  const auto table = run_calibration(fe, a, 1e-4, gate_config(a));
   ASSERT_EQ(table.slot_phases_rad.size(), a.slot_count());
   for (double p : table.slot_phases_rad) {
     EXPECT_GE(p, -kPi - 1e-9);
@@ -132,8 +129,7 @@ TEST(Calibration, ClassificationUsesCalibratedTable) {
   const auto a = make_alphabet(4);
   TagFrontend fe(frontend_config(), Rng(5));
   const std::vector<IncidentPath> paths = {{1e-4, 0.0, 0.0}};
-  const auto table =
-      run_calibration(fe, a, 1e-4, CalibrationConfig{}, gate_config(a));
+  const auto table = run_calibration(fe, a, 1e-4, gate_config(a));
 
   SymbolDemodConfig dc;
   dc.sample_rate_hz = kFs;
@@ -180,8 +176,8 @@ TEST(CalibrationBatch, MatchesOneAtATimeAtAnyThreadCount) {
   BatchTags solo(a);
   std::vector<CalibrationTable> expected;
   for (const auto& t : solo.targets)
-    expected.push_back(run_calibration(*t.frontend, a, t.incident_amplitude_v,
-                                       CalibrationConfig{}, t.gate));
+    expected.push_back(
+        run_calibration(*t.frontend, a, t.incident_amplitude_v, t.gate));
   EXPECT_NE(expected[0].slot_beat_freqs_hz, a.nominal_beat_frequencies());
   EXPECT_EQ(expected[4].slot_beat_freqs_hz, a.nominal_beat_frequencies());
   const std::vector<IncidentPath> paths = {{2e-4, 0.0, 0.0}, {5e-5, 4e-9, 0.5}};
@@ -198,7 +194,7 @@ TEST(CalibrationBatch, MatchesOneAtATimeAtAnyThreadCount) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
     BatchTags batch(a);
-    const auto tables = run_calibration(batch.targets, a, CalibrationConfig{}, &pool);
+    const auto tables = run_calibration(batch.targets, a, &pool);
     ASSERT_EQ(tables.size(), expected.size());
     for (std::size_t k = 0; k < tables.size(); ++k) {
       EXPECT_TRUE(tables[k].calibrated);
@@ -217,7 +213,7 @@ TEST(CalibrationBatch, OneBankPerSlot) {
       obs::Registry::instance().counter("bis.tag.calibration_banks");
   BatchTags batch(a);
   const std::uint64_t before = banks.value();
-  run_calibration(batch.targets, a, CalibrationConfig{});
+  run_calibration(batch.targets, a);
   EXPECT_EQ(banks.value() - before, a.slot_count());
   obs::set_enabled(was_enabled);
 }
@@ -227,16 +223,15 @@ TEST(CalibrationBatch, RejectsTagsThatCannotShareAPlan) {
   BatchTags batch(a);
   // The same frontend twice.
   std::vector<CalibrationTarget> twice = {batch.targets[0], batch.targets[0]};
-  EXPECT_THROW(run_calibration(twice, a, CalibrationConfig{}), std::exception);
+  EXPECT_THROW(run_calibration(twice, a), std::exception);
   // Another ADC rate: the slot's window lengths and bank would differ.
   auto cfg = frontend_config();
   cfg.adc.sample_rate_hz = 2.0 * kFs;
   TagFrontend fast(cfg, Rng(9));
   std::vector<CalibrationTarget> mixed = {batch.targets[0],
                                           {&fast, 1e-4, gate_config(a)}};
-  EXPECT_THROW(run_calibration(mixed, a, CalibrationConfig{}), std::exception);
-  EXPECT_THROW(run_calibration(std::span<const CalibrationTarget>(), a,
-                               CalibrationConfig{}),
+  EXPECT_THROW(run_calibration(mixed, a), std::exception);
+  EXPECT_THROW(run_calibration(std::span<const CalibrationTarget>(), a),
                std::exception);
 }
 

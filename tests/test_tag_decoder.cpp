@@ -143,6 +143,28 @@ TEST(TagDecoder, MaskSkipsReflectiveChirpsInIntegratedMode) {
   EXPECT_EQ(rx.packet.payload, payload);
 }
 
+TEST(TagDecoder, PreambleLengthsComeFromThePacket) {
+  // A node built with no preamble settings decodes packets whose header and
+  // sync fields are longer than the defaults: the decoder reads both
+  // lengths from the packet config it is handed.
+  Link link;
+  phy::PacketConfig pkt;
+  pkt.header_chirps = 12;
+  pkt.sync_chirps = 4;
+  for (std::uint64_t seed = 100; seed < 105; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const auto payload = rng.bits(80);
+    const phy::DownlinkPacket packet(pkt, payload);
+    const auto rx = link.node.receive_downlink(link.transmit(packet), pkt);
+    EXPECT_TRUE(rx.decode.locked);
+    EXPECT_EQ(rx.decode.header_run, 12u);
+    EXPECT_EQ(rx.decode.sync_run, 4u);
+    EXPECT_TRUE(rx.packet.crc_ok);
+    EXPECT_EQ(rx.packet.payload, payload);
+  }
+}
+
 TEST(TagDecoder, NoiseOnlyStreamDoesNotLock) {
   Link link;
   Rng rng(4);
