@@ -128,22 +128,6 @@ LocalizationMeasurement measure_localization(const SystemConfig& config,
   return m;
 }
 
-IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frames,
-                                   std::size_t payload_bits, std::size_t uplink_bits) {
-  Rng data_rng(config.seed ^ 0x15ACull);
-  return measure_integrated(config, frames, payload_bits, uplink_bits, nullptr,
-                            data_rng);
-}
-
-IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frames,
-                                   std::size_t payload_bits, std::size_t uplink_bits,
-                                   const phy::SlopeAlphabet* shared_alphabet,
-                                   Rng& data_rng) {
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
-  sim.calibrate_tag();
-  return measure_integrated(sim, frames, payload_bits, uplink_bits, data_rng);
-}
-
 IsacMeasurement measure_integrated(LinkSimulator& sim, std::size_t frames,
                                    std::size_t payload_bits, std::size_t uplink_bits,
                                    Rng& data_rng) {

@@ -2,8 +2,9 @@
 
 /// @file experiments.hpp
 /// Monte-Carlo measurement helpers used by the bench harnesses (one per
-/// paper figure/table — see DESIGN.md §4). Each helper owns its RNG stream
-/// (derived from the SystemConfig seed) so sweeps are reproducible.
+/// paper figure/table — see DESIGN.md §4). Each SystemConfig helper owns its
+/// RNG stream (derived from the seed) and each LinkSimulator helper draws
+/// from the caller's, so sweeps are reproducible.
 
 #include <cstddef>
 
@@ -91,19 +92,9 @@ struct IsacMeasurement {
   UplinkMeasurement uplink;
 };
 
-/// Fully integrated frames: downlink packet + uplink bits + localization.
-IsacMeasurement measure_integrated(const SystemConfig& config,
-                                   std::size_t frames = 10,
-                                   std::size_t payload_bits = 80,
-                                   std::size_t uplink_bits = 4);
-
-/// Sweep-engine overload (see measure_downlink_ber).
-IsacMeasurement measure_integrated(const SystemConfig& config, std::size_t frames,
-                                   std::size_t payload_bits, std::size_t uplink_bits,
-                                   const phy::SlopeAlphabet* shared_alphabet,
-                                   Rng& data_rng);
-
-/// The measurement on @p sim, whose tag the caller has calibrated.
+/// Fully integrated frames (downlink packet + uplink bits + localization)
+/// on @p sim, whose tag the caller has calibrated, with payloads drawn from
+/// @p data_rng.
 IsacMeasurement measure_integrated(LinkSimulator& sim, std::size_t frames,
                                    std::size_t payload_bits, std::size_t uplink_bits,
                                    Rng& data_rng);

@@ -187,7 +187,10 @@ TEST(Experiments, IntegratedMeasurement) {
   // the other half), so the radar uses a longer preamble.
   cfg.packet.header_chirps = 12;
   cfg.packet.sync_chirps = 4;
-  const auto m = measure_integrated(cfg, 4, 80, 4);
+  LinkSimulator sim(cfg);
+  sim.calibrate_tag();
+  Rng data_rng(cfg.seed ^ 0x15ACull);
+  const auto m = measure_integrated(sim, 4, 80, 4, data_rng);
   EXPECT_EQ(m.downlink.packets_locked, m.downlink.packets);
   EXPECT_EQ(m.downlink.errors, 0u);
   EXPECT_EQ(m.uplink.detection_rate, 1.0);

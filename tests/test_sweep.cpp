@@ -400,9 +400,9 @@ TEST(SweepDeterminism, DownlinkModesBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(SweepDeterminism, DownlinkPointsMatchStandaloneMeasurements) {
-  // Each point of a batch-calibrated sweep equals the config-taking
-  // measure_* helper (which calibrates its tag alone) run on the point's
-  // derived seed and substream.
+  // Each point of a batch-calibrated sweep equals a standalone measurement
+  // whose tag is calibrated alone, run on the point's derived seed and
+  // substream.
   const auto grid = small_downlink_grid();
   for (const auto mode : kDownlinkModes) {
     SCOPED_TRACE(core::sweep_mode_name(mode));
@@ -426,8 +426,10 @@ TEST(SweepDeterminism, DownlinkPointsMatchStandaloneMeasurements) {
         m.downlink = core::measure_downlink_ber(cfg, w.min_bits, w.payload_bits,
                                                 nullptr, rng);
       } else {
-        const auto isac = core::measure_integrated(cfg, w.frames, w.payload_bits,
-                                                   w.uplink_bits, nullptr, rng);
+        core::LinkSimulator sim(cfg);
+        sim.calibrate_tag();
+        const auto isac = core::measure_integrated(sim, w.frames, w.payload_bits,
+                                                   w.uplink_bits, rng);
         m.downlink = isac.downlink;
         m.uplink = isac.uplink;
       }
