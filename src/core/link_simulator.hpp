@@ -105,7 +105,9 @@ class LinkSimulator {
   /// alphabet depends only on the radar/packet/tag parameters (not on seed,
   /// range, or SNR), so sweep runners construct it once per distinct
   /// configuration and hand it to every grid point (see core::SweepRunner).
-  /// Behaviour is identical to the single-argument constructor.
+  /// The tag takes its slot layout and uplink cadence from this alphabet, so
+  /// it must equal config.make_alphabet(); behaviour is then identical to
+  /// the single-argument constructor.
   LinkSimulator(const SystemConfig& config, const phy::SlopeAlphabet& shared_alphabet);
 
   /// One-time tag calibration at config.calibration_range_m (paper §5).

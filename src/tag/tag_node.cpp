@@ -35,9 +35,9 @@ void TagNode::calibrate_batch(std::span<TagNode* const> nodes,
   const phy::SlopeAlphabet& alphabet = nodes.front()->alphabet_;
   std::vector<CalibrationTarget> targets;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const TagNode& node = *nodes[i];
+    TagNode& node = *nodes[i];
     BIS_CHECK(node.alphabet_.config() == alphabet.config());
-    targets.push_back({&nodes[i]->frontend_, incident_amplitudes_v[i],
+    targets.push_back({&node.frontend_, incident_amplitudes_v[i],
                        decoder_gate_config(node.alphabet_,
                                            node.calibration_.slot_beat_freqs_hz,
                                            node.frontend_.sample_rate())});
