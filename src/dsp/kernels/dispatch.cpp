@@ -199,4 +199,10 @@ void ktagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
   active().tagscore(x, idx, w, g, n, on, son);
 }
 
+void ktoneglrt(std::span<const double> x, std::span<const double> w,
+               std::span<const double> cos, std::span<const double> sin,
+               std::span<const double> plan, double uu, std::span<double> out) {
+  active().tone_glrt(x, w, cos, sin, plan, uu, out);
+}
+
 }  // namespace bis::dsp::kernels

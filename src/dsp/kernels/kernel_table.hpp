@@ -35,6 +35,9 @@ struct KernelTable {
   void (*tagscore)(std::span<const double>, std::span<const std::uint32_t>,
                    std::span<const double>, std::span<const double>,
                    std::size_t, std::span<double>, std::span<double>);
+  void (*tone_glrt)(std::span<const double>, std::span<const double>,
+                    std::span<const double>, std::span<const double>,
+                    std::span<const double>, double, std::span<double>);
 };
 
 /// Backend accessors. The scalar table always exists; the SIMD tables are

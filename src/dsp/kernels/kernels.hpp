@@ -6,7 +6,8 @@
 /// Every stage of the signal path bottoms out in the map/reduce loops below
 /// (magnitude/power of a spectrum, window application, AWGN and gain
 /// application, ADC quantization, the Doppler stage's row FFT, the
-/// detector's tag-scoring bank). Each kernel here has an engine caller.
+/// detector's tag-scoring bank, the tag's tone GLRT bank). Each kernel here
+/// has an engine caller.
 /// This layer provides one narrow API backed by three interchangeable
 /// implementations — AVX2, SSE2 and scalar — selected once at startup by CPU
 /// detection and overridable with the BIS_SIMD environment variable
@@ -174,5 +175,54 @@ void kuntangle_norm(std::span<const double> zr, std::span<const double> zi,
 void ktagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
                std::span<const double> w, std::span<const double> g,
                std::size_t n, std::span<double> on, std::span<double> son);
+
+// ---------------------------------------------------------------------------
+// Tone GLRT bank (the tag's slot classifier and calibration search)
+
+/// Frequency lanes ktoneglrt scores side by side; a bank's lane count (its
+/// stride) is a multiple of this.
+inline constexpr std::size_t kToneGlrtLanes = 8;
+
+/// The runs of a ktoneglrt plan, in order; run r holds lane f at
+/// [r·stride + f]. They are the data-free parts of the DC-nuisance tone
+/// GLRT's 3×3 solve G·θ = b, with G = [[Σcc, Σcs, Σcu], [Σcs, Σss, Σsu],
+/// [Σcu, Σsu, Σuu]] over the weighted design columns c = w·cos(ωi),
+/// s = w·sin(ωi), u = w:
+///  - the Gram sums Σcc, Σcs, Σcu, Σss, Σsu;
+///  - the three 2×2 minors of G that Cramer's rule shares with the data,
+///    m0 = Σss·Σuu − Σsu·Σsu, m1 = Σcs·Σuu − Σsu·Σcu, m2 = Σcs·Σsu − Σss·Σcu;
+///  - 1/det, with det = (Σcc·m0 − Σcs·m1) + Σcu·m2, or +0 when
+///    |det| < 1e-30 (a singular system). Every θ is then ±0 or NaN, so the
+///    score below is +0.0, as the reference's early return gives.
+enum ToneGlrtRun : std::size_t {
+  kGlrtCc,
+  kGlrtCs,
+  kGlrtCu,
+  kGlrtSs,
+  kGlrtSu,
+  kGlrtM0,
+  kGlrtM1,
+  kGlrtM2,
+  kGlrtInvDet,
+  kGlrtRuns,
+};
+
+/// Tone GLRT scores of one weighted window over a bank of frequency lanes:
+/// the per-window work of dsp::ToneGlrtBank::scores. The bank's stride is
+/// plan.size() / kGlrtRuns, a multiple of kToneGlrtLanes; cos and sin hold
+/// cos(ω_f·i) and sin(ω_f·i) at [i·stride + f] for at least x.size() rows,
+/// and w holds x.size() weights. With ux = Σ w[i]·(w[i]·x[i]) summed over
+/// ascending i and dc_only = uu > 0 ? ux·ux/uu : 0, each lane f sums
+///   bc += (w[i]·cos) · (w[i]·x[i]),   bs += (w[i]·sin) · (w[i]·x[i])
+/// over ascending i, unfused, then solves for θ by Cramer's rule with b =
+/// (bc, bs, ux): each determinant with one column of G replaced by b,
+/// expanded along its first row exactly as det is, times 1/det. The score
+/// is max(0, (bc·θ0 + bs·θ1) + ux·θ2 − dc_only); a NaN difference scores
+/// 0, as std::max(0.0, ·) gives. Lanes are
+/// independent, so every target's scores are bit-identical to that scalar
+/// evaluation. out receives the first out.size() ≤ stride lanes.
+void ktoneglrt(std::span<const double> x, std::span<const double> w,
+               std::span<const double> cos, std::span<const double> sin,
+               std::span<const double> plan, double uu, std::span<double> out);
 
 }  // namespace bis::dsp::kernels

@@ -35,6 +35,7 @@
 ///   void cwin_block(const cdouble* x, const double* w, cdouble* out)
 ///                                         (re·w, im·w) ×L
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -305,6 +306,74 @@ void tagscore(std::span<const double> x, std::span<const std::uint32_t> idx,
   }
 }
 
+template <typename Ops>
+void tone_glrt(std::span<const double> x, std::span<const double> w,
+               std::span<const double> cos, std::span<const double> sin,
+               std::span<const double> plan, double uu, std::span<double> out) {
+  // kToneGlrtLanes frequencies per block, as two Ops blocks, with the four
+  // accumulators in registers for the whole window. Each lane sums its
+  // samples in ascending order with unfused products, and the solve below
+  // is the Cramer expansion kernels.hpp documents, with the data-free terms
+  // read from the plan, so every lane is the scalar evaluation bit for bit.
+  static_assert(kToneGlrtLanes == 2 * Ops::kLanes);
+  const std::size_t n = x.size();
+  const std::size_t stride = plan.size() / kGlrtRuns;
+  double ux = 0.0;
+  for (std::size_t i = 0; i < n; ++i) ux += w[i] * (w[i] * x[i]);
+  const double dc_only = uu > 0.0 ? ux * ux / uu : 0.0;
+  const auto zero = Ops::bcast(0.0);
+  const auto vux = Ops::bcast(ux);
+  const auto vuu = Ops::bcast(uu);
+  const auto vdc = Ops::bcast(dc_only);
+  // Cramer's θ_k = det_k · (1/det), det_k being det with column k replaced
+  // by b = (bc, bs, ux). p, q, r and r2 are the 2×2 minors that hold data,
+  // each with the reference expansion's operand order. Forced inline: out
+  // of line, GCC emitted it amid this TU's other kernels and moved them.
+  const auto solve = [&](auto bc, auto bs, std::size_t f)
+                         __attribute__((always_inline)) {
+    const auto run = [&](ToneGlrtRun r) {
+      return Ops::load(plan.data() + r * stride + f);
+    };
+    const auto cc = run(kGlrtCc), cs = run(kGlrtCs), cu = run(kGlrtCu);
+    const auto ss = run(kGlrtSs), su = run(kGlrtSu);
+    const auto p = Ops::sub(Ops::mul(bs, vuu), Ops::mul(su, vux));
+    const auto q = Ops::sub(Ops::mul(cs, vux), Ops::mul(bs, cu));
+    const auto r = Ops::sub(Ops::mul(bs, su), Ops::mul(ss, vux));
+    const auto r2 = Ops::sub(Ops::mul(ss, vux), Ops::mul(bs, su));
+    const auto det0 = Ops::add(
+        Ops::sub(Ops::mul(bc, run(kGlrtM0)), Ops::mul(cs, p)), Ops::mul(cu, r));
+    const auto det1 = Ops::add(
+        Ops::sub(Ops::mul(cc, p), Ops::mul(bc, run(kGlrtM1))), Ops::mul(cu, q));
+    const auto det2 = Ops::add(Ops::sub(Ops::mul(cc, r2), Ops::mul(cs, q)),
+                               Ops::mul(bc, run(kGlrtM2)));
+    const auto inv_det = run(kGlrtInvDet);
+    const auto full = Ops::add(
+        Ops::add(Ops::mul(bc, Ops::mul(det0, inv_det)),
+                 Ops::mul(bs, Ops::mul(det1, inv_det))),
+        Ops::mul(vux, Ops::mul(det2, inv_det)));
+    // std::max(0.0, v) is v > 0 ? v : 0, which vmax(v, 0) is, NaN included.
+    return Ops::vmax(Ops::sub(full, vdc), zero);
+  };
+  for (std::size_t f0 = 0; f0 < out.size(); f0 += kToneGlrtLanes) {
+    auto bc0 = zero, bc1 = zero, bs0 = zero, bs1 = zero;
+    const double* c = cos.data() + f0;
+    const double* s = sin.data() + f0;
+    for (std::size_t i = 0; i < n; ++i, c += stride, s += stride) {
+      const auto wi = Ops::bcast(w[i]);
+      const auto xv = Ops::bcast(w[i] * x[i]);
+      bc0 = Ops::fmadd(Ops::mul(wi, Ops::load(c)), xv, bc0);
+      bc1 = Ops::fmadd(Ops::mul(wi, Ops::load(c + Ops::kLanes)), xv, bc1);
+      bs0 = Ops::fmadd(Ops::mul(wi, Ops::load(s)), xv, bs0);
+      bs1 = Ops::fmadd(Ops::mul(wi, Ops::load(s + Ops::kLanes)), xv, bs1);
+    }
+    double block[kToneGlrtLanes];
+    Ops::store(block, solve(bc0, bs0, f0));
+    Ops::store(block + Ops::kLanes, solve(bc1, bs1, f0 + Ops::kLanes));
+    const std::size_t lanes = std::min(kToneGlrtLanes, out.size() - f0);
+    std::copy_n(block, lanes, out.data() + f0);
+  }
+}
+
 /// Assemble the dispatch table for one backend.
 template <typename Ops>
 detail::KernelTable make_table() {
@@ -322,6 +391,7 @@ detail::KernelTable make_table() {
   t.butterfly_unit = &butterfly_unit<Ops>;
   t.untangle_norm = &untangle_norm<Ops>;
   t.tagscore = &tagscore<Ops>;
+  t.tone_glrt = &tone_glrt<Ops>;
   return t;
 }
 

@@ -5,45 +5,24 @@
 
 #include "common/check.hpp"
 #include "common/constants.hpp"
+#include "dsp/kernels/kernels.hpp"
 
 namespace bis::dsp {
 namespace {
 
-/// Gram sums a Window stores per frequency (Σcc, Σcs, Σcw, Σss, Σsw).
-constexpr std::size_t kGramSums = 5;
-/// Frequencies scored side by side: the bank pads its frequency count to a
-/// multiple of this, so every block has a fixed trip count the compiler
-/// maps onto vector lanes. Each lane still sums its samples i = 0…n−1.
-constexpr std::size_t kLanes = 8;
+using kernels::kToneGlrtLanes;
 
-/// Solve the symmetric 3×3 system G·θ = b by Cramer's rule and return the
-/// explained energy bᵀθ. Returns 0 for a singular system.
-double explained_energy(const double g[3][3], const double b[3]) {
-  const double det = g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1]) -
-                     g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0]) +
-                     g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]);
-  if (std::abs(det) < 1e-30) return 0.0;
-  const double inv_det = 1.0 / det;
-  double theta[3];
-  for (int i = 0; i < 3; ++i) {
-    double m[3][3];
-    for (int r = 0; r < 3; ++r)
-      for (int c = 0; c < 3; ++c) m[r][c] = g[r][c];
-    for (int r = 0; r < 3; ++r) m[r][i] = b[r];
-    const double det_i = m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1]) -
-                         m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0]) +
-                         m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]);
-    theta[i] = det_i * inv_det;
-  }
-  return b[0] * theta[0] + b[1] * theta[1] + b[2] * theta[2];
-}
+/// Gram sums of the weighted design columns, the first plan runs.
+constexpr std::size_t kGramSums = 5;
+static_assert(kernels::kGlrtCc == 0 && kernels::kGlrtSu == kGramSums - 1);
 
 }  // namespace
 
 ToneGlrtBank::ToneGlrtBank(std::span<const double> freqs, double fs,
                            std::size_t max_length)
     : n_freqs_(freqs.size()),
-      stride_((freqs.size() + kLanes - 1) / kLanes * kLanes),
+      stride_((freqs.size() + kToneGlrtLanes - 1) / kToneGlrtLanes *
+              kToneGlrtLanes),
       max_length_(max_length),
       cos_(max_length * stride_, 0.0),
       sin_(max_length * stride_, 0.0) {
@@ -63,15 +42,15 @@ ToneGlrtBank::Window ToneGlrtBank::window(std::span<const double> weights) const
   BIS_CHECK(weights.size() <= max_length_);
   Window win;
   win.weights_.assign(weights.begin(), weights.end());
-  win.gram_.resize(kGramSums * stride_);
+  win.plan_.resize(kernels::kGlrtRuns * stride_);
   for (const double w : weights) win.uu_ += w * w;
-  for (std::size_t f0 = 0; f0 < stride_; f0 += kLanes) {
-    double g[kGramSums][kLanes] = {};
+  for (std::size_t f0 = 0; f0 < stride_; f0 += kToneGlrtLanes) {
+    double g[kGramSums][kToneGlrtLanes] = {};
     for (std::size_t i = 0; i < weights.size(); ++i) {
       const double w = weights[i];
       const double* cos_i = cos_.data() + i * stride_ + f0;
       const double* sin_i = sin_.data() + i * stride_ + f0;
-      for (std::size_t k = 0; k < kLanes; ++k) {
+      for (std::size_t k = 0; k < kToneGlrtLanes; ++k) {
         const double c = w * cos_i[k];
         const double s = w * sin_i[k];
         g[0][k] += c * c;
@@ -82,7 +61,26 @@ ToneGlrtBank::Window ToneGlrtBank::window(std::span<const double> weights) const
       }
     }
     for (std::size_t j = 0; j < kGramSums; ++j)
-      std::copy_n(g[j], kLanes, win.gram_.data() + j * stride_ + f0);
+      std::copy_n(g[j], kToneGlrtLanes, win.plan_.data() + j * stride_ + f0);
+  }
+  // The data-free part of the 3×3 Cramer solve over G = [[cc, cs, cu],
+  // [cs, ss, su], [cu, su, uu]], expanded along the first row.
+  const double uu = win.uu_;
+  const auto run = [&](kernels::ToneGlrtRun r) {
+    return win.plan_.data() + r * stride_;
+  };
+  for (std::size_t f = 0; f < stride_; ++f) {
+    const double cc = run(kernels::kGlrtCc)[f], cs = run(kernels::kGlrtCs)[f];
+    const double cu = run(kernels::kGlrtCu)[f], ss = run(kernels::kGlrtSs)[f];
+    const double su = run(kernels::kGlrtSu)[f];
+    const double m0 = ss * uu - su * su;
+    const double m1 = cs * uu - su * cu;
+    const double m2 = cs * su - ss * cu;
+    const double det = cc * m0 - cs * m1 + cu * m2;
+    run(kernels::kGlrtM0)[f] = m0;
+    run(kernels::kGlrtM1)[f] = m1;
+    run(kernels::kGlrtM2)[f] = m2;
+    run(kernels::kGlrtInvDet)[f] = std::abs(det) < 1e-30 ? 0.0 : 1.0 / det;
   }
   return win;
 }
@@ -90,41 +88,14 @@ ToneGlrtBank::Window ToneGlrtBank::window(std::span<const double> weights) const
 void ToneGlrtBank::scores(std::span<const double> x, const Window& window,
                           std::span<double> out) const {
   BIS_CHECK(x.size() == window.size());
-  BIS_CHECK(window.gram_.size() == kGramSums * stride_);
+  BIS_CHECK(window.plan_.size() == kernels::kGlrtRuns * stride_);
   BIS_CHECK(out.size() == n_freqs_);
-  const std::size_t n = x.size();
-  if (n < 4) {
+  if (x.size() < 4) {
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  const double* w = window.weights_.data();
-  // The DC column's projection w·(w·x) is the same for every frequency.
-  double ux = 0.0;
-  for (std::size_t i = 0; i < n; ++i) ux += w[i] * (w[i] * x[i]);
-  const double uu = window.uu_;
-  const double dc_only = uu > 0.0 ? ux * ux / uu : 0.0;
-  const double* g = window.gram_.data();
-
-  for (std::size_t f0 = 0; f0 < stride_; f0 += kLanes) {
-    double bc[kLanes] = {};
-    double bs[kLanes] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-      const double xv = w[i] * x[i];
-      const double* cos_i = cos_.data() + i * stride_ + f0;
-      const double* sin_i = sin_.data() + i * stride_ + f0;
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        bc[k] += (w[i] * cos_i[k]) * xv;
-        bs[k] += (w[i] * sin_i[k]) * xv;
-      }
-    }
-    for (std::size_t f = f0; f < std::min(f0 + kLanes, n_freqs_); ++f) {
-      const double cc = g[f], cs = g[stride_ + f], cu = g[2 * stride_ + f];
-      const double ss = g[3 * stride_ + f], su = g[4 * stride_ + f];
-      const double gm[3][3] = {{cc, cs, cu}, {cs, ss, su}, {cu, su, uu}};
-      const double b[3] = {bc[f - f0], bs[f - f0], ux};
-      out[f] = std::max(0.0, explained_energy(gm, b) - dc_only);
-    }
-  }
+  kernels::ktoneglrt(x, window.weights_, cos_, sin_, window.plan_, window.uu_,
+                     out);
 }
 
 namespace {
@@ -191,7 +162,7 @@ ToneFit tone_fit(std::span<const double> x, double freq, double fs,
   g[2][0] = g[0][2];
   g[2][1] = g[1][2];
 
-  // Solve for the coefficients (Cramer, as in explained_energy but keeping θ).
+  // Solve for the coefficients (Cramer, as the planned bank does, keeping θ).
   const double det = g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1]) -
                      g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0]) +
                      g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]);

@@ -21,12 +21,17 @@ namespace bis::dsp {
 /// is fixed once calibration is done (paper §3.2.2, §4.1), so everything
 /// the tone_glrt_score model needs that does not depend on the data is
 /// computed once: the bank holds each frequency's cos(ωi)/sin(ωi) table up
-/// to max_length() samples, and a Window holds one weighting's weights plus
-/// each frequency's Gram sums of the weighted [cos, sin, 1] design columns.
-/// Scoring a window then takes the two data dot products per frequency and
-/// the 3×3 solve, with no libm call. Every sum adds the same rounded
-/// operands in the same sample order as the per-sample reference loop, so
-/// the scores are bit-identical to it (the TU builds without FMA).
+/// to max_length() samples (the frequency count padded to
+/// kernels::kToneGlrtLanes, padding zero), and a Window holds one
+/// weighting's weights plus each frequency's data-free solve terms: the
+/// Gram sums of the weighted [cos, sin, 1] design columns, the three 2×2
+/// minors Cramer's rule shares with the data, and 1/det (0 when singular).
+/// Scoring a window is one dispatched kernel (kernels::ktoneglrt): the two
+/// data dot products per frequency and the rest of the 3×3 solve, with no
+/// libm call. Every sum adds the same rounded operands in the same sample
+/// order as the per-sample reference loop, and the solve evaluates the same
+/// expressions, so the scores are bit-identical to it on every kernel
+/// target.
 class ToneGlrtBank {
  public:
   /// One weighting planned against a bank (see ToneGlrtBank::window).
@@ -37,8 +42,8 @@ class ToneGlrtBank {
    private:
     friend class ToneGlrtBank;
     std::vector<double> weights_;
-    std::vector<double> gram_;  ///< Σcc, Σcs, Σcw, Σss, Σsw, each a run
-                                ///< of one entry per padded frequency.
+    std::vector<double> plan_;  ///< kernels::kGlrtRuns runs of one entry
+                                ///< per padded frequency (kernels.hpp).
     double uu_ = 0.0;           ///< Σw², shared by every frequency.
   };
 
