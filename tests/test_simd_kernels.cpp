@@ -13,9 +13,13 @@
 #include <span>
 #include <vector>
 
+#include "common/constants.hpp"
+#include "common/random.hpp"
 #include "core/link_simulator.hpp"
 #include "dsp/kernels/kernels.hpp"
+#include "dsp/tone_fit.hpp"
 #include "dsp/types.hpp"
+#include "dsp/window.hpp"
 #include "rf/adc.hpp"
 
 namespace bis::dsp::kernels {
@@ -98,6 +102,63 @@ double ref_blocked_sum_sq(std::span<const double> x) {
   double sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
   for (std::size_t i = n4; i < x.size(); ++i) sum += x[i] * x[i];
   return sum;
+}
+
+/// The per-sample scorer the planned tone GLRT bank replaced, kept as its
+/// reference: libm cos/sin at every sample, all eleven sums in one pass,
+/// Cramer solve. Sets @p det to the 3×3 system's determinant (0 below 4
+/// samples).
+double reference_glrt(std::span<const double> x, double freq, double fs,
+                      std::span<const double> weights, double& det) {
+  det = 0.0;
+  const std::size_t n = x.size();
+  if (n < 4) return 0.0;
+  const double omega = kTwoPi * freq / fs;
+  double g[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
+  double b[3] = {0, 0, 0};
+  double uu = 0.0, ux = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = weights.empty() ? 1.0 : weights[i];
+    const double c = w * std::cos(omega * static_cast<double>(i));
+    const double s = w * std::sin(omega * static_cast<double>(i));
+    const double u = w;
+    const double xv = w * x[i];
+    g[0][0] += c * c;
+    g[0][1] += c * s;
+    g[0][2] += c * u;
+    g[1][1] += s * s;
+    g[1][2] += s * u;
+    g[2][2] += u * u;
+    b[0] += c * xv;
+    b[1] += s * xv;
+    b[2] += u * xv;
+    uu += u * u;
+    ux += u * xv;
+  }
+  g[1][0] = g[0][1];
+  g[2][0] = g[0][2];
+  g[2][1] = g[1][2];
+  const auto det3 = [](const double m[3][3]) {
+    return m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1]) -
+           m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0]) +
+           m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]);
+  };
+  det = det3(g);
+  double full = 0.0;
+  if (std::abs(det) >= 1e-30) {
+    const double inv_det = 1.0 / det;
+    double theta[3];
+    for (int k = 0; k < 3; ++k) {
+      double m[3][3];
+      for (int r = 0; r < 3; ++r)
+        for (int c = 0; c < 3; ++c) m[r][c] = g[r][c];
+      for (int r = 0; r < 3; ++r) m[r][k] = b[r];
+      theta[k] = det3(m) * inv_det;
+    }
+    full = b[0] * theta[0] + b[1] * theta[1] + b[2] * theta[2];
+  }
+  const double dc_only = uu > 0.0 ? ux * ux / uu : 0.0;
+  return std::max(0.0, full - dc_only);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,6 +555,83 @@ TEST_F(SimdKernels, TagScoreBankMatchesPerRowScalarReference) {
       EXPECT_TRUE(bits_eq(son, ref_son));
     }
   }
+}
+
+TEST_F(SimdKernels, ToneGlrtBankMatchesReferenceBitForBit) {
+  // ktoneglrt through dsp::ToneGlrtBank, against the per-sample reference:
+  // frequencies near 0 and near fs/2 around the tag's beat band, a bank of
+  // 9 (stride 16) and one of 38 (stride 40, the decoder's slot count), so
+  // both leave padded lanes; every length 0…64 (below 4, shorter than and
+  // equal to the planned length); unit, √Hann and √Hann·1e-6 weights;
+  // finite samples, and samples holding NaN, +∞ or −∞, which the reference
+  // scores 0 through std::max. A singular system (|det| < 1e-30) scores 0.
+  // Where det is exactly 0 (the 0.5 Hz row, 4-sample √Hann windows) an
+  // infinite 1/det would give that too; the 1e-6 weights put det of a
+  // well-conditioned system below the threshold, where only the planned
+  // 1/det of 0 does. The test checks that both cases are reached.
+  const double fs = 500e3;
+  const std::size_t max_len = 64;
+  std::vector<double> tag_band;
+  for (int i = 0; i < 38; ++i) tag_band.push_back(57e3 + i * 2.5e3);
+  const std::vector<double> edges = {0.5,     13.0,  2.52e3,  13e3,     47.9e3,
+                                     101.3e3, 187e3, 249.9e3, 249999.99};
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double non_finite[] = {kNan, kInf, -kInf};
+  std::size_t zero_det = 0, tiny_det = 0;
+  for (SimdTarget t : available_targets()) {
+    ASSERT_TRUE(set_target(t));
+    SCOPED_TRACE(target_name(t));
+    for (const auto& freqs : {edges, tag_band}) {
+      const ToneGlrtBank bank(freqs, fs, max_len);
+      ASSERT_EQ(bank.size(), freqs.size());
+      ASSERT_EQ(bank.max_length(), max_len);
+      Rng rng(21);
+      std::vector<double> got(freqs.size());
+      for (std::size_t n = 0; n <= max_len; ++n) {
+        RVec clean(n);
+        for (std::size_t i = 0; i < n; ++i)
+          clean[i] = 6.0 +
+                     0.8 * std::cos(kTwoPi * 31e3 * static_cast<double>(i) / fs + 0.3) +
+                     rng.gaussian(0.0, 0.2);
+        RVec hann = n > 0 ? make_window(WindowType::kHann, n) : RVec();
+        for (double& v : hann) v = std::sqrt(v);
+        RVec tiny = hann;
+        for (double& v : tiny) v *= 1e-6;
+        const RVec ones(n, 1.0);
+        const RVec* const weightings[] = {&ones, &hann, &tiny};
+        // The clean window, then one sample replaced by each non-finite value.
+        for (std::size_t variant = 0; variant <= std::size(non_finite); ++variant) {
+          RVec x = clean;
+          if (variant > 0 && n > 0) x[(7 * variant) % n] = non_finite[variant - 1];
+          for (const RVec* weights : weightings) {
+            // The reference and the wrappers take unit weights as none.
+            const std::span<const double> w =
+                weights == &ones ? std::span<const double>() : *weights;
+            bank.scores(x, bank.window(*weights), got);
+            const auto wrapped = tone_glrt_scores(x, freqs, fs, w);
+            for (std::size_t f = 0; f < freqs.size(); ++f) {
+              SCOPED_TRACE("n " + std::to_string(n) + " f " + std::to_string(freqs[f]) +
+                           " variant " + std::to_string(variant) + " weights " +
+                           std::to_string(weights == &ones ? 0 : weights == &hann ? 1 : 2));
+              double det = 0.0;
+              const double want = reference_glrt(x, freqs[f], fs, w, det);
+              if (n >= 4 && det == 0.0) ++zero_det;
+              if (det != 0.0 && std::abs(det) < 1e-30) ++tiny_det;
+              if (variant > 0 && n >= 4) {
+                EXPECT_TRUE(bits_eq(want, 0.0));
+              }
+              EXPECT_TRUE(bits_eq(got[f], want));
+              EXPECT_TRUE(bits_eq(wrapped[f], want));
+              EXPECT_TRUE(bits_eq(tone_glrt_score(x, freqs[f], fs, w), want));
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(zero_det, 0u);
+  EXPECT_GT(tiny_det, 0u);
 }
 
 }  // namespace bis::dsp::kernels

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <span>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "common/random.hpp"
@@ -20,95 +20,6 @@ std::vector<double> tone_plus_dc(std::size_t n, double freq, double fs, double a
   for (std::size_t i = 0; i < n; ++i)
     x[i] = dc + amp * std::cos(kTwoPi * freq * static_cast<double>(i) / fs + phase);
   return x;
-}
-
-/// The per-sample scorer the planned bank replaced, kept as its reference:
-/// libm cos/sin at every sample, all eleven sums in one pass, Cramer solve.
-double reference_glrt(std::span<const double> x, double freq, double fs,
-                      std::span<const double> weights) {
-  const std::size_t n = x.size();
-  if (n < 4) return 0.0;
-  const double omega = kTwoPi * freq / fs;
-  double g[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
-  double b[3] = {0, 0, 0};
-  double uu = 0.0, ux = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = weights.empty() ? 1.0 : weights[i];
-    const double c = w * std::cos(omega * static_cast<double>(i));
-    const double s = w * std::sin(omega * static_cast<double>(i));
-    const double u = w;
-    const double xv = w * x[i];
-    g[0][0] += c * c;
-    g[0][1] += c * s;
-    g[0][2] += c * u;
-    g[1][1] += s * s;
-    g[1][2] += s * u;
-    g[2][2] += u * u;
-    b[0] += c * xv;
-    b[1] += s * xv;
-    b[2] += u * xv;
-    uu += u * u;
-    ux += u * xv;
-  }
-  g[1][0] = g[0][1];
-  g[2][0] = g[0][2];
-  g[2][1] = g[1][2];
-  const auto det3 = [](const double m[3][3]) {
-    return m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1]) -
-           m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0]) +
-           m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]);
-  };
-  const double det = det3(g);
-  double full = 0.0;
-  if (std::abs(det) >= 1e-30) {
-    const double inv_det = 1.0 / det;
-    double theta[3];
-    for (int k = 0; k < 3; ++k) {
-      double m[3][3];
-      for (int r = 0; r < 3; ++r)
-        for (int c = 0; c < 3; ++c) m[r][c] = g[r][c];
-      for (int r = 0; r < 3; ++r) m[r][k] = b[r];
-      theta[k] = det3(m) * inv_det;
-    }
-    full = b[0] * theta[0] + b[1] * theta[1] + b[2] * theta[2];
-  }
-  const double dc_only = uu > 0.0 ? ux * ux / uu : 0.0;
-  return std::max(0.0, full - dc_only);
-}
-
-TEST(ToneGlrtBank, MatchesReferenceBitForBit) {
-  // Frequencies near 0 and near fs/2 around the tag's beat band; every
-  // length 4…64 (shorter than and equal to the planned length), unit and
-  // √Hann weights, through the bank and through the one-off wrappers.
-  const double fs = 500e3;
-  const std::size_t max_len = 64;
-  const std::vector<double> freqs = {0.5,    13.0,    2.52e3,  13e3,   47.9e3,
-                                     101.3e3, 187e3, 249.9e3, 249999.99};
-  const ToneGlrtBank bank(freqs, fs, max_len);
-  ASSERT_EQ(bank.size(), freqs.size());
-  ASSERT_EQ(bank.max_length(), max_len);
-  Rng rng(21);
-  std::vector<double> got(freqs.size());
-  for (std::size_t n = 4; n <= max_len; ++n) {
-    auto x = tone_plus_dc(n, 31e3, fs, 0.8, 0.3, 6.0);
-    for (auto& v : x) v += rng.gaussian(0.0, 0.2);
-    auto hann = make_window(WindowType::kHann, n);
-    for (double& v : hann) v = std::sqrt(v);
-    const RVec ones(n, 1.0);
-    for (const bool weighted : {false, true}) {
-      const std::span<const double> w =
-          weighted ? std::span<const double>(hann) : std::span<const double>();
-      bank.scores(x, bank.window(weighted ? hann : ones), got);
-      const auto wrapped = tone_glrt_scores(x, freqs, fs, w);
-      for (std::size_t f = 0; f < freqs.size(); ++f) {
-        const double want = reference_glrt(x, freqs[f], fs, w);
-        EXPECT_EQ(got[f], want) << "n " << n << " f " << freqs[f] << " weighted " << weighted;
-        EXPECT_EQ(wrapped[f], want) << "n " << n << " f " << freqs[f];
-        EXPECT_EQ(tone_glrt_score(x, freqs[f], fs, w), want)
-            << "n " << n << " f " << freqs[f];
-      }
-    }
-  }
 }
 
 TEST(ToneGlrtBank, InvalidInputsThrow) {
