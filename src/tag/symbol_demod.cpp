@@ -18,17 +18,15 @@ std::size_t max_analysis_length(const SymbolDemodConfig& config) {
   return n;
 }
 
-SymbolDemod::Result pick(std::vector<double> powers) {
+SymbolDemod::Result pick(std::span<const double> powers) {
   SymbolDemod::Result r;
-  r.powers = std::move(powers);
-  r.slot = 0;
-  for (std::size_t i = 1; i < r.powers.size(); ++i)
-    if (r.powers[i] > r.powers[r.slot]) r.slot = i;
-  r.peak_power = r.powers[r.slot];
+  for (std::size_t i = 1; i < powers.size(); ++i)
+    if (powers[i] > powers[r.slot]) r.slot = i;
+  const double peak = powers[r.slot];
   double runner_up = 0.0;
-  for (std::size_t i = 0; i < r.powers.size(); ++i)
-    if (i != r.slot) runner_up = std::max(runner_up, r.powers[i]);
-  r.confidence = runner_up > 0.0 ? r.peak_power / runner_up : r.peak_power;
+  for (std::size_t i = 0; i < powers.size(); ++i)
+    if (i != r.slot) runner_up = std::max(runner_up, powers[i]);
+  r.confidence = runner_up > 0.0 ? peak / runner_up : peak;
   return r;
 }
 
@@ -72,19 +70,21 @@ SymbolDemod::Result SymbolDemod::classify(std::span<const double> window) const 
   const double fs = config_.sample_rate_hz;
   const auto& phases = config_.slot_phases_rad;
   const std::size_t n = window.size();
+  // Every decoded chirp lands here, so its scores go into per-thread
+  // scratch rather than a fresh vector.
+  thread_local std::vector<double> powers;
+  powers.resize(freqs.size());
 
   if (phases.empty() && n >= min_planned_length_ &&
       n - min_planned_length_ < windows_.size()) {
-    std::vector<double> powers(freqs.size());
     bank_.scores(window, windows_[n - min_planned_length_], powers);
-    return pick(std::move(powers));
+    return pick(powers);
   }
   const auto w = analysis_weights(n);
   if (phases.empty()) return pick(dsp::tone_glrt_scores(window, freqs, fs, w));
-  std::vector<double> powers(freqs.size());
   for (std::size_t i = 0; i < freqs.size(); ++i)
     powers[i] = dsp::tone_known_phase_score(window, freqs[i], phases[i], fs, w);
-  return pick(std::move(powers));
+  return pick(powers);
 }
 
 }  // namespace bis::tag

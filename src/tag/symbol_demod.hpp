@@ -45,10 +45,8 @@ class SymbolDemod {
   explicit SymbolDemod(const SymbolDemodConfig& config);
 
   struct Result {
-    std::size_t slot = 0;       ///< argmax slot index.
-    double confidence = 0.0;    ///< Winner/runner-up power ratio.
-    double peak_power = 0.0;    ///< Power at the winning bin.
-    std::vector<double> powers; ///< Per-slot powers (diagnostics).
+    std::size_t slot = 0;     ///< argmax slot index.
+    double confidence = 0.0;  ///< Winner/runner-up power ratio.
   };
 
   /// Classify one chirp-aligned window of envelope samples with a common
