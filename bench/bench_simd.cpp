@@ -22,7 +22,9 @@
 #include "bench_util.hpp"
 #include "common/random.hpp"
 #include "dsp/kernels/kernels.hpp"
+#include "dsp/tone_fit.hpp"
 #include "dsp/types.hpp"
+#include "dsp/window.hpp"
 
 namespace {
 
@@ -217,6 +219,33 @@ std::vector<Row> run_all(SimdTarget best) {
         [&](int slot) { red[slot] = ksum_sq(xr); g_sink = red[slot]; },
         [&] { return std::memcmp(&red[0], &red[1], sizeof(double)) == 0; }));
   }
+
+  // The tone GLRT bank (one ktoneglrt call per dsp::ToneGlrtBank::scores)
+  // on a 46-sample √Hann window: the tag decoder's 38 slot frequencies, and
+  // a calibration search grid of 401 frequencies 100 Hz apart.
+  const struct {
+    const char* kernel;
+    std::size_t freqs;
+    double first_hz, step_hz;
+    int iters;
+  } glrt_shapes[] = {{"ktoneglrt_38freq", 38, 57e3, 2.5e3, 20000},
+                     {"ktoneglrt_401freq", 401, 37e3, 100.0, 2000}};
+  for (const auto& shape : glrt_shapes) {
+    const std::size_t n = 46;
+    std::vector<double> freqs;
+    for (std::size_t f = 0; f < shape.freqs; ++f)
+      freqs.push_back(shape.first_hz + static_cast<double>(f) * shape.step_hz);
+    const dsp::ToneGlrtBank bank(freqs, 500e3, n);
+    auto w = dsp::make_window(dsp::WindowType::kHann, n);
+    for (double& v : w) v = std::sqrt(v);
+    const auto plan = bank.window(w);
+    const auto x = random_real(n, 17);
+    dsp::RVec scores[2] = {dsp::RVec(freqs.size()), dsp::RVec(freqs.size())};
+    rows.push_back(measure(
+        shape.kernel, n, shape.iters, best,
+        [&](int slot) { bank.scores(x, plan, scores[slot]); g_sink = scores[slot][0]; },
+        [&] { return bits_equal(scores[0], scores[1]); }));
+  }
   return rows;
 }
 
@@ -236,7 +265,7 @@ bool write_bench_json(const std::string& path) {
   bool all_parity = true;
   for (const auto& r : rows) {
     all_parity = all_parity && r.parity;
-    std::printf("%-16s n=%-6zu scalar %9.1f ns  %s %9.1f ns  speedup %5.2fx  parity %s\n",
+    std::printf("%-17s n=%-6zu scalar %9.1f ns  %s %9.1f ns  speedup %5.2fx  parity %s\n",
                 r.kernel.c_str(), r.n, r.scalar_ns, target_name(best), r.simd_ns,
                 r.speedup, r.parity ? "ok" : "FAIL");
   }
