@@ -49,8 +49,7 @@ int main() {
     for (int p = 0; p < 25; ++p) {
       const auto payload = rng.bits(100);
       const auto r = sim.run_downlink(payload);
-      for (std::size_t i = 0; i < r.bits_compared; ++i)
-        counter.add_single(i < r.bit_errors);
+      counter.add(r.bit_errors, r.bits_compared);
     }
     std::printf("B. calibration      : BER %.2e calibrated vs %.2e nominal "
                 "(dispersive line)\n",

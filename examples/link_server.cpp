@@ -40,10 +40,7 @@ int main() {
                 static_cast<unsigned long long>(r.uplink_bits -
                                                 r.uplink_bit_errors),
                 static_cast<unsigned long long>(r.uplink_bits),
-                r.detection_attempts > 0
-                    ? r.detector_snr_sum_db /
-                          static_cast<double>(r.detection_attempts)
-                    : 0.0);
+                r.mean_detector_snr_db());
   };
 
   std::printf("running %zu links x %zu frames on %zu workers...\n",

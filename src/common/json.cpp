@@ -316,12 +316,11 @@ JsonParseResult json_parse_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// JsonWriter
+// Writers
 
-namespace {
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  out += '"';
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -340,10 +339,17 @@ void append_json_escaped(std::string& out, std::string_view s) {
         }
     }
   }
-  out += '"';
+  return out;
 }
 
-}  // namespace
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  // %g is the default ostream formatting, so a stream writer and JsonWriter
+  // emit the same bytes for a number.
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
 
 void JsonWriter::element_prefix() {
   if (after_key_) {
@@ -387,15 +393,18 @@ JsonWriter& JsonWriter::end_array() {
 
 JsonWriter& JsonWriter::key(std::string_view k) {
   element_prefix();
-  append_json_escaped(out_, k);
-  out_ += ':';
+  out_ += '"';
+  out_ += json_escape(k);
+  out_ += "\":";
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   element_prefix();
-  append_json_escaped(out_, v);
+  out_ += '"';
+  out_ += json_escape(v);
+  out_ += '"';
   return *this;
 }
 
@@ -407,15 +416,7 @@ JsonWriter& JsonWriter::value(bool v) {
 
 JsonWriter& JsonWriter::value(double v) {
   element_prefix();
-  if (!std::isfinite(v)) {
-    out_ += "null";
-    return *this;
-  }
-  // %g matches the default ostream formatting the repo's stream-based JSON
-  // writers use, so converting a writer to this path keeps the same bytes.
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  out_ += buf;
+  out_ += json_number(v);
   return *this;
 }
 

@@ -2,11 +2,14 @@
 
 /// @file json.hpp
 /// Minimal recursive-descent JSON reader for the repo's own artifacts
-/// (BENCH_*.json trajectories, telemetry JSONL, metric dumps). Full JSON
-/// value model — objects keep insertion order; numbers are doubles; `null`
-/// parses to a distinct kind (the writers emit it for NaN/Inf). Not a
-/// general-purpose library: inputs are trusted repo outputs, so the parser
-/// favors clear errors (line/column in the message) over recovery.
+/// (BENCH_*.json trajectories, telemetry JSONL, metric dumps), and the one
+/// escaper and number formatter every JSON writer in the repo uses
+/// (JsonWriter, the metrics registry, the Chrome trace, sweep_to_json).
+/// Full JSON value model — objects keep insertion order; numbers are
+/// doubles; `null` parses to a distinct kind (the writers emit it for
+/// NaN/Inf). Not a general-purpose library: inputs are trusted repo
+/// outputs, so the parser favors clear errors (line/column in the message)
+/// over recovery.
 
 #include <cstddef>
 #include <cstdint>
@@ -88,15 +91,23 @@ JsonParseResult json_parse(std::string_view text);
 /// Parse a whole file; `error` covers both I/O and syntax failures.
 JsonParseResult json_parse_file(const std::string& path);
 
+/// Escape a string for embedding in a JSON string literal (no quotes
+/// added).
+std::string json_escape(std::string_view s);
+
+/// Format a double as a JSON number token (`%g`, the default ostream
+/// formatting). JSON has no representation for NaN or ±Inf — emitting them
+/// raw produces a file no parser accepts — so non-finite values serialize
+/// as `null`.
+std::string json_number(double v);
+
 /// Append-to-string JSON writer — the emit-side counterpart of the reader
-/// above. Writes compact JSON into one caller-owned std::string (reserve it
-/// up front and emitting allocates at most on string growth), with the same
-/// conventions the repo's readers expect: NaN/±Inf numbers emit `null`,
-/// strings are escaped. Comma placement is tracked per nesting level, so
-/// callers just interleave key()/value()/begin_*()/end_*() calls in document
-/// order. This is the writer path behind RunReport::append_json and
-/// BiScatterNetwork::report_json, where per-link ostringstream concatenation
-/// used to dominate large-network report dumps.
+/// above. Writes compact JSON into one caller-owned std::string, with the
+/// same conventions the repo's readers expect: NaN/±Inf numbers emit
+/// `null` (json_number), strings are escaped (json_escape). Comma placement
+/// is tracked per nesting level, so callers just interleave
+/// key()/value()/begin_*()/end_*() calls in document order. RunReport's
+/// to_json and bench_server's BENCH_server.json are written through it.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string& out) : out_(out) {}

@@ -4,17 +4,6 @@
 #include "common/stats.hpp"
 
 namespace bis::core {
-namespace {
-
-/// Build the per-point simulator, reusing a precomputed alphabet when the
-/// sweep runner supplies one (guaranteed copy elision per branch).
-LinkSimulator make_simulator(const SystemConfig& config,
-                             const phy::SlopeAlphabet* shared_alphabet) {
-  if (shared_alphabet != nullptr) return LinkSimulator(config, *shared_alphabet);
-  return LinkSimulator(config);
-}
-
-}  // namespace
 
 BerMeasurement measure_downlink_ber(const SystemConfig& config, std::size_t min_bits,
                                     std::size_t payload_bits) {
@@ -26,7 +15,9 @@ BerMeasurement measure_downlink_ber(const SystemConfig& config, std::size_t min_
                                     std::size_t payload_bits,
                                     const phy::SlopeAlphabet* shared_alphabet,
                                     Rng& data_rng) {
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
+  LinkSimulator sim = shared_alphabet != nullptr
+                          ? LinkSimulator(config, *shared_alphabet)
+                          : LinkSimulator(config);
   sim.calibrate_tag();
   return measure_downlink_ber(sim, min_bits, payload_bits, data_rng);
 }
@@ -43,8 +34,7 @@ BerMeasurement measure_downlink_ber(LinkSimulator& sim, std::size_t min_bits,
     if (result.locked) ++m.packets_locked;
     // bits_compared counts framed bits (payload + overhead) — the raw
     // channel BER the paper reports.
-    for (std::size_t i = 0; i < result.bits_compared; ++i)
-      counter.add_single(i < result.bit_errors);
+    counter.add(result.bit_errors, result.bits_compared);
   }
   m.errors = counter.errors();
   m.bits = counter.total();
@@ -56,18 +46,15 @@ BerMeasurement measure_downlink_ber(LinkSimulator& sim, std::size_t min_bits,
 
 UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
                                  std::size_t bits_per_frame, bool downlink_active) {
+  LinkSimulator sim(config);
   Rng data_rng(config.seed ^ 0x1BADull);
-  return measure_uplink(config, frames, bits_per_frame, downlink_active, nullptr,
-                        data_rng);
+  return measure_uplink(sim, frames, bits_per_frame, downlink_active, data_rng);
 }
 
-UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
+UplinkMeasurement measure_uplink(LinkSimulator& sim, std::size_t frames,
                                  std::size_t bits_per_frame, bool downlink_active,
-                                 const phy::SlopeAlphabet* shared_alphabet,
                                  Rng& data_rng) {
   BIS_CHECK(frames >= 1 && bits_per_frame >= 1);
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
-
   UplinkMeasurement m;
   RunningStats snr_proc;
   RunningStats snr_chirp;
@@ -96,17 +83,15 @@ UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
 LocalizationMeasurement measure_localization(const SystemConfig& config,
                                              std::size_t frames,
                                              bool downlink_active) {
+  LinkSimulator sim(config);
   Rng data_rng(config.seed ^ 0x10Cull);
-  return measure_localization(config, frames, downlink_active, nullptr, data_rng);
+  return measure_localization(sim, frames, downlink_active, data_rng);
 }
 
-LocalizationMeasurement measure_localization(const SystemConfig& config,
+LocalizationMeasurement measure_localization(LinkSimulator& sim,
                                              std::size_t frames, bool downlink_active,
-                                             const phy::SlopeAlphabet* shared_alphabet,
                                              Rng& data_rng) {
   BIS_CHECK(frames >= 1);
-  LinkSimulator sim = make_simulator(config, shared_alphabet);
-
   std::vector<double> errors;
   std::size_t detected = 0;
   for (std::size_t f = 0; f < frames; ++f) {
@@ -145,8 +130,7 @@ IsacMeasurement measure_integrated(LinkSimulator& sim, std::size_t frames,
 
     ++m.downlink.packets;
     if (r.downlink.locked) ++m.downlink.packets_locked;
-    for (std::size_t i = 0; i < r.downlink.bits_compared; ++i)
-      dl_counter.add_single(i < r.downlink.bit_errors);
+    dl_counter.add(r.downlink.bit_errors, r.downlink.bits_compared);
 
     m.uplink.errors += r.uplink.bit_errors;
     m.uplink.bits += r.uplink.bits_compared;

@@ -28,11 +28,9 @@ BerMeasurement measure_downlink_ber(const SystemConfig& config,
                                     std::size_t min_bits = 2000,
                                     std::size_t payload_bits = 120);
 
-/// Sweep-engine overload: draws payloads from the caller's @p data_rng (a
-/// jump-separated stream under SweepRunner) and, when @p shared_alphabet is
-/// non-null, reuses a precomputed slope alphabet instead of rebuilding it
-/// per point. The default wrapper above derives data_rng from config.seed
-/// exactly as before, so existing callers are bit-identical. Builds the
+/// Draws payloads from the caller's @p data_rng and, when @p shared_alphabet
+/// is non-null, reuses a precomputed slope alphabet instead of rebuilding
+/// it. The wrapper above derives data_rng from config.seed. Builds the
 /// simulator, calibrates its tag and runs the overload below.
 BerMeasurement measure_downlink_ber(const SystemConfig& config,
                                     std::size_t min_bits, std::size_t payload_bits,
@@ -61,10 +59,9 @@ UplinkMeasurement measure_uplink(const SystemConfig& config,
                                  std::size_t bits_per_frame = 8,
                                  bool downlink_active = false);
 
-/// Sweep-engine overload (see measure_downlink_ber).
-UplinkMeasurement measure_uplink(const SystemConfig& config, std::size_t frames,
+/// The measurement on @p sim, with payloads drawn from @p data_rng.
+UplinkMeasurement measure_uplink(LinkSimulator& sim, std::size_t frames,
                                  std::size_t bits_per_frame, bool downlink_active,
-                                 const phy::SlopeAlphabet* shared_alphabet,
                                  Rng& data_rng);
 
 struct LocalizationMeasurement {
@@ -81,10 +78,9 @@ LocalizationMeasurement measure_localization(const SystemConfig& config,
                                              std::size_t frames = 20,
                                              bool downlink_active = false);
 
-/// Sweep-engine overload (see measure_downlink_ber).
-LocalizationMeasurement measure_localization(const SystemConfig& config,
+/// The measurement on @p sim, with payloads drawn from @p data_rng.
+LocalizationMeasurement measure_localization(LinkSimulator& sim,
                                              std::size_t frames, bool downlink_active,
-                                             const phy::SlopeAlphabet* shared_alphabet,
                                              Rng& data_rng);
 
 struct IsacMeasurement {

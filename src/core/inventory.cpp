@@ -97,10 +97,6 @@ InventoryEngine::InventoryEngine(const NetworkConfig& network,
   pending_ = 0;
   for (const auto& s : states_)
     if (s.matches(inventory_.session, inventory_.target)) ++pending_;
-  report_.config = config_key(base) + "|inventory=" + std::to_string(n) +
-                   "|q=" + std::to_string(inventory_.q_initial) +
-                   "|session=" + std::to_string(inventory_.session);
-  cache_baseline_ = CacheBaseline::capture();
 }
 
 std::vector<std::uint8_t> InventoryEngine::inventoried_set() const {
@@ -118,10 +114,6 @@ void InventoryEngine::reset() {
   pending_ = 0;
   for (const auto& s : states_)
     if (s.matches(inventory_.session, inventory_.target)) ++pending_;
-  obs::RunReport fresh;
-  fresh.config = report_.config;
-  report_ = fresh;
-  cache_baseline_ = CacheBaseline::capture();
 }
 
 void InventoryEngine::resolve_batch(
@@ -141,14 +133,10 @@ void InventoryEngine::resolve_batch(
     for (const SlotResponder& r : job.responders) ++channel_hits_[r.channel];
     for (const SlotResponder& r : job.responders) {
       const radar::TagDetection& det = detections[span.first_target + r.channel];
-      ++report_.detection_attempts;
-      report_.detector_snr_sum_db += det.snr_db;
-      report_.last_detector_snr_db = det.snr_db;
       if (!det.found || channel_hits_[r.channel] != 1) continue;
       states_[r.tag].flip(inventory_.session);
       --pending_;
       ++round.reads;
-      ++report_.detections;
     }
   }
 }
@@ -179,8 +167,6 @@ void InventoryEngine::simulate_slots(
     }
     const radar::AlignedProfiles& aligned =
         assembler_.assemble(jobs_, round_no, pool_);
-    ++report_.uplink_frames;
-    report_.chirps_processed += take * m;
     detections_.resize(targets_.size());
     if (inventory_.batched) {
       detector_.detect_slots(aligned, spans_, targets_, detections_, pool_);
@@ -287,31 +273,16 @@ InventoryRound InventoryEngine::run_round() {
   round.pending_after = pending_;
   round.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
 
-  ++report_.inventory_rounds;
-  report_.inventory_slots += round.slots;
-  report_.inventory_singletons += round.singleton_slots;
-  report_.inventory_collisions += round.collision_slots;
-  report_.inventory_idles += round.idle_slots;
-  report_.inventory_reads += round.reads;
-
-  // Per-round MAC health metrics (obs registry; cheap enough to set
-  // unconditionally — one atomic store each per round).
+  // Live view of the MAC for a TelemetrySink (obs registry; cheap enough to
+  // set unconditionally — one atomic store each per round). The round
+  // record above is the count.
   {
     auto& reg = obs::Registry::instance();
-    static obs::Counter& slots_c = reg.counter("bis.inventory.slots");
-    static obs::Counter& reads_c = reg.counter("bis.inventory.reads");
-    static obs::Counter& collisions_c =
-        reg.counter("bis.inventory.collision_slots");
-    static obs::Counter& idles_c = reg.counter("bis.inventory.idle_slots");
     static obs::Gauge& q_g = reg.gauge("bis.inventory.q");
     static obs::Gauge& pending_g = reg.gauge("bis.inventory.pending");
     static obs::Gauge& rate_g = reg.gauge("bis.inventory.round_tags_per_s");
     static obs::Gauge& coll_g = reg.gauge("bis.inventory.collision_rate");
     static obs::Gauge& empty_g = reg.gauge("bis.inventory.empty_slot_rate");
-    slots_c.add(round.slots);
-    reads_c.add(round.reads);
-    collisions_c.add(round.collision_slots);
-    idles_c.add(round.idle_slots);
     q_g.set(static_cast<double>(round.q));
     pending_g.set(static_cast<double>(pending_));
     rate_g.set(round.tags_per_s());
@@ -335,21 +306,6 @@ std::size_t InventoryEngine::run_until_drained() {
     ++ran;
   }
   return ran;
-}
-
-obs::RunReport InventoryEngine::report() const {
-  obs::RunReport out = report_;
-  cache_baseline_.fill(out);
-  return out;
-}
-
-std::string InventoryEngine::report_json() const {
-  std::string out;
-  out.reserve(1024);
-  out += "{\n  \"inventory\": ";
-  report().append_json(out);
-  out += "\n}\n";
-  return out;
 }
 
 NetworkConfig make_inventory_population(std::size_t n, SystemConfig base) {

@@ -31,13 +31,11 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/network.hpp"
 #include "core/slot_frame.hpp"
-#include "obs/report.hpp"
 #include "radar/tag_detector.hpp"
 #include "tag/gen2_state.hpp"
 
@@ -65,8 +63,9 @@ struct InventoryConfig {
   std::size_t max_rounds = 256;    ///< run_until_drained() safety cap.
 };
 
-/// Outcome record of one inventory round. Everything except `seconds` is
-/// part of the batched-vs-sequential parity contract.
+/// Outcome record of one inventory round — the one count of its slots and
+/// reads. Everything except `seconds` is part of the batched-vs-sequential
+/// parity contract.
 struct InventoryRound {
   std::uint32_t round = 0;
   std::uint32_t q = 0;             ///< Q used this round.
@@ -115,13 +114,9 @@ class InventoryEngine {
   const InventoryConfig& inventory_config() const { return inventory_; }
   double q_fp() const { return q_fp_; }
 
-  /// Reset every session flag, Q, the round history and the report (a fresh
-  /// Query session over the same population).
+  /// Reset every session flag, Q and the round history (a fresh Query
+  /// session over the same population).
   void reset();
-
-  // ---- Telemetry ----
-  obs::RunReport report() const;
-  std::string report_json() const;
 
  private:
   struct TagRecord {
@@ -147,8 +142,6 @@ class InventoryEngine {
   SlotFrameAssembler assembler_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
-  obs::RunReport report_;
-  CacheBaseline cache_baseline_;  ///< Taken at ctor / reset().
 
   std::vector<tag::Gen2TagState> states_;  ///< Gen2 MAC state per tag.
   std::vector<TagRecord> records_;         ///< Scene constants per tag.

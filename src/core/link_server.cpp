@@ -198,10 +198,4 @@ void LinkServer::run(std::size_t frames_per_link) {
   if (error) std::rethrow_exception(error);
 }
 
-obs::RunReport LinkServer::merged_report() const {
-  obs::RunReport merged;
-  for (const auto& st : links_) merged.merge(st.sim->report());
-  return merged;
-}
-
 }  // namespace bis::core

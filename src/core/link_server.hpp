@@ -17,9 +17,9 @@
 ///   prepare → synthesize → range_fft → if_correct → detect → decode → fold
 ///
 /// in the lane's one UplinkFrameJob, then claims the next link. run_uplink
-/// times every stage into the link's RunReport and the process-wide
-/// `bis.stage.<stage>_ns` histograms while telemetry is on, exactly as it
-/// does for a sequential run. Every job is
+/// folds the frame's outcomes into the link's RunReport and times every
+/// stage into the process-wide `bis.stage.<stage>_ns` histograms while
+/// telemetry is on, exactly as it does for a sequential run. Every job is
 /// reused forever, and a round's hand-off is one mutex/condition-variable
 /// wake and check-in per worker — the steady-state frame loop performs no
 /// heap allocation. Callers always have at least as many links as lanes, so
@@ -139,10 +139,6 @@ class LinkServer {
   const phy::Bits& decoded_bits(std::size_t i) const {
     return links_[i].decoded_bits;
   }
-
-  /// All links' reports merged (outcome counters and stage times add; see
-  /// RunReport::merge).
-  obs::RunReport merged_report() const;
 
  private:
   struct LinkState {

@@ -198,17 +198,22 @@ DownlinkRunResult LinkSimulator::run_downlink(const phy::Bits& payload) {
   std::fill_n(flags.get(), frame.size(), true);
   dsp::RVec stream;
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kTagFrontend);
+    obs::StageTimer timer(obs::Stage::kTagFrontend);
     stream = tag_.frontend().receive_frame(
         chirps, paths, std::span<const bool>(flags.get(), frame.size()));
   }
 
   tag::TagNode::DownlinkReception reception;
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kTagDecode);
+    obs::StageTimer timer(obs::Stage::kTagDecode);
     reception = tag_.receive_downlink(stream, config_.packet);
   }
+  ++report_.downlink_frames;
+  return finish_downlink(std::move(reception), packet);
+}
 
+DownlinkRunResult LinkSimulator::finish_downlink(
+    tag::TagNode::DownlinkReception reception, const phy::DownlinkPacket& packet) {
   DownlinkRunResult result;
   result.decode = std::move(reception.decode);
   result.parsed = std::move(reception.packet);
@@ -226,18 +231,12 @@ DownlinkRunResult LinkSimulator::run_downlink(const phy::Bits& payload) {
       if (i >= rx.size() || rx[i] != sent[i]) ++result.bit_errors;
     }
   }
-  ++report_.downlink_frames;
-  record_downlink(result);
-  return result;
-}
-
-void LinkSimulator::record_downlink(const DownlinkRunResult& result) {
   ++report_.sync_attempts;
-  ++report_.crc_attempts;
   if (result.locked) ++report_.sync_locks;
   if (result.crc_ok) ++report_.crc_passes;
   report_.downlink_bits += result.bits_compared;
   report_.downlink_bit_errors += result.bit_errors;
+  return result;
 }
 
 void LinkSimulator::prepare_uplink_frame(const phy::Bits& bits,
@@ -321,7 +320,6 @@ void LinkSimulator::stage_decode(UplinkFrameJob& job) const {
 void LinkSimulator::fold_uplink_frame(const UplinkFrameJob& job) {
   ++report_.uplink_frames;
   report_.chirps_processed += job.chirps.size();
-  ++report_.detection_attempts;
   report_.detector_snr_sum_db += job.result.detection.snr_db;
   report_.last_detector_snr_db = job.result.detection.snr_db;
   if (job.result.detection.found) ++report_.detections;
@@ -333,23 +331,23 @@ void LinkSimulator::run_prepared_frame(UplinkFrameJob& job) {
   BIS_TRACE_SPAN("core.uplink_frame");
   job.reset_result();
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kIfSynthesis);
+    obs::StageTimer timer(obs::Stage::kIfSynthesis);
     stage_synthesize(job);
   }
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kRangeFft);
+    obs::StageTimer timer(obs::Stage::kRangeFft);
     stage_range_fft(job, pool_);
   }
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kIfCorrection);
+    obs::StageTimer timer(obs::Stage::kIfCorrection);
     stage_if_correct(job, pool_);
   }
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kDetect);
+    obs::StageTimer timer(obs::Stage::kDetect);
     stage_detect(job, pool_);
   }
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kUplinkDecode);
+    obs::StageTimer timer(obs::Stage::kUplinkDecode);
     stage_decode(job);
   }
   fold_uplink_frame(job);
@@ -374,7 +372,7 @@ UplinkRunResult LinkSimulator::run_uplink(const phy::Bits& bits, bool downlink_a
 const UplinkRunResult& LinkSimulator::run_uplink(const phy::Bits& bits,
                                                  bool downlink_active,
                                                  UplinkFrameJob& job) {
-  obs::StageTimer timer(report_.stage, obs::Stage::kUplinkFrame);
+  obs::StageTimer timer(obs::Stage::kUplinkFrame);
   prepare_uplink_frame(bits, downlink_active, job);
   run_prepared_frame(job);
   return job.result;
@@ -436,33 +434,18 @@ IsacRunResult LinkSimulator::run_integrated(const phy::Bits& downlink_payload,
   for (std::size_t i = 0; i < chirps.size(); ++i) flags[i] = states[i] == 0;
   dsp::RVec stream;
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kTagFrontend);
+    obs::StageTimer timer(obs::Stage::kTagFrontend);
     stream = tag_.frontend().receive_frame(
         chirps, paths, std::span<const bool>(flags.get(), chirps.size()));
   }
   const std::vector<bool> mask(flags.get(), flags.get() + chirps.size());
   tag::TagNode::DownlinkReception reception;
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kTagDecode);
+    obs::StageTimer timer(obs::Stage::kTagDecode);
     reception = tag_.receive_downlink(stream, config_.packet, mask);
   }
-
   IsacRunResult result;
-  result.downlink.decode = std::move(reception.decode);
-  result.downlink.parsed = std::move(reception.packet);
-  result.downlink.locked = result.downlink.decode.locked;
-  result.downlink.crc_ok = result.downlink.parsed.crc_ok;
-  result.downlink.address_match = result.downlink.parsed.address_match;
-  const auto& sent = packet.framed_bits();
-  result.downlink.bits_compared = sent.size();
-  if (result.downlink.locked) {
-    const auto& rx = result.downlink.decode.bits;
-    for (std::size_t i = 0; i < sent.size(); ++i)
-      if (i >= rx.size() || rx[i] != sent[i]) ++result.downlink.bit_errors;
-  } else {
-    result.downlink.bit_errors = sent.size();
-  }
-  record_downlink(result.downlink);
+  result.downlink = finish_downlink(std::move(reception), packet);
 
   // --- Radar side: sensing + uplink decoding over the same frame. ---
   const std::size_t block = ul.chirps_per_symbol;
@@ -485,7 +468,7 @@ CacheBaseline CacheBaseline::capture() {
 }
 
 void CacheBaseline::fill(obs::RunReport& report) const {
-  // The caches are process-wide; the delta since the owner's baseline
+  // The caches are process-wide; the delta since the simulator's baseline
   // attributes warm-up misses and steady-state hits to this run.
   // (Concurrent engines fold each other's transforms into the delta —
   // acceptable for a run report, exact for the common one-engine case.)
@@ -505,14 +488,6 @@ obs::RunReport LinkSimulator::report() const {
   obs::RunReport out = report_;
   cache_baseline_.fill(out);
   return out;
-}
-
-std::string LinkSimulator::report_json() const { return report().to_json(); }
-
-void LinkSimulator::reset_report() {
-  report_ = obs::RunReport{};
-  report_.config = config_key(config_);
-  cache_baseline_ = CacheBaseline::capture();
 }
 
 }  // namespace bis::core

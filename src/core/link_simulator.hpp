@@ -78,11 +78,10 @@ struct UplinkFrameJob {
   void reset_result();
 };
 
-/// The process-wide DSP cache and noise counters at one instant. Every
-/// engine's report() states its cache activity as the delta since a baseline
-/// taken when the engine was built (or its report last reset), so one
-/// engine's report does not count the warm-up of the engines built before
-/// it.
+/// The process-wide DSP cache and noise counters at one instant.
+/// LinkSimulator::report() states its cache and noise activity as the delta
+/// since a baseline taken when the simulator was built, so one simulator's
+/// report does not count the warm-up of the engines built before it.
 struct CacheBaseline {
   std::uint64_t fft_hits = 0;
   std::uint64_t fft_misses = 0;
@@ -194,16 +193,12 @@ class LinkSimulator {
 
   // ---- Telemetry (see obs/report.hpp) ----
 
-  /// Structured stats accumulated across every run_* call on this
-  /// simulator, with DSP-cache deltas captured at call time and the report
-  /// keyed by config_key(config()). Outcome counters are always maintained;
-  /// the per-stage timers fill only while telemetry is enabled
-  /// (obs::set_enabled or BIS_TRACE).
+  /// The link's outcomes accumulated across every run_* call on this
+  /// simulator — the one record of them — with DSP-cache and noise deltas
+  /// captured at call time and the report keyed by config_key(config()).
+  /// Always maintained; stage times go to the `bis.stage.<stage>_ns`
+  /// histograms while telemetry is enabled (obs::set_enabled or BIS_TRACE).
   obs::RunReport report() const;
-  std::string report_json() const;
-
-  /// Zero the accumulated report (the cache-delta baseline resets too).
-  void reset_report();
 
  private:
   UplinkRunResult process_uplink_frame(const std::vector<rf::ChirpParams>& chirps,
@@ -216,9 +211,11 @@ class LinkSimulator {
   /// process_uplink_frame.
   void run_prepared_frame(UplinkFrameJob& job);
 
-  /// Fold a finished downlink decode into report_ (shared by run_downlink
-  /// and run_integrated).
-  void record_downlink(const DownlinkRunResult& result);
+  /// The result of the tag's @p reception of @p packet, its framed-bit
+  /// errors counted (a lost packet counts every bit), folded into report_
+  /// (shared by run_downlink and run_integrated).
+  DownlinkRunResult finish_downlink(tag::TagNode::DownlinkReception reception,
+                                    const phy::DownlinkPacket& packet);
 
   SystemConfig config_;
   phy::SlopeAlphabet alphabet_;
@@ -238,7 +235,7 @@ class LinkSimulator {
   ThreadPool* pool_ = nullptr;              ///< nullptr = sequential.
   UplinkFrameJob seq_job_;  ///< Reused by the sequential run_* path.
   obs::RunReport report_;                   ///< Accumulated run telemetry.
-  CacheBaseline cache_baseline_;            ///< Taken at ctor / reset_report.
+  CacheBaseline cache_baseline_;            ///< Taken at construction.
 };
 
 /// Resolve a dsp_threads setting (see SystemConfig) to the pool the frame

@@ -59,8 +59,6 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
       detector_(network_detector_config(config)),
       rng_(config.base.seed ^ 0x5E25Eull) {
   BIS_CHECK(!config_.tags.empty());
-  report_.config =
-      config_key(config_.base) + "|tags=" + std::to_string(config_.tags.size());
   pool_ = resolve_dsp_pool(config_.base.dsp_threads, owned_pool_);
 
   const std::size_t n = config_.tags.size();
@@ -99,7 +97,6 @@ BiScatterNetwork::BiScatterNetwork(const NetworkConfig& config)
   returns_.resize(returns_.size() + n);
   reflect_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.insertion_loss_db);
   leak_ = db_to_amplitude(-base.tag.node.frontend.rf_switch.isolation_db);
-  cache_baseline_ = CacheBaseline::capture();
 }
 
 void BiScatterNetwork::calibrate_all() {
@@ -119,7 +116,6 @@ void BiScatterNetwork::calibrate_all() {
 std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
     std::uint8_t address, const phy::Bits& payload) {
   BIS_TRACE_SPAN("core.network_downlink");
-  ++report_.downlink_frames;
 
   // The same over-the-air packet reaches every tag: build the frame (packet
   // → CSSK chirps → absorptive flags) once and reuse it for all of them.
@@ -144,12 +140,12 @@ std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
     tag.node.frontend().auto_gain(paths);
     dsp::RVec stream;
     {
-      obs::StageTimer timer(report_.stage, obs::Stage::kTagFrontend);
+      obs::StageTimer timer(obs::Stage::kTagFrontend);
       stream = tag.node.frontend().receive_frame(chirps, paths, flags);
     }
     tag::TagNode::DownlinkReception rx;
     {
-      obs::StageTimer timer(report_.stage, obs::Stage::kTagDecode);
+      obs::StageTimer timer(obs::Stage::kTagDecode);
       rx = tag.node.receive_downlink(stream, pkt);
     }
 
@@ -159,15 +155,6 @@ std::vector<DownlinkDelivery> BiScatterNetwork::send_downlink(
     d.crc_ok = rx.packet.crc_ok;
     d.address_match = rx.packet.address_match && rx.packet.crc_ok && d.locked;
     if (d.address_match) d.payload = rx.packet.payload;
-    ++report_.sync_attempts;
-    ++report_.crc_attempts;
-    if (d.locked) ++report_.sync_locks;
-    if (d.crc_ok) ++report_.crc_passes;
-    ++tag.report.downlink_frames;
-    ++tag.report.sync_attempts;
-    ++tag.report.crc_attempts;
-    if (d.locked) ++tag.report.sync_locks;
-    if (d.crc_ok) ++tag.report.crc_passes;
     out.push_back(std::move(d));
   }
   return out;
@@ -184,21 +171,18 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
 
   // Synthesis stays sequential (single RNG stream); the frame DSP below
   // fans across the pool with bit-identical results.
-  ++report_.uplink_frames;
-  report_.chirps_processed += n_chirps;
-  report_.mod_freq_collisions += collisions_;
   frame_.if_samples.resize(n_chirps);
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kIfSynthesis);
+    obs::StageTimer timer(obs::Stage::kIfSynthesis);
     synthesize_beacons(synth, chirps_, base.radar.chirp_period_s, beacons_,
                        reflect_, leak_, returns_, frame_.if_samples);
   }
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kRangeFft);
+    obs::StageTimer timer(obs::Stage::kRangeFft);
     chain_.range_fft(chirps_, frame_, pool_);
   }
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kIfCorrection);
+    obs::StageTimer timer(obs::Stage::kIfCorrection);
     chain_.if_correct(frame_, pool_);
   }
 
@@ -206,7 +190,7 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
   // decision- and score-identical to a per-tag sequential detect loop.
   detections_.resize(targets_.size());
   {
-    obs::StageTimer timer(report_.stage, obs::Stage::kDetect);
+    obs::StageTimer timer(obs::Stage::kDetect);
     detector_.detect_many(frame_.aligned, targets_, detections_, pool_);
   }
 
@@ -220,35 +204,8 @@ std::vector<TagObservation> BiScatterNetwork::sense_all(bool downlink_active) {
     obs.range_m = det.range_m;
     obs.range_error_m = std::abs(det.range_m - config_.tags[i].range_m);
     obs.snr_db = det.snr_db;
-    for (obs::RunReport* r : {&report_, &tags_[i]->report}) {
-      ++r->detection_attempts;
-      r->detector_snr_sum_db += det.snr_db;
-      r->last_detector_snr_db = det.snr_db;
-      if (det.found) ++r->detections;
-    }
     out.push_back(obs);
   }
-  return out;
-}
-
-obs::RunReport BiScatterNetwork::report() const {
-  obs::RunReport out = report_;
-  cache_baseline_.fill(out);
-  return out;
-}
-
-std::string BiScatterNetwork::report_json() const {
-  std::string out;
-  out.reserve(768 + 512 * tags_.size());
-  out += "{\n  \"network\": ";
-  report().append_json(out);
-  out += ",\n  \"links\": [";
-  for (std::size_t i = 0; i < tags_.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '\n';
-    tags_[i]->report.append_json(out);
-  }
-  out += "\n  ]\n}\n";
   return out;
 }
 

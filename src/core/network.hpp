@@ -9,12 +9,17 @@
 /// slow-time spectrum by their assigned frequencies and localizes each.
 ///
 /// The network holds lightweight per-tag state (a TagNode plus its derived
-/// SystemConfig and report) instead of one full LinkSimulator per tag, and
-/// senses every tag from ONE shared frame: the range–slow-time spectrum is
+/// SystemConfig) instead of one full LinkSimulator per tag, and senses
+/// every tag from ONE shared frame: the range–slow-time spectrum is
 /// computed once and all tags are scored through the batched
 /// radar::TagDetector::detect_many bank (see DESIGN.md on batched
 /// multi-tag detection). Detection decisions are bit-identical to running
 /// the sequential single-tag detector per tag.
+///
+/// A call's outcomes live in what it returns — one DownlinkDelivery per
+/// tag from send_downlink, one TagObservation per tag from sense_all — and
+/// are counted nowhere else; stage times go to the `bis.stage.<stage>_ns`
+/// histograms (DESIGN §10).
 
 #include <cstdint>
 #include <memory>
@@ -24,7 +29,6 @@
 #include "common/thread_pool.hpp"
 #include "core/link_simulator.hpp"
 #include "core/slot_frame.hpp"
-#include "obs/report.hpp"
 #include "phy/bits.hpp"
 #include "radar/tag_detector.hpp"
 
@@ -93,33 +97,20 @@ class BiScatterNetwork {
 
   /// Assigned-frequency pairs closer than the slow-time FFT resolution
   /// 1/(frame_chirps · chirp_period) — tags a single frame cannot separate.
-  /// Computed once at construction; accumulated into the report per sensing
-  /// frame.
+  /// Computed once at construction; it holds for every sensing frame.
   std::size_t mod_freq_collisions() const { return collisions_; }
-
-  // ---- Telemetry (see obs/report.hpp) ----
-
-  /// Radar-side stats accumulated by this network object (broadcast
-  /// deliveries, sensing frames/chirps, detections, frequency collisions).
-  obs::RunReport report() const;
-
-  /// JSON: {"network": <network report>, "links": [<per-tag reports>]}.
-  std::string report_json() const;
 
  private:
   /// Per-tag state: the derived single-tag SystemConfig (range, address,
-  /// OOK uplink at the tag's frequency, decorrelated seed), the tag node
-  /// itself, and a per-tag report keyed by that config.
+  /// OOK uplink at the tag's frequency, decorrelated seed) and the tag node
+  /// itself.
   struct TagState {
     SystemConfig config;
     tag::TagNode node;
-    obs::RunReport report;
 
     TagState(const SystemConfig& cfg, const phy::SlopeAlphabet& alphabet)
         : config(cfg),
-          node(cfg.tag.node, alphabet, Rng(cfg.seed ^ 0x7A67ull)) {
-      report.config = config_key(cfg);
-    }
+          node(cfg.tag.node, alphabet, Rng(cfg.seed ^ 0x7A67ull)) {}
   };
 
   NetworkConfig config_;
@@ -129,8 +120,6 @@ class BiScatterNetwork {
   std::vector<std::unique_ptr<TagState>> tags_;
   std::unique_ptr<ThreadPool> owned_pool_;  ///< When base.dsp_threads > 1.
   ThreadPool* pool_ = nullptr;              ///< Frame DSP pool (see SystemConfig).
-  obs::RunReport report_;                   ///< Radar-side run telemetry.
-  CacheBaseline cache_baseline_;            ///< Taken at construction.
 
   // Shared radar-side pipeline stages, constructed once.
   radar::ReceiveChain chain_;
@@ -160,7 +149,7 @@ std::vector<double> assign_mod_frequencies(std::size_t n, double chirp_period_s)
 /// Count assigned-frequency pairs closer than the slow-time FFT resolution
 /// 1/(n_chirps · chirp_period_s) — adjacent pairs after sorting. Such pairs
 /// land in the same spectral bin and cannot be separated within one frame;
-/// BiScatterNetwork surfaces the count per sensing frame in its RunReport.
+/// BiScatterNetwork::mod_freq_collisions() holds the count for its plan.
 std::size_t count_mod_freq_collisions(std::span<const double> freqs_hz,
                                       std::size_t n_chirps,
                                       double chirp_period_s);

@@ -6,9 +6,11 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/resample.hpp"
+#include "dsp/window.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "rf/noise.hpp"
@@ -31,53 +33,6 @@ std::string alphabet_key(const SystemConfig& c) {
      << dl.reference_freq_hz << '|' << dl.loss_db_per_m_at_ref << '|'
      << c.tag.node.frontend.adc.sample_rate_hz;
   return os.str();
-}
-
-/// Outcome counters a sweep point contributes to the merged report, derived
-/// from its measurement (the point's LinkSimulator is internal to the
-/// measure_* helper). Cache fields stay zero here; the runner fills them
-/// with sweep-wide deltas after the merge.
-obs::RunReport point_report(SweepMode mode, const SweepWorkload& w,
-                            const ExperimentMetrics& m) {
-  obs::RunReport r;
-  r.config = m.config;
-  const auto downlink = [&](const BerMeasurement& d) {
-    r.downlink_frames += d.packets;
-    r.sync_attempts += d.packets;
-    r.sync_locks += d.packets_locked;
-    r.downlink_bits += d.bits;
-    r.downlink_bit_errors += d.errors;
-  };
-  const auto uplink = [&](std::size_t frames, double detection_rate,
-                          std::size_t bits, std::size_t errors,
-                          double mean_snr_db) {
-    r.uplink_frames += frames;
-    r.detection_attempts += frames;
-    r.detections += static_cast<std::uint64_t>(
-        detection_rate * static_cast<double>(frames) + 0.5);
-    r.uplink_bits += bits;
-    r.uplink_bit_errors += errors;
-    r.detector_snr_sum_db += mean_snr_db * static_cast<double>(frames);
-  };
-  switch (mode) {
-    case SweepMode::kDownlinkBer:
-      downlink(m.downlink);
-      break;
-    case SweepMode::kUplink:
-      uplink(w.frames, m.uplink.detection_rate, m.uplink.bits, m.uplink.errors,
-             m.uplink.mean_snr_processed_db);
-      break;
-    case SweepMode::kLocalization:
-      uplink(w.frames, m.localization.detection_rate, 0, 0, 0.0);
-      break;
-    case SweepMode::kIntegrated:
-      downlink(m.downlink);
-      uplink(w.frames, m.uplink.detection_rate, m.uplink.bits, m.uplink.errors,
-             m.uplink.mean_snr_processed_db);
-      r.integrated_frames += w.frames;
-      break;
-  }
-  return r;
 }
 
 }  // namespace
@@ -165,66 +120,67 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
     m.config = config_key(configs[i]);
   }
 
-  // The downlink modes decode on a calibrated tag. Build every point's
-  // simulator, then calibrate the points that share an alphabet in one
+  // Build every point's simulator. The downlink modes decode on a
+  // calibrated tag: calibrate the points that share an alphabet in one
   // batch (one GLRT bank per slot for the whole batch, slots across the
-  // pool); each point below then measures on its calibrated simulator.
+  // pool). Each point below then measures on its simulator.
   const SweepWorkload& w = options_.workload;
-  const bool downlink = options_.mode == SweepMode::kDownlinkBer ||
-                        options_.mode == SweepMode::kIntegrated;
-  std::vector<std::unique_ptr<LinkSimulator>> sims(downlink ? grid.size() : 0);
-  bis::parallel_for(pool, 0, sims.size(), [&](std::size_t i) {
+  std::vector<std::unique_ptr<LinkSimulator>> sims(grid.size());
+  bis::parallel_for(pool, 0, grid.size(), [&](std::size_t i) {
     sims[i] = std::make_unique<LinkSimulator>(configs[i], *point_alphabet[i]);
   });
-  for (const auto& [key, alphabet] : alphabets) {
-    std::vector<LinkSimulator*> batch;
-    for (std::size_t i = 0; i < sims.size(); ++i)
-      if (point_alphabet[i] == alphabet.get()) batch.push_back(sims[i].get());
-    if (!batch.empty()) LinkSimulator::calibrate_tags(batch, pool);
+  if (options_.mode == SweepMode::kDownlinkBer ||
+      options_.mode == SweepMode::kIntegrated) {
+    for (const auto& [key, alphabet] : alphabets) {
+      std::vector<LinkSimulator*> batch;
+      for (std::size_t i = 0; i < sims.size(); ++i)
+        if (point_alphabet[i] == alphabet.get()) batch.push_back(sims[i].get());
+      LinkSimulator::calibrate_tags(batch, pool);
+    }
   }
 
   // One point per task (coarse-grained — see file comment). Each task reads
   // only shared immutable state and writes only its own slots, so the merge
   // below sees identical values for any thread count.
-  std::vector<obs::RunReport> partials(grid.size());
+  std::vector<obs::RunReport> reports(grid.size());
   bis::parallel_for(pool, 0, grid.size(), [&](std::size_t i) {
     const bool timed = obs::enabled();
     const std::uint64_t t0 = timed ? obs::now_ns() : 0;
     ExperimentMetrics& m = out.points[i];
+    LinkSimulator& sim = *sims[i];
     Rng& rng = streams[i];
     switch (options_.mode) {
       case SweepMode::kDownlinkBer:
-        m.downlink = measure_downlink_ber(*sims[i], w.min_bits, w.payload_bits, rng);
+        m.downlink = measure_downlink_ber(sim, w.min_bits, w.payload_bits, rng);
         break;
       case SweepMode::kUplink:
-        m.uplink = measure_uplink(configs[i], w.frames, w.bits_per_frame,
-                                  w.downlink_active, point_alphabet[i], rng);
+        m.uplink = measure_uplink(sim, w.frames, w.bits_per_frame,
+                                  w.downlink_active, rng);
         break;
       case SweepMode::kLocalization:
-        m.localization = measure_localization(configs[i], w.frames, w.downlink_active,
-                                              point_alphabet[i], rng);
+        m.localization =
+            measure_localization(sim, w.frames, w.downlink_active, rng);
         break;
       case SweepMode::kIntegrated: {
-        const auto isac = measure_integrated(*sims[i], w.frames, w.payload_bits,
+        const auto isac = measure_integrated(sim, w.frames, w.payload_bits,
                                              w.uplink_bits, rng);
         m.downlink = isac.downlink;
         m.uplink = isac.uplink;
         break;
       }
     }
-    if (downlink) sims[i].reset();
-    partials[i] = point_report(options_.mode, w, m);
+    reports[i] = sim.report();
+    sims[i].reset();
     if (timed) point_us.record((obs::now_ns() - t0) / 1000);
     points_done.add(1);
   });
 
-  // Deterministic merge in grid order. The cache/AWGN deltas overwrite the
-  // merged zeros with sweep-wide totals; their hit/miss split can vary with
+  // Deterministic merge in grid order. The cache/AWGN figures overwrite the
+  // merged ones with sweep-wide totals (each point's deltas count the
+  // concurrent points' activity too); their hit/miss split can vary with
   // thread interleaving (two lanes racing the same cold key both miss), so
   // they live in the report, not in sweep_to_json's determinism surface.
-  for (const auto& p : partials) out.report.merge(p);
-  out.report.config = std::string("sweep:") + sweep_mode_name(options_.mode) +
-                      " points=" + std::to_string(grid.size());
+  for (const auto& r : reports) out.report.merge(r);
   const auto fft1 = dsp::fft_plan_cache_stats();
   const auto regrid1 = dsp::regrid_plan_cache_stats();
   out.report.fft_plan_hits = fft1.hits - fft0.hits;
@@ -233,6 +189,7 @@ SweepResult SweepRunner::run(std::span<const SweepPoint> grid) const {
   out.report.regrid_plan_hits = regrid1.hits - regrid0.hits;
   out.report.regrid_plan_misses = regrid1.misses - regrid0.misses;
   out.report.regrid_plans = regrid1.plans;
+  out.report.window_cache_entries = dsp::window_cache_size();
   out.report.awgn_samples = rf::awgn_samples_added() - awgn0;
   return out;
 }
@@ -288,7 +245,7 @@ std::string sweep_to_json(const SweepResult& result) {
   for (std::size_t i = 0; i < result.points.size(); ++i) {
     const auto& p = result.points[i];
     os << "    {\"axis\": " << p.axis << ", \"seed\": " << p.point_seed
-       << ", \"config\": \"" << obs::json_escape(p.config) << "\", ";
+       << ", \"config\": \"" << json_escape(p.config) << "\", ";
     switch (result.mode) {
       case SweepMode::kDownlinkBer:
         ber_json("downlink", p.downlink);

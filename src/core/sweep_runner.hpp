@@ -12,12 +12,12 @@
 /// LinkSimulator strictly sequentially (dsp_threads = 1) and the pool fans
 /// across points.
 ///
-/// The downlink modes (kDownlinkBer, kIntegrated) run in three phases:
-/// build every point's LinkSimulator, calibrate the tags of all points that
-/// share an alphabet in one batch (LinkSimulator::calibrate_tags: one GLRT
-/// bank per slot for the batch, slots across the pool), then measure each
-/// point on its calibrated simulator and free it. The uplink modes never
-/// calibrate and run each point in one task.
+/// Every mode runs in up to three phases: build every point's
+/// LinkSimulator; in the downlink modes (kDownlinkBer, kIntegrated),
+/// calibrate the tags of all points that share an alphabet in one batch
+/// (LinkSimulator::calibrate_tags: one GLRT bank per slot for the batch,
+/// slots across the pool); then measure each point on its simulator, keep
+/// its report() and free it. The uplink modes never calibrate.
 ///
 /// Reproducibility contract:
 ///   - Point i draws from substream i of the master seed via Rng::jump()
@@ -103,10 +103,11 @@ struct SweepResult {
   std::size_t threads_used = 1;
   std::vector<ExperimentMetrics> points;  ///< Grid order, regardless of
                                           ///< scheduling.
-  obs::RunReport report;  ///< Sweep-level telemetry: outcome counters merged
-                          ///< in grid order plus process-wide cache/AWGN
-                          ///< deltas over the sweep (regrid-plan and FFT-plan
-                          ///< hit rates, batched noise samples).
+  obs::RunReport report;  ///< The points' LinkSimulator reports merged in
+                          ///< grid order, with the cache and noise figures
+                          ///< replaced by sweep-wide ones (regrid-plan and
+                          ///< FFT-plan hits, cache sizes, batched noise
+                          ///< samples).
 };
 
 class SweepRunner {

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.hpp"
+
 namespace bis::obs {
 
 // ---------------------------------------------------------------------------

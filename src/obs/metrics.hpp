@@ -6,9 +6,14 @@
 /// in a process-wide named registry.
 ///
 /// Naming scheme: `bis.<subsystem>.<metric>[_<unit>]`, e.g.
-/// `bis.radar.chirps_processed`, `bis.pool.task_latency_ns`,
+/// `bis.radar.if_samples_synthesized`, `bis.pool.task_latency_ns`,
 /// `bis.stage.detect_ns`. Units are spelled in the suffix so a reader of the
 /// JSON dump never has to guess.
+///
+/// The registry holds only what no run record does (DESIGN §10): latency
+/// histograms, work, plan and cache counters, live gauges and sweep
+/// progress. A link's outcomes are counted in its obs::RunReport and an
+/// inventory round's in its core::InventoryRound, not here.
 ///
 /// Hot-path cost: every update starts with the `obs::enabled()` relaxed
 /// load; when telemetry is on, a counter add is one relaxed `fetch_add` on a
@@ -17,9 +22,9 @@
 /// Metric objects returned by the registry live for the process lifetime,
 /// so the idiomatic pattern is a function-local static:
 ///
-///   static obs::Counter& chirps =
-///       obs::Registry::instance().counter("bis.radar.chirps_processed");
-///   chirps.add(n);
+///   static obs::Counter& samples =
+///       obs::Registry::instance().counter("bis.radar.if_samples_synthesized");
+///   samples.add(n);
 
 #include <array>
 #include <atomic>

@@ -2,10 +2,10 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 
@@ -69,35 +69,5 @@ bool init_from_env() {
 [[maybe_unused]] const bool g_env_initialized = init_from_env();
 
 }  // namespace
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream oss;  // default precision matches the stream inserters
-  oss << v;                // used everywhere else in the JSON writers
-  return oss.str();
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace bis::obs

@@ -24,8 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 namespace bis::obs {
 
@@ -49,13 +47,5 @@ inline std::uint64_t now_ns() {
 /// Flip the process-wide switch (thread-safe, takes effect immediately;
 /// spans already open stay consistent — activation is latched per span).
 void set_enabled(bool on);
-
-/// Escape a string for embedding in a JSON string literal.
-std::string json_escape(std::string_view s);
-
-/// Format a double as a JSON number token. JSON has no representation for
-/// NaN or ±Inf — emitting them raw (as `operator<<` would) produces a file
-/// no parser accepts — so non-finite values serialize as `null`.
-std::string json_number(double v);
 
 }  // namespace bis::obs

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace bis::obs {
 namespace {
 

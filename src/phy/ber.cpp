@@ -25,17 +25,10 @@ double wilson_bound(std::size_t errors, std::size_t total, bool upper) {
 
 }  // namespace
 
-void ErrorCounter::add(std::span<const int> sent, std::span<const int> received) {
-  const std::size_t common = std::min(sent.size(), received.size());
-  for (std::size_t i = 0; i < common; ++i)
-    if (sent[i] != received[i]) ++errors_;
-  errors_ += std::max(sent.size(), received.size()) - common;
-  total_ += std::max(sent.size(), received.size());
-}
-
-void ErrorCounter::add_single(bool error) {
-  if (error) ++errors_;
-  ++total_;
+void ErrorCounter::add(std::size_t errors, std::size_t bits) {
+  BIS_CHECK(errors <= bits);
+  errors_ += errors;
+  total_ += bits;
 }
 
 double ErrorCounter::rate() const {
@@ -45,11 +38,6 @@ double ErrorCounter::rate() const {
 double ErrorCounter::wilson_upper_95() const { return wilson_bound(errors_, total_, true); }
 
 double ErrorCounter::wilson_lower_95() const { return wilson_bound(errors_, total_, false); }
-
-void ErrorCounter::reset() {
-  total_ = 0;
-  errors_ = 0;
-}
 
 double ook_theoretical_ber(double snr_db) {
   const double snr = from_db(snr_db);

@@ -6,17 +6,14 @@
 /// "measured 0 errors over N bits" from "BER genuinely below the floor".
 
 #include <cstddef>
-#include <span>
 
 namespace bis::phy {
 
 class ErrorCounter {
  public:
-  /// Count mismatches between sent and received bits. Length mismatch counts
-  /// every missing/extra position as an error.
-  void add(std::span<const int> sent, std::span<const int> received);
-
-  void add_single(bool error);
+  /// Count @p bits compared bits, @p errors of them wrong (one call per
+  /// packet; the caller counts a lost packet's bits as errors).
+  void add(std::size_t errors, std::size_t bits);
 
   std::size_t total() const { return total_; }
   std::size_t errors() const { return errors_; }
@@ -28,8 +25,6 @@ class ErrorCounter {
   double wilson_upper_95() const;
   /// Lower bound of the 95 % Wilson score interval.
   double wilson_lower_95() const;
-
-  void reset();
 
  private:
   std::size_t total_ = 0;

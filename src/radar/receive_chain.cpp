@@ -8,7 +8,6 @@
 #include "dsp/kernels/kernels.hpp"
 #include "dsp/resample.hpp"
 #include "dsp/window.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace bis::radar {
@@ -138,9 +137,6 @@ void ReceiveChain::range_fft(std::span<const rf::ChirpParams> chirps,
                              ReceiveFrame& frame, ThreadPool* pool) const {
   BIS_TRACE_SPAN("radar.range_fft_frame");
   BIS_CHECK(frame.if_samples.size() == chirps.size());
-  static obs::Counter& chirps_processed =
-      obs::Registry::instance().counter("bis.radar.chirps_processed");
-  chirps_processed.add(chirps.size());
   frame.profiles.resize(chirps.size());
   bis::parallel_for(pool, 0, chirps.size(), [&](std::size_t i) {
     range_fft(frame.if_samples[i], chirps[i], frame.profiles[i]);

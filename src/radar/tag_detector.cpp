@@ -450,8 +450,6 @@ void finalize_tag(const TagDetectorConfig& config,
       obs::Registry::instance().gauge("bis.radar.detector_snr_db");
   static obs::LatencyHistogram& snr_cdb =
       obs::Registry::instance().latency("bis.radar.detector_snr_cdb");
-  static obs::Counter& detections =
-      obs::Registry::instance().counter("bis.radar.detections");
 
   // Noise floor: median modulation-tone power across the *other* range
   // bins (same slow-time frequencies, no tag). Using off-tone bins of the
@@ -482,7 +480,6 @@ void finalize_tag(const TagDetectorConfig& config,
   if (std::isfinite(snr_db))
     snr_cdb.record(static_cast<std::uint64_t>(
         std::llround(std::max(snr_db, 0.0) * 100.0)));
-  if (det.found) detections.add();
 
   // Sub-bin range refinement on the detection metric.
   const double grid_step =

@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "common/units.hpp"
 #include "dsp/kernels/kernels.hpp"
-#include "obs/metrics.hpp"
 
 namespace bis::rf {
 namespace {
@@ -15,9 +14,6 @@ std::atomic<std::uint64_t> g_awgn_samples{0};
 
 void record_awgn(std::size_t n) {
   g_awgn_samples.fetch_add(n, std::memory_order_relaxed);
-  static obs::Counter& samples =
-      obs::Registry::instance().counter("bis.rf.awgn_samples");
-  samples.add(n);
 }
 
 /// Add sigma-scaled ziggurat deviates to @p x through a stack chunk buffer:

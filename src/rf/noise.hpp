@@ -23,9 +23,9 @@ void add_awgn(std::span<double> x, double sigma, Rng& rng);
 void add_awgn(std::span<bis::dsp::cdouble> x, double sigma_per_component, Rng& rng);
 
 /// Cumulative real samples noised by add_awgn across the process (a complex
-/// sample counts twice — once per component). Always on; run reports use
-/// deltas to attribute AWGN volume to a run. Also exported as the
-/// `bis.rf.awgn_samples` metric when telemetry is enabled.
+/// sample counts twice — once per component): the one noise count. Always
+/// on; run reports (obs::RunReport::awgn_samples) read it as deltas to
+/// attribute AWGN volume to a run.
 std::uint64_t awgn_samples_added();
 
 /// Noise sigma that yields @p snr_db for a real sinusoid of amplitude @p amp

@@ -73,9 +73,6 @@ DownlinkDecodeResult TagDecoder::decode_stream(
     const dsp::RVec& stream, const phy::PacketConfig& packet,
     const std::vector<bool>& absorptive_mask) const {
   BIS_TRACE_SPAN("tag.decode_stream");
-  static obs::Counter& sync_attempts =
-      obs::Registry::instance().counter("bis.tag.sync_attempts");
-  sync_attempts.add();
   DownlinkDecodeResult result;
 
   // Step 1 (paper Fig. 6): chirp period from the long-window analysis of
@@ -215,9 +212,6 @@ DownlinkDecodeResult TagDecoder::decode_stream(
   result.header_run = header_run;
   result.sync_run = sync_run;
   result.locked = header_run >= kMinHeaderRun && !result.payload_slots.empty();
-  static obs::Counter& sync_locks =
-      obs::Registry::instance().counter("bis.tag.sync_locks");
-  if (result.locked) sync_locks.add();
   if (!result.locked) return result;
 
   // Slots → data symbols → bits. A payload burst that classified as a

@@ -220,10 +220,7 @@ TEST(Inventory, DrainsSmallPopulationAndCountsAreConsistent) {
     reads += r.reads;
   }
   EXPECT_EQ(reads, 10u);
-
-  const auto report = engine.report();
-  EXPECT_EQ(report.inventory_reads, 10u);
-  EXPECT_EQ(report.inventory_rounds, engine.rounds().size());
+  EXPECT_EQ(engine.rounds().size(), ran);
 
   // reset() restores a fresh Query session over the same population.
   engine.reset();
@@ -248,12 +245,6 @@ TEST(Inventory, SameChannelSlotCollisionIsNotRead) {
   EXPECT_EQ(round.collision_slots, 1u);
   EXPECT_EQ(round.reads, 0u);
   EXPECT_EQ(engine.pending(), 2u);
-  // Both responders were detection attempts: their SNR counts toward the
-  // report's sum although neither was read.
-  const obs::RunReport report = engine.report();
-  EXPECT_EQ(report.detection_attempts, 2u);
-  EXPECT_EQ(report.detections, 0u);
-  EXPECT_GT(report.detector_snr_sum_db, 0.0);
 }
 
 TEST(Inventory, AdaptiveQMovesTowardPopulation) {
@@ -332,15 +323,6 @@ TEST(Inventory, BatchedMatchesSequentialReference) {
       expect_rounds_equal(engine.rounds(), reference.rounds());
     }
   }
-}
-
-TEST(Inventory, ReportJsonCarriesInventoryCounters) {
-  NetworkConfig net = make_inventory_population(6, small_base());
-  InventoryEngine engine(net, small_inventory());
-  engine.run_until_drained();
-  const std::string json = engine.report_json();
-  EXPECT_NE(json.find("\"inventory\""), std::string::npos);
-  EXPECT_NE(json.find("\"reads\":6"), std::string::npos);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // common/json.hpp: the minimal JSON reader used by bench_compare and the
-// telemetry validation paths — plus the NaN/Inf → null contract of the
-// repo's JSON writers (obs::json_number, Registry::write_json,
-// RunReport::write_json must always emit parseable documents).
+// telemetry validation paths — plus the repo's one JSON escaper and number
+// formatter and the NaN/Inf → null contract of its JSON writers
+// (json_number, Registry::write_json and RunReport::to_json must always
+// emit parseable documents).
 
 #include <gtest/gtest.h>
 
@@ -88,14 +89,20 @@ TEST(JsonTest, ParsesUnicodeEscapes) {
 }
 
 // ---------------------------------------------------------------------------
-// NaN/Inf writer contract.
+// Escaping and the NaN/Inf writer contract.
+
+TEST(JsonTest, JsonEscapeHandlesSpecials) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+}
 
 TEST(JsonTest, JsonNumberMapsNonFiniteToNull) {
-  EXPECT_EQ(obs::json_number(1.5), "1.5");
-  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::quiet_NaN()), "null");
-  EXPECT_EQ(obs::json_number(std::numeric_limits<double>::infinity()), "null");
-  EXPECT_EQ(obs::json_number(-std::numeric_limits<double>::infinity()),
-            "null");
+  EXPECT_EQ(json_number(1.5), "1.5");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
 }
 
 TEST(JsonTest, RegistryJsonStaysParseableWithNonFiniteGauge) {
@@ -123,7 +130,7 @@ TEST(JsonTest, RunReportJsonStaysParseableWithNonFiniteFields) {
   report.config = "nan\"test";  // exercises json_escape too
   report.last_detector_snr_db = std::numeric_limits<double>::quiet_NaN();
   report.detector_snr_sum_db = std::numeric_limits<double>::infinity();
-  report.detection_attempts = 1;  // mean_detector_snr_db() -> +Inf
+  report.uplink_frames = 1;  // mean_detector_snr_db() -> +Inf
   const auto doc = json_parse(report.to_json());
   ASSERT_TRUE(doc.ok()) << doc.error;
   const JsonValue* uplink = doc.value.find("uplink");

@@ -133,22 +133,10 @@ TEST(LinkServer, StreamsReportsOnLinkDone) {
   }
 }
 
-TEST(LinkServer, MergedReportAggregatesEveryLink) {
-  const std::size_t kLinks = 3;
-  const std::size_t kFrames = 2;
-  LinkServer server(light_config(kLinks, 2));
-  server.run(kFrames);
-  const obs::RunReport merged = server.merged_report();
-  EXPECT_EQ(merged.uplink_frames, kLinks * kFrames);
-  EXPECT_EQ(merged.detection_attempts, kLinks * kFrames);
-  EXPECT_EQ(merged.uplink_bits,
-            kLinks * kFrames * server.config().bits_per_frame);
-}
-
-TEST(LinkServer, LinkReportsCarryStageTimes) {
+TEST(LinkServer, LanesTimeEveryStageInItsHistogram) {
   // The lanes time their frames through the same run_uplink as a
-  // sequential run: with telemetry on, the links' reports carry stage
-  // seconds, and every uplink stage histogram counts each frame once.
+  // sequential run: with telemetry on, every uplink stage histogram counts
+  // each frame once and a nonzero time.
   const std::size_t kLinks = 3;
   const std::size_t kFrames = 2;
   const bool was_enabled = obs::enabled();
@@ -158,18 +146,13 @@ TEST(LinkServer, LinkReportsCarryStageTimes) {
   server.run(kFrames);
   obs::set_enabled(was_enabled);
 
-  const obs::RunReport merged = server.merged_report();
-  EXPECT_GT(merged.stage.if_synthesis_s, 0.0);
-  EXPECT_GT(merged.stage.range_fft_s, 0.0);
-  EXPECT_GT(merged.stage.if_correction_s, 0.0);
-  EXPECT_GT(merged.stage.detect_s, 0.0);
-  EXPECT_GT(merged.stage.uplink_decode_s, 0.0);
   for (const obs::Stage stage :
        {obs::Stage::kIfSynthesis, obs::Stage::kRangeFft,
         obs::Stage::kIfCorrection, obs::Stage::kDetect,
         obs::Stage::kUplinkDecode, obs::Stage::kUplinkFrame}) {
     EXPECT_EQ(obs::stage_latency(stage).count(), kLinks * kFrames)
         << obs::stage_name(stage);
+    EXPECT_GT(obs::stage_latency(stage).sum(), 0u) << obs::stage_name(stage);
   }
 }
 

@@ -4,10 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/json.hpp"
 #include "core/network.hpp"
 
 namespace bis::core {
@@ -104,44 +100,6 @@ TEST(Network, ConsecutiveSensingFramesDrawFreshNoise) {
       fresh = true;
   }
   EXPECT_TRUE(fresh) << "the second frame repeated the first";
-}
-
-TEST(Network, ReportAveragesSnrOverEveryAttempt) {
-  // A tag far out of range is an attempt that misses; its SNR still counts,
-  // since mean_detector_snr_db() divides by every attempt.
-  NetworkConfig net;
-  net.base.seed = 3;
-  const auto freqs = assign_mod_frequencies(3, net.base.radar.chirp_period_s);
-  net.tags = {{0x01, 2.0, freqs[0]}, {0x02, 3.0, freqs[1]},
-              {0x03, 45.0, freqs[2]}};
-  BiScatterNetwork network(net);
-  const auto seen = network.sense_all();
-  ASSERT_EQ(seen.size(), 3u);
-  ASSERT_FALSE(seen[2].detected);
-
-  double sum = 0.0;
-  for (const auto& o : seen) sum += o.snr_db;
-  const obs::RunReport report = network.report();
-  EXPECT_EQ(report.detection_attempts, 3u);
-  EXPECT_DOUBLE_EQ(report.detector_snr_sum_db, sum);
-  EXPECT_DOUBLE_EQ(report.last_detector_snr_db, seen[2].snr_db);
-
-  // Each tag's own report holds its observation (JSON keeps 6 digits).
-  const auto doc = json_parse(network.report_json());
-  ASSERT_TRUE(doc.ok()) << doc.error;
-  const JsonValue* links = doc.value.find("links");
-  ASSERT_NE(links, nullptr);
-  ASSERT_EQ(links->as_array().size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const JsonValue* uplink = links->as_array()[i].find("uplink");
-    ASSERT_NE(uplink, nullptr);
-    const double tol = 1e-5 * std::max(1.0, std::abs(seen[i].snr_db));
-    EXPECT_NEAR(uplink->number_or("mean_detector_snr_db", 0.0),
-                seen[i].snr_db, tol)
-        << i;
-    EXPECT_NEAR(uplink->number_or("detector_snr_db", 0.0), seen[i].snr_db, tol)
-        << i;
-  }
 }
 
 TEST(Network, SensingSurvivesConcurrentDownlink) {

@@ -1,9 +1,10 @@
 // The bis::obs observability subsystem: metric registry math, trace-span
 // nesting and Chrome-trace export, counter correctness under concurrent
-// parallel_for updates, the LinkSimulator run report produced by one
-// telemetry-enabled integrated frame, and the cache deltas every engine's
-// report counts from its own construction. Every test restores the
-// process-wide telemetry switch so the rest of the suite is unaffected.
+// parallel_for updates, the LinkSimulator run report and stage histograms
+// produced by one telemetry-enabled integrated frame, and the cache and
+// noise deltas a simulator's report counts from its own construction. Every
+// test restores the process-wide telemetry switch so the rest of the suite
+// is unaffected.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 
 #include "common/random.hpp"
 #include "common/thread_pool.hpp"
-#include "core/inventory.hpp"
 #include "core/link_simulator.hpp"
 #include "obs/obs.hpp"
 #include "phy/bits.hpp"
@@ -233,69 +233,60 @@ TEST_F(ObsTest, IntegratedFrameProducesTraceAndRunReport) {
 
   const RunReport report = sim.report();
   EXPECT_EQ(report.integrated_frames, 1u);
+  EXPECT_EQ(report.uplink_frames, 1u);
+  EXPECT_EQ(report.sync_attempts, 1u);
   EXPECT_GT(report.chirps_processed, 0u);
-  EXPECT_EQ(report.detection_attempts, 1u);
   EXPECT_EQ(report.detections, 1u);
   EXPECT_GT(report.last_detector_snr_db, 0.0);
   EXPECT_GT(report.fft_plan_hits + report.fft_plan_misses, 0u);
-  EXPECT_GT(report.stage.range_fft_s, 0.0);
-  EXPECT_GT(report.stage.if_correction_s, 0.0);
   EXPECT_EQ(report.config, core::config_key(cfg));
 
-  const std::string json = sim.report_json();
+  const std::string json = report.to_json();
   EXPECT_NE(json.find("\"fft_plan_cache\""), std::string::npos);
   EXPECT_NE(json.find("\"detector_snr_db\""), std::string::npos);
-  EXPECT_NE(json.find("\"stage_seconds\""), std::string::npos);
   EXPECT_NE(json.find(core::config_key(cfg)), std::string::npos);
 
-  // Reset zeroes the accumulators and re-baselines the cache deltas.
-  sim.reset_report();
-  const RunReport cleared = sim.report();
-  EXPECT_EQ(cleared.integrated_frames, 0u);
-  EXPECT_EQ(cleared.fft_plan_hits, 0u);
+  // The frame's stage times are in the bis.stage.* histograms, once each
+  // (the registry was reset before the test): the uplink stages plus the
+  // tag's downlink stages. An integrated frame is not a run_uplink frame.
+  for (const Stage stage :
+       {Stage::kIfSynthesis, Stage::kRangeFft, Stage::kIfCorrection,
+        Stage::kDetect, Stage::kUplinkDecode, Stage::kTagFrontend,
+        Stage::kTagDecode}) {
+    EXPECT_EQ(stage_latency(stage).count(), 1u) << stage_name(stage);
+    EXPECT_GT(stage_latency(stage).sum(), 0u) << stage_name(stage);
+  }
+  EXPECT_EQ(stage_latency(Stage::kUplinkFrame).count(), 0u);
 }
 
-TEST_F(ObsTest, EngineReportsCountCacheActivitySinceConstruction) {
-  // A simulator warms the process-wide caches first; engines built after it
-  // must report only their own activity, as LinkSimulator::report() does.
+TEST_F(ObsTest, SimulatorReportsCountCacheActivitySinceConstruction) {
+  // A simulator warms the process-wide caches and draws noise first; a
+  // second simulator built after it must report only its own activity.
   core::SystemConfig cfg;
   cfg.seed = 5;
   cfg.dsp_threads = 1;
-  core::LinkSimulator sim(cfg);
-  sim.run_uplink({1, 0, 1, 1}, /*downlink_active=*/true);
-  const RunReport warm = sim.report();
+  core::LinkSimulator first(cfg);
+  first.run_uplink({1, 0, 1, 1}, /*downlink_active=*/true);
+  const RunReport warm = first.report();
   ASSERT_GT(warm.fft_plan_hits + warm.fft_plan_misses, 0u);
   ASSERT_GT(warm.awgn_samples, 0u);
 
-  const auto expect_fresh = [](const RunReport& r, const char* engine) {
-    EXPECT_EQ(r.fft_plan_hits, 0u) << engine;
-    EXPECT_EQ(r.fft_plan_misses, 0u) << engine;
-    EXPECT_EQ(r.regrid_plan_hits, 0u) << engine;
-    EXPECT_EQ(r.regrid_plan_misses, 0u) << engine;
-    EXPECT_EQ(r.awgn_samples, 0u) << engine;
-  };
-  core::NetworkConfig net;
-  net.base = cfg;
-  const auto freqs = core::assign_mod_frequencies(2, cfg.radar.chirp_period_s);
-  net.tags = {{0x01, 1.8, freqs[0]}, {0x02, 3.6, freqs[1]}};
-  const core::BiScatterNetwork network(net);
-  expect_fresh(network.report(), "network");
+  core::LinkSimulator second(cfg);
+  const RunReport fresh = second.report();
+  EXPECT_EQ(fresh.fft_plan_hits, 0u);
+  EXPECT_EQ(fresh.fft_plan_misses, 0u);
+  EXPECT_EQ(fresh.regrid_plan_hits, 0u);
+  EXPECT_EQ(fresh.regrid_plan_misses, 0u);
+  EXPECT_EQ(fresh.awgn_samples, 0u);
 
-  core::InventoryConfig inv;
-  inv.q_initial = 3;
-  core::InventoryEngine inventory(core::make_inventory_population(4, cfg), inv);
-  expect_fresh(inventory.report(), "inventory");
-  inventory.run_round();
-  EXPECT_GT(inventory.report().fft_plan_hits, 0u);
-  inventory.reset();
-  expect_fresh(inventory.report(), "inventory after reset()");
-}
-
-TEST_F(ObsTest, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  // The same frame on the second simulator hits the warm caches and draws
+  // as much noise as the first; the first's deltas keep growing with it.
+  second.run_uplink({1, 0, 1, 1}, /*downlink_active=*/true);
+  const RunReport after = second.report();
+  EXPECT_GT(after.fft_plan_hits, 0u);
+  EXPECT_EQ(after.fft_plan_misses, 0u);
+  EXPECT_EQ(after.awgn_samples, warm.awgn_samples);
+  EXPECT_EQ(first.report().awgn_samples, 2 * warm.awgn_samples);
 }
 
 }  // namespace

@@ -113,8 +113,7 @@ TEST_F(TelemetrySinkTest, StageLatenciesAppearInBothFormats) {
   opts.interval_ms = 10000;
   TelemetrySink sink(opts);
 
-  StageTimes times;
-  for (int i = 0; i < 5; ++i) StageTimer timer(times, Stage::kIfSynthesis);
+  for (int i = 0; i < 5; ++i) StageTimer timer(Stage::kIfSynthesis);
   sink.sample_now();
 
   const auto lines = read_lines(opts.jsonl_path);

@@ -91,16 +91,22 @@ TEST(Uplink, DataRate) {
 }
 
 TEST(ErrorCounter, CountsMismatchesAndLengthDelta) {
+  // One call per packet: a 4-bit packet received with one flip and one bit
+  // missing, then a lost 4-bit packet (every bit counted as an error).
   ErrorCounter c;
-  c.add(std::vector<int>{1, 0, 1, 1}, std::vector<int>{1, 1, 1});
+  c.add(2, 4);
   EXPECT_EQ(c.total(), 4u);
-  EXPECT_EQ(c.errors(), 2u);  // one flip + one missing
+  EXPECT_EQ(c.errors(), 2u);
   EXPECT_DOUBLE_EQ(c.rate(), 0.5);
+  c.add(4, 4);
+  EXPECT_EQ(c.total(), 8u);
+  EXPECT_EQ(c.errors(), 6u);
+  EXPECT_DOUBLE_EQ(c.rate(), 0.75);
 }
 
 TEST(ErrorCounter, WilsonIntervalBrackets) {
   ErrorCounter c;
-  for (int i = 0; i < 1000; ++i) c.add_single(i < 10);
+  c.add(10, 1000);
   EXPECT_NEAR(c.rate(), 0.01, 1e-12);
   EXPECT_LT(c.wilson_lower_95(), 0.01);
   EXPECT_GT(c.wilson_upper_95(), 0.01);
@@ -109,7 +115,7 @@ TEST(ErrorCounter, WilsonIntervalBrackets) {
 
 TEST(ErrorCounter, ZeroErrorsStillHaveUpperBound) {
   ErrorCounter c;
-  for (int i = 0; i < 4000; ++i) c.add_single(false);
+  c.add(0, 4000);
   EXPECT_EQ(c.rate(), 0.0);
   EXPECT_GT(c.wilson_upper_95(), 0.0);
   EXPECT_LT(c.wilson_upper_95(), 1.5e-3);
